@@ -48,7 +48,7 @@ from .experiments import (
 from .io import ExperimentReport, LabeledDataset, ReportTable, read_csv, read_idx, write_report
 from .kernels import DegenerateBandwidthError, KernelSpec, gram, median_heuristic, quartile_heuristic
 from .metrics import UndefinedCorrelationError, auc_roc, kendall_tau, spearman_rho
-from .solvers import SolverConfig, estimate_smoothness, gradient_descent, svm_dual_solve
+from .solvers import SolverConfig, logistic_solve, svm_dual_solve
 
 __version__ = "0.1.0"
 
@@ -82,16 +82,15 @@ __all__ = [
     "convergence_experiment",
     "depth_batch",
     "depth_scorer",
-    "estimate_smoothness",
     "gen_bigaussian",
     "gen_contaminated",
-    "gradient_descent",
     "gram",
     "halfspace_depth",
     "halfspace_depth_as_loss",
     "kendall_tau",
     "lof_scores",
     "logistic_depth",
+    "logistic_solve",
     "median_heuristic",
     "mixture_density",
     "ocsvm_fit",

@@ -30,13 +30,7 @@ from .core import (
     weighted_expectation,
 )
 from .kernels import KernelSpec, gram
-from .solvers import (
-    SolverConfig,
-    augment,
-    gradient_descent,
-    svm_dual_solve,
-    svm_offset,
-)
+from .solvers import SolverConfig, logistic_solve, svm_dual_solve
 
 EXACT_1D = "exact-1d"
 EXACT_2D = "exact-2d"
@@ -236,7 +230,7 @@ def logistic_depth(
 ) -> DepthResult:
     """Depth under the log-loss with an L2-penalised linear classifier.
 
-    Runs gradient descent to the unique minimiser and reports the weighted
+    Runs damped Newton to the unique minimiser and reports the weighted
     log-loss there (plus the ridge term when reporting asks for it).  With
     normalize the value is divided by log 2, the loss of the constant-zero
     classifier, so it lands in [0, 1].
@@ -257,11 +251,11 @@ def logistic_depth(
 def solve_logistic_problem(
     problem: DepthProblem, config: SolverConfig | None = None
 ) -> DepthResult:
-    weights, diagnostics = gradient_descent(problem, config)
-    features = augment(problem.reference.values, problem.intercept)
-    query_row = augment(problem.query.coords[None, :], problem.intercept)[0]
-    positive = np.logaddexp(0.0, -(features @ weights))
-    negative = float(np.logaddexp(0.0, float(query_row @ weights)))
+    weights, diagnostics = logistic_solve(problem, config)
+    margins = diagnostics.function_values
+    n = problem.reference.n
+    positive = np.logaddexp(0.0, -margins[:n])
+    negative = float(np.logaddexp(0.0, margins[n]))
     value = weighted_expectation(positive, negative)
     if problem.reporting is Reporting.LOSS_PLUS_REG:
         value += problem.lam * float(weights @ weights)
@@ -284,7 +278,6 @@ def svm_depth(
     kernel: KernelSpec,
     intercept: bool = False,
     reporting: Reporting = Reporting.LOSS_ONLY,
-    normalize: bool = True,
     solver: SolverConfig | None = None,
     reference_gram: np.ndarray | None = None,
 ) -> DepthResult:
@@ -292,9 +285,9 @@ def svm_depth(
 
     Solves the box-constrained dual and reports the weighted hinge loss of
     the recovered function (plus the penalty term when requested).  The hinge
-    loss of the zero function is exactly 1, so no normalisation is applied;
-    the flag is accepted for interface symmetry.  Coefficients are the n+1
-    dual variables, query last, with a trailing offset when intercept is on.
+    loss of the zero function is exactly 1, so no normalisation is applied.
+    Coefficients are the n+1 dual variables, query last, with a trailing
+    offset when intercept is on.
     """
     problem = DepthProblem(
         reference=as_data_matrix(reference),
@@ -305,7 +298,6 @@ def svm_depth(
         intercept=intercept,
         reporting=reporting,
         solver=solver,
-        normalize=normalize,
     )
     return solve_svm_problem(problem, reference_gram=reference_gram)
 
@@ -318,21 +310,14 @@ def solve_svm_problem(
     alpha, diagnostics = svm_dual_solve(problem, config, reference_gram)
     fvals = diagnostics.function_values
     n = problem.reference.n
-    labels = np.concatenate([np.ones(n), [-1.0]])
-    offset = 0.0
-    coefficients = alpha
-    if problem.intercept:
-        box = np.concatenate(
-            [np.full(n, 1.0 / (4.0 * n * problem.lam)), [1.0 / (4.0 * problem.lam)]]
-        )
-        offset = svm_offset(alpha, labels, box, fvals)
-        coefficients = np.concatenate([alpha, [offset]])
-    margins = fvals + offset
+    coefficients = np.append(alpha, diagnostics.offset) if problem.intercept else alpha
+    margins = fvals + diagnostics.offset
     positive = np.maximum(0.0, 1.0 - margins[:n])
     negative = float(max(0.0, 1.0 + margins[n]))
     value = weighted_expectation(positive, negative)
     if problem.reporting is Reporting.LOSS_PLUS_REG:
-        value += problem.lam * float((alpha * labels) @ fvals)
+        signed = np.append(alpha[:n], -alpha[n])  # y_k alpha_k: the query is labelled -1
+        value += problem.lam * float(signed @ fvals)
     return DepthResult(
         value=float(value),
         iterations=diagnostics.iterations,
@@ -452,7 +437,6 @@ def depth_batch(request: DepthBatchRequest, threads: int = 1) -> BatchResult:
             kernel=request.kernel,
             intercept=intercept,
             reporting=request.reporting,
-            normalize=request.normalize,
             solver=solver,
             reference_gram=reference_gram,
         )

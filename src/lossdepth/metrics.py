@@ -10,7 +10,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
 
 from .core import LossDepthError, ValidationError
 
@@ -50,7 +49,9 @@ def auc_roc(scores, inlier) -> float:
     n_neg = pair.inlier.size - n_pos
     if n_pos == 0 or n_neg == 0:
         raise ValidationError("auc needs at least one inlier and one outlier")
-    ranks = stats.rankdata(pair.scores)
+    from scipy.stats import rankdata  # scipy.stats takes most of a second to import
+
+    ranks = rankdata(pair.scores)
     rank_sum = float(ranks[pair.inlier].sum())
     return (rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
 
@@ -81,11 +82,15 @@ def _statistic(result) -> float:
 
 def kendall_tau(a, b) -> float:
     """Kendall correlation with tie correction (the tau-b variant)."""
+    from scipy.stats import kendalltau
+
     x, y = _correlation_inputs(a, b)
-    return _statistic(stats.kendalltau(x, y))
+    return _statistic(kendalltau(x, y))
 
 
 def spearman_rho(a, b) -> float:
     """Pearson correlation of midranks."""
+    from scipy.stats import spearmanr
+
     x, y = _correlation_inputs(a, b)
-    return _statistic(stats.spearmanr(x, y))
+    return _statistic(spearmanr(x, y))

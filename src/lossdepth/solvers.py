@@ -1,15 +1,15 @@
 """Optimisers behind the regularised depths.
 
-Two solvers are provided.  The logistic depth runs plain gradient descent on
-the ridge-penalised expected log-loss, with a constant step set from a power
-iteration bound on the Hessian.  The kernel hinge depth solves the box
-constrained dual of the weighted SVM, by clipped single-coordinate Newton
-ascent without an intercept (the default), or by pairwise updates that keep
-the balance constraint when an unpenalised intercept is requested.
+Two solvers are provided.  The logistic depth runs damped Newton with Armijo
+backtracking on the ridge-penalised expected log-loss.  The kernel hinge
+depth solves the box constrained dual of the weighted SVM, by clipped
+single-coordinate Newton ascent without an intercept (the default), or by
+pairwise updates that keep the balance constraint when an unpenalised
+intercept is requested.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy.special import expit
@@ -22,19 +22,22 @@ from .core import (
 )
 from .kernels import KernelSpec, gram
 
+_EPS = float(np.finfo(float).eps)
+_MAX_HALVINGS = 60  # bounds the line search: 2**-60 of a step is far below rounding
+
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Iteration budget, stopping tolerance, step rule and sweep-order seed.
+    """Iteration budget, stopping tolerance, sweep-order seed and dense limit.
 
-    step_size None means use the inverse of the estimated gradient smoothness.
-    For the dual solver the tolerance bounds the largest projected
-    Karush-Kuhn-Tucker violation, and max_iterations counts full sweeps.
+    For the logistic solver the tolerance bounds the gradient norm and
+    max_iterations counts Newton steps.  For the dual solver the tolerance
+    bounds the largest projected Karush-Kuhn-Tucker violation, and
+    max_iterations counts full sweeps.
     """
 
     max_iterations: int = 10_000
     tolerance: float = 1e-8
-    step_size: float | None = None
     seed: int = 0
     dense_gram_limit: int = 3000
 
@@ -43,17 +46,6 @@ class SolverConfig:
             raise ValidationError("solver needs max_iterations >= 1")
         if not self.tolerance > 0.0:
             raise ValidationError("solver needs a positive tolerance")
-        if self.step_size is not None and not self.step_size > 0.0:
-            raise ValidationError("fixed step size must be positive")
-
-
-@dataclass(frozen=True)
-class SmoothnessEstimate:
-    """Upper bound on the gradient Lipschitz constant and the exact strong
-    convexity modulus of the regularised logistic objective."""
-
-    smoothness: float
-    strong_convexity: float
 
 
 @dataclass
@@ -66,9 +58,11 @@ class DescentHistory:
 class SolveDiagnostics:
     """Iteration count, final stopping residual, and convergence flag.
 
-    The dual solver also reports how many kernel-degenerate coordinates it
-    saw and the classifier values f(p_k) at the solution, so callers can
-    evaluate losses without touching the kernel again.
+    Both solvers report the classifier values at the solution, reference
+    rows first and the query last, so callers can evaluate losses without
+    touching the data again.  The dual solver also reports how many
+    kernel-degenerate coordinates it saw and, with an intercept, the
+    recovered offset, which its function values do not include.
     """
 
     iterations: int
@@ -77,6 +71,7 @@ class SolveDiagnostics:
     degenerate_coordinates: int = 0
     history: DescentHistory | None = None
     function_values: np.ndarray | None = None
+    offset: float = 0.0
 
 
 def _solver_config(problem: DepthProblem, override: SolverConfig | None) -> SolverConfig:
@@ -103,29 +98,29 @@ def _require_valid(problem: DepthProblem, loss: LossKind) -> None:
         raise ValidationError("; ".join(report.violations))
 
 
-def _logistic_parts(problem: DepthProblem) -> tuple[np.ndarray, np.ndarray]:
-    features = augment(problem.reference.values, problem.intercept)
-    query = augment(problem.query.coords[None, :], problem.intercept)[0]
-    return features, query
+def _logistic_rows(problem: DepthProblem) -> np.ndarray:
+    """Augmented reference rows followed by the augmented query row."""
+    points = np.vstack([problem.reference.values, problem.query.coords[None, :]])
+    return augment(points, problem.intercept)
 
 
 def _logistic_value_grad(
-    w: np.ndarray, features: np.ndarray, query: np.ndarray, lam: float
-) -> tuple[float, np.ndarray]:
-    n = features.shape[0]
-    margins = features @ w
-    query_margin = float(query @ w)
+    w: np.ndarray, rows: np.ndarray, lam: float
+) -> tuple[np.ndarray, float, np.ndarray]:
+    """Margins of every row, objective value and gradient at w."""
+    n = rows.shape[0] - 1
+    margins = rows @ w
     value = (
-        float(np.logaddexp(0.0, -margins).sum()) / (2.0 * n)
-        + 0.5 * float(np.logaddexp(0.0, query_margin))
+        float(np.logaddexp(0.0, -margins[:n]).sum()) / (2.0 * n)
+        + 0.5 * float(np.logaddexp(0.0, margins[n]))
         + lam * float(w @ w)
     )
     grad = (
-        -(features.T @ expit(-margins)) / (2.0 * n)
-        + 0.5 * expit(query_margin) * query
+        -(rows[:n].T @ expit(-margins[:n])) / (2.0 * n)
+        + 0.5 * expit(margins[n]) * rows[n]
         + 2.0 * lam * w
     )
-    return value, grad
+    return margins, value, grad
 
 
 def logistic_objective(w, problem: DepthProblem) -> tuple[float, np.ndarray]:
@@ -136,109 +131,73 @@ def logistic_objective(w, problem: DepthProblem) -> tuple[float, np.ndarray]:
     magnitude; no exp overflow occurs.
     """
     _require_valid(problem, LossKind.LOGISTIC)
-    features, query = _logistic_parts(problem)
+    rows = _logistic_rows(problem)
     w = np.asarray(w, dtype=float).reshape(-1)
-    if w.size != features.shape[1]:
-        raise ValidationError(f"weight vector has size {w.size}, expected {features.shape[1]}")
-    return _logistic_value_grad(w, features, query, problem.lam)
+    if w.size != rows.shape[1]:
+        raise ValidationError(f"weight vector has size {w.size}, expected {rows.shape[1]}")
+    _, value, grad = _logistic_value_grad(w, rows, problem.lam)
+    return value, grad
 
 
-def power_iteration(matrix: np.ndarray, iterations: int = 100, rtol: float = 1e-10) -> float:
-    """Largest eigenvalue of a symmetric positive semidefinite matrix."""
-    m = np.asarray(matrix, dtype=float)
-    v = np.ones(m.shape[0]) / np.sqrt(m.shape[0])
-    estimate = 0.0
-    for _ in range(iterations):
-        mv = m @ v
-        norm = float(np.linalg.norm(mv))
-        if norm == 0.0:
-            return 0.0
-        v = mv / norm
-        previous, estimate = estimate, norm
-        if previous > 0.0 and abs(estimate - previous) <= rtol * estimate:
-            break
-    return estimate
-
-
-def _smoothness_from_parts(
-    features: np.ndarray, query: np.ndarray, lam: float
-) -> SmoothnessEstimate:
-    n = features.shape[0]
-    hessian_bound = (features.T @ features) / (2.0 * n) + 0.5 * np.outer(query, query)
-    top = power_iteration(hessian_bound)
-    return SmoothnessEstimate(
-        smoothness=1.01 * top + 2.0 * lam,
-        strong_convexity=2.0 * lam,
-    )
-
-
-def estimate_smoothness(problem: DepthProblem) -> SmoothnessEstimate:
-    """Hessian bound for the logistic objective.
-
-    The curvature of the loss part is at most half the second-moment matrix
-    of the augmented reference features plus half the outer product of the
-    augmented query; the ridge adds 2*lam exactly.  The spectral norm comes
-    from a power iteration and is inflated by 1 percent so the descent step
-    stays on the safe side of the bound.
-    """
-    _require_valid(problem, LossKind.LOGISTIC)
-    features, query = _logistic_parts(problem)
-    return _smoothness_from_parts(features, query, problem.lam)
-
-
-def minimize_descent(
-    fun,
-    w0: np.ndarray,
-    step: float,
-    config: SolverConfig,
-    keep_history: bool = False,
-) -> tuple[np.ndarray, SolveDiagnostics]:
-    """Constant-step gradient descent until the gradient norm meets tolerance.
-
-    fun maps a weight vector to (value, gradient).  Returns the final iterate
-    and diagnostics; the residual is the last gradient norm seen.
-    """
-    if not step > 0.0:
-        raise ValidationError("descent step must be positive")
-    w = np.array(w0, dtype=float)
-    history = DescentHistory() if keep_history else None
-    residual = np.inf
-    for iteration in range(config.max_iterations + 1):
-        value, grad = fun(w)
-        residual = float(np.linalg.norm(grad))
-        if keep_history:
-            history.values.append(value)
-            history.iterates.append(w.copy())
-        if residual <= config.tolerance:
-            return w, SolveDiagnostics(iteration, residual, True, history=history)
-        if iteration == config.max_iterations:
-            break
-        w = w - step * grad
-    return w, SolveDiagnostics(config.max_iterations, residual, False, history=history)
-
-
-def gradient_descent(
+def logistic_solve(
     problem: DepthProblem,
     config: SolverConfig | None = None,
     keep_history: bool = False,
 ) -> tuple[np.ndarray, SolveDiagnostics]:
-    """Solve the logistic depth problem from the zero vector.
+    """Damped Newton on the logistic depth objective from the zero vector.
 
-    The step is 1/smoothness unless the config fixes one.  With a positive
-    ridge the objective is strongly convex, so the distance to the unique
-    minimiser is at most the returned residual divided by 2*lam.
+    Each step solves against the Hessian
+    X' diag(c) X / (2n) + 0.5 s_q (1 - s_q) q q' + 2 lam I, with
+    c = sigmoid(m) sigmoid(-m) on the reference margins m and s_q the sigmoid
+    of the query margin, and is halved until the Armijo condition holds.  A
+    full step whose value rises by rounding only (at most 8 eps |f|) is
+    accepted: near the minimiser the objective is flat to machine precision
+    while the gradient still exceeds a tight tolerance.  Steps stop when the
+    gradient norm is at or below tolerance; with a positive ridge the
+    objective is 2 lam strongly convex, so the distance to the unique
+    minimiser is at most the returned residual divided by 2 lam.  The final
+    margins, reference rows first and the query last, are returned as the
+    diagnostics' function values.
     """
     _require_valid(problem, LossKind.LOGISTIC)
     cfg = _solver_config(problem, config)
-    features, query = _logistic_parts(problem)
-    estimate = _smoothness_from_parts(features, query, problem.lam)
-    step = cfg.step_size if cfg.step_size is not None else 1.0 / estimate.smoothness
-    return minimize_descent(
-        lambda w: _logistic_value_grad(w, features, query, problem.lam),
-        np.zeros(features.shape[1]),
-        step,
-        cfg,
-        keep_history=keep_history,
+    rows = _logistic_rows(problem)
+    lam = problem.lam
+    n, dim = problem.reference.n, rows.shape[1]
+    history = DescentHistory() if keep_history else None
+    w = np.zeros(dim)
+    margins, value, grad = _logistic_value_grad(w, rows, lam)
+    for iteration in range(cfg.max_iterations + 1):
+        residual = float(np.linalg.norm(grad))
+        if keep_history:
+            history.values.append(value)
+            history.iterates.append(w.copy())
+        if residual <= cfg.tolerance:
+            return w, SolveDiagnostics(
+                iteration, residual, True, history=history, function_values=margins
+            )
+        if iteration == cfg.max_iterations:
+            break
+        curvature = expit(margins) * expit(-margins)
+        hessian = (rows[:n].T * (curvature[:n] / (2.0 * n))) @ rows[:n]
+        hessian += 0.5 * curvature[n] * np.outer(rows[n], rows[n])
+        hessian[np.diag_indices(dim)] += 2.0 * lam
+        direction = -np.linalg.solve(hessian, grad)
+        slope = float(grad @ direction)
+        step = 1.0
+        for _ in range(_MAX_HALVINGS):
+            trial = w + step * direction
+            trial_margins, trial_value, trial_grad = _logistic_value_grad(trial, rows, lam)
+            if trial_value <= value + 1e-4 * step * slope or (
+                step == 1.0 and trial_value - value <= 8.0 * _EPS * abs(value)
+            ):
+                break
+            step *= 0.5
+        else:
+            break  # no representable decrease along the Newton direction
+        w, margins, value, grad = trial, trial_margins, trial_value, trial_grad
+    return w, SolveDiagnostics(
+        iteration, residual, False, history=history, function_values=margins
     )
 
 
@@ -292,7 +251,8 @@ def svm_dual_solve(
     they are pinned at their box bound where the (linear) dual term is
     largest, counted as degenerate, and excluded from the sweeps.  With an
     intercept the solver switches to pairwise most-violating updates
-    preserving sum_k y_k alpha_k = 0.
+    preserving sum_k y_k alpha_k = 0, and reports the offset recovered by
+    svm_offset in the diagnostics.
 
     The kernel matrix is dense when the problem is small enough or a
     reference gram was supplied; otherwise columns are formed on demand so
@@ -318,7 +278,9 @@ def svm_dual_solve(
     alpha[degenerate] = box[degenerate]  # zero kernel column: the dual is linear there
 
     if problem.intercept:
-        return _smo_with_offset(alpha, labels, box, diag, degenerate, column, cfg)
+        alpha, diagnostics = _smo_with_offset(alpha, labels, box, diag, degenerate, column, cfg)
+        offset = svm_offset(alpha, labels, box, diagnostics.function_values)
+        return alpha, replace(diagnostics, offset=offset)
 
     fvals = np.zeros(m)  # f(p_k) under the current alpha; zero columns never move it
     order = np.random.default_rng(cfg.seed).permutation(np.flatnonzero(~degenerate))

@@ -43,8 +43,8 @@ from lossdepth.kernels import KernelSpec, median_heuristic
 from lossdepth.metrics import auc_roc
 from lossdepth.solvers import (
     SolverConfig,
-    gradient_descent,
     logistic_objective,
+    logistic_solve,
     svm_dual_solve,
     svm_duality_gap,
 )
@@ -198,8 +198,8 @@ def test_criterion_03_solver_certificates():
         problem = _logistic_problem(
             rng.standard_normal((30, 3)) * 2.0, rng.standard_normal(3) * 2.0, lam=lam,
         )
-        w, diag = gradient_descent(problem, SolverConfig(tolerance=1e-8),
-                                   keep_history=True)
+        w, diag = logistic_solve(problem, SolverConfig(tolerance=1e-8),
+                                 keep_history=True)
         values = np.asarray(diag.history.values)
         worst_increase = max(worst_increase, float(np.max(np.diff(values))))
         worst_norm_excess = max(

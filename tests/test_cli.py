@@ -1,4 +1,9 @@
 """End-to-end runs of the command line front end."""
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -22,6 +27,16 @@ def sample_files(tmp_path):
     reference = _csv(tmp_path / "ref.csv", SEED_DATA.standard_normal((20, 2)))
     queries = _csv(tmp_path / "q.csv", [[0.0, 0.0], [0.5, -0.5], [4.0, 4.0]])
     return reference, queries
+
+
+def test_cli_import_leaves_scipy_stats_unloaded():
+    # scipy.stats costs most of a second at start-up; only the ranking metrics need it
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    code = "import sys, lossdepth.cli; print('scipy.stats' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=120)
+    assert out.stdout.strip() == "False"
 
 
 def test_build_parser_defaults():

@@ -1,4 +1,4 @@
-"""Gradient descent and dual ascent engines against independent oracles."""
+"""Newton and dual ascent engines against independent oracles."""
 import math
 
 import numpy as np
@@ -16,11 +16,8 @@ from lossdepth.kernels import KernelSpec, gram
 from lossdepth.solvers import (
     SolverConfig,
     augment,
-    estimate_smoothness,
-    gradient_descent,
     logistic_objective,
-    minimize_descent,
-    power_iteration,
+    logistic_solve,
     svm_dual_solve,
     svm_duality_gap,
     svm_function_values,
@@ -56,8 +53,6 @@ def test_solver_config_validation():
         SolverConfig(max_iterations=0)
     with pytest.raises(ValidationError):
         SolverConfig(tolerance=0.0)
-    with pytest.raises(ValidationError):
-        SolverConfig(step_size=-0.1)
 
 
 def test_augment_appends_ones_column():
@@ -150,46 +145,11 @@ def test_strong_convexity_witness():
             assert vt <= t * v1 + (1 - t) * v2 - lam * t * (1 - t) * gap2 + 1e-10
 
 
-def test_smoothness_two_unit_points():
-    # second moment diag(1, 0), half of its top eigenvalue is 0.5, ridge adds 1
-    problem = _logistic_problem(
-        [[1.0, 0.0], [-1.0, 0.0]], [0.0, 0.0], lam=0.5, intercept=False
-    )
-    estimate = estimate_smoothness(problem)
-    assert estimate.smoothness == pytest.approx(1.01 * 0.5 + 1.0, abs=1e-9)
-    assert estimate.strong_convexity == pytest.approx(1.0)
-
-
-def test_smoothness_zero_data():
-    problem = _logistic_problem([[0.0], [0.0]], [0.0], lam=1.0, intercept=False)
-    estimate = estimate_smoothness(problem)
-    assert estimate.smoothness == pytest.approx(2.0, abs=1e-12)
-    assert estimate.strong_convexity == pytest.approx(2.0)
-
-
-def test_power_iteration_matches_dense_eigensolver():
-    rng = np.random.default_rng(2)
-    b = rng.standard_normal((10, 3))
-    matrix = b.T @ b
-    top = power_iteration(matrix)
-    dense = float(np.linalg.eigvalsh(matrix).max())
-    assert top == pytest.approx(dense, rel=1e-6)
-
-
-def test_minimize_descent_on_shifted_quadratic():
-    fun = lambda w: (float(np.sum((w - 3.0) ** 2)), 2.0 * (w - 3.0))
-    w, diag = minimize_descent(fun, np.zeros(2), step=0.4, config=SolverConfig())
-    assert diag.converged
-    assert np.allclose(w, 3.0, atol=1e-7)
-    with pytest.raises(ValidationError):
-        minimize_descent(fun, np.zeros(2), step=0.0, config=SolverConfig())
-
-
 def test_descent_on_pure_ridge_problem():
     # data at the origin contributes constant loss, leaving the pure ridge:
     # the start w0 = 0 is already the minimiser
     problem = _logistic_problem([[0.0]], [0.0], lam=1.0, intercept=False)
-    w, diag = gradient_descent(problem)
+    w, diag = logistic_solve(problem)
     assert diag.converged
     assert diag.iterations <= 60
     assert abs(w[0]) <= 1e-8
@@ -197,7 +157,7 @@ def test_descent_on_pure_ridge_problem():
 
 def test_descent_matches_grid_search_1d():
     problem = _logistic_problem([[-1.0], [1.0]], [0.0], lam=1.0, intercept=False)
-    w, diag = gradient_descent(problem)
+    w, diag = logistic_solve(problem)
     assert diag.converged
     ws = np.arange(-5.0, 5.0, 1e-4)
     values = (
@@ -219,7 +179,7 @@ def test_descent_objective_monotone():
             rng.standard_normal(d) * 2.0,
             lam=float(rng.uniform(0.05, 2.0)),
         )
-        _, diag = gradient_descent(problem, keep_history=True)
+        _, diag = logistic_solve(problem, keep_history=True)
         values = np.array(diag.history.values)
         assert np.all(np.diff(values) <= 1e-12)
 
@@ -232,7 +192,7 @@ def test_descent_norm_bound_from_zero_start():
         problem = _logistic_problem(
             rng.standard_normal((25, 3)), rng.standard_normal(3) * 3.0, lam=lam
         )
-        w, diag = gradient_descent(problem)
+        w, diag = logistic_solve(problem)
         assert diag.converged
         assert float(np.linalg.norm(w)) <= math.sqrt(LOG2 / lam) + 1e-9
 
@@ -241,9 +201,9 @@ def test_descent_distance_bound_against_tight_solve():
     problem = _logistic_problem(
         np.random.default_rng(3).standard_normal((30, 2)), [2.0, 1.0], lam=0.5
     )
-    loose, d_loose = gradient_descent(problem, SolverConfig(tolerance=1e-3))
-    tight, d_tight = gradient_descent(problem, SolverConfig(tolerance=1e-12,
-                                                            max_iterations=200_000))
+    loose, d_loose = logistic_solve(problem, SolverConfig(tolerance=1e-3))
+    tight, d_tight = logistic_solve(problem, SolverConfig(tolerance=1e-12,
+                                                          max_iterations=200_000))
     assert d_loose.converged and d_tight.converged
     # strong convexity 2*lam turns the gradient norm into a distance bound
     assert float(np.linalg.norm(loose - tight)) <= d_loose.residual / (2 * 0.5) + 1e-8
@@ -253,19 +213,50 @@ def test_descent_reports_nonconvergence_softly():
     problem = _logistic_problem(
         np.random.default_rng(5).standard_normal((40, 3)), [3.0, 0.0, 0.0], lam=0.01
     )
-    w, diag = gradient_descent(problem, SolverConfig(max_iterations=2))
+    w, diag = logistic_solve(problem, SolverConfig(max_iterations=2))
     assert not diag.converged
     assert diag.iterations == 2
     assert diag.residual > 1e-8
     assert np.all(np.isfinite(w))
 
 
-def test_descent_accepts_fixed_step():
-    problem = _logistic_problem([[1.0]], [0.5], lam=1.0, intercept=False)
-    w_auto, _ = gradient_descent(problem)
-    w_fixed, diag = gradient_descent(problem, SolverConfig(step_size=0.05))
-    assert diag.converged
-    assert np.allclose(w_auto, w_fixed, atol=1e-6)
+def test_newton_step_count_does_not_grow_as_lambda_shrinks():
+    # a constant-step method needs ~1/lam steps here (thousands at 1e-3)
+    reference = np.random.default_rng(11).standard_normal((1000, 2))
+    for lam in (1.0, 1e-1, 1e-2, 1e-3):
+        for query in ([0.0, 0.0], [1.0, -0.5], [2.5, 2.5], [6.0, 0.0]):
+            problem = _logistic_problem(reference, query, lam=lam)
+            _, diag = logistic_solve(problem, SolverConfig(tolerance=1e-8))
+            assert diag.converged, (lam, query)
+            assert diag.iterations <= 20, (lam, query, diag.iterations)
+
+
+def test_newton_reaches_tight_tolerance_on_scaled_features():
+    # near the minimiser a full step can raise the value by rounding only;
+    # without accepting it, the search shrinks the step until the budget runs out
+    rng = np.random.default_rng(0)
+    for _ in range(300):
+        n = int(rng.integers(2, 60))
+        d = int(rng.integers(1, 5))
+        scale = float(rng.uniform(1.0, 5.0))
+        problem = _logistic_problem(
+            rng.standard_normal((n, d)) * scale,
+            rng.standard_normal(d) * scale,
+            lam=float(10.0 ** rng.uniform(-3, 1)),
+        )
+        _, diag = logistic_solve(problem, SolverConfig(tolerance=1e-12, max_iterations=50))
+        assert diag.converged
+        assert diag.residual <= 1e-12
+
+
+def test_newton_returns_final_margins():
+    rng = np.random.default_rng(4)
+    reference, query = rng.standard_normal((20, 2)), rng.standard_normal(2)
+    for intercept in (True, False):
+        problem = _logistic_problem(reference, query, lam=0.3, intercept=intercept)
+        w, diag = logistic_solve(problem)
+        rows = augment(np.vstack([reference, query]), intercept)
+        assert np.allclose(diag.function_values, rows @ w, atol=1e-14)
 
 
 def test_svm_query_coincident_with_single_reference_point():
