@@ -18,8 +18,6 @@ from .core import (
     QueryPoint,
     Reporting,
     ValidationError,
-    WeightScheme,
-    validate_problem,
     weighted_expectation,
 )
 from .depths import (
@@ -75,7 +73,6 @@ __all__ = [
     "SolverConfig",
     "UndefinedCorrelationError",
     "ValidationError",
-    "WeightScheme",
     "auc_roc",
     "benchmark_auc",
     "contamination_grid",
@@ -103,7 +100,6 @@ __all__ = [
     "stratified_split",
     "svm_depth",
     "svm_dual_solve",
-    "validate_problem",
     "weighted_expectation",
     "write_report",
 ]

@@ -3,9 +3,9 @@
 A depth query separates one point (the query, labelled -1, mass 1/2) from a
 reference sample (labelled +1, total mass 1/2, split uniformly).  The depth of
 the query is the smallest achievable expected classification loss over a
-family of classifiers.  This module holds the containers, the weighting, the
-pointwise losses, and the problem validator; the actual minimisation lives in
-:mod:`lossdepth.solvers` and :mod:`lossdepth.depths`.
+family of classifiers.  This module holds the containers, which check their
+own invariants when built, the weighting and the pointwise losses; the actual
+minimisation lives in :mod:`lossdepth.solvers` and :mod:`lossdepth.depths`.
 """
 from __future__ import annotations
 
@@ -31,7 +31,6 @@ class NotConvergedError(LossDepthError):
 
 
 class LossKind(Enum):
-    ZERO_ONE = "zero-one"
     LOGISTIC = "logistic"
     HINGE = "hinge"
 
@@ -61,13 +60,6 @@ def hinge_loss(predictions, labels):
 def zero_one_loss(predictions, labels):
     """1 when y * f < 0 else 0, elementwise.  Zero margin counts as correct."""
     return (np.asarray(labels, dtype=float) * np.asarray(predictions, dtype=float) < 0.0).astype(float)
-
-
-POINTWISE_LOSS = {
-    LossKind.LOGISTIC: logistic_loss,
-    LossKind.HINGE: hinge_loss,
-    LossKind.ZERO_ONE: zero_one_loss,
-}
 
 
 def _validated_matrix(values) -> np.ndarray:
@@ -120,30 +112,6 @@ class QueryPoint:
         return self.coords.size
 
 
-@dataclass(frozen=True)
-class WeightScheme:
-    """Sample weights of the labelled mixture: the reference sample carries
-    total mass 1/2 split uniformly over its n points, the query carries 1/2."""
-
-    n: int
-
-    def __post_init__(self):
-        if self.n < 1:
-            raise ValidationError("weight scheme needs n >= 1")
-
-    @property
-    def positive_weight_per_point(self) -> float:
-        return 1.0 / (2.0 * self.n)
-
-    @property
-    def negative_weight(self) -> float:
-        return 0.5
-
-    @property
-    def total_mass(self) -> float:
-        return self.n * self.positive_weight_per_point + self.negative_weight
-
-
 def weighted_expectation(positive_losses, negative_loss: float) -> float:
     """Expected loss under the two-class weighting.
 
@@ -164,6 +132,9 @@ class DepthProblem:
     lam is the ridge coefficient on the classifier weights.  With an
     intercept, the classifier acts on features augmented by a constant 1 and
     the intercept coordinate is penalised like any other weight.
+    Construction checks the cross-field invariants and raises one
+    ValidationError naming every violation; DataMatrix and QueryPoint
+    already guarantee finite entries.
     """
 
     reference: DataMatrix
@@ -173,38 +144,22 @@ class DepthProblem:
     kernel: "object | None" = None  # KernelSpec, kept untyped to avoid an import cycle
     intercept: bool = True
     reporting: Reporting = Reporting.LOSS_ONLY
-    solver: "object | None" = None  # SolverConfig
     normalize: bool = True
 
-
-@dataclass(frozen=True)
-class ValidationReport:
-    ok: bool
-    violations: tuple[str, ...]
-
-
-def validate_problem(problem: DepthProblem) -> ValidationReport:
-    """Check cross-field consistency of a depth problem.
-
-    Returns a report rather than raising, so a caller can surface every
-    violation at once.
-    """
-    violations: list[str] = []
-    if problem.reference.d != problem.query.d:
-        violations.append(
-            f"dimension mismatch: reference has d={problem.reference.d}, query has d={problem.query.d}"
-        )
-    if not np.all(np.isfinite(problem.reference.values)):
-        violations.append("reference sample contains non-finite entries")
-    if not np.all(np.isfinite(problem.query.coords)):
-        violations.append("query point contains non-finite entries")
-    if problem.loss in (LossKind.LOGISTIC, LossKind.HINGE) and not problem.lam > 0.0:
-        violations.append(
-            "minimizer may be unbounded: lambda must be positive for a unique regularised minimiser"
-        )
-    if problem.loss is LossKind.HINGE and problem.kernel is None:
-        violations.append("hinge depth requires a kernel")
-    return ValidationReport(ok=not violations, violations=tuple(violations))
+    def __post_init__(self):
+        violations = []
+        if self.reference.d != self.query.d:
+            violations.append(
+                f"dimension mismatch: reference has d={self.reference.d}, query has d={self.query.d}"
+            )
+        if not self.lam > 0.0:
+            violations.append(
+                "minimizer may be unbounded: lambda must be positive for a unique regularised minimiser"
+            )
+        if self.loss is LossKind.HINGE and self.kernel is None:
+            violations.append("hinge depth requires a kernel")
+        if violations:
+            raise ValidationError("; ".join(violations))
 
 
 @dataclass(frozen=True, eq=False)

@@ -10,7 +10,6 @@ thread count.
 """
 from __future__ import annotations
 
-import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -30,7 +29,7 @@ from .core import (
     weighted_expectation,
 )
 from .kernels import KernelSpec, gram
-from .solvers import SolverConfig, logistic_solve, svm_dual_solve
+from .solvers import DENSE_GRAM_LIMIT, SolverConfig, logistic_solve, svm_dual_solve
 
 EXACT_1D = "exact-1d"
 EXACT_2D = "exact-2d"
@@ -88,20 +87,18 @@ def _halfspace_exact_1d(values: np.ndarray, z: float) -> float:
     return min(below, above)
 
 
-def _count_closed(diffs: np.ndarray, angle: float) -> int:
-    u = np.array([math.cos(angle), math.sin(angle)])
-    return int(np.count_nonzero(diffs @ u >= 0.0))
-
-
 def _halfspace_exact_2d(points: np.ndarray, z: np.ndarray) -> float:
     """Angular sweep over the circle of unit normals.
 
     A non-duplicate point lies in the closed halfspace of direction u(phi)
     exactly when phi falls in the closed half-circle arc centred on its angle,
     so the count of covered points is piecewise constant between arc
-    endpoints and the minimum is attained on an open gap.  The sweep sorts
-    the 2n endpoints and walks the gaps; duplicates of the query belong to
-    every closed halfspace and are added back at the end.
+    endpoints and the minimum is attained on an open gap.  Each difference is
+    first folded into the upper half-plane by exact negation, and both ends of
+    its arc come from the one folded angle, so collinear points on either side
+    of the query share their endpoints exactly.  Sorting the 2n endpoints and
+    summing their +-1 steps gives the count on every gap; duplicates of the
+    query belong to every closed halfspace and are added back at the end.
     """
     n = points.shape[0]
     diffs = points - z
@@ -110,42 +107,23 @@ def _halfspace_exact_2d(points: np.ndarray, z: np.ndarray) -> float:
     rest = diffs[nonzero]
     if rest.shape[0] == 0:
         return 1.0
-    theta = np.arctan2(rest[:, 1], rest[:, 0])
-    half_pi = 0.5 * np.pi
+    flipped = (rest[:, 1] < 0.0) | ((rest[:, 1] == 0.0) & (rest[:, 0] < 0.0))
+    folded = np.where(flipped[:, None], -rest, rest)
     two_pi = 2.0 * np.pi
-    starts = np.mod(theta - half_pi, two_pi)
-    ends = np.mod(theta + half_pi, two_pi)
+    lower = np.arctan2(folded[:, 1], folded[:, 0]) + 0.5 * np.pi
+    upper = lower + np.pi
+    upper[upper >= two_pi] -= two_pi
+    # a point's arc runs from upper to lower; a flipped point's the other way
+    starts = np.where(flipped, lower, upper)
+    ends = np.where(flipped, upper, lower)
+    wrapped = int(np.count_nonzero(starts > ends))  # count on the gap across angle 0
     angles = np.concatenate([starts, ends])
-    deltas = np.concatenate([np.ones(starts.size), -np.ones(ends.size)])
     order = np.argsort(angles, kind="stable")
     angles = angles[order]
-    deltas = deltas[order]
-
-    # count on the wrap-around gap between the last and first endpoint
-    gap_open = angles[-1]
-    gap_close = angles[0] + two_pi
-    active = _count_closed(rest, float(np.mod(0.5 * (gap_open + gap_close), two_pi)))
-
-    best = active
-    best_angle = 0.5 * (gap_open + gap_close)
-    total = angles.size
-    i = 0
-    while i < total:
-        j = i
-        shift = 0.0
-        while j < total and angles[j] == angles[i]:
-            shift += deltas[j]
-            j += 1
-        active += int(shift)
-        next_angle = angles[j] if j < total else angles[0] + two_pi
-        if active < best:
-            best = active
-            best_angle = 0.5 * (angles[i] + next_angle)
-        i = j
-
-    # re-count the winning gap from the raw vectors; the sweep's incremental
-    # bookkeeping can split an exactly antipodal pair into a spurious gap
-    best = min(max(best, 0), _count_closed(rest, float(np.mod(best_angle, two_pi))))
+    steps = np.repeat([1, -1], starts.size)[order]
+    run_ends = np.append(angles[1:] != angles[:-1], True)
+    # the last run closes the cycle back onto the wrap-around gap
+    best = wrapped + int(np.cumsum(steps)[run_ends].min())
     return (best + dup_count) / n
 
 
@@ -242,24 +220,17 @@ def logistic_depth(
         lam=lam,
         intercept=intercept,
         reporting=reporting,
-        solver=solver,
         normalize=normalize,
     )
-    return solve_logistic_problem(problem)
-
-
-def solve_logistic_problem(
-    problem: DepthProblem, config: SolverConfig | None = None
-) -> DepthResult:
-    weights, diagnostics = logistic_solve(problem, config)
+    weights, diagnostics = logistic_solve(problem, solver)
     margins = diagnostics.function_values
     n = problem.reference.n
     positive = np.logaddexp(0.0, -margins[:n])
     negative = float(np.logaddexp(0.0, margins[n]))
     value = weighted_expectation(positive, negative)
-    if problem.reporting is Reporting.LOSS_PLUS_REG:
-        value += problem.lam * float(weights @ weights)
-    if problem.normalize:
+    if reporting is Reporting.LOSS_PLUS_REG:
+        value += lam * float(weights @ weights)
+    if normalize:
         value /= LOG2
     return DepthResult(
         value=float(value),
@@ -297,27 +268,18 @@ def svm_depth(
         kernel=kernel,
         intercept=intercept,
         reporting=reporting,
-        solver=solver,
     )
-    return solve_svm_problem(problem, reference_gram=reference_gram)
-
-
-def solve_svm_problem(
-    problem: DepthProblem,
-    config: SolverConfig | None = None,
-    reference_gram: np.ndarray | None = None,
-) -> DepthResult:
-    alpha, diagnostics = svm_dual_solve(problem, config, reference_gram)
+    alpha, diagnostics = svm_dual_solve(problem, solver, reference_gram)
     fvals = diagnostics.function_values
     n = problem.reference.n
-    coefficients = np.append(alpha, diagnostics.offset) if problem.intercept else alpha
+    coefficients = np.append(alpha, diagnostics.offset) if intercept else alpha
     margins = fvals + diagnostics.offset
     positive = np.maximum(0.0, 1.0 - margins[:n])
     negative = float(max(0.0, 1.0 + margins[n]))
     value = weighted_expectation(positive, negative)
-    if problem.reporting is Reporting.LOSS_PLUS_REG:
+    if reporting is Reporting.LOSS_PLUS_REG:
         signed = np.append(alpha[:n], -alpha[n])  # y_k alpha_k: the query is labelled -1
-        value += problem.lam * float(signed @ fvals)
+        value += lam * float(signed @ fvals)
     return DepthResult(
         value=float(value),
         iterations=diagnostics.iterations,
@@ -346,7 +308,6 @@ class DepthBatchRequest:
     normalize: bool = True
     solver: SolverConfig | None = None
     halfspace: HalfspaceConfig | None = None
-    reference_gram: np.ndarray | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "reference", as_data_matrix(self.reference))
@@ -391,8 +352,10 @@ def depth_batch(request: DepthBatchRequest, threads: int = 1) -> BatchResult:
     """Score every query in the request, optionally across worker threads.
 
     Thread count never changes the numbers: queries are independent and the
-    shared reference structures are read-only.  Errors are collected per
-    query instead of aborting the batch.
+    shared reference structures, built once here, are read-only.  For the
+    kernel depth that is the reference Gram matrix, whenever n is within the
+    solver's dense limit.  Errors are collected per query instead of
+    aborting the batch.
     """
     m = request.queries.shape[0]
     if threads < 0:
@@ -400,61 +363,51 @@ def depth_batch(request: DepthBatchRequest, threads: int = 1) -> BatchResult:
     if threads == 0:
         threads = os.cpu_count() or 1
 
-    solver = request.solver if request.solver is not None else SolverConfig()
-    reference_gram = request.reference_gram
-    if (
-        request.method == METHOD_SVM
-        and reference_gram is None
-        and request.reference.n <= solver.dense_gram_limit
-    ):
+    reference_gram = None
+    if request.method == METHOD_SVM and request.reference.n <= DENSE_GRAM_LIMIT:
         reference_gram = gram(request.kernel, request.reference.values)
 
     halfspace_cfg = request.halfspace
     if request.method == METHOD_HALFSPACE and halfspace_cfg is None:
         halfspace_cfg = default_halfspace_config(request.reference.d)
 
-    def solve_one(index: int) -> DepthResult:
-        query = request.queries[index]
-        if request.method == METHOD_HALFSPACE:
-            value = halfspace_depth(query, request.reference, halfspace_cfg)
-            return DepthResult(value=value, iterations=0, residual=0.0, converged=True)
-        if request.method == METHOD_LOGISTIC:
-            intercept = True if request.intercept is None else request.intercept
-            return logistic_depth(
-                query,
-                request.reference,
-                request.lam,
-                intercept=intercept,
-                reporting=request.reporting,
-                normalize=request.normalize,
-                solver=solver,
-            )
-        intercept = False if request.intercept is None else request.intercept
-        return svm_depth(
-            query,
-            request.reference,
-            request.lam,
-            kernel=request.kernel,
-            intercept=intercept,
-            reporting=request.reporting,
-            solver=solver,
-            reference_gram=reference_gram,
-        )
+    def attempt(query: np.ndarray) -> tuple:
+        """(result, None) on success, (None, message) on failure."""
+        try:
+            if request.method == METHOD_HALFSPACE:
+                value = halfspace_depth(query, request.reference, halfspace_cfg)
+                result = DepthResult(value=value, iterations=0, residual=0.0, converged=True)
+            elif request.method == METHOD_LOGISTIC:
+                result = logistic_depth(
+                    query,
+                    request.reference,
+                    request.lam,
+                    intercept=True if request.intercept is None else request.intercept,
+                    reporting=request.reporting,
+                    normalize=request.normalize,
+                    solver=request.solver,
+                )
+            else:
+                result = svm_depth(
+                    query,
+                    request.reference,
+                    request.lam,
+                    kernel=request.kernel,
+                    intercept=False if request.intercept is None else request.intercept,
+                    reporting=request.reporting,
+                    solver=request.solver,
+                    reference_gram=reference_gram,
+                )
+            return result, None
+        except Exception as exc:  # noqa: BLE001 - aggregated per query
+            return None, str(exc)
 
-    results: list = [None] * m
-    errors: list = []
     if threads == 1 or m <= 1:
-        for i in range(m):
-            try:
-                results[i] = solve_one(i)
-            except Exception as exc:  # noqa: BLE001 - aggregated per query
-                errors.append((i, str(exc)))
+        outcomes = list(map(attempt, request.queries))
     else:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            futures = [pool.submit(solve_one, i) for i in range(m)]
-            for i, future in enumerate(futures):
-                try:
-                    results[i] = future.result()
-                except Exception as exc:  # noqa: BLE001
-                    errors.append((i, str(exc)))
-    return BatchResult(results=results, errors=errors)
+            outcomes = list(pool.map(attempt, request.queries))
+    return BatchResult(
+        results=[result for result, _ in outcomes],
+        errors=[(i, error) for i, (_, error) in enumerate(outcomes) if error is not None],
+    )

@@ -26,7 +26,7 @@ from .depths import (
     HalfspaceConfig,
     depth_batch,
 )
-from .kernels import KernelSpec, gram, median_heuristic
+from .kernels import KernelSpec, median_heuristic
 from .metrics import auc_roc, kendall_tau, spearman_rho
 from .solvers import SolverConfig
 
@@ -139,18 +139,12 @@ def depth_scorer(
 
     Returns a callable mapping query rows to depth values.  The kernel for
     the hinge depth defaults to a Gaussian at the median-heuristic bandwidth
-    of the reference, resolved once here so every later call shares it, and
-    the reference kernel matrix is cached when small enough to hold densely.
+    of the reference, resolved once here so every later call shares it.
     """
     ref = as_data_matrix(reference)
     resolved = kernel
     if method == METHOD_SVM and resolved is None:
         resolved = KernelSpec.gaussian(median_heuristic(ref.values))
-    cache = None
-    if method == METHOD_SVM:
-        cfg = solver if solver is not None else SolverConfig()
-        if ref.n <= cfg.dense_gram_limit:
-            cache = gram(resolved, ref.values)
 
     def score(points) -> np.ndarray:
         request = DepthBatchRequest(
@@ -164,7 +158,6 @@ def depth_scorer(
             normalize=normalize,
             solver=solver,
             halfspace=halfspace,
-            reference_gram=cache,
         )
         outcome = depth_batch(request, threads)
         values = outcome.values

@@ -14,21 +14,17 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 from scipy.special import expit
 
-from .core import (
-    DepthProblem,
-    LossKind,
-    ValidationError,
-    validate_problem,
-)
+from .core import DepthProblem, LossKind, ValidationError
 from .kernels import KernelSpec, gram
 
 _EPS = float(np.finfo(float).eps)
 _MAX_HALVINGS = 60  # bounds the line search: 2**-60 of a step is far below rounding
+DENSE_GRAM_LIMIT = 3000  # largest n + 1 whose kernel matrix the dual solver holds densely
 
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Iteration budget, stopping tolerance, sweep-order seed and dense limit.
+    """Iteration budget, stopping tolerance and sweep-order seed.
 
     For the logistic solver the tolerance bounds the gradient norm and
     max_iterations counts Newton steps.  For the dual solver the tolerance
@@ -39,7 +35,6 @@ class SolverConfig:
     max_iterations: int = 10_000
     tolerance: float = 1e-8
     seed: int = 0
-    dense_gram_limit: int = 3000
 
     def __post_init__(self):
         if self.max_iterations < 1:
@@ -74,14 +69,6 @@ class SolveDiagnostics:
     offset: float = 0.0
 
 
-def _solver_config(problem: DepthProblem, override: SolverConfig | None) -> SolverConfig:
-    if override is not None:
-        return override
-    if problem.solver is not None:
-        return problem.solver
-    return SolverConfig()
-
-
 def augment(points: np.ndarray, intercept: bool) -> np.ndarray:
     """Append a constant-1 column when an intercept is requested."""
     pts = np.atleast_2d(np.asarray(points, dtype=float))
@@ -90,12 +77,9 @@ def augment(points: np.ndarray, intercept: bool) -> np.ndarray:
     return np.hstack([pts, np.ones((pts.shape[0], 1))])
 
 
-def _require_valid(problem: DepthProblem, loss: LossKind) -> None:
+def _require_loss(problem: DepthProblem, loss: LossKind) -> None:
     if problem.loss is not loss:
         raise ValidationError(f"expected a {loss.value} problem, got {problem.loss.value}")
-    report = validate_problem(problem)
-    if not report.ok:
-        raise ValidationError("; ".join(report.violations))
 
 
 def _logistic_rows(problem: DepthProblem) -> np.ndarray:
@@ -130,7 +114,7 @@ def logistic_objective(w, problem: DepthProblem) -> tuple[float, np.ndarray]:
     carries label -1 and weight 1/2.  Numerically stable for any margin
     magnitude; no exp overflow occurs.
     """
-    _require_valid(problem, LossKind.LOGISTIC)
+    _require_loss(problem, LossKind.LOGISTIC)
     rows = _logistic_rows(problem)
     w = np.asarray(w, dtype=float).reshape(-1)
     if w.size != rows.shape[1]:
@@ -159,8 +143,8 @@ def logistic_solve(
     margins, reference rows first and the query last, are returned as the
     diagnostics' function values.
     """
-    _require_valid(problem, LossKind.LOGISTIC)
-    cfg = _solver_config(problem, config)
+    _require_loss(problem, LossKind.LOGISTIC)
+    cfg = config if config is not None else SolverConfig()
     rows = _logistic_rows(problem)
     lam = problem.lam
     n, dim = problem.reference.n, rows.shape[1]
@@ -258,13 +242,13 @@ def svm_dual_solve(
     reference gram was supplied; otherwise columns are formed on demand so
     large references never materialise an n^2 matrix.
     """
-    _require_valid(problem, LossKind.HINGE)
-    cfg = _solver_config(problem, config)
+    _require_loss(problem, LossKind.HINGE)
+    cfg = config if config is not None else SolverConfig()
     spec: KernelSpec = problem.kernel
     points, labels, box = _svm_parts(problem)
     m = points.shape[0]
 
-    dense = m <= cfg.dense_gram_limit or reference_gram is not None
+    dense = m <= DENSE_GRAM_LIMIT or reference_gram is not None
     kmat = _bordered_gram(spec, points, reference_gram) if dense else None
     diag = np.diagonal(kmat).copy() if dense else spec.diagonal(points)
 

@@ -12,12 +12,10 @@ from lossdepth.core import (
     QueryPoint,
     Reporting,
     ValidationError,
-    WeightScheme,
     as_data_matrix,
     as_query_point,
     hinge_loss,
     logistic_loss,
-    validate_problem,
     weighted_expectation,
     zero_one_loss,
 )
@@ -57,15 +55,12 @@ def test_weighted_expectation_needs_a_reference_loss():
 
 @pytest.mark.parametrize("n", [1, 2, 7, 100, 12345])
 def test_weight_scheme_mass_is_one(n):
-    scheme = WeightScheme(n)
-    assert scheme.total_mass == pytest.approx(1.0, abs=1e-15)
-    assert scheme.positive_weight_per_point == pytest.approx(1.0 / (2 * n))
-    assert scheme.negative_weight == 0.5
-
-
-def test_weight_scheme_rejects_empty_sample():
-    with pytest.raises(ValidationError):
-        WeightScheme(0)
+    # unit losses read off the total mass, indicator losses single weights
+    assert weighted_expectation(np.ones(n), 1.0) == pytest.approx(1.0, abs=1e-15)
+    one_point = np.zeros(n)
+    one_point[n // 2] = 1.0
+    assert weighted_expectation(one_point, 0.0) == pytest.approx(1.0 / (2 * n))
+    assert weighted_expectation(np.zeros(n), 1.0) == 0.5
 
 
 def test_data_matrix_rejects_nan():
@@ -135,50 +130,57 @@ def test_logistic_loss_is_stable_for_huge_margins():
     assert math.isfinite(float(logistic_loss(750.0, -1.0)))
 
 
-def test_validate_problem_flags_dimension_mismatch():
-    problem = DepthProblem(
-        reference=DataMatrix([[1.0, 2.0]]),
-        query=QueryPoint([1.0, 2.0, 3.0]),
-        loss=LossKind.LOGISTIC,
-    )
-    report = validate_problem(problem)
-    assert not report.ok
-    assert any("dimension mismatch" in v for v in report.violations)
+def test_depth_problem_rejects_dimension_mismatch():
+    with pytest.raises(ValidationError, match="dimension mismatch"):
+        DepthProblem(
+            reference=DataMatrix([[1.0, 2.0]]),
+            query=QueryPoint([1.0, 2.0, 3.0]),
+            loss=LossKind.LOGISTIC,
+        )
 
 
-def test_validate_problem_flags_zero_lambda():
-    problem = DepthProblem(
-        reference=DataMatrix([[1.0]]),
-        query=QueryPoint([0.0]),
-        loss=LossKind.LOGISTIC,
-        lam=0.0,
-    )
-    report = validate_problem(problem)
-    assert not report.ok
-    assert any("unbounded" in v for v in report.violations)
+def test_depth_problem_rejects_zero_lambda():
+    with pytest.raises(ValidationError, match="unbounded"):
+        DepthProblem(
+            reference=DataMatrix([[1.0]]),
+            query=QueryPoint([0.0]),
+            loss=LossKind.LOGISTIC,
+            lam=0.0,
+        )
 
 
-def test_validate_problem_flags_missing_kernel_for_hinge():
-    problem = DepthProblem(
-        reference=DataMatrix([[1.0]]),
-        query=QueryPoint([0.0]),
-        loss=LossKind.HINGE,
-    )
-    report = validate_problem(problem)
-    assert not report.ok
-    assert any("kernel" in v for v in report.violations)
+def test_depth_problem_rejects_hinge_without_kernel():
+    with pytest.raises(ValidationError, match="kernel"):
+        DepthProblem(
+            reference=DataMatrix([[1.0]]),
+            query=QueryPoint([0.0]),
+            loss=LossKind.HINGE,
+        )
 
 
-def test_validate_problem_accepts_well_formed():
+def test_depth_problem_names_every_violation_at_once():
+    with pytest.raises(ValidationError) as info:
+        DepthProblem(
+            reference=DataMatrix([[1.0, 2.0]]),
+            query=QueryPoint([0.0]),
+            loss=LossKind.HINGE,
+            lam=-1.0,
+        )
+    parts = str(info.value).split("; ")
+    assert len(parts) == 3
+    assert "dimension mismatch" in parts[0]
+    assert "unbounded" in parts[1]
+    assert "kernel" in parts[2]
+
+
+def test_depth_problem_accepts_well_formed():
     problem = DepthProblem(
         reference=DataMatrix([[1.0, 0.0], [0.0, 1.0]]),
         query=QueryPoint([0.5, 0.5]),
         loss=LossKind.LOGISTIC,
         lam=1.0,
     )
-    report = validate_problem(problem)
-    assert report.ok
-    assert report.violations == ()
+    assert problem.reference.d == problem.query.d == 2
 
 
 def test_reporting_values():

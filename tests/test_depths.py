@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from lossdepth import depths
 from lossdepth.core import LOG2, Reporting, ValidationError
 from lossdepth.depths import (
     BatchResult,
@@ -38,6 +39,31 @@ def brute_force_halfspace_2d(points, z):
         margins = diffs @ u
         best = min(best, int(np.sum(margins >= 0.0)), int(np.sum(margins <= 0.0)))
     return best / points.shape[0]
+
+
+def integer_halfspace_2d(points, z):
+    """Exact depth for integer coordinates, in integer arithmetic.
+
+    Every open gap of directions is entered by turning some boundary normal
+    s1 * perp(d_i) slightly towards s2 * d_i.  In that direction point j is
+    covered when its margin against the normal is positive, or zero (it is
+    collinear with d_i) and it lies on the s2 side along d_i.
+    """
+    diffs = [(int(p[0]) - int(z[0]), int(p[1]) - int(z[1])) for p in points]
+    rest = [d for d in diffs if d != (0, 0)]
+    if not rest:
+        return 1.0
+    best = len(rest)
+    for ax, ay in rest:
+        for s1 in (1, -1):
+            for s2 in (1, -1):
+                covered = 0
+                for bx, by in rest:
+                    margin = s1 * (ax * by - ay * bx)
+                    if margin > 0 or (margin == 0 and s2 * (ax * bx + ay * by) > 0):
+                        covered += 1
+                best = min(best, covered)
+    return (best + len(diffs) - len(rest)) / len(diffs)
 
 
 COLUMN = lambda xs: np.asarray(xs, dtype=float)[:, None]
@@ -77,6 +103,24 @@ def test_halfspace_2d_matches_brute_force():
         exact = halfspace_depth(z, points)
         oracle = brute_force_halfspace_2d(points, z)
         assert exact == pytest.approx(oracle, abs=1e-12), f"trial {trial}"
+
+
+def test_halfspace_2d_matches_integer_oracle_on_degenerate_sets():
+    # every closed halfspace through the origin holds one of these two points
+    assert halfspace_depth([0.0, 0.0], np.array([[3.0, 2.0], [-9.0, -6.0]])) == 0.5
+    rng = np.random.default_rng(57)
+    for trial in range(600):
+        z = rng.integers(-5, 6, 2)
+        h = rng.integers(-6, 7, (int(rng.integers(1, 7)), 2))
+        if trial % 3 == 0:  # antipodal pairs z +- h
+            points = np.vstack([z + h, z - h])
+        elif trial % 3 == 1:  # collinear pairs z + h, z - k h
+            points = np.vstack([z + h, z - rng.integers(1, 4, (h.shape[0], 1)) * h])
+        else:  # a small grid with repeats and the query among the points
+            points = np.vstack([rng.integers(-4, 5, (int(rng.integers(1, 12)), 2)), z])
+        points = rng.permutation(points)
+        exact = halfspace_depth(z.astype(float), points.astype(float))
+        assert exact == integer_halfspace_2d(points, z), f"trial {trial}"
 
 
 def test_halfspace_2d_query_on_duplicate_rows():
@@ -375,11 +419,28 @@ def test_depth_batch_collects_per_query_errors():
         method="halfspace",
         halfspace=HalfspaceConfig.exact_2d(),  # wrong dimension on purpose
     )
-    outcome = depth_batch(request)
-    assert len(outcome.errors) == 2
-    assert outcome.results == [None, None]
-    with pytest.raises(ValidationError):
-        outcome.values
+    for threads in (1, 2):
+        outcome = depth_batch(request, threads)
+        assert [i for i, _ in outcome.errors] == [0, 1]
+        assert outcome.results == [None, None]
+        with pytest.raises(ValidationError):
+            outcome.values
+
+
+def test_depth_batch_builds_the_reference_gram_once(monkeypatch):
+    calls = []
+
+    def counting_gram(*args):
+        calls.append(args)
+        return gram(*args)
+
+    monkeypatch.setattr(depths, "gram", counting_gram)
+    rng = np.random.default_rng(4)
+    request = DepthBatchRequest(reference=rng.standard_normal((30, 2)),
+                                queries=rng.standard_normal((5, 2)), method="svm",
+                                kernel=KernelSpec.gaussian(0.8))
+    assert depth_batch(request).errors == []
+    assert len(calls) == 1
 
 
 def test_batch_result_values_reports_first_failure():

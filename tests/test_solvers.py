@@ -12,6 +12,7 @@ from lossdepth.core import (
     QueryPoint,
     ValidationError,
 )
+from lossdepth import solvers
 from lossdepth.kernels import KernelSpec, gram
 from lossdepth.solvers import (
     SolverConfig,
@@ -35,8 +36,7 @@ def _logistic_problem(reference, query, lam=1.0, intercept=True, kernel=None):
     )
 
 
-def _hinge_problem(reference, query, lam=1.0, kernel=None, intercept=False,
-                   solver=None):
+def _hinge_problem(reference, query, lam=1.0, kernel=None, intercept=False):
     return DepthProblem(
         reference=DataMatrix(reference),
         query=QueryPoint(query),
@@ -44,7 +44,6 @@ def _hinge_problem(reference, query, lam=1.0, kernel=None, intercept=False,
         lam=lam,
         kernel=kernel if kernel is not None else KernelSpec.gaussian(1.0),
         intercept=intercept,
-        solver=solver,
     )
 
 
@@ -342,15 +341,14 @@ def test_svm_function_values_match_recompute():
                        svm_function_values(alpha, labels, kmat), atol=1e-12)
 
 
-def test_svm_lazy_columns_agree_with_dense():
+def test_svm_lazy_columns_agree_with_dense(monkeypatch):
     rng = np.random.default_rng(19)
     reference = rng.standard_normal((40, 2))
     query = np.array([0.2, -1.0])
-    dense_p = _hinge_problem(reference, query)
-    lazy_p = _hinge_problem(reference, query,
-                            solver=SolverConfig(dense_gram_limit=0))
-    a_dense, d_dense = svm_dual_solve(dense_p)
-    a_lazy, d_lazy = svm_dual_solve(lazy_p)
+    problem = _hinge_problem(reference, query)
+    a_dense, d_dense = svm_dual_solve(problem)
+    monkeypatch.setattr(solvers, "DENSE_GRAM_LIMIT", 0)
+    a_lazy, d_lazy = svm_dual_solve(problem)
     assert d_dense.converged and d_lazy.converged
     assert np.allclose(a_dense, a_lazy, atol=1e-12)
 
@@ -378,9 +376,8 @@ def test_svm_seeded_sweeps_are_deterministic():
 
 def test_svm_nonconvergence_is_soft():
     rng = np.random.default_rng(31)
-    problem = _hinge_problem(rng.standard_normal((50, 2)), [0.0, 0.0],
-                             solver=SolverConfig(max_iterations=1, tolerance=1e-14))
-    alpha, diag = svm_dual_solve(problem)
+    problem = _hinge_problem(rng.standard_normal((50, 2)), [0.0, 0.0])
+    alpha, diag = svm_dual_solve(problem, SolverConfig(max_iterations=1, tolerance=1e-14))
     assert not diag.converged
     assert diag.residual > 1e-14
     assert np.all((alpha >= 0.0) & np.isfinite(alpha))
