@@ -14,7 +14,7 @@ from scipy.spatial.distance import cdist
 
 from .core import ValidationError
 from .kernels import KernelSpec, gram
-from .solvers import SolverConfig
+from .solvers import SolverConfig, _pairwise_smo
 
 _LRD_FLOOR = 1e-12  # keeps local reachability density finite on stacked duplicates
 
@@ -97,12 +97,13 @@ def ocsvm_fit(train, kernel: KernelSpec, nu: float = 0.15,
     """Fit the dual: minimise 0.5 a'Ka over the simplex scaled by the box
     0 <= a_i <= 1/(nu n), sum(a) = 1.
 
-    Pair updates move mass from the coordinate with the largest gradient to
-    the one with the smallest admissible gradient, preserving both
-    constraints; iteration stops when the largest such gradient spread is at
-    or below tolerance.  The offset is the median decision value over the
-    strictly-interior support vectors, falling back to the midpoint of the
-    KKT bracket when none are strictly interior.
+    The pairwise solver shared with the intercept SVM depth moves mass
+    between the coordinates with the largest and the smallest admissible
+    gradient, from the uniform start, until their spread is at or below
+    tolerance or no coordinate can move (at nu = 1 the start is the only
+    feasible point).  rho is the median decision value over the
+    strictly-interior support vectors, falling back to the KKT bracket when
+    none are strictly interior.
     """
     train = _points_2d(train, "train")
     n = train.shape[0]
@@ -112,51 +113,20 @@ def ocsvm_fit(train, kernel: KernelSpec, nu: float = 0.15,
     box = 1.0 / (nu * n)
 
     kmat = gram(kernel, train)
-    alpha = np.full(n, 1.0 / n)
-    grad = kmat @ alpha
-    residual = np.inf
-    iterations = cfg.max_iterations
-    converged = False
-    for iteration in range(1, cfg.max_iterations + 1):
-        can_receive = alpha < box
-        can_give = alpha > 0.0
-        receive_grad = np.where(can_receive, grad, np.inf)
-        give_grad = np.where(can_give, grad, -np.inf)
-        i = int(np.argmin(receive_grad))
-        j = int(np.argmax(give_grad))
-        residual = float(grad[j] - grad[i])
-        if residual <= cfg.tolerance:
-            iterations = iteration - 1
-            converged = True
-            break
-        curvature = kmat[i, i] + kmat[j, j] - 2.0 * kmat[i, j]
-        t_max = min(box - alpha[i], alpha[j])
-        t = min(residual / curvature, t_max) if curvature > 1e-15 else t_max
-        alpha[i] += t
-        alpha[j] -= t
-        grad += t * (kmat[:, i] - kmat[:, j])
-
-    free = (alpha > 0.0) & (alpha < box)
-    if free.any():
-        rho = float(np.median(grad[free]))
-    else:
-        lower = float(grad[alpha >= box].max()) if np.any(alpha >= box) else -np.inf
-        upper = float(grad[alpha <= 0.0].min()) if np.any(alpha <= 0.0) else np.inf
-        if np.isfinite(lower) and np.isfinite(upper):
-            rho = 0.5 * (lower + upper)
-        elif np.isfinite(lower):
-            rho = lower
-        else:
-            rho = upper
+    start = np.full(n, 1.0 / n)
+    alpha, diagnostics = _pairwise_smo(
+        np.zeros(n), start, np.zeros(n), np.full(n, box), kmat @ start,
+        np.diagonal(kmat), lambda k: kmat[:, k], cfg,
+    )
     return OneClassSvmModel(
         train=train,
         kernel=kernel,
         nu=nu,
         alpha=alpha,
-        rho=rho,
-        iterations=iterations,
-        residual=residual,
-        converged=converged,
+        rho=0.0 - diagnostics.offset,  # rho = -b, and a zero rho stays +0
+        iterations=diagnostics.iterations,
+        residual=diagnostics.residual,
+        converged=diagnostics.converged,
     )
 
 

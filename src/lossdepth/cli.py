@@ -316,20 +316,14 @@ def cmd_convergence(args) -> int:
     solver = _solver_from(args, default_tolerance=1e-6)
     lam = args.lam
     state = {"kernel": None}
-    if args.method == "svm" and not (args.kernel == "gaussian" and args.gamma is None):
-        # bandwidth-free or explicitly parameterised kernels resolve now; a
-        # median-heuristic gaussian waits for the reference sample, the first
-        # and largest sample the experiment draws
-        state["kernel"] = _resolve_kernel(args, np.zeros((2, args.d)))
 
     def depth_fn(sample, query):
         if args.method == "lr":
             return logistic_depth(query, sample, lam, solver=solver).value
-        spec = state["kernel"]
-        if spec is None:
-            spec = KernelSpec.gaussian(median_heuristic(sample))
-            state["kernel"] = spec
-        return svm_depth(query, sample, lam, kernel=spec, solver=solver).value
+        if state["kernel"] is None:
+            # the reference sample comes first, and every later sample shares its kernel
+            state["kernel"] = _resolve_kernel(args, sample)
+        return svm_depth(query, sample, lam, kernel=state["kernel"], solver=solver).value
 
     result = convergence_experiment(
         depth_fn,
@@ -443,7 +437,7 @@ def cmd_rankcorr(args) -> int:
                 _METHOD_NAMES[method],
                 sample,
                 lam=args.lam,
-                kernel=None if args.gamma is None else KernelSpec.gaussian(args.gamma),
+                kernel=_resolve_kernel(args, sample) if method == "svm" else None,
                 solver=solver,
                 threads=threads,
                 require_convergence=False,

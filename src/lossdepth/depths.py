@@ -29,7 +29,8 @@ from .core import (
     weighted_expectation,
 )
 from .kernels import KernelSpec, gram
-from .solvers import DENSE_GRAM_LIMIT, SolverConfig, logistic_solve, svm_dual_solve
+from . import solvers
+from .solvers import SolverConfig, logistic_solve, svm_dual_solve
 
 EXACT_1D = "exact-1d"
 EXACT_2D = "exact-2d"
@@ -364,7 +365,7 @@ def depth_batch(request: DepthBatchRequest, threads: int = 1) -> BatchResult:
         threads = os.cpu_count() or 1
 
     reference_gram = None
-    if request.method == METHOD_SVM and request.reference.n <= DENSE_GRAM_LIMIT:
+    if request.method == METHOD_SVM and request.reference.n <= solvers.DENSE_GRAM_LIMIT:
         reference_gram = gram(request.kernel, request.reference.values)
 
     halfspace_cfg = request.halfspace

@@ -7,8 +7,6 @@ instead of returning a quiet NaN.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .core import LossDepthError, ValidationError
@@ -18,41 +16,28 @@ class UndefinedCorrelationError(LossDepthError):
     """Raised when a rank correlation has no value, e.g. constant scores."""
 
 
-@dataclass(frozen=True, eq=False)
-class LabeledScores:
-    """Scores paired with inlier flags; higher score means deeper inlier."""
-
-    scores: np.ndarray
-    inlier: np.ndarray
-
-    def __post_init__(self):
-        scores = np.asarray(self.scores, dtype=float).reshape(-1)
-        inlier = np.asarray(self.inlier, dtype=bool).reshape(-1)
-        if scores.size != inlier.size:
-            raise ValidationError(
-                f"scores and labels disagree in length: {scores.size} vs {inlier.size}"
-            )
-        object.__setattr__(self, "scores", scores)
-        object.__setattr__(self, "inlier", inlier)
-
-
 def auc_roc(scores, inlier) -> float:
     """Area under the ROC curve for separating inliers from outliers.
 
     Computed from midranks: AUC = (R_pos - n_pos (n_pos + 1) / 2) / (n_pos n_neg)
     where R_pos is the rank sum of the inlier scores.  Ties contribute half.
     """
-    pair = LabeledScores(scores, inlier)
-    if not np.all(np.isfinite(pair.scores)):
+    scores = np.asarray(scores, dtype=float).reshape(-1)
+    inlier = np.asarray(inlier, dtype=bool).reshape(-1)
+    if scores.size != inlier.size:
+        raise ValidationError(
+            f"scores and labels disagree in length: {scores.size} vs {inlier.size}"
+        )
+    if not np.all(np.isfinite(scores)):
         raise ValidationError("scores contain non-finite entries")
-    n_pos = int(np.count_nonzero(pair.inlier))
-    n_neg = pair.inlier.size - n_pos
+    n_pos = int(np.count_nonzero(inlier))
+    n_neg = inlier.size - n_pos
     if n_pos == 0 or n_neg == 0:
         raise ValidationError("auc needs at least one inlier and one outlier")
     from scipy.stats import rankdata  # scipy.stats takes most of a second to import
 
-    ranks = rankdata(pair.scores)
-    rank_sum = float(ranks[pair.inlier].sum())
+    ranks = rankdata(scores)
+    rank_sum = float(ranks[inlier].sum())
     return (rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
 
 

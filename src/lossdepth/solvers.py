@@ -5,7 +5,8 @@ backtracking on the ridge-penalised expected log-loss.  The kernel hinge
 depth solves the box constrained dual of the weighted SVM, by clipped
 single-coordinate Newton ascent without an intercept (the default), or by
 pairwise updates that keep the balance constraint when an unpenalised
-intercept is requested.
+intercept is requested.  The pairwise solver also fits the one-class SVM
+baseline, whose dual has the same form.
 """
 from __future__ import annotations
 
@@ -19,7 +20,7 @@ from .kernels import KernelSpec, gram
 
 _EPS = float(np.finfo(float).eps)
 _MAX_HALVINGS = 60  # bounds the line search: 2**-60 of a step is far below rounding
-DENSE_GRAM_LIMIT = 3000  # largest n + 1 whose kernel matrix the dual solver holds densely
+DENSE_GRAM_LIMIT = 3000  # largest reference n whose kernel matrix is held densely
 
 
 @dataclass(frozen=True)
@@ -235,10 +236,10 @@ def svm_dual_solve(
     they are pinned at their box bound where the (linear) dual term is
     largest, counted as degenerate, and excluded from the sweeps.  With an
     intercept the solver switches to pairwise most-violating updates
-    preserving sum_k y_k alpha_k = 0, and reports the offset recovered by
-    svm_offset in the diagnostics.
+    preserving sum_k y_k alpha_k = 0 (_pairwise_smo), and reports the offset
+    recovered from the margin conditions in the diagnostics.
 
-    The kernel matrix is dense when the problem is small enough or a
+    The kernel matrix is dense when n is at most DENSE_GRAM_LIMIT or a
     reference gram was supplied; otherwise columns are formed on demand so
     large references never materialise an n^2 matrix.
     """
@@ -248,7 +249,7 @@ def svm_dual_solve(
     points, labels, box = _svm_parts(problem)
     m = points.shape[0]
 
-    dense = m <= DENSE_GRAM_LIMIT or reference_gram is not None
+    dense = problem.reference.n <= DENSE_GRAM_LIMIT or reference_gram is not None
     kmat = _bordered_gram(spec, points, reference_gram) if dense else None
     diag = np.diagonal(kmat).copy() if dense else spec.diagonal(points)
 
@@ -258,14 +259,19 @@ def svm_dual_solve(
         return gram(spec, points, points[k : k + 1])[:, 0]
 
     degenerate = diag <= 1e-15
+    if problem.intercept:
+        # under the balance constraint a zero-column coordinate cannot be
+        # pinned on its own, so it is frozen at zero instead
+        signed_box = np.where(degenerate, 0.0, labels * box)
+        signed, diagnostics = _pairwise_smo(
+            labels, np.zeros(m), np.minimum(0.0, signed_box), np.maximum(0.0, signed_box),
+            np.zeros(m), diag, column, cfg,
+        )
+        alpha = np.abs(signed)  # alpha = y u, which is |u| as alpha >= 0
+        return alpha, replace(diagnostics, degenerate_coordinates=int(degenerate.sum()))
+
     alpha = np.zeros(m)
     alpha[degenerate] = box[degenerate]  # zero kernel column: the dual is linear there
-
-    if problem.intercept:
-        alpha, diagnostics = _smo_with_offset(alpha, labels, box, diag, degenerate, column, cfg)
-        offset = svm_offset(alpha, labels, box, diagnostics.function_values)
-        return alpha, replace(diagnostics, offset=offset)
-
     fvals = np.zeros(m)  # f(p_k) under the current alpha; zero columns never move it
     order = np.random.default_rng(cfg.seed).permutation(np.flatnonzero(~degenerate))
     signed = alpha * labels
@@ -305,62 +311,84 @@ def svm_dual_solve(
     )
 
 
-def _smo_with_offset(
-    alpha: np.ndarray,
-    labels: np.ndarray,
-    box: np.ndarray,
+def _pairwise_smo(
+    linear: np.ndarray,
+    start: np.ndarray,
+    lo: np.ndarray,
+    hi: np.ndarray,
+    start_values: np.ndarray,
     diag: np.ndarray,
-    degenerate: np.ndarray,
     column,
     cfg: SolverConfig,
 ) -> tuple[np.ndarray, SolveDiagnostics]:
-    """Pairwise dual ascent keeping sum_k y_k alpha_k = 0.
+    """Maximal-violating-pair SMO (Fan, Chen & Lin 2005) for
+    max c'u - 0.5 u'Ku over lo <= u <= hi with sum(u) held at its start.
 
-    Degenerate coordinates are reset to zero here: under a balance constraint
-    a zero-column coordinate cannot be pinned unilaterally.
+    This is the signed form u = y alpha of the LIBSVM dual
+    max p'alpha - 0.5 (y alpha)' K (y alpha) over 0 <= alpha <= box with
+    y'alpha fixed: c = y p and [lo, hi] = [min(0, y box), max(0, y box)].
+    A coordinate with lo = hi never moves.  The kernel is read only through
+    column(k) and diag; start_values is K @ start.
+
+    Each iteration moves mass from the coordinate that can still go down with
+    the smallest gradient s = c - Ku to the one that can still go up with the
+    largest, by the exact maximiser along the pair clipped to the box.  It
+    stops, converged, once that spread is at or below tolerance or no
+    coordinate can move up or down.  The function values f = Ku come back in
+    the diagnostics with the offset b of the margin conditions c_k - f_k = b
+    on free coordinates (see _pairwise_offset).
     """
-    alpha = alpha.copy()
-    alpha[degenerate] = 0.0
-    active = np.flatnonzero(~degenerate)
-    ndeg = int(degenerate.sum())
+    u = start.copy()
+    scores = linear - start_values
 
-    def fvals_from(grad: np.ndarray) -> np.ndarray:
-        return labels * (1.0 - grad)  # grad_k = 1 - y_k f_k at every alpha
+    def finish(iterations: int, residual: float, converged: bool):
+        fvals = linear - scores
+        offset = _pairwise_offset(u, lo, hi, linear - fvals)
+        return u, SolveDiagnostics(
+            iterations, residual, converged, function_values=fvals, offset=offset
+        )
 
-    grad = np.ones_like(alpha)  # dual gradient at alpha = 0
-    if active.size < 2:
-        return alpha, SolveDiagnostics(0, 0.0, True, ndeg, function_values=fvals_from(grad))
     residual = np.inf
     for iteration in range(1, cfg.max_iterations + 1):
-        ya = labels[active]
-        scores = grad[active] * ya
-        up = np.where(ya > 0, alpha[active] < box[active], alpha[active] > 0.0)
-        down = np.where(ya > 0, alpha[active] > 0.0, alpha[active] < box[active])
-        if not up.any() or not down.any():
-            return alpha, SolveDiagnostics(
-                iteration - 1, 0.0, True, ndeg, function_values=fvals_from(grad)
-            )
-        up_scores = np.where(up, scores, -np.inf)
-        down_scores = np.where(down, scores, np.inf)
-        i = active[int(np.argmax(up_scores))]
-        j = active[int(np.argmin(down_scores))]
-        residual = float(np.max(up_scores) - np.min(down_scores))
+        up_scores = np.where(u < hi, scores, -np.inf)
+        down_scores = np.where(u > lo, scores, np.inf)
+        i = int(np.argmax(up_scores))
+        j = int(np.argmin(down_scores))
+        residual = float(up_scores[i] - down_scores[j])
+        if residual == -np.inf:  # no coordinate can move up, or none down
+            return finish(iteration - 1, 0.0, True)
         if residual <= cfg.tolerance:
-            return alpha, SolveDiagnostics(
-                iteration - 1, residual, True, ndeg, function_values=fvals_from(grad)
-            )
+            return finish(iteration - 1, residual, True)
         col_i, col_j = column(i), column(j)
         curvature = diag[i] + diag[j] - 2.0 * float(col_i[j])
-        room_i = box[i] - alpha[i] if labels[i] > 0 else alpha[i]
-        room_j = alpha[j] if labels[j] > 0 else box[j] - alpha[j]
-        t_max = min(room_i, room_j)
+        t_max = min(hi[i] - u[i], u[j] - lo[j])
         t = min(residual / curvature, t_max) if curvature > 1e-15 else t_max
-        alpha[i] += labels[i] * t
-        alpha[j] -= labels[j] * t
-        grad -= labels * t * (col_i - col_j)
-    return alpha, SolveDiagnostics(
-        cfg.max_iterations, residual, False, ndeg, function_values=fvals_from(grad)
-    )
+        u[i] += t
+        u[j] -= t
+        scores -= t * (col_i - col_j)
+    return finish(cfg.max_iterations, residual, False)
+
+
+def _pairwise_offset(u: np.ndarray, lo: np.ndarray, hi: np.ndarray, targets: np.ndarray) -> float:
+    """The offset b that the margin conditions targets_k = b pin on free
+    coordinates, lo < u_k < hi, taken as their median.
+
+    With no free coordinate the KKT inequalities only bracket b between the
+    largest target of a coordinate that can move up and the smallest of one
+    that can move down; the midpoint of the bracket is returned, or its
+    finite end when one side is empty, or 0 when both are.
+    """
+    up = u < hi
+    down = u > lo
+    free = up & down
+    if free.any():
+        return float(np.median(targets[free]))
+    ends = [float(np.max(targets[up]))] if up.any() else []
+    if down.any():
+        ends.append(float(np.min(targets[down])))
+    if len(ends) == 2:
+        return 0.5 * (ends[0] + ends[1])
+    return ends[0] if ends else 0.0
 
 
 def svm_function_values(alpha, labels, kernel_matrix) -> np.ndarray:
@@ -386,23 +414,3 @@ def svm_duality_gap(alpha, labels, fvals, lam: float) -> float:
     primal = primal_loss + lam * squared_norm
     dual = float(alpha.sum()) - 0.5 * squared_norm
     return primal - 2.0 * lam * dual
-
-
-def svm_offset(alpha, labels, box, fvals) -> float:
-    """Recover the unpenalised offset from the margin conditions.
-
-    Free coordinates pin y_k (f_k + b) = 1 exactly, so b = y_k - f_k there;
-    the median over free coordinates is robust.  With no free coordinate the
-    KKT inequalities only bracket b, and the midpoint of the bracket is
-    returned.
-    """
-    alpha = np.asarray(alpha)
-    free = (alpha > 0.0) & (alpha < box)
-    targets = np.asarray(labels) - np.asarray(fvals)
-    if free.any():
-        return float(np.median(targets[free]))
-    up = np.where(labels > 0, alpha < box, alpha > 0.0)
-    down = np.where(labels > 0, alpha > 0.0, alpha < box)
-    lower = np.max(targets[up]) if up.any() else 0.0
-    upper = np.min(targets[down]) if down.any() else 0.0
-    return float(0.5 * (lower + upper))

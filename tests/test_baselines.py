@@ -128,3 +128,13 @@ def test_ocsvm_custom_solver_config():
     assert isinstance(model, OneClassSvmModel)
     assert not model.converged
     assert model.iterations == 5
+
+
+def test_ocsvm_nu_one_stops_at_the_only_feasible_point():
+    # at nu = 1 the box is 1/n, so the uniform start is the whole feasible
+    # set: no coordinate can receive mass and the solver stops at once
+    model = ocsvm_fit(TRAIN, KernelSpec.gaussian(0.5), nu=1.0)
+    assert model.converged
+    assert model.iterations == 0
+    assert np.array_equal(model.alpha, np.full(TRAIN.shape[0], 1.0 / TRAIN.shape[0]))
+    assert ocsvm_duality_gap(model) <= 1e-12

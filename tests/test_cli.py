@@ -253,6 +253,20 @@ def test_rankcorr_small_run(tmp_path):
         assert -1.0 <= float(cells[3]) <= 1.0
 
 
+def test_rankcorr_honours_the_kernel_flags(tmp_path, capsys):
+    base = ["rankcorr", "--methods", "svm", "--runs", "1", "--n", "40", "--tolerance", "1e-5"]
+    code = cli.main(base + ["--kernel", "laplacian"])
+    assert code == cli.EXIT_INVALID
+    assert "--sigma" in capsys.readouterr().err
+
+    tables = {}
+    for name, flags in (("gaussian", []), ("linear", ["--kernel", "linear"])):
+        out = tmp_path / f"{name}.csv"
+        assert cli.main(base + flags + ["--output", str(out)]) == cli.EXIT_OK
+        tables[name] = out.read_text()
+    assert tables["gaussian"] != tables["linear"]
+
+
 def test_rankcorr_rejects_unsupported_method(capsys):
     code = cli.main(["rankcorr", "--methods", "halfspace", "--runs", "1"])
     assert code == cli.EXIT_INVALID

@@ -4,7 +4,6 @@ import pytest
 
 from lossdepth.core import ValidationError
 from lossdepth.metrics import (
-    LabeledScores,
     UndefinedCorrelationError,
     auc_roc,
     kendall_tau,
@@ -58,13 +57,6 @@ def test_auc_requires_both_classes():
 def test_auc_length_mismatch():
     with pytest.raises(ValidationError):
         auc_roc([1.0, 2.0, 3.0], [True, False])
-
-
-def test_labeled_scores_container_checks_lengths():
-    with pytest.raises(ValidationError):
-        LabeledScores(np.array([1.0]), np.array([True, False]))
-    pair = LabeledScores(np.array([1.0, 2.0]), np.array([True, False]))
-    assert pair.scores.shape == (2,)
 
 
 def test_kendall_single_swap():

@@ -13,6 +13,7 @@ from lossdepth.core import (
     ValidationError,
 )
 from lossdepth import solvers
+from lossdepth.depths import METHOD_SVM, DepthBatchRequest, depth_batch, svm_depth
 from lossdepth.kernels import KernelSpec, gram
 from lossdepth.solvers import (
     SolverConfig,
@@ -22,7 +23,6 @@ from lossdepth.solvers import (
     svm_dual_solve,
     svm_duality_gap,
     svm_function_values,
-    svm_offset,
 )
 
 
@@ -399,18 +399,44 @@ def test_smo_with_intercept_keeps_equality_constraint():
 
 
 def test_svm_offset_free_coordinate_median():
-    alpha = np.array([0.1])
-    box = np.array([0.2])
-    labels = np.array([1.0])
-    fvals = np.array([0.6])
-    assert svm_offset(alpha, labels, box, fvals) == pytest.approx(0.4)
+    # signed form u = y alpha: a free coordinate pins the offset at its target y - f
+    u = np.array([0.1])
+    lo, hi = np.array([0.0]), np.array([0.2])
+    targets = 1.0 - np.array([0.6])
+    assert solvers._pairwise_offset(u, lo, hi, targets) == pytest.approx(0.4)
 
 
 def test_svm_offset_bracket_midpoint():
     # no free coordinate: one dual at zero wants b <= target, one at the box
     # wants b >= target, and the midpoint splits the bracket
-    alpha = np.array([0.0, 0.2])
-    box = np.array([0.2, 0.2])
-    labels = np.array([1.0, 1.0])
-    fvals = np.array([0.2, 0.9])
-    assert svm_offset(alpha, labels, box, fvals) == pytest.approx(0.45)
+    u = np.array([0.0, 0.2])
+    lo, hi = np.zeros(2), np.full(2, 0.2)
+    targets = 1.0 - np.array([0.2, 0.9])
+    assert solvers._pairwise_offset(u, lo, hi, targets) == pytest.approx(0.45)
+
+
+def test_svm_offset_one_sided_bracket_takes_its_finite_end():
+    # every coordinate at its upper bound: none can move up, so only the
+    # smallest target of those that can move down bounds the offset
+    u = np.array([0.2, -0.0])
+    lo, hi = np.array([0.0, -0.2]), np.array([0.2, 0.0])
+    targets = np.array([0.7, 0.3])
+    assert solvers._pairwise_offset(u, lo, hi, targets) == 0.3
+    # frozen coordinates (lo = hi) take no part in the bracket
+    frozen = np.zeros(2)
+    assert solvers._pairwise_offset(frozen, frozen, frozen, targets) == 0.0
+
+
+def test_svm_depth_matches_depth_batch_at_the_dense_limit(monkeypatch):
+    # n equal to the limit is dense both alone and in a batch, so the two
+    # paths give the same bits; a lazy solve differs in the last bits
+    monkeypatch.setattr(solvers, "DENSE_GRAM_LIMIT", 60)
+    rng = np.random.default_rng(3)
+    reference = rng.standard_normal((60, 2))
+    queries = rng.standard_normal((160, 2)) * 1.5
+    spec = KernelSpec.gaussian(0.5)
+    request = DepthBatchRequest(reference=reference, queries=queries, method=METHOD_SVM,
+                                lam=0.002, kernel=spec)
+    batch = depth_batch(request).values
+    alone = np.array([svm_depth(q, reference, 0.002, kernel=spec).value for q in queries])
+    assert np.array_equal(alone, batch)
