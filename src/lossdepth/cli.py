@@ -389,7 +389,7 @@ def cmd_grid(args) -> int:
             require_convergence=False,
         )
     elif args.method == "ocsvm":
-        model = ocsvm_fit(data, kernel, args.ocsvm_nu)
+        model = ocsvm_fit(data, kernel, args.ocsvm_nu, solver)
         score_fn = model.score
     else:
         k = args.lof_k[0] if args.lof_k else 10

@@ -6,7 +6,9 @@ random directions in higher dimension.  logistic_depth and svm_depth report
 the weighted classification loss of the best ridge-penalised separator
 between the reference sample and the query.  depth_batch maps any of them
 over many queries, optionally across threads, with identical results for any
-thread count.
+thread count.  Without an intercept, with a bounded kernel of constant
+diagonal kappa and lam >= kappa/4, the kernel depth has a closed form that
+both svm_depth and depth_batch take, one block of queries at a time.
 """
 from __future__ import annotations
 
@@ -242,6 +244,124 @@ def logistic_depth(
     )
 
 
+KERNEL_BLOCK_ENTRIES = 1 << 20  # reference kernel values per block: 8 MiB of float64
+
+
+def _closed_form_applies(kernel: KernelSpec, lam: float, intercept: bool) -> bool:
+    """Whether every dual variable of the kernel depth sits at its box bound.
+
+    Every bounded family here (Gaussian, Laplacian, IMQ) is positive with
+    constant diagonal kappa.  At alpha = box the function values are then
+    f(x_i) = (r_i - k(x_i, q)) / (4 lam) <= kappa / (4 lam) and
+    f(q) = (m(q) - kappa) / (4 lam) >= -kappa / (4 lam), with r the row means
+    of the reference Gram and m(q) the mean of k(x_i, q); with no intercept
+    and lam >= kappa/4 no margin exceeds 1, which is the optimality condition
+    at the upper bound.
+    """
+    kappa = kernel.bound()
+    return not intercept and kappa is not None and lam >= kappa / 4.0
+
+
+def _kernel_means(spec: KernelSpec, reference: np.ndarray, queries: np.ndarray):
+    """Row means r = K 1/n of the reference Gram K, and the kernel values
+    between each query and the reference, in one pass over K's upper triangle.
+
+    Reference rows [s, e) are evaluated against reference rows s: and the
+    queries in one gram call.  Its row sums over the reference columns go to
+    r[s:e], its column sums past the diagonal block to r[e:], and its query
+    columns are the queries' kernel values on rows s:e.  A block holds about
+    KERNEL_BLOCK_ENTRIES reference values, so the blocks, and with them the
+    bits of r, depend on n alone: not on the queries or the thread count.
+    Returns (r, query kernel) with the query kernel of shape (m, n).
+    """
+    n = reference.shape[0]
+    points = np.vstack([reference, queries])
+    sums = np.zeros(n)
+    query_kernel = np.empty((queries.shape[0], n))
+    start = 0
+    while start < n:
+        stop = min(n, start + max(1, KERNEL_BLOCK_ENTRIES // (n - start)))
+        block = gram(spec, reference[start:stop], points[start:])
+        sums[start:stop] += block[:, : n - start].sum(axis=1)
+        sums[stop:] += block[:, stop - start : n - start].sum(axis=0)
+        query_kernel[:, start:stop] = block[:, n - start :].T
+        start = stop
+    return sums / n, query_kernel
+
+
+def _closed_form_depths(
+    row_means: np.ndarray,
+    query_kernel: np.ndarray,
+    lam: float,
+    kappa: float,
+    reporting: Reporting,
+    tolerance: float,
+) -> list:
+    """Depth results of a block of queries with every dual variable at its box
+    bound (see _closed_form_applies), from the reference row means and the
+    block's (m, n) kernel values against the reference.
+
+    The value is the weighted hinge loss of f(x_i) = (r_i - k(x_i, q))/(4 lam)
+    and f(q) = (m(q) - kappa)/(4 lam), which is
+    1 - (mean(K) + kappa)/(8 lam) + m(q)/(4 lam), an affine transform of the
+    kernel mean m(q).  The residual is the KKT violation measured at the box,
+    and the coefficients, one read-only box vector shared by the block, are
+    alpha_i = 1/(4 n lam) and alpha_q = 1/(4 lam).
+    """
+    n = row_means.size
+    scale = 4.0 * lam
+    fvals = (row_means - query_kernel) / scale
+    fquery = (query_kernel.mean(axis=1) - kappa) / scale
+    positive = np.maximum(0.0, 1.0 - fvals).sum(axis=1)
+    values = positive / (2.0 * n) + 0.5 * np.maximum(0.0, 1.0 + fquery)
+    if reporting is Reporting.LOSS_PLUS_REG:
+        # lam ||f||^2 = lam sum_k alpha_k y_k f(p_k) at alpha = box
+        values += 0.25 * (fvals.mean(axis=1) - fquery)
+    residuals = np.maximum(0.0, np.maximum(fvals.max(axis=1) - 1.0, -1.0 - fquery))
+    box = np.append(np.full(n, 1.0 / (scale * n)), 1.0 / scale)
+    box.setflags(write=False)
+    return [
+        DepthResult(
+            value=float(value),
+            iterations=0,
+            residual=float(residual),
+            converged=bool(residual <= tolerance),
+            coefficients=box,
+        )
+        for value, residual in zip(values, residuals)
+    ]
+
+
+def _svm_closed_form(
+    spec: KernelSpec,
+    reference: np.ndarray,
+    queries: np.ndarray,
+    lam: float,
+    reporting: Reporting,
+    solver: SolverConfig | None,
+) -> list:
+    """Closed-form kernel depths of every query, one block at a time.
+
+    The first block rides along the pass that computes the reference row
+    means; every later one is a single gram call against the reference.
+    Blocks hold about KERNEL_BLOCK_ENTRIES kernel values, and each query's
+    value depends on its own row only, so a query gets the same bits alone
+    or in any batch.
+    """
+    m, n = queries.shape[0], reference.shape[0]
+    if m == 0:
+        return []
+    kappa = spec.bound()
+    tolerance = (solver if solver is not None else SolverConfig()).tolerance
+    size = max(1, KERNEL_BLOCK_ENTRIES // n)
+    row_means, query_kernel = _kernel_means(spec, reference, queries[:size])
+    results = _closed_form_depths(row_means, query_kernel, lam, kappa, reporting, tolerance)
+    for start in range(size, m, size):
+        query_kernel = gram(spec, queries[start : start + size], reference)
+        results += _closed_form_depths(row_means, query_kernel, lam, kappa, reporting, tolerance)
+    return results
+
+
 def svm_depth(
     query,
     reference,
@@ -259,7 +379,10 @@ def svm_depth(
     the recovered function (plus the penalty term when requested).  The hinge
     loss of the zero function is exactly 1, so no normalisation is applied.
     Coefficients are the n+1 dual variables, query last, with a trailing
-    offset when intercept is on.
+    offset when intercept is on.  Where the dual solution is the box itself
+    (_closed_form_applies) it is read off in closed form with 0 iterations,
+    by the same code and to the same bits as in depth_batch; reference_gram
+    is then unused.
     """
     problem = DepthProblem(
         reference=as_data_matrix(reference),
@@ -270,6 +393,10 @@ def svm_depth(
         intercept=intercept,
         reporting=reporting,
     )
+    if _closed_form_applies(kernel, lam, intercept):
+        return _svm_closed_form(
+            kernel, problem.reference.values, problem.query.coords[None, :], lam, reporting, solver
+        )[0]
     alpha, diagnostics = svm_dual_solve(problem, solver, reference_gram)
     fvals = diagnostics.function_values
     n = problem.reference.n
@@ -356,13 +483,24 @@ def depth_batch(request: DepthBatchRequest, threads: int = 1) -> BatchResult:
     shared reference structures, built once here, are read-only.  For the
     kernel depth that is the reference Gram matrix, whenever n is within the
     solver's dense limit.  Errors are collected per query instead of
-    aborting the batch.
+    aborting the batch.  A kernel depth in closed form (_closed_form_applies)
+    needs neither the Gram matrix nor threads: it is scored block by block.
     """
     m = request.queries.shape[0]
     if threads < 0:
         raise ValidationError("threads must be >= 0 (0 means one per cpu)")
     if threads == 0:
         threads = os.cpu_count() or 1
+
+    svm_intercept = False if request.intercept is None else request.intercept
+    if request.method == METHOD_SVM and _closed_form_applies(
+        request.kernel, request.lam, svm_intercept
+    ):
+        results = _svm_closed_form(
+            request.kernel, request.reference.values, request.queries, request.lam,
+            request.reporting, request.solver,
+        )
+        return BatchResult(results=results, errors=[])
 
     reference_gram = None
     if request.method == METHOD_SVM and request.reference.n <= solvers.DENSE_GRAM_LIMIT:
@@ -394,7 +532,7 @@ def depth_batch(request: DepthBatchRequest, threads: int = 1) -> BatchResult:
                     request.reference,
                     request.lam,
                     kernel=request.kernel,
-                    intercept=False if request.intercept is None else request.intercept,
+                    intercept=svm_intercept,
                     reporting=request.reporting,
                     solver=request.solver,
                     reference_gram=reference_gram,

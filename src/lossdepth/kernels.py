@@ -4,7 +4,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial.distance import cdist
+from scipy.spatial.distance import cdist, pdist
 
 from .core import LossDepthError, ValidationError
 
@@ -85,12 +85,20 @@ def gram(spec: KernelSpec, left, right=None) -> np.ndarray:
     b = a if right is None else np.atleast_2d(np.asarray(right, dtype=float))
     if a.shape[1] != b.shape[1]:
         raise ValidationError(f"kernel inputs disagree on dimension: {a.shape[1]} vs {b.shape[1]}")
+    # in place on the distance matrix, so a block allocates no further temporaries
     if spec.family == GAUSSIAN:
-        return np.exp(-spec.gamma * cdist(a, b, "sqeuclidean"))
+        out = cdist(a, b, "sqeuclidean")
+        out *= -spec.gamma
+        return np.exp(out, out=out)
     if spec.family == LAPLACIAN:
-        return np.exp(-cdist(a, b, "cityblock") / spec.sigma)
+        out = cdist(a, b, "cityblock")
+        out /= spec.sigma
+        np.negative(out, out=out)
+        return np.exp(out, out=out)
     if spec.family == IMQ:
-        return (spec.c ** 2 + cdist(a, b, "sqeuclidean")) ** spec.beta
+        out = cdist(a, b, "sqeuclidean")
+        out += spec.c ** 2
+        return np.power(out, spec.beta, out=out)
     return a @ b.T
 
 
@@ -110,9 +118,9 @@ def _pair_rows(points, max_points: int, seed: int) -> np.ndarray:
     return pts
 
 
-def _lower_median(sorted_values: np.ndarray) -> float:
-    # deterministic convention: for an even count take the lower middle value
-    return float(sorted_values[(sorted_values.size - 1) // 2])
+def _order_statistic(values: np.ndarray, index: int) -> float:
+    """The value at index in sorted order, found by partition without a full sort."""
+    return float(np.partition(values, index)[index])
 
 
 def median_heuristic(points, max_points: int = 2000, seed: int = 0) -> float:
@@ -122,10 +130,8 @@ def median_heuristic(points, max_points: int = 2000, seed: int = 0) -> float:
     the two middle values so the result does not depend on float averaging.
     Samples max_points rows with the given seed when the input is larger.
     """
-    pts = _pair_rows(points, max_points, seed)
-    sq = cdist(pts, pts, "sqeuclidean")
-    pairs = sq[np.triu_indices(pts.shape[0], k=1)]
-    med = _lower_median(np.sort(pairs))
+    pairs = pdist(_pair_rows(points, max_points, seed), "sqeuclidean")
+    med = _order_statistic(pairs, (pairs.size - 1) // 2)
     if med <= 0.0:
         raise DegenerateBandwidthError("median pairwise squared distance is zero")
     return 1.0 / med
@@ -134,10 +140,8 @@ def median_heuristic(points, max_points: int = 2000, seed: int = 0) -> float:
 def quartile_heuristic(points, max_points: int = 2000, seed: int = 0) -> float:
     """Gaussian bandwidth gamma = 0.5 / q25^2 with q25 the lower quartile of
     pairwise Euclidean distances (lower-interpolation convention)."""
-    pts = _pair_rows(points, max_points, seed)
-    dists = cdist(pts, pts, "euclidean")
-    pairs = np.sort(dists[np.triu_indices(pts.shape[0], k=1)])
-    q25 = float(pairs[int(np.floor(0.25 * (pairs.size - 1)))])
+    pairs = pdist(_pair_rows(points, max_points, seed), "euclidean")
+    q25 = _order_statistic(pairs, int(np.floor(0.25 * (pairs.size - 1))))
     if q25 <= 0.0:
         raise DegenerateBandwidthError("lower-quartile pairwise distance is zero")
     return 0.5 / (q25 * q25)

@@ -229,6 +229,16 @@ def test_grid_contaminated_layout(tmp_path):
     ]
 
 
+def test_grid_ocsvm_honours_the_solver_flags(tmp_path):
+    base = ["grid", "--contaminated", "--method", "ocsvm", "--n", "60", "--resolution", "8"]
+    reports = []
+    for flags in ([], ["--max-iterations", "1", "--tolerance", "1e-3"]):
+        out = tmp_path / f"grid{len(reports)}.csv"
+        assert cli.main(base + flags + ["--output", str(out)]) == cli.EXIT_OK
+        reports.append(out.read_text())
+    assert reports[0] != reports[1]
+
+
 def test_grid_requires_one_data_source(tmp_path, capsys):
     code = cli.main(["grid"])
     assert code == cli.EXIT_INVALID

@@ -5,7 +5,15 @@ import numpy as np
 import pytest
 
 from lossdepth import depths
-from lossdepth.core import LOG2, Reporting, ValidationError
+from lossdepth.core import (
+    LOG2,
+    DataMatrix,
+    DepthProblem,
+    LossKind,
+    QueryPoint,
+    Reporting,
+    ValidationError,
+)
 from lossdepth.depths import (
     BatchResult,
     DepthBatchRequest,
@@ -19,7 +27,7 @@ from lossdepth.depths import (
     svm_depth,
 )
 from lossdepth.kernels import KernelSpec, gram
-from lossdepth.solvers import SolverConfig
+from lossdepth.solvers import SolverConfig, svm_dual_solve
 
 
 def brute_force_halfspace_2d(points, z):
@@ -362,6 +370,96 @@ def test_svm_depth_with_intercept_reports_offset():
                        intercept=True)
     assert result.coefficients.size == 15 + 2  # duals plus trailing offset
     assert np.isfinite(result.coefficients[-1])
+
+
+def _dual_solver_depth(query, reference, lam, spec, reporting):
+    """The kernel depth from svm_dual_solve at a tight tolerance, as svm_depth
+    computes it outside the closed form."""
+    problem = DepthProblem(DataMatrix(reference), QueryPoint(query), LossKind.HINGE, lam,
+                           spec, intercept=False, reporting=reporting)
+    alpha, diagnostics = svm_dual_solve(problem, SolverConfig(tolerance=1e-13))
+    f, n = diagnostics.function_values, reference.shape[0]
+    value = np.maximum(0.0, 1.0 - f[:n]).sum() / (2.0 * n) + 0.5 * max(0.0, 1.0 + f[n])
+    if reporting is Reporting.LOSS_PLUS_REG:
+        value += lam * float(np.append(alpha[:n], -alpha[n]) @ f)
+    return value
+
+
+CLOSED_FORM_KERNELS = (
+    KernelSpec.gaussian(0.7),
+    KernelSpec.laplacian(1.3),
+    KernelSpec.imq(2.0, -0.5),  # kappa = 2^-1
+)
+
+
+def test_svm_closed_form_matches_the_dual_solver():
+    rng = np.random.default_rng(61)
+    reference = rng.standard_normal((25, 2))
+    queries = np.vstack([rng.standard_normal((3, 2)) * 2.0, reference[:1]])
+    for spec in CLOSED_FORM_KERNELS:
+        kappa = spec.bound()
+        for lam in (kappa / 4.0, 1.0, 3.0):
+            box = np.append(np.full(25, 1.0 / (100.0 * lam)), 1.0 / (4.0 * lam))
+            for reporting in Reporting:
+                for query in queries:
+                    result = svm_depth(query, reference, lam, kernel=spec, reporting=reporting)
+                    expected = _dual_solver_depth(query, reference, lam, spec, reporting)
+                    assert result.value == pytest.approx(expected, abs=1e-12)
+                    assert np.array_equal(result.coefficients, box)
+                    assert result.iterations == 0
+                    assert result.residual == 0.0  # no margin exceeds 1 at the box
+                    assert result.converged
+
+
+def test_svm_outside_the_closed_form_runs_the_dual_solver():
+    rng = np.random.default_rng(62)
+    reference = rng.standard_normal((25, 2))
+    query = np.array([0.4, -0.3])
+    gaussian = KernelSpec.gaussian(0.7)
+    for spec, lam, intercept in (
+        (KernelSpec.linear(), 1.0, False),
+        (gaussian, 1.0, True),
+        (gaussian, np.nextafter(0.25, 0.0), False),  # just below kappa/4
+        (KernelSpec.imq(2.0, -0.5), 0.12, False),
+    ):
+        alone = svm_depth(query, reference, lam, kernel=spec, intercept=intercept)
+        request = DepthBatchRequest(reference=reference, queries=query[None, :], method="svm",
+                                    lam=lam, kernel=spec, intercept=intercept)
+        batched = depth_batch(request).results[0]
+        assert alone.iterations > 0
+        assert batched.iterations > 0
+
+
+def test_svm_closed_form_is_bit_identical_alone_and_in_a_batch(monkeypatch):
+    rng = np.random.default_rng(63)
+    reference = rng.standard_normal((50, 2))
+    queries = rng.standard_normal((30, 2)) * 1.5
+    for budget in (depths.KERNEL_BLOCK_ENTRIES, 64):  # 64: many blocks, one query per block
+        monkeypatch.setattr(depths, "KERNEL_BLOCK_ENTRIES", budget)
+        for spec in CLOSED_FORM_KERNELS:
+            for reporting in Reporting:
+                alone = [svm_depth(q, reference, 1.0, kernel=spec, reporting=reporting)
+                         for q in queries]
+                for threads in (1, 2):
+                    request = DepthBatchRequest(reference=reference, queries=queries,
+                                                method="svm", kernel=spec, reporting=reporting)
+                    batch = depth_batch(request, threads).results
+                    assert [r.value for r in batch] == [r.value for r in alone]
+                    assert [r.residual for r in batch] == [r.residual for r in alone]
+
+
+def test_kernel_means_match_the_gram_row_means(monkeypatch):
+    # with 64 entries per block a block holds 64 // (n - s) reference rows:
+    # n = 8 and 16 end a block exactly at n, and the neighbours one off it
+    monkeypatch.setattr(depths, "KERNEL_BLOCK_ENTRIES", 64)
+    rng = np.random.default_rng(64)
+    spec = KernelSpec.gaussian(0.4)
+    queries = rng.standard_normal((3, 2))
+    for n in (1, 7, 8, 9, 15, 16, 17, 40):
+        reference = rng.standard_normal((n, 2))
+        row_means, query_kernel = depths._kernel_means(spec, reference, queries)
+        assert np.allclose(row_means, gram(spec, reference).mean(axis=1), rtol=0.0, atol=1e-15)
+        assert np.array_equal(query_kernel, gram(spec, queries, reference))
 
 
 def test_depth_batch_request_validation():

@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.spatial.distance import cdist
 
 from lossdepth.core import ValidationError
 from lossdepth.kernels import (
@@ -139,6 +140,29 @@ def test_median_heuristic_subsample_is_deterministic():
     assert a == b
     full = median_heuristic(pts[:2000])
     assert a == pytest.approx(full, rel=0.5)  # subsample only needs the right scale
+
+
+def _sorted_pair_statistic(points, metric, index_of):
+    """The heuristics' order statistic by the full-matrix sort they once used."""
+    pts = np.asarray(points, dtype=float)
+    if pts.shape[0] > 2000:
+        keep = np.random.default_rng(0).choice(pts.shape[0], size=2000, replace=False)
+        pts = pts[np.sort(keep)]
+    pairs = np.sort(cdist(pts, pts, metric)[np.triu_indices(pts.shape[0], k=1)])
+    return float(pairs[index_of(pairs.size)])
+
+
+def test_heuristics_equal_the_sorted_pair_formula_bit_for_bit():
+    rng = np.random.default_rng(12)
+    for n, d in ((7, 1), (300, 2), (1999, 3), (2600, 2)):
+        pts = np.round(rng.standard_normal((n, d)), 1)  # rounding makes tied distances
+        pts[rng.integers(0, n, size=n // 5)] = pts[0]  # and duplicate rows
+        median = _sorted_pair_statistic(pts, "sqeuclidean", lambda size: (size - 1) // 2)
+        assert median_heuristic(pts) == 1.0 / median
+        q25 = _sorted_pair_statistic(
+            pts, "euclidean", lambda size: int(np.floor(0.25 * (size - 1)))
+        )
+        assert quartile_heuristic(pts) == 0.5 / (q25 * q25)
 
 
 def test_quartile_heuristic_three_points():
