@@ -126,7 +126,6 @@ def _solver_from(args, default_tolerance: float) -> SolverConfig:
     return SolverConfig(
         max_iterations=args.max_iterations if args.max_iterations is not None else 10_000,
         tolerance=args.tolerance if args.tolerance is not None else default_tolerance,
-        seed=args.seed,
     )
 
 
@@ -431,7 +430,20 @@ def cmd_rankcorr(args) -> int:
     for method in args.methods:
         if method not in ("lr", "svm"):
             raise ValidationError(f"rankcorr supports lr and svm, got {method!r}")
-
+    config = {
+        "seed": args.seed,
+        "methods": list(args.methods),
+        "lambda": args.lam,
+        "d_grid": [int(d) for d in args.d_grid],
+        "n": args.n,
+        "runs": args.runs,
+    }
+    if "svm" in args.methods:  # the median heuristic sets gamma per sample
+        config["kernel"] = (
+            "gaussian(gamma=median-heuristic)" if args.kernel == "gaussian" and args.gamma is None
+            else _kernel_label(_resolve_kernel(args, None))
+        )
+    for method in args.methods:
         def score_fn(sample, method=method):
             scorer = depth_scorer(
                 _METHOD_NAMES[method],
@@ -453,18 +465,7 @@ def cmd_rankcorr(args) -> int:
         )
         for row in rows:
             table.append(method, row.d, row.run, row.kendall, row.spearman)
-    report = ExperimentReport(
-        name="rankcorr",
-        config={
-            "seed": args.seed,
-            "methods": list(args.methods),
-            "lambda": args.lam,
-            "d_grid": [int(d) for d in args.d_grid],
-            "n": args.n,
-            "runs": args.runs,
-        },
-        tables=[table],
-    )
+    report = ExperimentReport(name="rankcorr", config=config, tables=[table])
     _emit(report, args)
     return EXIT_OK
 

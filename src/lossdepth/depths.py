@@ -481,9 +481,9 @@ def depth_batch(request: DepthBatchRequest, threads: int = 1) -> BatchResult:
 
     Thread count never changes the numbers: queries are independent and the
     shared reference structures, built once here, are read-only.  For the
-    kernel depth that is the reference Gram matrix, whenever n is within the
-    solver's dense limit.  Errors are collected per query instead of
-    aborting the batch.  A kernel depth in closed form (_closed_form_applies)
+    kernel depth that is the reference Gram matrix, whenever there are queries
+    and n is within the solver's dense limit.  Errors are collected per query
+    instead of aborting the batch.  A kernel depth in closed form (_closed_form_applies)
     needs neither the Gram matrix nor threads: it is scored block by block.
     """
     m = request.queries.shape[0]
@@ -503,7 +503,7 @@ def depth_batch(request: DepthBatchRequest, threads: int = 1) -> BatchResult:
         return BatchResult(results=results, errors=[])
 
     reference_gram = None
-    if request.method == METHOD_SVM and request.reference.n <= solvers.DENSE_GRAM_LIMIT:
+    if request.method == METHOD_SVM and m > 0 and request.reference.n <= solvers.DENSE_GRAM_LIMIT:
         reference_gram = gram(request.kernel, request.reference.values)
 
     halfspace_cfg = request.halfspace

@@ -2,11 +2,12 @@
 
 Two solvers are provided.  The logistic depth runs damped Newton with Armijo
 backtracking on the ridge-penalised expected log-loss.  The kernel hinge
-depth solves the box constrained dual of the weighted SVM, by clipped
-single-coordinate Newton ascent without an intercept (the default), or by
-pairwise updates that keep the balance constraint when an unpenalised
-intercept is requested.  The pairwise solver also fits the one-class SVM
-baseline, whose dual has the same form.
+depth solves the box constrained dual of the weighted SVM, by greedy
+maximal-violation coordinate ascent without an intercept (the default), or
+by maximal-violating-pair updates that keep the balance constraint when an
+unpenalised intercept is requested.  Both read the kernel through the same
+column and diagonal interface, and the pairwise solver also fits the
+one-class SVM baseline, whose dual has the same form.
 """
 from __future__ import annotations
 
@@ -25,17 +26,18 @@ DENSE_GRAM_LIMIT = 3000  # largest reference n whose kernel matrix is held dense
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Iteration budget, stopping tolerance and sweep-order seed.
+    """Iteration budget and stopping tolerance.
 
     For the logistic solver the tolerance bounds the gradient norm and
-    max_iterations counts Newton steps.  For the dual solver the tolerance
-    bounds the largest projected Karush-Kuhn-Tucker violation, and
-    max_iterations counts full sweeps.
+    max_iterations counts Newton steps.  For the no-intercept dual solver the
+    tolerance bounds the largest projected Karush-Kuhn-Tucker violation, and
+    max_iterations counts passes of n+1 single-coordinate updates; for the
+    pairwise solver it bounds the violating pair's gradient spread, and
+    max_iterations counts pair updates.
     """
 
     max_iterations: int = 10_000
     tolerance: float = 1e-8
-    seed: int = 0
 
     def __post_init__(self):
         if self.max_iterations < 1:
@@ -228,16 +230,15 @@ def svm_dual_solve(
     f(.) = sum_k alpha_k y_k k(p_k, .), and the minimised primal objective
     equals 2 * lam times the maximised dual value.
 
-    Without an intercept each coordinate has the closed-form clipped Newton
-    update alpha_k <- clip(alpha_k + (1 - y_k f(p_k)) / K_kk, 0, box_k),
-    applied in cyclic sweeps over a seeded random order; sweeps stop when the
-    largest projected KKT violation is at or below tolerance.  Coordinates
-    with K_kk = 0 contribute a fixed unit hinge loss whatever alpha does, so
-    they are pinned at their box bound where the (linear) dual term is
-    largest, counted as degenerate, and excluded from the sweeps.  With an
-    intercept the solver switches to pairwise most-violating updates
-    preserving sum_k y_k alpha_k = 0 (_pairwise_smo), and reports the offset
-    recovered from the margin conditions in the diagnostics.
+    It is solved in the signed variables u = y alpha over
+    [lo, hi] = [min(0, y box), max(0, y box)]: without an intercept by greedy
+    single-coordinate updates (_greedy_ascent), whose order depends on the
+    data alone.  Coordinates with K_kk = 0 contribute a fixed unit hinge loss
+    whatever alpha does, so they are pinned at their box bound where the
+    (linear) dual term is largest and counted as degenerate.  With an
+    intercept, pairwise updates keep sum_k y_k alpha_k = 0 (_pairwise_smo),
+    degenerate coordinates are frozen at zero, and the offset recovered from
+    the margin conditions comes back in the diagnostics.
 
     The kernel matrix is dense when n is at most DENSE_GRAM_LIMIT or a
     reference gram was supplied; otherwise columns are formed on demand so
@@ -255,71 +256,68 @@ def svm_dual_solve(
 
     def column(k: int) -> np.ndarray:
         if kmat is not None:
-            return kmat[:, k]
+            return kmat[k]  # kmat is symmetric, and its rows are contiguous
         return gram(spec, points, points[k : k + 1])[:, 0]
 
+    # only degenerate coordinates, whose kernel columns vanish, start nonzero,
+    # so K @ start is zero
     degenerate = diag <= 1e-15
-    if problem.intercept:
-        # under the balance constraint a zero-column coordinate cannot be
-        # pinned on its own, so it is frozen at zero instead
-        signed_box = np.where(degenerate, 0.0, labels * box)
-        signed, diagnostics = _pairwise_smo(
-            labels, np.zeros(m), np.minimum(0.0, signed_box), np.maximum(0.0, signed_box),
-            np.zeros(m), diag, column, cfg,
-        )
-        alpha = np.abs(signed)  # alpha = y u, which is |u| as alpha >= 0
-        return alpha, replace(diagnostics, degenerate_coordinates=int(degenerate.sum()))
+    signed_box = labels * box
+    start = np.zeros(m) if problem.intercept else np.where(degenerate, signed_box, 0.0)
+    lo = np.where(degenerate, start, np.minimum(0.0, signed_box))
+    hi = np.where(degenerate, start, np.maximum(0.0, signed_box))
+    solve = _pairwise_smo if problem.intercept else _greedy_ascent
+    signed, diagnostics = solve(labels, start, lo, hi, np.zeros(m), diag, column, cfg)
+    alpha = np.abs(signed)  # alpha = y u, which is |u| as alpha >= 0
+    return alpha, replace(diagnostics, degenerate_coordinates=int(degenerate.sum()))
 
-    alpha = np.zeros(m)
-    alpha[degenerate] = box[degenerate]  # zero kernel column: the dual is linear there
-    fvals = np.zeros(m)  # f(p_k) under the current alpha; zero columns never move it
-    order = np.random.default_rng(cfg.seed).permutation(np.flatnonzero(~degenerate))
-    signed = alpha * labels
-    residual = np.inf
-    for sweep in range(1, cfg.max_iterations + 1):
-        worst = 0.0
-        for k in order:
-            grad_k = 1.0 - labels[k] * fvals[k]
-            if alpha[k] <= 0.0:
-                violation = grad_k if grad_k > 0.0 else 0.0
-            elif alpha[k] >= box[k]:
-                violation = -grad_k if grad_k < 0.0 else 0.0
-            else:
-                violation = abs(grad_k)
-            if violation > worst:
-                worst = violation
-            if violation <= cfg.tolerance:
-                continue
-            updated = min(max(alpha[k] + grad_k / diag[k], 0.0), box[k])
-            delta = updated - alpha[k]
-            if delta != 0.0:
-                fvals += (delta * labels[k]) * column(k)
-                alpha[k] = updated
-        residual = worst
-        if worst <= cfg.tolerance:
-            if kmat is not None:
-                np.multiply(alpha, labels, out=signed)
-                fvals = kmat @ signed
-            return alpha, SolveDiagnostics(
-                sweep, worst, True, int(degenerate.sum()), function_values=fvals
-            )
-        if kmat is not None and sweep % 32 == 0:
-            np.multiply(alpha, labels, out=signed)
-            fvals = kmat @ signed  # shed accumulated round-off on long runs
-    return alpha, SolveDiagnostics(
-        cfg.max_iterations, residual, False, int(degenerate.sum()), function_values=fvals
+
+def _greedy_ascent(
+    linear: np.ndarray, start: np.ndarray, lo: np.ndarray, hi: np.ndarray,
+    start_values: np.ndarray, diag: np.ndarray, column, cfg: SolverConfig,
+) -> tuple[np.ndarray, SolveDiagnostics]:
+    """Greedy maximal-violation coordinate ascent (Gauss-Southwell) for
+    max c'u - 0.5 u'Ku over lo <= u <= hi: the equality-free twin of
+    _pairwise_smo, with the same arguments.
+
+    Each update takes the coordinate with the largest projected KKT
+    violation of the gradient s = c - Ku (s_k where u_k can still rise, -s_k
+    where it can still fall) to its clipped Newton point
+    min(max(u_k + s_k / K_kk, lo_k), hi_k).  It stops, converged, once the
+    largest violation is at or below tolerance.  The budget is max_iterations
+    passes of u.size updates, and the reported iterations count passes,
+    rounded up.  The function values f = Ku come back in the diagnostics.
+    """
+    u = start.copy()
+    scores = linear - start_values
+    # clipping s_k below at 0 where u_k cannot fall and above at 0 where it
+    # cannot rise leaves the violation as the magnitude
+    floor = np.where(u > lo, -np.inf, 0.0)
+    ceiling = np.where(u < hi, np.inf, 0.0)
+    violations = np.empty_like(u)
+    budget = cfg.max_iterations * u.size
+    for updates in range(budget + 1):
+        np.maximum(scores, floor, out=violations)
+        np.minimum(violations, ceiling, out=violations)
+        np.abs(violations, out=violations)
+        k = int(np.argmax(violations))
+        residual = float(violations[k])
+        if residual <= cfg.tolerance or updates == budget:
+            break
+        updated = min(max(u[k] + scores[k] / diag[k], lo[k]), hi[k])
+        scores -= (updated - u[k]) * column(k)
+        u[k] = updated
+        floor[k] = -np.inf if updated > lo[k] else 0.0
+        ceiling[k] = np.inf if updated < hi[k] else 0.0
+    return u, SolveDiagnostics(
+        -(-updates // u.size), residual, residual <= cfg.tolerance,
+        function_values=linear - scores,
     )
 
 
 def _pairwise_smo(
-    linear: np.ndarray,
-    start: np.ndarray,
-    lo: np.ndarray,
-    hi: np.ndarray,
-    start_values: np.ndarray,
-    diag: np.ndarray,
-    column,
-    cfg: SolverConfig,
+    linear: np.ndarray, start: np.ndarray, lo: np.ndarray, hi: np.ndarray,
+    start_values: np.ndarray, diag: np.ndarray, column, cfg: SolverConfig,
 ) -> tuple[np.ndarray, SolveDiagnostics]:
     """Maximal-violating-pair SMO (Fan, Chen & Lin 2005) for
     max c'u - 0.5 u'Ku over lo <= u <= hi with sum(u) held at its start.
@@ -389,11 +387,6 @@ def _pairwise_offset(u: np.ndarray, lo: np.ndarray, hi: np.ndarray, targets: np.
     if len(ends) == 2:
         return 0.5 * (ends[0] + ends[1])
     return ends[0] if ends else 0.0
-
-
-def svm_function_values(alpha, labels, kernel_matrix) -> np.ndarray:
-    """f(p_k) = sum_l alpha_l y_l K_lk for every training point."""
-    return kernel_matrix @ (np.asarray(alpha) * np.asarray(labels))
 
 
 def svm_duality_gap(alpha, labels, fvals, lam: float) -> float:

@@ -1,4 +1,5 @@
 """End-to-end runs of the command line front end."""
+import json
 import os
 import subprocess
 import sys
@@ -84,6 +85,17 @@ def test_depth_command_reruns_byte_identical(sample_files, tmp_path):
     assert cli.main(argv + ["--output", str(a)]) == cli.EXIT_OK
     assert cli.main(argv + ["--output", str(b)]) == cli.EXIT_OK
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_depth_svm_below_the_closed_form_ignores_the_seed(sample_files, capsys):
+    # the greedy dual solver picks coordinates from the data alone
+    reference, queries = sample_files
+    argv = ["depth", reference, queries, "--method", "svm", "--lambda", "0.01"]
+    tables = []
+    for seed in ("0", "7"):
+        assert cli.main(argv + ["--seed", seed]) == cli.EXIT_OK
+        tables.append(capsys.readouterr().out)
+    assert tables[0] == tables[1]
 
 
 def test_depth_command_thread_count_never_changes_bytes(sample_files, tmp_path):
@@ -275,6 +287,19 @@ def test_rankcorr_honours_the_kernel_flags(tmp_path, capsys):
         assert cli.main(base + flags + ["--output", str(out)]) == cli.EXIT_OK
         tables[name] = out.read_text()
     assert tables["gaussian"] != tables["linear"]
+
+
+def test_rankcorr_echoes_the_kernel(capsys):
+    base = ["rankcorr", "--methods", "svm", "--runs", "1", "--n", "40", "--tolerance", "1e-5",
+            "--format", "json"]
+    kernels = []
+    for flags in ([], ["--kernel", "linear"]):
+        assert cli.main(base + flags) == cli.EXIT_OK
+        kernels.append(json.loads(capsys.readouterr().out)["config"]["kernel"])
+    assert kernels == ["gaussian(gamma=median-heuristic)", "linear"]
+    assert cli.main(["rankcorr", "--methods", "lr", "--runs", "1", "--n", "40",
+                     "--format", "json"]) == cli.EXIT_OK
+    assert "kernel" not in json.loads(capsys.readouterr().out)["config"]
 
 
 def test_rankcorr_rejects_unsupported_method(capsys):

@@ -541,6 +541,24 @@ def test_depth_batch_builds_the_reference_gram_once(monkeypatch):
     assert len(calls) == 1
 
 
+def test_depth_batch_with_no_queries_builds_no_gram(monkeypatch):
+    calls = []
+
+    def counting_gram(*args):
+        calls.append(args)
+        return gram(*args)
+
+    monkeypatch.setattr(depths, "gram", counting_gram)
+    reference = np.random.default_rng(4).standard_normal((30, 2))
+    for intercept in (False, True):
+        request = DepthBatchRequest(reference=reference, queries=np.empty((0, 2)), method="svm",
+                                    lam=0.01, kernel=KernelSpec.gaussian(0.8),
+                                    intercept=intercept)
+        batch = depth_batch(request)
+        assert batch.results == [] and batch.errors == []
+    assert calls == []
+
+
 def test_batch_result_values_reports_first_failure():
     partial = BatchResult(
         results=[DepthResult(0.5, 1, 0.0, True), None],
