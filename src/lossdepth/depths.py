@@ -5,10 +5,14 @@ computed exactly in one and two dimensions and bounded from above by seeded
 random directions in higher dimension.  logistic_depth and svm_depth report
 the weighted classification loss of the best ridge-penalised separator
 between the reference sample and the query.  depth_batch maps any of them
-over many queries, optionally across threads, with identical results for any
-thread count.  Without an intercept, with a bounded kernel of constant
-diagonal kappa and lam >= kappa/4, the kernel depth has a closed form that
-both svm_depth and depth_batch take, one block of queries at a time.
+over many queries with identical results for any thread count.  Two depths
+are batch operations that a single query shares: the halfspace depth (the
+exact 1-d depth sorts the reference once, the exact 2-d depth sweeps
+cache-sized blocks of queries with one sort per query row, and random
+directions are drawn once per batch), and, without an intercept, with a
+bounded kernel of constant diagonal kappa and lam >= kappa/4, the kernel
+depth in closed form, one block of queries at a time.  The other depths run
+one solve per query, optionally across threads.
 """
 from __future__ import annotations
 
@@ -83,15 +87,20 @@ def default_halfspace_config(d: int) -> HalfspaceConfig:
     )
 
 
-def _halfspace_exact_1d(values: np.ndarray, z: float) -> float:
-    n = values.shape[0]
-    below = float(np.count_nonzero(values <= z)) / n
-    above = float(np.count_nonzero(values >= z)) / n
-    return min(below, above)
+HALFSPACE_BLOCK_PAIRS = 1 << 13  # query-reference pairs per 2-d sweep block: its arrays fit in L2
 
 
-def _halfspace_exact_2d(points: np.ndarray, z: np.ndarray) -> float:
-    """Angular sweep over the circle of unit normals.
+def _halfspace_exact_1d(values: np.ndarray, queries: np.ndarray) -> np.ndarray:
+    """min(#{x <= z}, #{x >= z}) / n for every query z, counted by binary
+    search in the once-sorted reference."""
+    ordered = np.sort(values)
+    below = np.searchsorted(ordered, queries, side="right")
+    above = ordered.size - np.searchsorted(ordered, queries, side="left")
+    return np.minimum(below, above) / ordered.size
+
+
+def _halfspace_sweep_2d(points: np.ndarray, queries: np.ndarray) -> np.ndarray:
+    """Angular sweep over the circle of unit normals, for a block of queries.
 
     A non-duplicate point lies in the closed halfspace of direction u(phi)
     exactly when phi falls in the closed half-circle arc centred on its angle,
@@ -99,48 +108,89 @@ def _halfspace_exact_2d(points: np.ndarray, z: np.ndarray) -> float:
     endpoints and the minimum is attained on an open gap.  Each difference is
     first folded into the upper half-plane by exact negation, and both ends of
     its arc come from the one folded angle, so collinear points on either side
-    of the query share their endpoints exactly.  Sorting the 2n endpoints and
-    summing their +-1 steps gives the count on every gap; duplicates of the
-    query belong to every closed halfspace and are added back at the end.
+    of the query share their endpoints exactly.  Sorting a query's 2n
+    endpoints and summing their +1 (start) and -1 (end) steps gives the count
+    on every gap, which is read where a run of equal angles ends.  Duplicates
+    of the query belong to every closed halfspace: their arcs start and end at
+    angle 0, so their steps cancel, and they are added back at the end.  Each
+    row of the result depends on its own query alone.
     """
     n = points.shape[0]
-    diffs = points - z
-    nonzero = np.any(diffs != 0.0, axis=1)
-    dup_count = n - int(np.count_nonzero(nonzero))
-    rest = diffs[nonzero]
-    if rest.shape[0] == 0:
-        return 1.0
-    flipped = (rest[:, 1] < 0.0) | ((rest[:, 1] == 0.0) & (rest[:, 0] < 0.0))
-    folded = np.where(flipped[:, None], -rest, rest)
-    two_pi = 2.0 * np.pi
-    lower = np.arctan2(folded[:, 1], folded[:, 0]) + 0.5 * np.pi
+    dx = points[:, 0] - queries[:, 0:1]
+    dy = points[:, 1] - queries[:, 1:2]
+    duplicate = (dx == 0.0) & (dy == 0.0)
+    flipped = (dy < 0.0) | ((dy == 0.0) & (dx < 0.0))
+    sign = np.where(flipped, -1.0, 1.0)  # times -1.0 is exact negation
+    dx *= sign
+    dy *= sign
+    lower = np.arctan2(dy, dx)
+    lower += 0.5 * np.pi
     upper = lower + np.pi
-    upper[upper >= two_pi] -= two_pi
+    upper -= (upper >= 2.0 * np.pi) * (2.0 * np.pi)
+    lower[duplicate] = 0.0
+    upper[duplicate] = 0.0
     # a point's arc runs from upper to lower; a flipped point's the other way
     starts = np.where(flipped, lower, upper)
     ends = np.where(flipped, upper, lower)
-    wrapped = int(np.count_nonzero(starts > ends))  # count on the gap across angle 0
-    angles = np.concatenate([starts, ends])
-    order = np.argsort(angles, kind="stable")
-    angles = angles[order]
-    steps = np.repeat([1, -1], starts.size)[order]
-    run_ends = np.append(angles[1:] != angles[:-1], True)
-    # the last run closes the cycle back onto the wrap-around gap
-    best = wrapped + int(np.cumsum(steps)[run_ends].min())
-    return (best + dup_count) / n
+    wrapped = np.count_nonzero(starts > ends, axis=1)  # count on the gap across angle 0
+    # The angles are nonnegative, so their bit patterns sort as integers do.
+    # A bit shifted in below them marks ends, so one sort of the keys puts
+    # every start before the ends at an equal angle.  Within a run of equal
+    # angles the running count then rises before it falls, and its minimum
+    # over all prefixes is its minimum over run ends.  The full sum is 0: the
+    # cycle closes on the wrap-around gap.
+    keys = np.concatenate([starts, ends], axis=1).view(np.uint64)
+    keys <<= 1
+    keys[:, n:] |= 1
+    keys.sort(axis=1)
+    keys &= 1
+    steps = keys.view(np.int64)
+    steps *= -2
+    steps += 1
+    counts = np.cumsum(steps, axis=1)
+    return (wrapped + counts.min(axis=1) + np.count_nonzero(duplicate, axis=1)) / n
 
 
-def _halfspace_random(points: np.ndarray, z: np.ndarray, config: HalfspaceConfig) -> float:
+def _halfspace_random(points: np.ndarray, queries: np.ndarray, config: HalfspaceConfig):
+    """Smallest closed-halfspace fraction over the seeded directions, drawn once
+    for all queries; each query projects the reference on its own."""
     rng = np.random.default_rng(config.seed)
     directions = rng.standard_normal((config.n_directions, points.shape[1]))
     norms = np.linalg.norm(directions, axis=1)
     directions[norms == 0.0] = 0.0
     directions[norms == 0.0, 0] = 1.0
-    scores = (points - z) @ directions.T
-    n = points.shape[0]
-    above = np.count_nonzero(scores >= 0.0, axis=0)
-    below = np.count_nonzero(scores <= 0.0, axis=0)
-    return float(np.minimum(above, below).min()) / n
+    counts = np.empty(queries.shape[0])
+    for i, z in enumerate(queries):
+        scores = (points - z) @ directions.T
+        above = np.count_nonzero(scores >= 0.0, axis=0)
+        below = np.count_nonzero(scores <= 0.0, axis=0)
+        counts[i] = np.minimum(above, below).min()
+    return counts / points.shape[0]
+
+
+def _halfspace_depths(points: np.ndarray, queries: np.ndarray, config: HalfspaceConfig):
+    """Halfspace depths of the (m, d) queries against the (n, d) reference.
+
+    Exact 1-d sorts the reference once for the whole batch.  Exact 2-d sweeps
+    blocks of about HALFSPACE_BLOCK_PAIRS query-reference pairs, one sort per
+    query row.  Random directions are drawn once.  A query's value never
+    depends on the others, so it has the same bits alone or in any batch.
+    """
+    m, d = queries.shape
+    if config.mode == EXACT_1D:
+        if d != 1:
+            raise ValidationError("exact-1d halfspace depth needs one-dimensional data")
+        return _halfspace_exact_1d(points[:, 0], queries[:, 0])
+    if config.mode == EXACT_2D:
+        if d != 2:
+            raise ValidationError("exact-2d halfspace depth needs two-dimensional data")
+        size = max(1, HALFSPACE_BLOCK_PAIRS // points.shape[0])
+        values = np.empty(m)
+        for start in range(0, m, size):
+            block = queries[start : start + size]
+            values[start : start + size] = _halfspace_sweep_2d(points, block)
+        return values
+    return _halfspace_random(points, queries, config)
 
 
 def halfspace_depth(query, reference, config: HalfspaceConfig | None = None) -> float:
@@ -151,15 +201,7 @@ def halfspace_depth(query, reference, config: HalfspaceConfig | None = None) -> 
     if ref.d != q.d:
         raise ValidationError(f"dimension mismatch: reference has d={ref.d}, query has d={q.d}")
     cfg = config if config is not None else default_halfspace_config(ref.d)
-    if cfg.mode == EXACT_1D:
-        if ref.d != 1:
-            raise ValidationError("exact-1d halfspace depth needs one-dimensional data")
-        return _halfspace_exact_1d(ref.values[:, 0], float(q.coords[0]))
-    if cfg.mode == EXACT_2D:
-        if ref.d != 2:
-            raise ValidationError("exact-2d halfspace depth needs two-dimensional data")
-        return _halfspace_exact_2d(ref.values, q.coords)
-    return _halfspace_random(ref.values, q.coords, cfg)
+    return float(_halfspace_depths(ref.values, q.coords[None, :], cfg)[0])
 
 
 def halfspace_depth_as_loss(query, reference, directions, strict: bool = False) -> float:
@@ -244,7 +286,7 @@ def logistic_depth(
     )
 
 
-KERNEL_BLOCK_ENTRIES = 1 << 20  # reference kernel values per block: 8 MiB of float64
+KERNEL_BLOCK_ENTRIES = 1 << 18  # reference kernel values per block: 2 MiB of float64
 
 
 def _closed_form_applies(kernel: KernelSpec, lam: float, intercept: bool) -> bool:
@@ -483,8 +525,10 @@ def depth_batch(request: DepthBatchRequest, threads: int = 1) -> BatchResult:
     shared reference structures, built once here, are read-only.  For the
     kernel depth that is the reference Gram matrix, whenever there are queries
     and n is within the solver's dense limit.  Errors are collected per query
-    instead of aborting the batch.  A kernel depth in closed form (_closed_form_applies)
-    needs neither the Gram matrix nor threads: it is scored block by block.
+    instead of aborting the batch; a halfspace mode that does not fit the
+    dimension is recorded at every query.  The halfspace depth and a kernel
+    depth in closed form (_closed_form_applies) use no threads: they are
+    scored block by block, by the same code as a single query.
     """
     m = request.queries.shape[0]
     if threads < 0:
@@ -502,21 +546,28 @@ def depth_batch(request: DepthBatchRequest, threads: int = 1) -> BatchResult:
         )
         return BatchResult(results=results, errors=[])
 
+    if request.method == METHOD_HALFSPACE:
+        halfspace_cfg = request.halfspace
+        if halfspace_cfg is None:
+            halfspace_cfg = default_halfspace_config(request.reference.d)
+        try:
+            values = _halfspace_depths(request.reference.values, request.queries, halfspace_cfg)
+        except ValidationError as exc:  # a mode that does not fit d fails every query
+            return BatchResult(results=[None] * m, errors=[(i, str(exc)) for i in range(m)])
+        results = [
+            DepthResult(value=float(value), iterations=0, residual=0.0, converged=True)
+            for value in values
+        ]
+        return BatchResult(results=results, errors=[])
+
     reference_gram = None
     if request.method == METHOD_SVM and m > 0 and request.reference.n <= solvers.DENSE_GRAM_LIMIT:
         reference_gram = gram(request.kernel, request.reference.values)
 
-    halfspace_cfg = request.halfspace
-    if request.method == METHOD_HALFSPACE and halfspace_cfg is None:
-        halfspace_cfg = default_halfspace_config(request.reference.d)
-
     def attempt(query: np.ndarray) -> tuple:
         """(result, None) on success, (None, message) on failure."""
         try:
-            if request.method == METHOD_HALFSPACE:
-                value = halfspace_depth(query, request.reference, halfspace_cfg)
-                result = DepthResult(value=value, iterations=0, residual=0.0, converged=True)
-            elif request.method == METHOD_LOGISTIC:
+            if request.method == METHOD_LOGISTIC:
                 result = logistic_depth(
                     query,
                     request.reference,

@@ -11,6 +11,7 @@ one-class SVM baseline, whose dual has the same form.
 """
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -198,25 +199,6 @@ def _svm_parts(problem: DepthProblem) -> tuple[np.ndarray, np.ndarray, np.ndarra
     return points, labels, box
 
 
-def _bordered_gram(
-    spec: KernelSpec, points: np.ndarray, reference_gram: np.ndarray | None
-) -> np.ndarray:
-    if reference_gram is None:
-        return gram(spec, points)
-    n = points.shape[0] - 1
-    if reference_gram.shape != (n, n):
-        raise ValidationError(
-            f"precomputed reference gram has shape {reference_gram.shape}, expected {(n, n)}"
-        )
-    full = np.empty((n + 1, n + 1))
-    full[:n, :n] = reference_gram
-    column = gram(spec, points[:n], points[n:])[:, 0]
-    full[:n, n] = column
-    full[n, :n] = column
-    full[n, n] = gram(spec, points[n:], points[n:])[0, 0]
-    return full
-
-
 def svm_dual_solve(
     problem: DepthProblem,
     config: SolverConfig | None = None,
@@ -240,24 +222,49 @@ def svm_dual_solve(
     degenerate coordinates are frozen at zero, and the offset recovered from
     the margin conditions comes back in the diagnostics.
 
-    The kernel matrix is dense when n is at most DENSE_GRAM_LIMIT or a
-    reference gram was supplied; otherwise columns are formed on demand so
-    large references never materialise an n^2 matrix.
+    The reference Gram is read densely, and never copied, when n is at most
+    DENSE_GRAM_LIMIT or one was supplied (depth_batch shares one across its
+    queries); the query's own kernel column is computed once per solve.
+    Otherwise columns are formed on demand so large references never
+    materialise an n^2 matrix.
     """
     _require_loss(problem, LossKind.HINGE)
     cfg = config if config is not None else SolverConfig()
     spec: KernelSpec = problem.kernel
     points, labels, box = _svm_parts(problem)
     m = points.shape[0]
+    n = m - 1
 
-    dense = problem.reference.n <= DENSE_GRAM_LIMIT or reference_gram is not None
-    kmat = _bordered_gram(spec, points, reference_gram) if dense else None
-    diag = np.diagonal(kmat).copy() if dense else spec.diagonal(points)
+    if reference_gram is not None and reference_gram.shape != (n, n):
+        raise ValidationError(
+            f"precomputed reference gram has shape {reference_gram.shape}, expected {(n, n)}"
+        )
+    if reference_gram is None and n <= DENSE_GRAM_LIMIT:
+        reference_gram = gram(spec, points[:n])
+    if reference_gram is None:
+        diag = spec.diagonal(points)
 
-    def column(k: int) -> np.ndarray:
-        if kmat is not None:
-            return kmat[k]  # kmat is symmetric, and its rows are contiguous
-        return gram(spec, points, points[k : k + 1])[:, 0]
+        def column(k: int) -> np.ndarray:
+            return gram(spec, points, points[k : k + 1])[:, 0]
+
+    else:
+        query_column = np.append(
+            gram(spec, points[:n], points[n:])[:, 0], gram(spec, points[n:], points[n:])[0, 0]
+        )
+        diag = np.append(np.diagonal(reference_gram), query_column[n])
+        # column k of the bordered matrix is row k of the reference Gram (which
+        # is symmetric, and whose rows are contiguous) plus k(x_k, q).  Two row
+        # buffers are filled in turn, so the last two columns handed out stay
+        # valid: _pairwise_smo reads a pair at once.
+        rows = itertools.cycle(np.empty((2, m)))
+
+        def column(k: int) -> np.ndarray:
+            if k == n:
+                return query_column
+            row = next(rows)
+            row[:n] = reference_gram[k]
+            row[n] = query_column[k]
+            return row
 
     # only degenerate coordinates, whose kernel columns vanish, start nonzero,
     # so K @ start is zero

@@ -139,6 +139,36 @@ def test_halfspace_2d_query_on_duplicate_rows():
     assert value >= 0.5
 
 
+def test_halfspace_batch_is_bit_identical_to_single_calls_across_block_edges(monkeypatch):
+    # 4 reference rows per query: a 2-d sweep block then holds `size` queries
+    rng = np.random.default_rng(71)
+    size = 3
+    for d, config in ((1, HalfspaceConfig.exact_1d()), (2, HalfspaceConfig.exact_2d()),
+                      (3, HalfspaceConfig.random_directions(40, seed=5))):
+        reference = np.round(rng.standard_normal((12, d)) * 2.0) / 2.0  # ties and repeats
+        monkeypatch.setattr(depths, "HALFSPACE_BLOCK_PAIRS", size * reference.shape[0])
+        for m in (1, size - 1, size, size + 1, 3 * size + 1):
+            drawn = np.round(rng.standard_normal((m - m // 2, d)))
+            queries = np.vstack([reference[: m // 2], drawn])
+            alone = [halfspace_depth(q, reference, config) for q in queries]
+            request = DepthBatchRequest(reference=reference, queries=queries,
+                                        method="halfspace", halfspace=config)
+            for threads in (1, 2):
+                batch = depth_batch(request, threads)
+                assert batch.errors == []
+                assert [r.value for r in batch.results] == alone, (config.mode, m)
+                assert all(type(r.value) is float for r in batch.results)
+
+
+def test_halfspace_1d_counts_ties_on_both_closed_sides():
+    data = COLUMN([-1.0, 0.0, 0.0, 0.0, 2.0, 2.0, 5.0])
+    queries = [-2.0, -1.0, -0.0, 1.0, 2.0, 5.0, 6.0]
+    request = DepthBatchRequest(reference=data, queries=COLUMN(queries), method="halfspace")
+    # min(#{x <= z}, #{x >= z}) / 7, with -0.0 equal to 0.0
+    expected = [0.0, 1 / 7, 4 / 7, 3 / 7, 3 / 7, 1 / 7, 0.0]
+    assert list(depth_batch(request).values) == expected
+
+
 def test_halfspace_random_directions_upper_bounds_exact():
     rng = np.random.default_rng(7)
     points = rng.standard_normal((30, 2))
@@ -523,6 +553,12 @@ def test_depth_batch_collects_per_query_errors():
         assert outcome.results == [None, None]
         with pytest.raises(ValidationError):
             outcome.values
+    for d, config in ((2, HalfspaceConfig.exact_1d()), (1, HalfspaceConfig.exact_2d())):
+        request = DepthBatchRequest(reference=np.zeros((4, d)), queries=np.zeros((3, d)),
+                                    method="halfspace", halfspace=config)
+        outcome = depth_batch(request)
+        assert [i for i, _ in outcome.errors] == [0, 1, 2]
+        assert outcome.results == [None, None, None]
 
 
 def test_depth_batch_builds_the_reference_gram_once(monkeypatch):

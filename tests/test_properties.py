@@ -1,9 +1,11 @@
-"""Property tests of the kernel depth's dual solver against its certificates.
+"""Property tests of the depths against independent oracles.
 
-Each property draws small reference samples (with duplicate rows allowed) and
-checks the greedy coordinate-ascent solver against an independent oracle: the
-closed form where every dual variable sits at its box bound, a tight solve of
-the same problem, or the same problem with its reference rows permuted.
+The kernel depth's dual solver is checked on small reference samples (with
+duplicate rows allowed) against the closed form where every dual variable
+sits at its box bound, a tight solve of the same problem, or the same problem
+with its reference rows permuted.  The exact 2-d halfspace depth is checked
+against an enumeration in integer arithmetic on collinear, antipodal and
+duplicated integer point sets, and under integer affine maps.
 """
 import numpy as np
 import pytest
@@ -14,9 +16,15 @@ from hypothesis.extra import numpy as hnp  # noqa: E402
 
 from lossdepth import solvers  # noqa: E402
 from lossdepth.core import DataMatrix, DepthProblem, LossKind, QueryPoint, Reporting  # noqa: E402
-from lossdepth.depths import svm_depth  # noqa: E402
+from lossdepth.depths import (  # noqa: E402
+    DepthBatchRequest,
+    depth_batch,
+    halfspace_depth,
+    svm_depth,
+)
 from lossdepth.kernels import KernelSpec, gram  # noqa: E402
 from lossdepth.solvers import SolverConfig, svm_dual_solve, svm_duality_gap  # noqa: E402
+from test_depths import integer_halfspace_2d  # noqa: E402
 
 COORDINATE = st.floats(-2.0, 2.0, allow_nan=False, allow_infinity=False, width=64)
 
@@ -134,3 +142,57 @@ def test_a_starved_solve_stops_after_one_pass_inside_the_box(sample, kernel, lam
     _, longer = svm_dual_solve(problem, SolverConfig(max_iterations=2, tolerance=1e-14))
     assert starved.converged == (longer.converged and longer.iterations <= 1)
     assert starved.converged or (starved.iterations == 1 and starved.residual > 1e-14)
+
+
+INTEGER = st.integers(-6, 6)
+INTEGER_PAIR = st.tuples(INTEGER, INTEGER)
+
+
+@st.composite
+def integer_point_sets(draw):
+    """(points, query) on the integer lattice: scattered, antipodal about the
+    query, collinear through it, or with repeats of the query and of rows."""
+    z = np.array(draw(INTEGER_PAIR))
+    steps = np.array(draw(st.lists(INTEGER_PAIR, min_size=1, max_size=8)))
+    kind = draw(st.sampled_from(["scattered", "antipodal", "collinear", "duplicated"]))
+    if kind == "scattered":
+        points = steps
+    elif kind == "antipodal":
+        points = np.vstack([z + steps, z - steps])
+    elif kind == "collinear":
+        scales = np.array(draw(st.lists(st.integers(-3, 3), min_size=1, max_size=6)))
+        points = z + scales[:, None] * steps[:1]
+    else:
+        repeats = draw(st.lists(st.integers(0, steps.shape[0] - 1), max_size=4))
+        points = np.vstack([steps, steps[repeats], np.tile(z, (draw(st.integers(1, 3)), 1))])
+    order = draw(st.permutations(range(points.shape[0])))
+    return points[order], z
+
+
+@settings(max_examples=300)
+@given(integer_point_sets())
+def test_exact_2d_halfspace_matches_integer_enumeration(point_set):
+    points, z = point_set
+    expected = integer_halfspace_2d(points, z)
+    assert halfspace_depth(z.astype(float), points.astype(float)) == expected
+    queries = np.vstack([z, points]).astype(float)  # a batch with the query first
+    request = DepthBatchRequest(reference=points.astype(float), queries=queries,
+                                method="halfspace")
+    batch = depth_batch(request).values
+    assert batch[0] == expected
+    assert list(batch[1:]) == [integer_halfspace_2d(points, p) for p in points]
+
+
+NONSINGULAR_MAPS = st.tuples(INTEGER, INTEGER, INTEGER, INTEGER).filter(
+    lambda a: a[0] * a[3] != a[1] * a[2]
+).map(lambda a: np.array(a).reshape(2, 2))
+
+
+@settings(max_examples=200)
+@given(integer_point_sets(), NONSINGULAR_MAPS, INTEGER_PAIR)
+def test_exact_2d_halfspace_is_invariant_under_integer_affine_maps(point_set, linear, shift):
+    points, z = point_set
+    # integer images of small integers are exact in floating point
+    moved_points = (points @ linear.T + shift).astype(float)
+    moved_query = (linear @ z + shift).astype(float)
+    assert halfspace_depth(moved_query, moved_points) == integer_halfspace_2d(points, z)
