@@ -4,7 +4,8 @@ Subcommands: depth (score queries against a reference), benchmark (AUC of
 depths and baselines on labeled data), convergence (empirical rate fit),
 grid (plane heatmap with quantile thresholds), rankcorr (agreement with the
 true density on bimodal data).  Every command is a pure function of its
-input files, flags and seed; thread count changes speed only, never bytes.
+input files, flags and seed.  --threads and LOSSDEPTH_THREADS are checked and
+otherwise ignored: they change neither the bytes nor the speed.
 """
 from __future__ import annotations
 
@@ -71,8 +72,8 @@ def _add_common(parser) -> None:
         "--threads",
         type=int,
         default=None,
-        help="query-batch workers; 0 means one per cpu "
-        "(default: LOSSDEPTH_THREADS or 1)",
+        help="accepted for compatibility: a count >= 0 that changes neither "
+        "results nor speed (default: LOSSDEPTH_THREADS)",
     )
     parser.add_argument("--output", default=None, help="report path (default: print to stdout)")
     parser.add_argument("--format", choices=("csv", "json"), default="csv")
@@ -110,16 +111,20 @@ def _add_model_options(parser) -> None:
     parser.add_argument("--tolerance", type=float, default=None)
 
 
-def _threads_from(args) -> int:
-    if args.threads is not None:
-        return args.threads
-    raw = os.environ.get("LOSSDEPTH_THREADS")
-    if raw is None:
-        return 1
-    try:
-        return int(raw)
-    except ValueError:
-        raise ValidationError(f"LOSSDEPTH_THREADS must be an integer, got {raw!r}")
+def _check_threads(args) -> None:
+    """Reject a negative --threads or a malformed LOSSDEPTH_THREADS; the count
+    itself is not used."""
+    threads = args.threads
+    if threads is None:
+        raw = os.environ.get("LOSSDEPTH_THREADS")
+        if raw is None:
+            return
+        try:
+            threads = int(raw)
+        except ValueError:
+            raise ValidationError(f"LOSSDEPTH_THREADS must be an integer, got {raw!r}")
+    if threads < 0:
+        raise ValidationError("threads must be >= 0")
 
 
 def _solver_from(args, default_tolerance: float) -> SolverConfig:
@@ -184,7 +189,6 @@ def cmd_depth(args) -> int:
     reference = _read_features(args.reference, args)
     queries = _read_features(args.queries, args)
     method = _METHOD_NAMES[args.method]
-    threads = _threads_from(args)
     solver = _solver_from(args, default_tolerance=1e-8)
 
     kernel = None
@@ -209,7 +213,7 @@ def cmd_depth(args) -> int:
         solver=solver,
         halfspace=halfspace,
     )
-    outcome = depth_batch(request, threads)
+    outcome = depth_batch(request)
 
     depths = ReportTable("depths", ("query", "depth", "converged", "iterations", "residual"))
     for i, result in enumerate(outcome.results):
@@ -286,7 +290,6 @@ def cmd_benchmark(args) -> int:
         lof_k=args.lof_k,
         nu=args.ocsvm_nu,
         solver=solver,
-        threads=_threads_from(args),
     )
     table = ReportTable("auc", ("method", "parameter", "auc"))
     for row in rows:
@@ -371,7 +374,6 @@ def cmd_grid(args) -> int:
         data = sample.points
     else:
         data = _read_features(args.data, args)
-    threads = _threads_from(args)
     solver = _solver_from(args, default_tolerance=1e-6)
 
     kernel = None
@@ -384,7 +386,6 @@ def cmd_grid(args) -> int:
             lam=args.lam,
             kernel=kernel,
             solver=solver,
-            threads=threads,
             require_convergence=False,
         )
     elif args.method == "ocsvm":
@@ -424,7 +425,6 @@ def cmd_grid(args) -> int:
 
 
 def cmd_rankcorr(args) -> int:
-    threads = _threads_from(args)
     solver = _solver_from(args, default_tolerance=1e-6)
     table = ReportTable("rankcorr", ("method", "d", "run", "kendall", "spearman"))
     for method in args.methods:
@@ -451,7 +451,6 @@ def cmd_rankcorr(args) -> int:
                 lam=args.lam,
                 kernel=_resolve_kernel(args, sample) if method == "svm" else None,
                 solver=solver,
-                threads=threads,
                 require_convergence=False,
             )
             return scorer(sample)
@@ -562,6 +561,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _check_threads(args)
         return args.handler(args)
     except LossDepthError as error:
         print(f"error: {error}", file=sys.stderr)

@@ -125,6 +125,14 @@ def weighted_expectation(positive_losses, negative_loss: float) -> float:
     return float(pos.sum() / (2.0 * pos.size) + 0.5 * float(negative_loss))
 
 
+def lambda_violation(lam: float) -> str | None:
+    """Why the ridge strength lam admits no unique regularised minimiser, or
+    None when it does: lam must be finite and positive."""
+    if 0.0 < lam < math.inf:
+        return None
+    return "minimizer may be unbounded: lambda must be positive for a unique regularised minimiser"
+
+
 @dataclass(frozen=True, eq=False)
 class DepthProblem:
     """One depth evaluation: reference sample, query, loss family and knobs.
@@ -152,10 +160,8 @@ class DepthProblem:
             violations.append(
                 f"dimension mismatch: reference has d={self.reference.d}, query has d={self.query.d}"
             )
-        if not self.lam > 0.0:
-            violations.append(
-                "minimizer may be unbounded: lambda must be positive for a unique regularised minimiser"
-            )
+        if (lam_violation := lambda_violation(self.lam)) is not None:
+            violations.append(lam_violation)
         if self.loss is LossKind.HINGE and self.kernel is None:
             violations.append("hinge depth requires a kernel")
         if violations:

@@ -4,21 +4,20 @@ halfspace_depth is the classical smallest closed-halfspace probability,
 computed exactly in one and two dimensions and bounded from above by seeded
 random directions in higher dimension.  logistic_depth and svm_depth report
 the weighted classification loss of the best ridge-penalised separator
-between the reference sample and the query.  depth_batch maps any of them
-over many queries with identical results for any thread count.  Two depths
-are batch operations that a single query shares: the halfspace depth (the
-exact 1-d depth sorts the reference once, the exact 2-d depth sweeps
-cache-sized blocks of queries with one sort per query row, and random
-directions are drawn once per batch), and, without an intercept, with a
-bounded kernel of constant diagonal kappa and lam >= kappa/4, the kernel
-depth in closed form, one block of queries at a time.  The other depths run
-one solve per query, optionally across threads.
+between the reference sample and the query.  depth_batch scores many
+queries against one reference.  Two depths are batch operations that a
+single query shares: the halfspace depth (the exact 1-d depth sorts the
+reference once, the exact 2-d depth sweeps cache-sized blocks of queries
+with one sort per query row, and random directions are drawn once per
+batch), and, without an intercept, with a bounded kernel of constant
+diagonal kappa and lam >= kappa/4, the kernel depth in closed form, one
+block of queries at a time.  The other depths run one solve per query, in
+request order.
 """
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -32,6 +31,7 @@ from .core import (
     ValidationError,
     as_data_matrix,
     as_query_point,
+    lambda_violation,
     weighted_expectation,
 )
 from .kernels import KernelSpec, gram
@@ -313,7 +313,7 @@ def _kernel_means(spec: KernelSpec, reference: np.ndarray, queries: np.ndarray):
     r[s:e], its column sums past the diagonal block to r[e:], and its query
     columns are the queries' kernel values on rows s:e.  A block holds about
     KERNEL_BLOCK_ENTRIES reference values, so the blocks, and with them the
-    bits of r, depend on n alone: not on the queries or the thread count.
+    bits of r, depend on n alone, not on the queries.
     Returns (r, query kernel) with the query kernel of shape (m, n).
     """
     n = reference.shape[0]
@@ -498,6 +498,8 @@ class DepthBatchRequest:
             raise ValidationError(f"unknown depth method {self.method!r}")
         if self.method == METHOD_SVM and self.kernel is None:
             raise ValidationError("svm depth requires a kernel")
+        if self.method != METHOD_HALFSPACE and (violation := lambda_violation(self.lam)):
+            raise ValidationError(violation)
 
 
 @dataclass(eq=False)
@@ -518,24 +520,20 @@ class BatchResult:
         return np.array([r.value for r in self.results])
 
 
-def depth_batch(request: DepthBatchRequest, threads: int = 1) -> BatchResult:
-    """Score every query in the request, optionally across worker threads.
+def depth_batch(request: DepthBatchRequest) -> BatchResult:
+    """Score every query in the request.
 
-    Thread count never changes the numbers: queries are independent and the
-    shared reference structures, built once here, are read-only.  For the
-    kernel depth that is the reference Gram matrix, whenever there are queries
-    and n is within the solver's dense limit.  Errors are collected per query
-    instead of aborting the batch; a halfspace mode that does not fit the
-    dimension is recorded at every query.  The halfspace depth and a kernel
-    depth in closed form (_closed_form_applies) use no threads: they are
-    scored block by block, by the same code as a single query.
+    The shared reference structures are built once here and only read by the
+    queries.  For the kernel depth that is the reference Gram matrix,
+    whenever there are queries and n is within the solver's dense limit.
+    Errors are collected per query instead of aborting the batch; a halfspace
+    mode that does not fit the dimension is recorded at every query.  The
+    halfspace depth and a kernel depth in closed form (_closed_form_applies)
+    are scored block by block, by the same code as a single query; the
+    logistic depth and the iterative kernel depth run one solve per query, in
+    request order.
     """
     m = request.queries.shape[0]
-    if threads < 0:
-        raise ValidationError("threads must be >= 0 (0 means one per cpu)")
-    if threads == 0:
-        threads = os.cpu_count() or 1
-
     svm_intercept = False if request.intercept is None else request.intercept
     if request.method == METHOD_SVM and _closed_form_applies(
         request.kernel, request.lam, svm_intercept
@@ -560,44 +558,35 @@ def depth_batch(request: DepthBatchRequest, threads: int = 1) -> BatchResult:
         ]
         return BatchResult(results=results, errors=[])
 
-    reference_gram = None
-    if request.method == METHOD_SVM and m > 0 and request.reference.n <= solvers.DENSE_GRAM_LIMIT:
-        reference_gram = gram(request.kernel, request.reference.values)
-
-    def attempt(query: np.ndarray) -> tuple:
-        """(result, None) on success, (None, message) on failure."""
-        try:
-            if request.method == METHOD_LOGISTIC:
-                result = logistic_depth(
-                    query,
-                    request.reference,
-                    request.lam,
-                    intercept=True if request.intercept is None else request.intercept,
-                    reporting=request.reporting,
-                    normalize=request.normalize,
-                    solver=request.solver,
-                )
-            else:
-                result = svm_depth(
-                    query,
-                    request.reference,
-                    request.lam,
-                    kernel=request.kernel,
-                    intercept=svm_intercept,
-                    reporting=request.reporting,
-                    solver=request.solver,
-                    reference_gram=reference_gram,
-                )
-            return result, None
-        except Exception as exc:  # noqa: BLE001 - aggregated per query
-            return None, str(exc)
-
-    if threads == 1 or m <= 1:
-        outcomes = list(map(attempt, request.queries))
+    if request.method == METHOD_LOGISTIC:
+        solve = partial(
+            logistic_depth,
+            reference=request.reference,
+            lam=request.lam,
+            intercept=True if request.intercept is None else request.intercept,
+            reporting=request.reporting,
+            normalize=request.normalize,
+            solver=request.solver,
+        )
     else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            outcomes = list(pool.map(attempt, request.queries))
-    return BatchResult(
-        results=[result for result, _ in outcomes],
-        errors=[(i, error) for i, (_, error) in enumerate(outcomes) if error is not None],
-    )
+        reference_gram = None
+        if m > 0 and request.reference.n <= solvers.DENSE_GRAM_LIMIT:
+            reference_gram = gram(request.kernel, request.reference.values)
+        solve = partial(
+            svm_depth,
+            reference=request.reference,
+            lam=request.lam,
+            kernel=request.kernel,
+            intercept=svm_intercept,
+            reporting=request.reporting,
+            solver=request.solver,
+            reference_gram=reference_gram,
+        )
+    results, errors = [], []
+    for i, query in enumerate(request.queries):
+        try:
+            results.append(solve(query))
+        except Exception as exc:  # noqa: BLE001 - recorded per query
+            results.append(None)
+            errors.append((i, str(exc)))
+    return BatchResult(results=results, errors=errors)

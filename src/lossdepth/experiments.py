@@ -132,7 +132,6 @@ def depth_scorer(
     normalize: bool = True,
     solver: SolverConfig | None = None,
     halfspace: HalfspaceConfig | None = None,
-    threads: int = 1,
     require_convergence: bool = True,
 ):
     """Bind a depth method to a fixed reference sample.
@@ -159,7 +158,7 @@ def depth_scorer(
             solver=solver,
             halfspace=halfspace,
         )
-        outcome = depth_batch(request, threads)
+        outcome = depth_batch(request)
         values = outcome.values
         if require_convergence:
             stalled = [r for r in outcome.results if not r.converged]
@@ -392,7 +391,6 @@ def benchmark_auc(
     lof_k=(5, 10, 15, 20, 30),
     nu: float = 0.15,
     solver: SolverConfig | None = None,
-    threads: int = 1,
 ) -> list:
     """Inlier-versus-outlier AUC of each scoring method on a held-out set.
 
@@ -417,15 +415,12 @@ def benchmark_auc(
     rows = []
     for method in methods:
         if method == "lr":
-            score = depth_scorer(
-                METHOD_LOGISTIC, train_m, lam=lam, solver=solver, threads=threads
-            )
+            score = depth_scorer(METHOD_LOGISTIC, train_m, lam=lam, solver=solver)
             rows.append(BenchmarkRow("lr", f"lam={lam:g}",
                                      auc_roc(score(test_m.values), inlier)))
         elif method == "svm":
             score = depth_scorer(
-                METHOD_SVM, train_m, lam=lam, kernel=shared_kernel,
-                solver=solver, threads=threads,
+                METHOD_SVM, train_m, lam=lam, kernel=shared_kernel, solver=solver
             )
             rows.append(BenchmarkRow("svm", f"lam={lam:g}",
                                      auc_roc(score(test_m.values), inlier)))

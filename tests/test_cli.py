@@ -155,7 +155,7 @@ def test_depth_laplacian_requires_sigma(sample_files, capsys):
 def test_depth_partial_failure_exit_code(sample_files, tmp_path, capsys, monkeypatch):
     reference, queries = sample_files
 
-    def broken_batch(request, threads):
+    def broken_batch(request):
         return BatchResult(results=[None] * len(request.queries),
                            errors=[(0, "boom"), (2, "boom")])
 
@@ -184,6 +184,35 @@ def test_threads_env_variable(sample_files, tmp_path, monkeypatch, capsys):
     capsys.readouterr()
     assert cli.main(["depth", reference, queries]) == cli.EXIT_INVALID
     assert "LOSSDEPTH_THREADS" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("method", ["lr", "svm"])
+@pytest.mark.parametrize("lam", ["0", "-1", "nan", "inf"])
+def test_depth_rejects_a_bad_lambda_once_per_request(sample_files, capsys, method, lam):
+    reference, queries = sample_files
+    code = cli.main(["depth", reference, queries, "--method", method, "--lambda", lam])
+    assert code == cli.EXIT_INVALID
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:") and "lambda" in lines[0]
+
+
+@pytest.mark.parametrize("command", [
+    ["depth", "{reference}", "{queries}"],
+    ["benchmark", "{labeled}", "--split", "--label-column", "2", "--methods", "lr"],
+    ["convergence", "--n-grid", "10", "--repeats", "1", "--n-ref", "20"],
+    ["grid", "--contaminated", "--n", "20", "--resolution", "2"],
+    ["rankcorr", "--n", "20", "--runs", "1"],
+])
+def test_negative_threads_exit_two_on_every_subcommand(sample_files, labeled_file, capsys,
+                                                       command):
+    reference, queries = sample_files
+    argv = [part.format(reference=reference, queries=queries, labeled=labeled_file)
+            for part in command]
+    assert cli.main(argv + ["--threads", "-1"]) == cli.EXIT_INVALID
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:") and "threads" in lines[0]
 
 
 @pytest.fixture()

@@ -153,11 +153,10 @@ def test_halfspace_batch_is_bit_identical_to_single_calls_across_block_edges(mon
             alone = [halfspace_depth(q, reference, config) for q in queries]
             request = DepthBatchRequest(reference=reference, queries=queries,
                                         method="halfspace", halfspace=config)
-            for threads in (1, 2):
-                batch = depth_batch(request, threads)
-                assert batch.errors == []
-                assert [r.value for r in batch.results] == alone, (config.mode, m)
-                assert all(type(r.value) is float for r in batch.results)
+            batch = depth_batch(request)
+            assert batch.errors == []
+            assert [r.value for r in batch.results] == alone, (config.mode, m)
+            assert all(type(r.value) is float for r in batch.results)
 
 
 def test_halfspace_1d_counts_ties_on_both_closed_sides():
@@ -470,12 +469,11 @@ def test_svm_closed_form_is_bit_identical_alone_and_in_a_batch(monkeypatch):
             for reporting in Reporting:
                 alone = [svm_depth(q, reference, 1.0, kernel=spec, reporting=reporting)
                          for q in queries]
-                for threads in (1, 2):
-                    request = DepthBatchRequest(reference=reference, queries=queries,
-                                                method="svm", kernel=spec, reporting=reporting)
-                    batch = depth_batch(request, threads).results
-                    assert [r.value for r in batch] == [r.value for r in alone]
-                    assert [r.residual for r in batch] == [r.residual for r in alone]
+                request = DepthBatchRequest(reference=reference, queries=queries,
+                                            method="svm", kernel=spec, reporting=reporting)
+                batch = depth_batch(request).results
+                assert [r.value for r in batch] == [r.value for r in alone]
+                assert [r.residual for r in batch] == [r.residual for r in alone]
 
 
 def test_kernel_means_match_the_gram_row_means(monkeypatch):
@@ -500,10 +498,6 @@ def test_depth_batch_request_validation():
         DepthBatchRequest(reference=reference, queries=np.zeros((2, 2)), method="nope")
     with pytest.raises(ValidationError):
         DepthBatchRequest(reference=reference, queries=np.zeros((2, 2)), method="svm")
-    with pytest.raises(ValidationError):
-        request = DepthBatchRequest(reference=reference, queries=np.zeros((2, 2)),
-                                    method="logistic")
-        depth_batch(request, threads=-1)
 
 
 def test_depth_batch_empty_queries():
@@ -524,19 +518,6 @@ def test_depth_batch_matches_single_calls():
     assert np.allclose(outcome.values, singles, atol=0.0)
 
 
-def test_depth_batch_threads_do_not_change_bytes():
-    rng = np.random.default_rng(2)
-    reference = rng.standard_normal((40, 2))
-    queries = rng.standard_normal((16, 2))
-    spec = KernelSpec.gaussian(0.8)
-    for method, kernel in (("logistic", None), ("svm", spec), ("halfspace", None)):
-        request = DepthBatchRequest(reference=reference, queries=queries,
-                                    method=method, kernel=kernel)
-        sequential = depth_batch(request, threads=1).values
-        parallel = depth_batch(request, threads=8).values
-        assert np.array_equal(sequential, parallel)
-
-
 def test_depth_batch_collects_per_query_errors():
     # halfspace depth over d=3 queries is reachable only through an explicit
     # sampling config; per-query failures must not abort the batch
@@ -547,12 +528,11 @@ def test_depth_batch_collects_per_query_errors():
         method="halfspace",
         halfspace=HalfspaceConfig.exact_2d(),  # wrong dimension on purpose
     )
-    for threads in (1, 2):
-        outcome = depth_batch(request, threads)
-        assert [i for i, _ in outcome.errors] == [0, 1]
-        assert outcome.results == [None, None]
-        with pytest.raises(ValidationError):
-            outcome.values
+    outcome = depth_batch(request)
+    assert [i for i, _ in outcome.errors] == [0, 1]
+    assert outcome.results == [None, None]
+    with pytest.raises(ValidationError):
+        outcome.values
     for d, config in ((2, HalfspaceConfig.exact_1d()), (1, HalfspaceConfig.exact_2d())):
         request = DepthBatchRequest(reference=np.zeros((4, d)), queries=np.zeros((3, d)),
                                     method="halfspace", halfspace=config)

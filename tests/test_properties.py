@@ -3,9 +3,11 @@
 The kernel depth's dual solver is checked on small reference samples (with
 duplicate rows allowed) against the closed form where every dual variable
 sits at its box bound, a tight solve of the same problem, or the same problem
-with its reference rows permuted.  The exact 2-d halfspace depth is checked
-against an enumeration in integer arithmetic on collinear, antipodal and
-duplicated integer point sets, and under integer affine maps.
+with its reference rows permuted or moved by a rotation and a translation.
+The exact 2-d halfspace depth is checked against an enumeration in integer
+arithmetic on collinear, antipodal and duplicated integer point sets, and
+under integer affine maps.  A pinned example shows that the logistic depth
+with a penalised intercept is not translation invariant.
 """
 import numpy as np
 import pytest
@@ -20,6 +22,7 @@ from lossdepth.depths import (  # noqa: E402
     DepthBatchRequest,
     depth_batch,
     halfspace_depth,
+    logistic_depth,
     svm_depth,
 )
 from lossdepth.kernels import KernelSpec, gram  # noqa: E402
@@ -116,6 +119,64 @@ def test_permuting_the_reference_moves_the_depth_within_the_gaps(sample, kernel,
         values.append(_dual_depth(alpha, fvals, lam, Reporting.LOSS_PLUS_REG))
         gaps.append(svm_duality_gap(alpha, labels, fvals, lam))
     assert abs(values[0] - values[1]) <= max(gaps) + 1e-12
+
+
+@st.composite
+def rigid_motions(draw, d):
+    """(rotation, shift): a d x d rotation drawn as the orthogonal factor of a
+    seeded Gaussian matrix, its determinant made +1, and a translation."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rotation, _ = np.linalg.qr(rng.standard_normal((d, d)))
+    if np.linalg.det(rotation) < 0.0:
+        rotation[:, 0] = -rotation[:, 0]
+    shift = draw(hnp.arrays(float, (d,), elements=COORDINATE))
+    return rotation, shift
+
+
+@settings(max_examples=60)
+@given(samples(), GAUSSIAN, st.floats(0.0, 3.0), st.sampled_from(list(Reporting)), st.data())
+def test_closed_form_svm_depth_is_invariant_under_rigid_motions(
+    sample, kernel, excess, reporting, data
+):
+    reference, query = sample
+    rotation, shift = data.draw(rigid_motions(reference.shape[1]))
+    lam = 0.25 + excess  # a Gaussian kernel has kappa = 1
+    before = svm_depth(query, reference, lam, kernel=kernel, reporting=reporting)
+    after = svm_depth(rotation @ query + shift, reference @ rotation.T + shift, lam,
+                      kernel=kernel, reporting=reporting)
+    assert before.iterations == after.iterations == 0
+    assert abs(before.value - after.value) <= 1e-12
+
+
+@settings(max_examples=40)
+@given(samples(), GAUSSIAN, SMALL_LAMBDA, st.data())
+def test_rigid_motions_move_the_iterative_svm_depth_within_the_gaps(sample, kernel, lam, data):
+    reference, query = sample
+    rotation, shift = data.draw(rigid_motions(reference.shape[1]))
+    labels = _labels(reference.shape[0])
+    moved = (reference @ rotation.T + shift, rotation @ query + shift)
+    values, gaps = [], []
+    for rows, point in ((reference, query), moved):
+        values.append(svm_depth(point, rows, lam, kernel=kernel,
+                                reporting=Reporting.LOSS_PLUS_REG).value)
+        alpha, diagnostics = svm_dual_solve(_problem(rows, point, lam, kernel))
+        gaps.append(svm_duality_gap(alpha, labels, diagnostics.function_values, lam))
+    # both values are primal objectives of problems with one optimum
+    assert abs(values[0] - values[1]) <= sum(gaps) + 1e-12
+
+
+def test_penalised_intercept_logistic_depth_is_not_translation_invariant():
+    # the intercept is penalised like a weight, so moving the data away from
+    # the origin makes separating the query dearer and pulls its depth to 1
+    reference = np.arange(10.0)[:, None]
+    query = np.array([2.0])
+    shift = 10.0
+    before = logistic_depth(query, reference, 0.1)
+    after = logistic_depth(query + shift, reference + shift, 0.1)
+    assert before.converged and after.converged
+    assert before.value == pytest.approx(0.858825274580, abs=1e-9)
+    assert after.value == pytest.approx(0.979670796257, abs=1e-9)
+    assert after.value - before.value > 0.1
 
 
 @settings(max_examples=40)
