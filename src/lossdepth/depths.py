@@ -5,19 +5,19 @@ computed exactly in one and two dimensions and bounded from above by seeded
 random directions in higher dimension.  logistic_depth and svm_depth report
 the weighted classification loss of the best ridge-penalised separator
 between the reference sample and the query.  depth_batch scores many
-queries against one reference.  Two depths are batch operations that a
+queries against one reference.  Three depths are batch operations that a
 single query shares: the halfspace depth (the exact 1-d depth sorts the
 reference once, the exact 2-d depth sweeps cache-sized blocks of queries
 with one sort per query row, and random directions are drawn once per
-batch), and, without an intercept, with a bounded kernel of constant
+batch), the logistic depth (one lockstep Newton solve per cache-sized block
+of queries), and, without an intercept, with a bounded kernel of constant
 diagonal kappa and lam >= kappa/4, the kernel depth in closed form, one
-block of queries at a time.  The other depths run one solve per query, in
-request order.
+block of queries at a time.  The iterative kernel depth runs one solve per
+query, in request order.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
@@ -36,7 +36,13 @@ from .core import (
 )
 from .kernels import KernelSpec, gram
 from . import solvers
-from .solvers import SolverConfig, logistic_solve, svm_dual_solve
+from .solvers import (
+    SolverConfig,
+    augment,
+    logistic_block_solve,
+    logistic_features,
+    svm_dual_solve,
+)
 
 EXACT_1D = "exact-1d"
 EXACT_2D = "exact-2d"
@@ -256,7 +262,8 @@ def logistic_depth(
     Runs damped Newton to the unique minimiser and reports the weighted
     log-loss there (plus the ridge term when reporting asks for it).  With
     normalize the value is divided by log 2, the loss of the constant-zero
-    classifier, so it lands in [0, 1].
+    classifier, so it lands in [0, 1].  The query is a batch of one, by the
+    same code and to the same bits as in depth_batch.
     """
     problem = DepthProblem(
         reference=as_data_matrix(reference),
@@ -267,23 +274,58 @@ def logistic_depth(
         reporting=reporting,
         normalize=normalize,
     )
-    weights, diagnostics = logistic_solve(problem, solver)
-    margins = diagnostics.function_values
-    n = problem.reference.n
-    positive = np.logaddexp(0.0, -margins[:n])
-    negative = float(np.logaddexp(0.0, margins[n]))
-    value = weighted_expectation(positive, negative)
-    if reporting is Reporting.LOSS_PLUS_REG:
-        value += lam * float(weights @ weights)
-    if normalize:
-        value /= LOG2
-    return DepthResult(
-        value=float(value),
-        iterations=diagnostics.iterations,
-        residual=diagnostics.residual,
-        converged=diagnostics.converged,
-        coefficients=weights,
-    )
+    return _logistic_depths(
+        problem.reference.values, problem.query.coords[None, :], lam, intercept, reporting,
+        normalize, solver,
+    )[0]
+
+
+# Entries of the largest per-block array, the (block, D, max(n, D)) Hessian
+# product and Hessians, per lockstep Newton block: 1 MiB of float64, about
+# 2^15 query-reference pairs at D = 3, and one query per block at large D.
+LOGISTIC_BLOCK_ENTRIES = 1 << 17
+
+
+def _logistic_depths(
+    reference: np.ndarray,
+    queries: np.ndarray,
+    lam: float,
+    intercept: bool,
+    reporting: Reporting,
+    normalize: bool,
+    solver: SolverConfig | None,
+) -> list:
+    """Logistic depths of every query, one lockstep Newton block at a time.
+
+    The augmented reference is built once; a block's Hessian product holds
+    about LOGISTIC_BLOCK_ENTRIES values, and each query's result depends on
+    its own row only, so a query gets the same bits alone or in any batch.
+    """
+    features = logistic_features(reference, intercept)
+    rows = augment(queries, intercept)
+    dim, n = features.shape
+    size = max(1, LOGISTIC_BLOCK_ENTRIES // (dim * max(n, dim)))
+    results = []
+    for start in range(0, rows.shape[0], size):
+        weights, losses, diagnostics = logistic_block_solve(
+            features, rows[start : start + size], lam, solver
+        )
+        for w, loss, diag in zip(weights, losses, diagnostics):
+            value = float(loss)
+            if reporting is Reporting.LOSS_PLUS_REG:
+                value += lam * float(w @ w)
+            if normalize:
+                value /= LOG2
+            results.append(
+                DepthResult(
+                    value=value,
+                    iterations=diag.iterations,
+                    residual=diag.residual,
+                    converged=diag.converged,
+                    coefficients=w,
+                )
+            )
+    return results
 
 
 KERNEL_BLOCK_ENTRIES = 1 << 18  # reference kernel values per block: 2 MiB of float64
@@ -528,9 +570,9 @@ def depth_batch(request: DepthBatchRequest) -> BatchResult:
     whenever there are queries and n is within the solver's dense limit.
     Errors are collected per query instead of aborting the batch; a halfspace
     mode that does not fit the dimension is recorded at every query.  The
-    halfspace depth and a kernel depth in closed form (_closed_form_applies)
-    are scored block by block, by the same code as a single query; the
-    logistic depth and the iterative kernel depth run one solve per query, in
+    halfspace depth, the logistic depth and a kernel depth in closed form
+    (_closed_form_applies) are scored block by block, by the same code as a
+    single query; the iterative kernel depth runs one solve per query, in
     request order.
     """
     m = request.queries.shape[0]
@@ -559,33 +601,26 @@ def depth_batch(request: DepthBatchRequest) -> BatchResult:
         return BatchResult(results=results, errors=[])
 
     if request.method == METHOD_LOGISTIC:
-        solve = partial(
-            logistic_depth,
-            reference=request.reference,
-            lam=request.lam,
-            intercept=True if request.intercept is None else request.intercept,
-            reporting=request.reporting,
-            normalize=request.normalize,
-            solver=request.solver,
+        results = _logistic_depths(
+            request.reference.values, request.queries, request.lam,
+            True if request.intercept is None else request.intercept,
+            request.reporting, request.normalize, request.solver,
         )
-    else:
-        reference_gram = None
-        if m > 0 and request.reference.n <= solvers.DENSE_GRAM_LIMIT:
-            reference_gram = gram(request.kernel, request.reference.values)
-        solve = partial(
-            svm_depth,
-            reference=request.reference,
-            lam=request.lam,
-            kernel=request.kernel,
-            intercept=svm_intercept,
-            reporting=request.reporting,
-            solver=request.solver,
-            reference_gram=reference_gram,
-        )
+        return BatchResult(results=results, errors=[])
+
+    reference_gram = None
+    if m > 0 and request.reference.n <= solvers.DENSE_GRAM_LIMIT:
+        reference_gram = gram(request.kernel, request.reference.values)
     results, errors = [], []
     for i, query in enumerate(request.queries):
         try:
-            results.append(solve(query))
+            results.append(
+                svm_depth(
+                    query, request.reference, request.lam, kernel=request.kernel,
+                    intercept=svm_intercept, reporting=request.reporting, solver=request.solver,
+                    reference_gram=reference_gram,
+                )
+            )
         except Exception as exc:  # noqa: BLE001 - recorded per query
             results.append(None)
             errors.append((i, str(exc)))

@@ -1,6 +1,7 @@
 """Positive-definite kernels and data-driven bandwidth heuristics."""
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,6 +30,8 @@ class KernelSpec:
     laplacian: k(x, y) = exp(-||x - y||_1 / sigma),      sigma > 0
     imq:       k(x, y) = (c^2 + ||x - y||^2)^beta,       c > 0, beta < 0
     linear:    k(x, y) = <x, y>
+
+    Every parameter a family reads must be finite.
     """
 
     family: str
@@ -40,12 +43,12 @@ class KernelSpec:
     def __post_init__(self):
         if self.family not in _FAMILIES:
             raise ValidationError(f"unknown kernel family {self.family!r}")
-        if self.family == GAUSSIAN and not self.gamma > 0.0:
-            raise ValidationError("gaussian kernel needs gamma > 0")
-        if self.family == LAPLACIAN and not self.sigma > 0.0:
-            raise ValidationError("laplacian kernel needs sigma > 0")
-        if self.family == IMQ and not (self.c > 0.0 and self.beta < 0.0):
-            raise ValidationError("imq kernel needs c > 0 and beta < 0")
+        if self.family == GAUSSIAN and not 0.0 < self.gamma < math.inf:
+            raise ValidationError("gaussian kernel needs a finite gamma > 0")
+        if self.family == LAPLACIAN and not 0.0 < self.sigma < math.inf:
+            raise ValidationError("laplacian kernel needs a finite sigma > 0")
+        if self.family == IMQ and not (0.0 < self.c < math.inf and -math.inf < self.beta < 0.0):
+            raise ValidationError("imq kernel needs a finite c > 0 and a finite beta < 0")
 
     @classmethod
     def gaussian(cls, gamma: float) -> "KernelSpec":

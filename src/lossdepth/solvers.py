@@ -1,21 +1,22 @@
 """Optimisers behind the regularised depths.
 
 Two solvers are provided.  The logistic depth runs damped Newton with Armijo
-backtracking on the ridge-penalised expected log-loss.  The kernel hinge
-depth solves the box constrained dual of the weighted SVM, by greedy
-maximal-violation coordinate ascent without an intercept (the default), or
-by maximal-violating-pair updates that keep the balance constraint when an
-unpenalised intercept is requested.  Both read the kernel through the same
-column and diagonal interface, and the pairwise solver also fits the
-one-class SVM baseline, whose dual has the same form.
+backtracking on the ridge-penalised expected log-loss, for a block of
+queries in lockstep, each with its own line search and stopping rule.  The
+kernel hinge depth solves the box constrained dual of the weighted SVM, by
+greedy maximal-violation coordinate ascent without an intercept (the
+default), or by maximal-violating-pair updates that keep the balance
+constraint when an unpenalised intercept is requested.  Both read the kernel
+through the same column and diagonal interface, and the pairwise solver also
+fits the one-class SVM baseline, whose dual has the same form.
 """
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.special import expit
 
 from .core import DepthProblem, LossKind, ValidationError
 from .kernels import KernelSpec, gram
@@ -43,8 +44,8 @@ class SolverConfig:
     def __post_init__(self):
         if self.max_iterations < 1:
             raise ValidationError("solver needs max_iterations >= 1")
-        if not self.tolerance > 0.0:
-            raise ValidationError("solver needs a positive tolerance")
+        if not 0.0 < self.tolerance < math.inf:
+            raise ValidationError("solver needs a finite positive tolerance")
 
 
 @dataclass
@@ -86,29 +87,77 @@ def _require_loss(problem: DepthProblem, loss: LossKind) -> None:
         raise ValidationError(f"expected a {loss.value} problem, got {problem.loss.value}")
 
 
-def _logistic_rows(problem: DepthProblem) -> np.ndarray:
-    """Augmented reference rows followed by the augmented query row."""
-    points = np.vstack([problem.reference.values, problem.query.coords[None, :]])
-    return augment(points, problem.intercept)
+def _logistic_evaluate(
+    weights: np.ndarray, features: np.ndarray, queries: np.ndarray, lam: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Signed margins, exp(-|signed margin|), weighted log-loss and objective
+    value of each row of weights against its own row of queries.
+
+    features is the (D, n) augmented reference from logistic_features and
+    queries the (B, D) augmented queries.  The signed margins y f hold the n
+    reference margins (label +1) and then the negated query margin (label
+    -1), so every pointwise loss is softplus(-s) = log1p(exp(-|s|)) - min(s, 0):
+    one exp and one log1p for the whole evaluation, and no exponent
+    overflows.  The margins are contracted over the D coordinates by einsum,
+    never by a matrix product, whose rounding could depend on how many rows
+    there are: each row's bits depend on its own weights and query alone.
+    """
+    n = features.shape[1]
+    signed = np.empty((weights.shape[0], n + 1))
+    np.einsum("ad,dn->an", weights, features, out=signed[:, :n])
+    np.negative(np.einsum("ad,ad->a", weights, queries), out=signed[:, n])
+    exps = np.abs(signed)
+    np.negative(exps, out=exps)
+    np.exp(exps, out=exps)
+    losses = np.log1p(exps)
+    losses -= np.minimum(signed, 0.0)
+    loss = losses[:, :n].sum(axis=1) / (2.0 * n) + 0.5 * losses[:, n]
+    return signed, exps, loss, loss + lam * np.einsum("ad,ad->a", weights, weights)
 
 
-def _logistic_value_grad(
-    w: np.ndarray, rows: np.ndarray, lam: float
-) -> tuple[np.ndarray, float, np.ndarray]:
-    """Margins of every row, objective value and gradient at w."""
-    n = rows.shape[0] - 1
-    margins = rows @ w
-    value = (
-        float(np.logaddexp(0.0, -margins[:n]).sum()) / (2.0 * n)
-        + 0.5 * float(np.logaddexp(0.0, margins[n]))
-        + lam * float(w @ w)
-    )
-    grad = (
-        -(rows[:n].T @ expit(-margins[:n])) / (2.0 * n)
-        + 0.5 * expit(margins[n]) * rows[n]
-        + 2.0 * lam * w
-    )
-    return margins, value, grad
+def _logistic_gradient(
+    weights: np.ndarray, signed: np.ndarray, exps: np.ndarray, features: np.ndarray,
+    queries: np.ndarray, lam: float,
+) -> np.ndarray:
+    """Each row's objective gradient from its evaluation.  A point's loss
+    slope sigmoid(-s) is 1 / (1 + exps) where s < 0 and exps / (1 + exps)
+    elsewhere; as exps <= 1, the numerator is max(exps, [s < 0])."""
+    n = features.shape[1]
+    slopes = np.maximum(exps, signed < 0.0)
+    slopes /= 1.0 + exps
+    grad = np.einsum("an,dn->ad", slopes[:, :n], features) / (-2.0 * n)
+    grad += (0.5 * slopes[:, n])[:, None] * queries
+    grad += (2.0 * lam) * weights
+    return grad
+
+
+def _logistic_hessian(
+    exps: np.ndarray, features: np.ndarray, queries: np.ndarray, lam: float
+) -> np.ndarray:
+    """Each row's Hessian X' diag(c) X / (2n) + 0.5 c_q q q' + 2 lam I, with
+    the curvature c = sigmoid(s) sigmoid(-s) = exps / (1 + exps)^2.  The
+    stacked product runs one small matrix product per row."""
+    n = features.shape[1]
+    curvature = exps / np.square(1.0 + exps)
+    hessian = (features * (curvature[:, None, :n] / (2.0 * n))) @ features.T
+    hessian += (0.5 * curvature[:, n])[:, None, None] * (queries[:, :, None] * queries[:, None, :])
+    diagonal = np.arange(features.shape[0])
+    hessian[:, diagonal, diagonal] += 2.0 * lam
+    return hessian
+
+
+def logistic_features(reference: np.ndarray, intercept: bool) -> np.ndarray:
+    """The augmented (n, D) reference transposed to (D, n), one contiguous row
+    per coordinate, as the logistic solver reads it."""
+    return np.ascontiguousarray(augment(reference, intercept).T)
+
+
+def _logistic_parts(problem: DepthProblem) -> tuple[np.ndarray, np.ndarray]:
+    """The augmented reference features and the (1, D) augmented query of a
+    logistic problem."""
+    _require_loss(problem, LossKind.LOGISTIC)
+    features = logistic_features(problem.reference.values, problem.intercept)
+    return features, augment(problem.query.coords[None, :], problem.intercept)
 
 
 def logistic_objective(w, problem: DepthProblem) -> tuple[float, np.ndarray]:
@@ -118,13 +167,124 @@ def logistic_objective(w, problem: DepthProblem) -> tuple[float, np.ndarray]:
     carries label -1 and weight 1/2.  Numerically stable for any margin
     magnitude; no exp overflow occurs.
     """
-    _require_loss(problem, LossKind.LOGISTIC)
-    rows = _logistic_rows(problem)
-    w = np.asarray(w, dtype=float).reshape(-1)
-    if w.size != rows.shape[1]:
-        raise ValidationError(f"weight vector has size {w.size}, expected {rows.shape[1]}")
-    _, value, grad = _logistic_value_grad(w, rows, problem.lam)
-    return value, grad
+    features, query = _logistic_parts(problem)
+    w = np.asarray(w, dtype=float).reshape(1, -1)
+    if w.shape[1] != query.shape[1]:
+        raise ValidationError(f"weight vector has size {w.shape[1]}, expected {query.shape[1]}")
+    signed, exps, _, value = _logistic_evaluate(w, features, query, problem.lam)
+    return float(value[0]), _logistic_gradient(w, signed, exps, features, query, problem.lam)[0]
+
+
+def logistic_block_solve(
+    features: np.ndarray,
+    queries: np.ndarray,
+    lam: float,
+    config: SolverConfig | None = None,
+    keep_history: bool = False,
+) -> tuple[np.ndarray, np.ndarray, list]:
+    """Damped Newton on the logistic depth objectives of a block of queries,
+    in lockstep, each from the zero vector.
+
+    features is the augmented reference from logistic_features and queries
+    the (B, D) augmented queries.  Each step solves against each query's
+    Hessian X' diag(c) X / (2n) + 0.5 s_q (1 - s_q) q q' + 2 lam I, with
+    c = sigmoid(m) sigmoid(-m) on the reference margins m and s_q the sigmoid
+    of the query margin, and each query halves its own step until its Armijo
+    condition holds.  A full step whose value rises by rounding only (at most
+    8 eps |f|) is accepted: near the minimiser the objective is flat to
+    machine precision while the gradient still exceeds a tight tolerance.
+    A query stops, converged, once its gradient norm is at or below
+    tolerance, and unconverged after max_iterations steps or after 60
+    halvings without an acceptable step; it then leaves the block.  With a
+    positive ridge the objective is 2 lam strongly convex, so the distance
+    to the unique minimiser is at most the returned residual divided by
+    2 lam.
+
+    Every operation acts on each query's row alone, so a query's bits do not
+    depend on its block-mates.  Returns the (B, D) weights, the weighted
+    log-loss at them, and one SolveDiagnostics per query whose function
+    values are its final margins, reference rows first and the query last.
+    """
+    cfg = config if config is not None else SolverConfig()
+    size, dim = queries.shape
+    n = features.shape[1]
+    weights_out = np.zeros((size, dim))
+    losses_out = np.empty(size)
+    margins_out = np.empty((size, n + 1))
+    diagnostics = [None] * size
+    histories = [DescentHistory() if keep_history else None for _ in range(size)]
+
+    live = np.arange(size)  # block rows of the queries still being solved
+    weights = np.zeros((size, dim))
+    signed, exps, loss, value = _logistic_evaluate(weights, features, queries, lam)
+    grad = _logistic_gradient(weights, signed, exps, features, queries, lam)
+
+    def finish(rows: np.ndarray, iteration: int, residual: np.ndarray, converged: np.ndarray):
+        """Record the queries at the live positions rows as they stand."""
+        for k in np.flatnonzero(rows):
+            i = live[k]
+            weights_out[i] = weights[k]
+            losses_out[i] = loss[k]
+            margins_out[i, :n] = signed[k, :n]
+            margins_out[i, n] = -signed[k, n]
+            diagnostics[i] = SolveDiagnostics(
+                iteration, float(residual[k]), bool(converged[k]), history=histories[i],
+                function_values=margins_out[i],
+            )
+
+    for iteration in range(cfg.max_iterations + 1):
+        residual = np.linalg.norm(grad, axis=1)
+        if keep_history:
+            for k, i in enumerate(live):
+                histories[i].values.append(float(value[k]))
+                histories[i].iterates.append(weights[k].copy())
+        converged = residual <= cfg.tolerance
+        stop = converged | (iteration == cfg.max_iterations)
+        if stop.any():
+            finish(stop, iteration, residual, converged)
+            if stop.all():
+                break
+            keep = ~stop
+            live, weights, queries, signed, exps, loss, value, grad, residual = (
+                part[keep]
+                for part in (live, weights, queries, signed, exps, loss, value, grad, residual)
+            )
+        hessian = _logistic_hessian(exps, features, queries, lam)
+        direction = -np.linalg.solve(hessian, grad[:, :, None])[:, :, 0]
+        slope = np.einsum("ad,ad->a", grad, direction)
+        step = np.ones(live.size)
+        searching = np.arange(live.size)  # live positions whose search goes on
+        for _ in range(_MAX_HALVINGS):
+            trial = weights[searching] + step[searching, None] * direction[searching]
+            t_signed, t_exps, t_loss, t_value = _logistic_evaluate(
+                trial, features, queries[searching], lam
+            )
+            base = value[searching]
+            accept = (t_value <= base + 1e-4 * step[searching] * slope[searching]) | (
+                (step[searching] == 1.0) & (t_value - base <= 8.0 * _EPS * np.abs(base))
+            )
+            moved = searching[accept]
+            weights[moved] = trial[accept]
+            signed[moved] = t_signed[accept]
+            exps[moved] = t_exps[accept]
+            loss[moved] = t_loss[accept]
+            value[moved] = t_value[accept]
+            searching = searching[~accept]
+            if not searching.size:
+                break
+            step[searching] *= 0.5
+        if searching.size:  # no representable decrease along the Newton direction
+            failed = np.zeros(live.size, dtype=bool)
+            failed[searching] = True
+            finish(failed, iteration, residual, np.zeros(live.size, dtype=bool))
+            if failed.all():
+                break
+            keep = ~failed
+            live, weights, queries, signed, exps, loss, value = (
+                part[keep] for part in (live, weights, queries, signed, exps, loss, value)
+            )
+        grad = _logistic_gradient(weights, signed, exps, features, queries, lam)
+    return weights_out, losses_out, diagnostics
 
 
 def logistic_solve(
@@ -132,61 +292,13 @@ def logistic_solve(
     config: SolverConfig | None = None,
     keep_history: bool = False,
 ) -> tuple[np.ndarray, SolveDiagnostics]:
-    """Damped Newton on the logistic depth objective from the zero vector.
-
-    Each step solves against the Hessian
-    X' diag(c) X / (2n) + 0.5 s_q (1 - s_q) q q' + 2 lam I, with
-    c = sigmoid(m) sigmoid(-m) on the reference margins m and s_q the sigmoid
-    of the query margin, and is halved until the Armijo condition holds.  A
-    full step whose value rises by rounding only (at most 8 eps |f|) is
-    accepted: near the minimiser the objective is flat to machine precision
-    while the gradient still exceeds a tight tolerance.  Steps stop when the
-    gradient norm is at or below tolerance; with a positive ridge the
-    objective is 2 lam strongly convex, so the distance to the unique
-    minimiser is at most the returned residual divided by 2 lam.  The final
-    margins, reference rows first and the query last, are returned as the
-    diagnostics' function values.
-    """
-    _require_loss(problem, LossKind.LOGISTIC)
-    cfg = config if config is not None else SolverConfig()
-    rows = _logistic_rows(problem)
-    lam = problem.lam
-    n, dim = problem.reference.n, rows.shape[1]
-    history = DescentHistory() if keep_history else None
-    w = np.zeros(dim)
-    margins, value, grad = _logistic_value_grad(w, rows, lam)
-    for iteration in range(cfg.max_iterations + 1):
-        residual = float(np.linalg.norm(grad))
-        if keep_history:
-            history.values.append(value)
-            history.iterates.append(w.copy())
-        if residual <= cfg.tolerance:
-            return w, SolveDiagnostics(
-                iteration, residual, True, history=history, function_values=margins
-            )
-        if iteration == cfg.max_iterations:
-            break
-        curvature = expit(margins) * expit(-margins)
-        hessian = (rows[:n].T * (curvature[:n] / (2.0 * n))) @ rows[:n]
-        hessian += 0.5 * curvature[n] * np.outer(rows[n], rows[n])
-        hessian[np.diag_indices(dim)] += 2.0 * lam
-        direction = -np.linalg.solve(hessian, grad)
-        slope = float(grad @ direction)
-        step = 1.0
-        for _ in range(_MAX_HALVINGS):
-            trial = w + step * direction
-            trial_margins, trial_value, trial_grad = _logistic_value_grad(trial, rows, lam)
-            if trial_value <= value + 1e-4 * step * slope or (
-                step == 1.0 and trial_value - value <= 8.0 * _EPS * abs(value)
-            ):
-                break
-            step *= 0.5
-        else:
-            break  # no representable decrease along the Newton direction
-        w, margins, value, grad = trial, trial_margins, trial_value, trial_grad
-    return w, SolveDiagnostics(
-        iteration, residual, False, history=history, function_values=margins
+    """Damped Newton on one logistic depth objective from the zero vector: a
+    block of one for logistic_block_solve, with the same stopping rules."""
+    features, query = _logistic_parts(problem)
+    weights, _, diagnostics = logistic_block_solve(
+        features, query, problem.lam, config, keep_history
     )
+    return weights[0], diagnostics[0]
 
 
 def _svm_parts(problem: DepthProblem) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

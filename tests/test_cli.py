@@ -198,6 +198,37 @@ def test_depth_rejects_a_bad_lambda_once_per_request(sample_files, capsys, metho
     assert len(lines) == 1 and lines[0].startswith("error:") and "lambda" in lines[0]
 
 
+@pytest.mark.parametrize("flags", [
+    ["--gamma", "inf"],
+    ["--gamma", "inf", "--lambda", "0.01"],
+    ["--kernel", "laplacian", "--sigma", "inf"],
+    ["--kernel", "imq", "--imq-c", "inf"],
+    ["--kernel", "imq", "--imq-beta=-inf"],
+])
+def test_depth_rejects_a_non_finite_kernel_parameter(sample_files, capsys, flags):
+    reference, queries = sample_files
+    code = cli.main(["depth", reference, queries, "--method", "svm", *flags])
+    assert code == cli.EXIT_INVALID
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:") and "finite" in lines[0]
+
+
+@pytest.mark.parametrize("flags", [
+    ["--method", "lr"],
+    ["--method", "svm", "--lambda", "0.01"],
+])
+def test_depth_rejects_an_infinite_tolerance(sample_files, capsys, flags):
+    reference, queries = sample_files
+    code = cli.main(["depth", reference, queries, *flags, "--tolerance", "inf"])
+    assert code == cli.EXIT_INVALID
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:") and "tolerance" in lines[0]
+
+
 @pytest.mark.parametrize("command", [
     ["depth", "{reference}", "{queries}"],
     ["benchmark", "{labeled}", "--split", "--label-column", "2", "--methods", "lr"],

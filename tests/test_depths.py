@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from lossdepth import depths
+from lossdepth import depths, solvers
 from lossdepth.core import (
     LOG2,
     DataMatrix,
@@ -508,14 +508,82 @@ def test_depth_batch_empty_queries():
     assert outcome.errors == []
 
 
+def _same_logistic_result(a: DepthResult, b: DepthResult) -> bool:
+    return (a.value == b.value and a.iterations == b.iterations and a.residual == b.residual
+            and a.converged == b.converged and np.array_equal(a.coefficients, b.coefficients))
+
+
 def test_depth_batch_matches_single_calls():
     rng = np.random.default_rng(1)
     reference = rng.standard_normal((30, 2))
     queries = rng.standard_normal((8, 2))
     request = DepthBatchRequest(reference=reference, queries=queries, method="logistic")
     outcome = depth_batch(request)
-    singles = [logistic_depth(q, reference, 1.0).value for q in queries]
-    assert np.allclose(outcome.values, singles, atol=0.0)
+    assert outcome.errors == []
+    for query, result in zip(queries, outcome.results):
+        assert _same_logistic_result(result, logistic_depth(query, reference, 1.0))
+
+
+def test_logistic_batch_is_bit_identical_to_single_calls_across_block_edges(monkeypatch):
+    # a Newton block holds `size` queries of dim x 10 Hessian-product entries
+    rng = np.random.default_rng(72)
+    size = 3
+    for d, intercept, reporting in ((1, True, Reporting.LOSS_ONLY), (2, False, Reporting.LOSS_ONLY),
+                                    (3, True, Reporting.LOSS_PLUS_REG)):
+        reference = rng.standard_normal((10, d)) * 2.0
+        dim = d + intercept
+        monkeypatch.setattr(depths, "LOGISTIC_BLOCK_ENTRIES", size * dim * 10)
+        for m in (1, size - 1, size, size + 1, 3 * size + 1):
+            queries = rng.standard_normal((m, d)) * 3.0
+            solver = SolverConfig(tolerance=1e-12)
+            alone = [logistic_depth(q, reference, 0.05, intercept=intercept,
+                                    reporting=reporting, solver=solver) for q in queries]
+            request = DepthBatchRequest(reference=reference, queries=queries, method="logistic",
+                                        lam=0.05, intercept=intercept, reporting=reporting,
+                                        solver=solver)
+            batch = depth_batch(request)
+            assert batch.errors == []
+            assert all(_same_logistic_result(r, a) for r, a in zip(batch.results, alone)), (d, m)
+            assert all(type(r.value) is float for r in batch.results)
+
+
+def test_logistic_block_stops_each_query_on_its_own_budget():
+    # the far query needs more Newton steps than the near ones: with a budget
+    # of the near queries' count it stops unconverged while they converge
+    rng = np.random.default_rng(9)
+    reference = rng.standard_normal((40, 2))
+    queries = np.array([[0.3, -0.2], [40.0, 25.0], [-0.5, 0.4]])
+    full = [logistic_depth(q, reference, 0.01) for q in queries]
+    assert full[1].iterations > max(full[0].iterations, full[2].iterations)
+    budget = SolverConfig(max_iterations=max(full[0].iterations, full[2].iterations))
+    request = DepthBatchRequest(reference=reference, queries=queries, method="logistic",
+                                lam=0.01, solver=budget)
+    near, far, other = depth_batch(request).results
+    assert near.converged and other.converged
+    assert _same_logistic_result(near, full[0]) and _same_logistic_result(other, full[2])
+    assert not far.converged
+    assert far.iterations == budget.max_iterations
+    assert far.residual > budget.tolerance
+    assert _same_logistic_result(far, logistic_depth(queries[1], reference, 0.01, solver=budget))
+
+
+def test_logistic_line_search_failure_ends_only_that_query(monkeypatch):
+    # this query's Newton step needs one halving at its fourth step; with the
+    # search capped at the full step it ends there, unconverged, while its
+    # block-mate, which never halves, converges
+    reference = np.array([[-1.1, -3.1, 2.3], [-3.2, -0.7, -7.5],
+                          [7.1, -18.9, 3.9], [-0.3, 7.7, 13.2]])
+    damped = np.array([6.1, -19.5, 3.4])
+    assert logistic_depth(damped, reference, 5e-4).converged
+    monkeypatch.setattr(solvers, "_MAX_HALVINGS", 1)
+    request = DepthBatchRequest(reference=reference, queries=np.vstack([reference[0], damped]),
+                                method="logistic", lam=5e-4)
+    mate, stopped = depth_batch(request).results
+    assert mate.converged
+    assert not stopped.converged
+    assert stopped.iterations == 3 and stopped.residual > 1e-8
+    assert _same_logistic_result(stopped, logistic_depth(damped, reference, 5e-4))
+    assert _same_logistic_result(mate, logistic_depth(reference[0], reference, 5e-4))
 
 
 def test_depth_batch_collects_per_query_errors():

@@ -56,6 +56,18 @@ def test_kernel_parameter_validation():
         KernelSpec.imq(0.0, -0.5)
 
 
+@pytest.mark.parametrize("build", [
+    lambda: KernelSpec.gaussian(math.inf),
+    lambda: KernelSpec.gaussian(math.nan),
+    lambda: KernelSpec.laplacian(math.inf),
+    lambda: KernelSpec.imq(math.inf, -0.5),
+    lambda: KernelSpec.imq(1.0, -math.inf),
+])
+def test_kernel_parameters_must_be_finite(build):
+    with pytest.raises(ValidationError, match="finite"):
+        build()
+
+
 def test_bounds():
     assert KernelSpec.gaussian(2.0).bound() == 1.0
     assert KernelSpec.laplacian(1.0).bound() == 1.0

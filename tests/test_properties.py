@@ -6,18 +6,29 @@ sits at its box bound, a tight solve of the same problem, or the same problem
 with its reference rows permuted or moved by a rotation and a translation.
 The exact 2-d halfspace depth is checked against an enumeration in integer
 arithmetic on collinear, antipodal and duplicated integer point sets, and
-under integer affine maps.  A pinned example shows that the logistic depth
-with a penalised intercept is not translation invariant.
+under integer affine maps.  The logistic depth of a query has the same bits
+alone and in any batch, and its strong-convexity certificate bounds its
+error against a tight solve, also where the budget stops it early.  A pinned
+example shows that the logistic depth with a penalised intercept is not
+translation invariant.
 """
 import numpy as np
 import pytest
+from scipy.special import expit
 
 hypothesis = pytest.importorskip("hypothesis")
-from hypothesis import given, settings, strategies as st  # noqa: E402
+from hypothesis import example, given, settings, strategies as st  # noqa: E402
 from hypothesis.extra import numpy as hnp  # noqa: E402
 
-from lossdepth import solvers  # noqa: E402
-from lossdepth.core import DataMatrix, DepthProblem, LossKind, QueryPoint, Reporting  # noqa: E402
+from lossdepth import depths, solvers  # noqa: E402
+from lossdepth.core import (  # noqa: E402
+    LOG2,
+    DataMatrix,
+    DepthProblem,
+    LossKind,
+    QueryPoint,
+    Reporting,
+)
 from lossdepth.depths import (  # noqa: E402
     DepthBatchRequest,
     depth_batch,
@@ -27,7 +38,7 @@ from lossdepth.depths import (  # noqa: E402
 )
 from lossdepth.kernels import KernelSpec, gram  # noqa: E402
 from lossdepth.solvers import SolverConfig, svm_dual_solve, svm_duality_gap  # noqa: E402
-from test_depths import integer_halfspace_2d  # noqa: E402
+from test_depths import _same_logistic_result, integer_halfspace_2d  # noqa: E402
 
 COORDINATE = st.floats(-2.0, 2.0, allow_nan=False, allow_infinity=False, width=64)
 
@@ -177,6 +188,95 @@ def test_penalised_intercept_logistic_depth_is_not_translation_invariant():
     assert before.value == pytest.approx(0.858825274580, abs=1e-9)
     assert after.value == pytest.approx(0.979670796257, abs=1e-9)
     assert after.value - before.value > 0.1
+
+
+@st.composite
+def logistic_batches(draw):
+    """(reference, queries): a drawn sample and 1-6 queries, spread past the
+    reference so that the Newton step counts differ within a batch."""
+    reference, query = draw(samples())
+    others = draw(hnp.arrays(float, (draw(st.integers(0, 5)), query.size),
+                             elements=st.floats(-6.0, 6.0, width=64)))
+    return reference, np.vstack([query, others])
+
+
+LOGISTIC_LAMBDA = st.floats(1e-3, 3.0)
+
+
+@settings(max_examples=60)
+@given(logistic_batches(), LOGISTIC_LAMBDA, st.booleans(), st.sampled_from(list(Reporting)),
+       st.randoms(use_true_random=False))
+def test_a_logistic_result_has_the_same_bits_alone_and_in_any_batch(
+    batch, lam, intercept, reporting, random
+):
+    reference, queries = batch
+    settings_ = dict(lam=lam, intercept=intercept, reporting=reporting)
+    alone = [logistic_depth(q, reference, **settings_) for q in queries]
+
+    def scored(rows):
+        request = DepthBatchRequest(reference=reference, queries=rows, method="logistic",
+                                    **settings_)
+        return depth_batch(request).results
+
+    order = list(range(queries.shape[0]))
+    random.shuffle(order)
+    permuted = [None] * len(order)
+    for position, result in zip(order, scored(queries[order])):
+        permuted[position] = result
+    n, dim = reference.shape[0], queries.shape[1] + intercept
+    with pytest.MonkeyPatch.context() as patch:  # two queries per Newton block
+        patch.setattr(depths, "LOGISTIC_BLOCK_ENTRIES", 2 * dim * max(n, dim))
+        blocked = scored(queries)
+    for results in (scored(queries), permuted, blocked):
+        assert all(_same_logistic_result(a, b) for a, b in zip(results, alone))
+
+
+def _logistic_certificate(reference, query, weights, lam, intercept):
+    """G ||grad f(w)|| / (2 lam) / log 2, recomputed with numpy: the objective
+    is 2 lam strongly convex, so ||w - w*|| <= ||grad f(w)|| / (2 lam), and the
+    weighted log-loss is G-Lipschitz in w with G = (mean ||x_i|| + ||q||) / 2
+    over the augmented rows."""
+    rows = np.hstack([reference, np.ones((reference.shape[0], 1))]) if intercept else reference
+    point = np.append(query, 1.0) if intercept else query
+    n = rows.shape[0]
+    grad = (-(rows.T @ expit(-(rows @ weights))) / (2.0 * n)
+            + 0.5 * expit(point @ weights) * point + 2.0 * lam * weights)
+    lipschitz = 0.5 * (float(np.linalg.norm(rows, axis=1).mean()) + float(np.linalg.norm(point)))
+    return lipschitz * float(np.linalg.norm(grad)) / (2.0 * lam) / LOG2
+
+
+MIXED_BLOCK = (  # the first query converges in 3 steps, the second needs 7
+    np.array([[-1.0, 0.5], [0.5, -1.5], [1.5, 1.0], [-0.5, -0.5], [0.0, 2.0], [2.0, -0.5]]),
+    np.array([[0.25, 0.25], [6.0, -6.0]]),
+)
+
+
+@settings(max_examples=60)
+@given(logistic_batches(), LOGISTIC_LAMBDA, st.booleans(), st.integers(1, 6))
+@example(MIXED_BLOCK, 0.01, True, 3)
+def test_the_logistic_certificate_bounds_the_error_against_a_tight_solve(
+    batch, lam, intercept, budget
+):
+    reference, queries = batch
+    solver = SolverConfig(max_iterations=budget)
+    request = DepthBatchRequest(reference=reference, queries=queries, method="logistic", lam=lam,
+                                intercept=intercept, solver=solver)
+    results = depth_batch(request).results
+    for query, result in zip(queries, results):
+        tight = logistic_depth(query, reference, lam, intercept=intercept,
+                               solver=SolverConfig(tolerance=1e-12, max_iterations=200))
+        assert tight.converged
+        bound = _logistic_certificate(reference, query, result.coefficients, lam, intercept)
+        tight_bound = _logistic_certificate(reference, query, tight.coefficients, lam, intercept)
+        # 1e-12 absorbs the rounding of evaluating the two losses
+        assert abs(result.value - tight.value) <= bound + tight_bound + 1e-12
+        # each query stops on its own: converged at tolerance, else on the budget
+        assert result.converged == (result.residual <= solver.tolerance)
+        assert result.converged or result.iterations == budget
+    if batch is MIXED_BLOCK:
+        near, far = results
+        assert near.converged and near.iterations == 3
+        assert not far.converged and far.iterations == 3
 
 
 @settings(max_examples=40)

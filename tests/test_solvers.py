@@ -51,6 +51,9 @@ def test_solver_config_validation():
         SolverConfig(max_iterations=0)
     with pytest.raises(ValidationError):
         SolverConfig(tolerance=0.0)
+    for tolerance in (math.inf, math.nan):
+        with pytest.raises(ValidationError, match="finite positive tolerance"):
+            SolverConfig(tolerance=tolerance)
 
 
 def test_augment_appends_ones_column():
