@@ -10,6 +10,7 @@ otherwise ignored: they change neither the bytes nor the speed.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 
@@ -557,9 +558,59 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _shared_parser() -> argparse.ArgumentParser:
+    """The parser main reuses for every call in the process: building it
+    costs a few milliseconds, and parse_args leaves it unchanged."""
+    return build_parser()
+
+
+# the long options that take no value; every other long option takes one
+_FLAGS = frozenset({
+    "--help", "--has-header", "--median-heuristic", "--coefficients", "--split",
+    "--contaminated", "--normalize", "--no-normalize", "--intercept", "--no-intercept",
+})
+
+
+def _is_number_list(text: str) -> bool:
+    try:
+        return bool(_float_list(text))
+    except argparse.ArgumentTypeError:
+        return False
+
+
+def _attach_negative_values(argv: list) -> list:
+    """Join `--option -1e-1` into `--option=-1e-1`.
+
+    argparse reads a token that starts with '-' as an option unless it looks
+    like a plain negative number, so exponents, -inf and lists such as -1,2
+    would be refused as values.  A token is joined only when it is a number or
+    a comma list of numbers and follows a long option that takes a value.
+    """
+    joined: list = []
+    tokens = iter(argv)
+    for token in tokens:
+        if token == "--":
+            joined.append(token)
+            joined.extend(tokens)
+            break
+        option = joined[-1] if joined else ""
+        if (
+            token.startswith("-")
+            and option.startswith("--")
+            and "=" not in option
+            and option not in _FLAGS
+            and _is_number_list(token)
+        ):
+            joined[-1] = f"{option}={token}"
+        else:
+            joined.append(token)
+    return joined
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = _shared_parser().parse_args(_attach_negative_values(argv))
     try:
         _check_threads(args)
         return args.handler(args)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import gzip
+import itertools
 import json
 import os
 import struct
@@ -48,9 +49,49 @@ def read_csv(path, has_header: bool = False, label_column=None) -> LabeledDatase
     column name.  Labels must be integral zeros and ones; every other cell
     must parse as a float.  Rows whose width differs from the first data row
     are rejected.
+
+    Every cell is converted in one bulk pass.  When that pass meets anything
+    irregular (a ragged or all-blank row, a cell that is not a float, a label
+    that is not 0 or 1) the file is read again by the cell loop, which skips
+    blank rows or names the faulty line and column.
     """
     if isinstance(label_column, str) and not has_header:
         raise ValidationError("selecting the label column by name requires a header row")
+    bulk = _read_bulk(path, has_header)
+    if bulk is not None:
+        header, values = bulk
+        dataset = _dataset(values, _label_index(path, header, values.shape[1], label_column))
+        if dataset is not None:
+            return dataset
+    return _read_cells(path, has_header, label_column)
+
+
+def _read_bulk(path, has_header: bool):
+    """(header, values) with every cell converted by one float pass, or None
+    when the header row is blank, a row is ragged or a cell is not a float."""
+    with open(path, newline="") as handle:
+        rows = [row for row in csv.reader(handle) if row]
+    header = None
+    if has_header and rows:
+        header = [c.strip() for c in rows.pop(0)]
+        if not any(header):
+            return None
+    widths = set(map(len, rows))
+    if len(widths) != 1:
+        return None
+    width = widths.pop()
+    try:
+        flat = np.fromiter(
+            map(float, itertools.chain.from_iterable(rows)), float, len(rows) * width
+        )
+    except ValueError:
+        return None
+    return header, flat.reshape(len(rows), width)
+
+
+def _read_cells(path, has_header: bool, label_column) -> LabeledDataset:
+    """The cell-by-cell reader: skips all-blank rows and raises with the file
+    line (and column) of the first fault."""
     header = None
     cells: list = []
     lines: list = []
@@ -72,27 +113,7 @@ def read_csv(path, has_header: bool = False, label_column=None) -> LabeledDatase
             raise ValidationError(
                 f"{path}: row at line {line} has {len(row)} fields, expected {width}"
             )
-    if header is not None and len(header) != width:
-        raise ValidationError(
-            f"{path}: header has {len(header)} fields, data rows have {width}"
-        )
-
-    label_index = None
-    if label_column is not None:
-        if isinstance(label_column, str):
-            if label_column not in header:
-                raise ValidationError(
-                    f"{path}: no column named {label_column!r}; have {header}"
-                )
-            label_index = header.index(label_column)
-        else:
-            label_index = int(label_column)
-            if not 0 <= label_index < width:
-                raise ValidationError(
-                    f"{path}: label column {label_index} out of range for width {width}"
-                )
-        if width < 2:
-            raise ValidationError(f"{path}: no feature columns besides the label")
+    label_index = _label_index(path, header, width, label_column)
 
     values = np.empty((len(cells), width))
     for i, (row, line) in enumerate(zip(cells, lines)):
@@ -104,15 +125,50 @@ def read_csv(path, has_header: bool = False, label_column=None) -> LabeledDatase
                     f"{path}: non-numeric value {cell!r} at line {line}, column {j + 1}"
                 ) from None
 
-    if label_index is None:
-        return LabeledDataset(features=values)
-    raw = values[:, label_index]
-    if not np.all(np.isin(raw, (0.0, 1.0))):
+    dataset = _dataset(values, label_index)
+    if dataset is None:
+        raw = values[:, label_index]
         bad = int(np.flatnonzero(~np.isin(raw, (0.0, 1.0)))[0])
         raise ValidationError(
             f"{path}: label column must contain only 0 and 1; "
             f"row at line {lines[bad]} has {raw[bad]!r}"
         )
+    return dataset
+
+
+def _label_index(path, header, width: int, label_column):
+    """Check the header against the data width and resolve label_column to a
+    position, or None when there is no label column."""
+    if header is not None and len(header) != width:
+        raise ValidationError(
+            f"{path}: header has {len(header)} fields, data rows have {width}"
+        )
+    if label_column is None:
+        return None
+    if isinstance(label_column, str):
+        if label_column not in header:
+            raise ValidationError(
+                f"{path}: no column named {label_column!r}; have {header}"
+            )
+        label_index = header.index(label_column)
+    else:
+        label_index = int(label_column)
+        if not 0 <= label_index < width:
+            raise ValidationError(
+                f"{path}: label column {label_index} out of range for width {width}"
+            )
+    if width < 2:
+        raise ValidationError(f"{path}: no feature columns besides the label")
+    return label_index
+
+
+def _dataset(values: np.ndarray, label_index) -> LabeledDataset | None:
+    """Split off the label column; None when a label is not 0 or 1."""
+    if label_index is None:
+        return LabeledDataset(features=values)
+    raw = values[:, label_index]
+    if not np.all(np.isin(raw, (0.0, 1.0))):
+        return None
     features = np.delete(values, label_index, axis=1)
     return LabeledDataset(features=features, labels=raw.astype(np.int64))
 

@@ -122,8 +122,10 @@ def _pair_rows(points, max_points: int, seed: int) -> np.ndarray:
 
 
 def _order_statistic(values: np.ndarray, index: int) -> float:
-    """The value at index in sorted order, found by partition without a full sort."""
-    return float(np.partition(values, index)[index])
+    """The value at index in sorted order, found by partition without a full
+    sort.  Partitions values in place, so it reorders its argument."""
+    values.partition(index)
+    return float(values[index])
 
 
 def median_heuristic(points, max_points: int = 2000, seed: int = 0) -> float:

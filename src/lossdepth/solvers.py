@@ -419,7 +419,7 @@ def _greedy_ascent(
         np.maximum(scores, floor, out=violations)
         np.minimum(violations, ceiling, out=violations)
         np.abs(violations, out=violations)
-        k = int(np.argmax(violations))
+        k = int(violations.argmax())
         residual = float(violations[k])
         if residual <= cfg.tolerance or updates == budget:
             break
@@ -469,8 +469,8 @@ def _pairwise_smo(
     for iteration in range(1, cfg.max_iterations + 1):
         up_scores = np.where(u < hi, scores, -np.inf)
         down_scores = np.where(u > lo, scores, np.inf)
-        i = int(np.argmax(up_scores))
-        j = int(np.argmin(down_scores))
+        i = int(up_scores.argmax())
+        j = int(down_scores.argmin())
         residual = float(up_scores[i] - down_scores[j])
         if residual == -np.inf:  # no coordinate can move up, or none down
             return finish(iteration - 1, 0.0, True)

@@ -1,6 +1,7 @@
 """End-to-end runs of the command line front end."""
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -393,3 +394,81 @@ def test_bad_arguments_exit_two(sample_files):
     with pytest.raises(SystemExit) as info:
         cli.main([])
     assert info.value.code == 2
+
+
+NEGATIVE_VALUE_CASES = {
+    "imq-beta": (["depth", "{reference}", "{queries}", "--method", "svm", "--kernel", "imq"],
+                 "--imq-beta", "-1e-1"),
+    "center": (["grid", "--contaminated", "--method", "lof", "--n", "60", "--resolution", "6"],
+               "--center", "-1,2"),
+    "contamination-center": (["grid", "--contaminated", "--method", "lof", "--n", "60",
+                              "--resolution", "6"], "--contamination-center", "-1,-2"),
+    "query": (["convergence", "--method", "lr", "--n-grid", "30,60", "--repeats", "2",
+               "--n-ref", "200", "--tolerance", "1e-5"], "--query", "-1,0"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(NEGATIVE_VALUE_CASES))
+def test_negative_option_values_parse_as_values(case, sample_files, tmp_path):
+    reference, queries = sample_files
+    base, option, value = NEGATIVE_VALUE_CASES[case]
+    base = [arg.format(reference=reference, queries=queries) for arg in base]
+    reports = []
+    for i, flags in enumerate(([option, value], [f"{option}={value}"], [])):
+        out = tmp_path / f"report{i}.json"
+        assert cli.main(base + flags + ["--format", "json", "--output", str(out)]) == cli.EXIT_OK
+        reports.append(out.read_bytes())
+    assert reports[0] == reports[1]
+    assert reports[0] != reports[2]
+
+
+def test_negative_values_are_not_attached_to_flags_or_after_a_double_dash():
+    assert cli._attach_negative_values(["--imq-beta", "-inf", "--query", "-1,-2"]) == [
+        "--imq-beta=-inf", "--query=-1,-2"]
+    unchanged = [["--has-header", "-1"], ["--method", "-svm"], ["--gamma=-1", "-2"],
+                 ["--", "--gamma", "-1e-1"], ["-h", "-1e-1"]]
+    for argv in unchanged:
+        assert cli._attach_negative_values(argv) == argv
+
+
+def test_unknown_options_still_exit_two(sample_files):
+    reference, queries = sample_files
+    for extra in (["--bogus"], ["--bogus", "-1e-1"]):
+        with pytest.raises(SystemExit) as info:
+            cli.main(["depth", reference, queries, *extra])
+        assert info.value.code == 2
+
+
+@pytest.mark.parametrize("command", ["depth", "benchmark", "convergence", "grid", "rankcorr"])
+def test_flag_list_names_every_option_without_a_value(command, capsys):
+    with pytest.raises(SystemExit):
+        cli.build_parser().parse_args([command, "--help"])
+    usage = capsys.readouterr().out.split("\n\n")[0]
+    flags = set(re.findall(r"(--[\w-]+) ?[\]|]", usage))
+    assert flags and flags <= cli._FLAGS
+
+
+def test_main_reuses_one_parser(monkeypatch, sample_files):
+    reference, queries = sample_files
+    first = cli._shared_parser()
+    monkeypatch.setattr(cli, "build_parser", lambda: pytest.fail("parser rebuilt"))
+    assert cli.main(["depth", reference, queries, "--method", "halfspace"]) == cli.EXIT_OK
+    assert cli._shared_parser() is first
+
+
+def test_depth_reaches_each_layer_through_the_cli_module(sample_files, tmp_path, monkeypatch):
+    # perfbench's --trace 1 times these layers by wrapping the cli module's attributes
+    reference, queries = sample_files
+    reached = []
+    for name in ("read_csv", "median_heuristic", "depth_batch", "write_report"):
+        original = getattr(cli, name)
+
+        def wrapper(*args, _name=name, _original=original, **kwargs):
+            reached.append(_name)
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(cli, name, wrapper)
+    out = tmp_path / "out.csv"
+    assert cli.main(["depth", reference, queries, "--method", "svm",
+                     "--output", str(out)]) == cli.EXIT_OK
+    assert reached == ["read_csv", "read_csv", "median_heuristic", "depth_batch", "write_report"]

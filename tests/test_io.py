@@ -117,6 +117,17 @@ def test_csv_round_trip_is_bit_exact(tmp_path):
     assert np.array_equal(back.features, original)
 
 
+def test_read_csv_converts_regular_files_without_the_cell_loop(tmp_path, monkeypatch):
+    from lossdepth import io
+
+    monkeypatch.setattr(io, "_read_cells", lambda *args: pytest.fail("cell loop used"))
+    p = tmp_path / "a.csv"
+    p.write_bytes('x,"lab" ,y\r\n\r\n"1.5", 1 ,\u00a0-2e3\r\n+.5,0,nan'.encode())
+    data = read_csv(p, has_header=True, label_column="lab")
+    assert np.array_equal(data.features, [[1.5, -2000.0], [0.5, np.nan]], equal_nan=True)
+    assert data.labels.tolist() == [1, 0]
+
+
 def _images_bytes(pixels, rows=2, cols=2):
     count = len(pixels) // (rows * cols)
     return struct.pack(">IIII", 2051, count, rows, cols) + bytes(pixels)

@@ -10,17 +10,18 @@ under integer affine maps.  The logistic depth of a query has the same bits
 alone and in any batch, and its strong-convexity certificate bounds its
 error against a tight solve, also where the budget stops it early.  A pinned
 example shows that the logistic depth with a penalised intercept is not
-translation invariant.
+translation invariant.  On generated CSV text, the bulk reader gives the
+cell loop's values, labels and error messages.
 """
 import numpy as np
 import pytest
 from scipy.special import expit
 
 hypothesis = pytest.importorskip("hypothesis")
-from hypothesis import example, given, settings, strategies as st  # noqa: E402
+from hypothesis import HealthCheck, example, given, settings, strategies as st  # noqa: E402
 from hypothesis.extra import numpy as hnp  # noqa: E402
 
-from lossdepth import depths, solvers  # noqa: E402
+from lossdepth import depths, io, solvers  # noqa: E402
 from lossdepth.core import (  # noqa: E402
     LOG2,
     DataMatrix,
@@ -28,6 +29,7 @@ from lossdepth.core import (  # noqa: E402
     LossKind,
     QueryPoint,
     Reporting,
+    ValidationError,
 )
 from lossdepth.depths import (  # noqa: E402
     DepthBatchRequest,
@@ -357,3 +359,100 @@ def test_exact_2d_halfspace_is_invariant_under_integer_affine_maps(point_set, li
     moved_points = (points @ linear.T + shift).astype(float)
     moved_query = (linear @ z + shift).astype(float)
     assert halfspace_depth(moved_query, moved_points) == integer_halfspace_2d(points, z)
+
+
+NUMBER_CELLS = st.one_of(
+    st.floats(width=64).map(lambda v: format(v, ".17g")),
+    st.integers(-10**6, 10**6).map(str),
+    st.sampled_from(["nan", "-inf", "inf", "1_0", "+.5e-3", "-0", "1e400", "\u0661\u0662"]),
+)
+LABEL_CELLS = st.sampled_from(["0", "1", "1.0", "-0", "0e5"])
+ODD_CELLS = st.sampled_from(["", "0x1p3", "oops", "1__0", "1,5", "1\n", "--1", '"2"', "1 2"])
+HEADER_NAMES = st.sampled_from(["a", "b", "lab", " lab ", "x y", "0", "1"])
+# float() strips the Unicode spaces but not \x1c-\x1f, which str.strip() removes
+PADDINGS = st.sampled_from([" \t", " \t\x0b\x0c\u00a0\u2003\u3000", " \x1c\x1f"])
+
+
+def _csv_cell(draw, body: str, padding: str) -> str:
+    cell = draw(st.text(padding, max_size=2)) + body + draw(st.text(padding, max_size=2))
+    if draw(st.booleans()) or any(c in cell for c in ',"\r\n'):
+        cell = '"' + cell.replace('"', '""') + '"'
+    return cell
+
+
+@st.composite
+def csv_files(draw):
+    """(text, has_header, label_column): mostly regular numeric CSV text, with
+    blank and all-blank rows, quoting, mixed line ends and padding, and now
+    and then a ragged row, an odd cell or a label other than 0 and 1."""
+    width = draw(st.integers(1, 4))
+    has_header = draw(st.booleans())
+    label_column = draw(st.one_of(
+        st.none(),
+        st.integers(-1, width),
+        HEADER_NAMES if has_header else st.none(),
+    ))
+    label_index = label_column if isinstance(label_column, int) else draw(st.integers(0, width - 1))
+    irregular = draw(st.integers(0, 3)) == 0
+    padding = draw(PADDINGS)
+
+    def row_width():
+        return width + draw(st.integers(-1, 1)) if irregular and draw(st.booleans()) else width
+
+    def blank_row():
+        cells = draw(st.integers(1, width + 1))
+        return ",".join(draw(st.text(padding, max_size=2)) for _ in range(cells))
+
+    rows = []
+    if has_header:
+        if draw(st.integers(0, 3)) == 0:
+            rows.append(draw(st.sampled_from(["", blank_row()])))
+        names = draw(st.sampled_from([HEADER_NAMES, LABEL_CELLS]))  # a numeric header reads as data
+        rows.append(",".join(_csv_cell(draw, draw(names), padding) for _ in range(row_width())))
+    for _ in range(draw(st.integers(1, 6))):
+        kind = draw(st.sampled_from(["data"] * 6 + ["empty", "blank"]))
+        if kind == "empty":
+            rows.append("")
+        elif kind == "blank":
+            rows.append(blank_row())
+        else:
+            cells = []
+            for j in range(row_width()):
+                strategy = LABEL_CELLS if j == label_index else NUMBER_CELLS
+                if irregular and draw(st.integers(0, 4)) == 0:
+                    strategy = ODD_CELLS
+                cells.append(_csv_cell(draw, draw(strategy), padding))
+            rows.append(",".join(cells))
+    ends = [draw(st.sampled_from(["\n", "\r\n", "\r"])) for _ in rows]
+    text = "".join(row + end for row, end in zip(rows, ends))
+    if rows and draw(st.booleans()):
+        text = text[: -len(ends[-1])]
+    return text, has_header, label_column
+
+
+def _read_outcome(read, path, has_header, label_column):
+    try:
+        data = read(path, has_header, label_column)
+    except ValidationError as error:
+        return str(error)
+    labels = None if data.labels is None else data.labels.tobytes()
+    return data.features.shape, data.features.tobytes(), labels
+
+
+@settings(max_examples=400, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(csv_files())
+@example(("1,2\r\n\r\n , \r3,4", False, None))
+@example(("\n , \n0,1\n2,3\n", True, None))
+@example(('" , "\n"a", b\n"1",2\n', True, "b"))
+@example(("x,lab\n1,0\n2,2\n", True, "lab"))
+@example(("1,2\n3,4,5\n", False, None))
+@example(("1,0x1p3\n", False, None))
+@example((" +.5e-3 ,1_0\nnan,inf", False, 1))
+def test_bulk_csv_reader_matches_the_cell_loop(tmp_path, csv_file):
+    text, has_header, label_column = csv_file
+    path = tmp_path / "data.csv"
+    with open(path, "w", newline="") as out:
+        out.write(text)
+    assert _read_outcome(io.read_csv, path, has_header, label_column) == _read_outcome(
+        io._read_cells, path, has_header, label_column
+    )
