@@ -614,7 +614,7 @@ def main(argv=None) -> int:
     try:
         _check_threads(args)
         return args.handler(args)
-    except LossDepthError as error:
+    except (LossDepthError, OSError) as error:  # OSError: a file that cannot be read or written
         print(f"error: {error}", file=sys.stderr)
         return EXIT_INVALID
 

@@ -52,16 +52,6 @@ def logistic_loss(predictions, labels):
     return np.logaddexp(0.0, -np.asarray(labels, dtype=float) * np.asarray(predictions, dtype=float))
 
 
-def hinge_loss(predictions, labels):
-    """max(0, 1 - y * f), elementwise."""
-    return np.maximum(0.0, 1.0 - np.asarray(labels, dtype=float) * np.asarray(predictions, dtype=float))
-
-
-def zero_one_loss(predictions, labels):
-    """1 when y * f < 0 else 0, elementwise.  Zero margin counts as correct."""
-    return (np.asarray(labels, dtype=float) * np.asarray(predictions, dtype=float) < 0.0).astype(float)
-
-
 def _validated_matrix(values) -> np.ndarray:
     arr = np.array(values, dtype=float, order="C")
     if arr.ndim != 2:

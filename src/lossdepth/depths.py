@@ -4,16 +4,18 @@ halfspace_depth is the classical smallest closed-halfspace probability,
 computed exactly in one and two dimensions and bounded from above by seeded
 random directions in higher dimension.  logistic_depth and svm_depth report
 the weighted classification loss of the best ridge-penalised separator
-between the reference sample and the query.  depth_batch scores many
-queries against one reference.  Three depths are batch operations that a
-single query shares: the halfspace depth (the exact 1-d depth sorts the
-reference once, the exact 2-d depth sweeps cache-sized blocks of queries
-with one sort per query row, and random directions are drawn once per
-batch), the logistic depth (one lockstep Newton solve per cache-sized block
-of queries), and, without an intercept, with a bounded kernel of constant
-diagonal kappa and lam >= kappa/4, the kernel depth in closed form, one
-block of queries at a time.  The iterative kernel depth runs one solve per
-query, in request order.
+between the reference sample and the query.
+
+Each depth is one batch function that a single query runs as a batch of
+one, and depth_batch only dispatches to it.  The halfspace depth: the exact
+1-d depth sorts the reference once, the exact 2-d depth sweeps cache-sized
+blocks of queries with one sort per query row, and random directions are
+drawn once per batch.  The logistic depth: one lockstep Newton solve per
+cache-sized block of queries.  The kernel depth: without an intercept, with
+a bounded kernel of constant diagonal kappa and lam >= kappa/4, in closed
+form, one block of queries at a time; otherwise one dual solve per query,
+in request order, against labels, box and reference Gram built once per
+batch.
 """
 from __future__ import annotations
 
@@ -35,13 +37,12 @@ from .core import (
     weighted_expectation,
 )
 from .kernels import KernelSpec, gram
-from . import solvers
 from .solvers import (
     SolverConfig,
     augment,
     logistic_block_solve,
     logistic_features,
-    svm_dual_solve,
+    svm_dual_solves,
 )
 
 EXACT_1D = "exact-1d"
@@ -455,7 +456,6 @@ def svm_depth(
     intercept: bool = False,
     reporting: Reporting = Reporting.LOSS_ONLY,
     solver: SolverConfig | None = None,
-    reference_gram: np.ndarray | None = None,
 ) -> DepthResult:
     """Depth under the hinge loss with a kernel classifier.
 
@@ -464,9 +464,9 @@ def svm_depth(
     loss of the zero function is exactly 1, so no normalisation is applied.
     Coefficients are the n+1 dual variables, query last, with a trailing
     offset when intercept is on.  Where the dual solution is the box itself
-    (_closed_form_applies) it is read off in closed form with 0 iterations,
-    by the same code and to the same bits as in depth_batch; reference_gram
-    is then unused.
+    (_closed_form_applies) it is read off in closed form with 0 iterations.
+    The query is a batch of one, by the same code and to the same bits as in
+    depth_batch.
     """
     problem = DepthProblem(
         reference=as_data_matrix(reference),
@@ -477,28 +477,47 @@ def svm_depth(
         intercept=intercept,
         reporting=reporting,
     )
-    if _closed_form_applies(kernel, lam, intercept):
-        return _svm_closed_form(
-            kernel, problem.reference.values, problem.query.coords[None, :], lam, reporting, solver
-        )[0]
-    alpha, diagnostics = svm_dual_solve(problem, solver, reference_gram)
-    fvals = diagnostics.function_values
-    n = problem.reference.n
-    coefficients = np.append(alpha, diagnostics.offset) if intercept else alpha
-    margins = fvals + diagnostics.offset
-    positive = np.maximum(0.0, 1.0 - margins[:n])
-    negative = float(max(0.0, 1.0 + margins[n]))
-    value = weighted_expectation(positive, negative)
-    if reporting is Reporting.LOSS_PLUS_REG:
-        signed = np.append(alpha[:n], -alpha[n])  # y_k alpha_k: the query is labelled -1
-        value += lam * float(signed @ fvals)
-    return DepthResult(
-        value=float(value),
-        iterations=diagnostics.iterations,
-        residual=diagnostics.residual,
-        converged=diagnostics.converged,
-        coefficients=coefficients,
-    )
+    return _svm_depths(
+        kernel, problem.reference.values, problem.query.coords[None, :], lam, intercept,
+        reporting, solver,
+    )[0]
+
+
+def _svm_depths(
+    spec: KernelSpec,
+    reference: np.ndarray,
+    queries: np.ndarray,
+    lam: float,
+    intercept: bool,
+    reporting: Reporting,
+    solver: SolverConfig | None,
+) -> list:
+    """Kernel depths of every query: in closed form where _closed_form_applies,
+    else from one dual solve per query (svm_dual_solves), in request order.
+    Either way a query gets the same bits alone or in any batch."""
+    if _closed_form_applies(spec, lam, intercept):
+        return _svm_closed_form(spec, reference, queries, lam, reporting, solver)
+    n = reference.shape[0]
+    results = []
+    for alpha, diagnostics in svm_dual_solves(spec, reference, queries, lam, intercept, solver):
+        fvals = diagnostics.function_values
+        margins = fvals + diagnostics.offset
+        positive = np.maximum(0.0, 1.0 - margins[:n])
+        negative = float(max(0.0, 1.0 + margins[n]))
+        value = weighted_expectation(positive, negative)
+        if reporting is Reporting.LOSS_PLUS_REG:
+            signed = np.append(alpha[:n], -alpha[n])  # y_k alpha_k: the query is labelled -1
+            value += lam * float(signed @ fvals)
+        results.append(
+            DepthResult(
+                value=float(value),
+                iterations=diagnostics.iterations,
+                residual=diagnostics.residual,
+                converged=diagnostics.converged,
+                coefficients=np.append(alpha, diagnostics.offset) if intercept else alpha,
+            )
+        )
+    return results
 
 
 METHOD_HALFSPACE = "halfspace"
@@ -563,65 +582,38 @@ class BatchResult:
 
 
 def depth_batch(request: DepthBatchRequest) -> BatchResult:
-    """Score every query in the request.
+    """Score every query in the request, by the method's batch function:
+    _halfspace_depths, _logistic_depths or _svm_depths, each the same code
+    a single query runs as a batch of one.
 
-    The shared reference structures are built once here and only read by the
-    queries.  For the kernel depth that is the reference Gram matrix,
-    whenever there are queries and n is within the solver's dense limit.
-    Errors are collected per query instead of aborting the batch; a halfspace
-    mode that does not fit the dimension is recorded at every query.  The
-    halfspace depth, the logistic depth and a kernel depth in closed form
-    (_closed_form_applies) are scored block by block, by the same code as a
-    single query; the iterative kernel depth runs one solve per query, in
-    request order.
+    The shared reference structures are built once per call and only read by
+    the queries.  A halfspace mode that does not fit the dimension is
+    recorded as an error at every query; any other failure raises.
     """
-    m = request.queries.shape[0]
-    svm_intercept = False if request.intercept is None else request.intercept
-    if request.method == METHOD_SVM and _closed_form_applies(
-        request.kernel, request.lam, svm_intercept
-    ):
-        results = _svm_closed_form(
-            request.kernel, request.reference.values, request.queries, request.lam,
-            request.reporting, request.solver,
-        )
-        return BatchResult(results=results, errors=[])
-
+    reference = request.reference.values
     if request.method == METHOD_HALFSPACE:
         halfspace_cfg = request.halfspace
         if halfspace_cfg is None:
             halfspace_cfg = default_halfspace_config(request.reference.d)
         try:
-            values = _halfspace_depths(request.reference.values, request.queries, halfspace_cfg)
+            values = _halfspace_depths(reference, request.queries, halfspace_cfg)
         except ValidationError as exc:  # a mode that does not fit d fails every query
+            m = request.queries.shape[0]
             return BatchResult(results=[None] * m, errors=[(i, str(exc)) for i in range(m)])
         results = [
             DepthResult(value=float(value), iterations=0, residual=0.0, converged=True)
             for value in values
         ]
-        return BatchResult(results=results, errors=[])
-
-    if request.method == METHOD_LOGISTIC:
+    elif request.method == METHOD_LOGISTIC:
         results = _logistic_depths(
-            request.reference.values, request.queries, request.lam,
+            reference, request.queries, request.lam,
             True if request.intercept is None else request.intercept,
             request.reporting, request.normalize, request.solver,
         )
-        return BatchResult(results=results, errors=[])
-
-    reference_gram = None
-    if m > 0 and request.reference.n <= solvers.DENSE_GRAM_LIMIT:
-        reference_gram = gram(request.kernel, request.reference.values)
-    results, errors = [], []
-    for i, query in enumerate(request.queries):
-        try:
-            results.append(
-                svm_depth(
-                    query, request.reference, request.lam, kernel=request.kernel,
-                    intercept=svm_intercept, reporting=request.reporting, solver=request.solver,
-                    reference_gram=reference_gram,
-                )
-            )
-        except Exception as exc:  # noqa: BLE001 - recorded per query
-            results.append(None)
-            errors.append((i, str(exc)))
-    return BatchResult(results=results, errors=errors)
+    else:
+        results = _svm_depths(
+            request.kernel, reference, request.queries, request.lam,
+            False if request.intercept is None else request.intercept,
+            request.reporting, request.solver,
+        )
+    return BatchResult(results=results, errors=[])

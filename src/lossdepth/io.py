@@ -50,6 +50,8 @@ def read_csv(path, has_header: bool = False, label_column=None) -> LabeledDatase
     must parse as a float.  Rows whose width differs from the first data row
     are rejected.
 
+    The file is read as UTF-8, and a leading byte-order mark is dropped, so
+    the result does not depend on the locale; other bytes fail validation.
     Every cell is converted in one bulk pass.  When that pass meets anything
     irregular (a ragged or all-blank row, a cell that is not a float, a label
     that is not 0 or 1) the file is read again by the cell loop, which skips
@@ -57,19 +59,22 @@ def read_csv(path, has_header: bool = False, label_column=None) -> LabeledDatase
     """
     if isinstance(label_column, str) and not has_header:
         raise ValidationError("selecting the label column by name requires a header row")
-    bulk = _read_bulk(path, has_header)
-    if bulk is not None:
-        header, values = bulk
-        dataset = _dataset(values, _label_index(path, header, values.shape[1], label_column))
-        if dataset is not None:
-            return dataset
-    return _read_cells(path, has_header, label_column)
+    try:
+        bulk = _read_bulk(path, has_header)
+        if bulk is not None:
+            header, values = bulk
+            dataset = _dataset(values, _label_index(path, header, values.shape[1], label_column))
+            if dataset is not None:
+                return dataset
+        return _read_cells(path, has_header, label_column)
+    except UnicodeDecodeError as error:
+        raise ValidationError(f"{path}: not UTF-8 text ({error.reason})") from None
 
 
 def _read_bulk(path, has_header: bool):
     """(header, values) with every cell converted by one float pass, or None
     when the header row is blank, a row is ragged or a cell is not a float."""
-    with open(path, newline="") as handle:
+    with open(path, newline="", encoding="utf-8-sig") as handle:
         rows = [row for row in csv.reader(handle) if row]
     header = None
     if has_header and rows:
@@ -95,7 +100,7 @@ def _read_cells(path, has_header: bool, label_column) -> LabeledDataset:
     header = None
     cells: list = []
     lines: list = []
-    with open(path, newline="") as handle:
+    with open(path, newline="", encoding="utf-8-sig") as handle:
         reader = csv.reader(handle)
         for row in reader:
             if not row or all(not c.strip() for c in row):
@@ -303,14 +308,17 @@ class ExperimentReport:
 
 def _atomic_write_text(path: str, text: str) -> None:
     directory = os.path.dirname(os.path.abspath(path))
-    handle, temp = tempfile.mkstemp(dir=directory, prefix=".report-")
+    temp = None
     try:
+        handle, temp = tempfile.mkstemp(dir=directory, prefix=".report-")
         with os.fdopen(handle, "w", newline="") as out:
             out.write(text)
         os.replace(temp, path)
-    except BaseException:
-        if os.path.exists(temp):
+    except BaseException as error:
+        if temp is not None and os.path.exists(temp):
             os.unlink(temp)
+        if isinstance(error, OSError):  # name the report, not the random temporary file
+            raise OSError(error.errno, error.strerror, path) from None
         raise
 
 

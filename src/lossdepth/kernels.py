@@ -105,11 +105,6 @@ def gram(spec: KernelSpec, left, right=None) -> np.ndarray:
     return a @ b.T
 
 
-def kernel_eval(spec: KernelSpec, x, y) -> float:
-    """k(x, y) for two single points."""
-    return float(gram(spec, np.atleast_2d(x), np.atleast_2d(y))[0, 0])
-
-
 def _pair_rows(points, max_points: int, seed: int) -> np.ndarray:
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     if pts.shape[0] < 2:
@@ -150,11 +145,3 @@ def quartile_heuristic(points, max_points: int = 2000, seed: int = 0) -> float:
     if q25 <= 0.0:
         raise DegenerateBandwidthError("lower-quartile pairwise distance is zero")
     return 0.5 / (q25 * q25)
-
-
-def rkhs_distance(spec: KernelSpec, x, y) -> float:
-    """Distance between feature embeddings, sqrt(k(x,x) - 2k(x,y) + k(y,y))."""
-    xx = kernel_eval(spec, x, x)
-    yy = kernel_eval(spec, y, y)
-    xy = kernel_eval(spec, x, y)
-    return float(np.sqrt(max(0.0, xx + yy - 2.0 * xy)))

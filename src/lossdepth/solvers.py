@@ -301,22 +301,29 @@ def logistic_solve(
     return weights[0], diagnostics[0]
 
 
-def _svm_parts(problem: DepthProblem) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    points = np.vstack([problem.reference.values, problem.query.coords[None, :]])
-    n = problem.reference.n
-    labels = np.concatenate([np.ones(n), [-1.0]])
-    box = np.concatenate(
-        [np.full(n, 1.0 / (4.0 * n * problem.lam)), [1.0 / (4.0 * problem.lam)]]
-    )
-    return points, labels, box
-
-
 def svm_dual_solve(
     problem: DepthProblem,
     config: SolverConfig | None = None,
-    reference_gram: np.ndarray | None = None,
 ) -> tuple[np.ndarray, SolveDiagnostics]:
-    """Maximise the weighted-SVM dual and return the n+1 dual coefficients.
+    """Maximise the weighted-SVM dual of one problem: a batch of one for
+    svm_dual_solves, with the same stopping rules."""
+    _require_loss(problem, LossKind.HINGE)
+    return svm_dual_solves(
+        problem.kernel, problem.reference.values, problem.query.coords[None, :], problem.lam,
+        problem.intercept, config,
+    )[0]
+
+
+def svm_dual_solves(
+    spec: KernelSpec,
+    reference: np.ndarray,
+    queries: np.ndarray,
+    lam: float,
+    intercept: bool,
+    config: SolverConfig | None = None,
+) -> list:
+    """Maximise the weighted-SVM dual of each query against the reference and
+    return one (n+1 dual coefficients, SolveDiagnostics) pair per query.
 
     Dual: max over alpha of sum(alpha) - 0.5 * alpha' Y K Y alpha, subject to
     0 <= alpha_i <= 1/(4 n lam) for reference points and
@@ -334,61 +341,69 @@ def svm_dual_solve(
     degenerate coordinates are frozen at zero, and the offset recovered from
     the margin conditions comes back in the diagnostics.
 
-    The reference Gram is read densely, and never copied, when n is at most
-    DENSE_GRAM_LIMIT or one was supplied (depth_batch shares one across its
-    queries); the query's own kernel column is computed once per solve.
-    Otherwise columns are formed on demand so large references never
-    materialise an n^2 matrix.
+    The labels and the box are built once per batch, and so is the reference
+    Gram, when there are queries and n is at most DENSE_GRAM_LIMIT; each
+    query then computes its own kernel column once and reads the Gram's rows
+    without copying them.  Otherwise columns are formed on demand so large
+    references never materialise an n^2 matrix.  Each query is solved on its
+    own, so it gets the same bits alone or in any batch.
     """
-    _require_loss(problem, LossKind.HINGE)
     cfg = config if config is not None else SolverConfig()
-    spec: KernelSpec = problem.kernel
-    points, labels, box = _svm_parts(problem)
-    m = points.shape[0]
-    n = m - 1
-
-    if reference_gram is not None and reference_gram.shape != (n, n):
-        raise ValidationError(
-            f"precomputed reference gram has shape {reference_gram.shape}, expected {(n, n)}"
+    n = reference.shape[0]
+    labels = np.append(np.ones(n), -1.0)
+    signed_box = labels * np.append(np.full(n, 1.0 / (4.0 * n * lam)), 1.0 / (4.0 * lam))
+    reference_gram = None
+    if queries.shape[0] and n <= DENSE_GRAM_LIMIT:
+        reference_gram = gram(spec, reference)
+    solve = _pairwise_smo if intercept else _greedy_ascent
+    results = []
+    for query in queries:
+        diag, column = _kernel_columns(spec, reference, reference_gram, query[None, :])
+        # only degenerate coordinates, whose kernel columns vanish, start
+        # nonzero, so K @ start is zero
+        degenerate = diag <= 1e-15
+        start = np.zeros(n + 1) if intercept else np.where(degenerate, signed_box, 0.0)
+        lo = np.where(degenerate, start, np.minimum(0.0, signed_box))
+        hi = np.where(degenerate, start, np.maximum(0.0, signed_box))
+        signed, diagnostics = solve(labels, start, lo, hi, np.zeros(n + 1), diag, column, cfg)
+        alpha = np.abs(signed)  # alpha = y u, which is |u| as alpha >= 0
+        results.append(
+            (alpha, replace(diagnostics, degenerate_coordinates=int(degenerate.sum())))
         )
-    if reference_gram is None and n <= DENSE_GRAM_LIMIT:
-        reference_gram = gram(spec, points[:n])
+    return results
+
+
+def _kernel_columns(
+    spec: KernelSpec, reference: np.ndarray, reference_gram: np.ndarray | None, query: np.ndarray
+):
+    """The diagonal and a column reader of the kernel matrix of the reference
+    rows and the (1, d) query, last: bordered around the reference Gram when
+    there is one, else computed column by column on demand."""
+    n = reference.shape[0]
     if reference_gram is None:
-        diag = spec.diagonal(points)
+        points = np.vstack([reference, query])
 
         def column(k: int) -> np.ndarray:
             return gram(spec, points, points[k : k + 1])[:, 0]
 
-    else:
-        query_column = np.append(
-            gram(spec, points[:n], points[n:])[:, 0], gram(spec, points[n:], points[n:])[0, 0]
-        )
-        diag = np.append(np.diagonal(reference_gram), query_column[n])
-        # column k of the bordered matrix is row k of the reference Gram (which
-        # is symmetric, and whose rows are contiguous) plus k(x_k, q).  Two row
-        # buffers are filled in turn, so the last two columns handed out stay
-        # valid: _pairwise_smo reads a pair at once.
-        rows = itertools.cycle(np.empty((2, m)))
+        return spec.diagonal(points), column
 
-        def column(k: int) -> np.ndarray:
-            if k == n:
-                return query_column
-            row = next(rows)
-            row[:n] = reference_gram[k]
-            row[n] = query_column[k]
-            return row
+    query_column = np.append(gram(spec, reference, query)[:, 0], gram(spec, query, query)[0, 0])
+    # column k of the bordered matrix is row k of the reference Gram (which is
+    # symmetric, and whose rows are contiguous) plus k(x_k, q).  Two row
+    # buffers are filled in turn, so the last two columns handed out stay
+    # valid: _pairwise_smo reads a pair at once.
+    rows = itertools.cycle(np.empty((2, n + 1)))
 
-    # only degenerate coordinates, whose kernel columns vanish, start nonzero,
-    # so K @ start is zero
-    degenerate = diag <= 1e-15
-    signed_box = labels * box
-    start = np.zeros(m) if problem.intercept else np.where(degenerate, signed_box, 0.0)
-    lo = np.where(degenerate, start, np.minimum(0.0, signed_box))
-    hi = np.where(degenerate, start, np.maximum(0.0, signed_box))
-    solve = _pairwise_smo if problem.intercept else _greedy_ascent
-    signed, diagnostics = solve(labels, start, lo, hi, np.zeros(m), diag, column, cfg)
-    alpha = np.abs(signed)  # alpha = y u, which is |u| as alpha >= 0
-    return alpha, replace(diagnostics, degenerate_coordinates=int(degenerate.sum()))
+    def column(k: int) -> np.ndarray:
+        if k == n:
+            return query_column
+        row = next(rows)
+        row[:n] = reference_gram[k]
+        row[n] = query_column[k]
+        return row
+
+    return np.append(np.diagonal(reference_gram), query_column[n]), column
 
 
 def _greedy_ascent(

@@ -396,6 +396,38 @@ def test_bad_arguments_exit_two(sample_files):
     assert info.value.code == 2
 
 
+FILE_ERROR_CASES = {
+    "missing-input": (["depth", "{tmp}/missing.csv", "{queries}", "--output", "{tmp}/out.csv"],
+                      "missing.csv"),
+    "missing-output-directory": (["depth", "{reference}", "{queries}",
+                                  "--output", "{tmp}/none/out.csv"], "none/out.csv"),
+    "output-is-a-directory": (["depth", "{reference}", "{queries}", "--output", "{tmp}/data"],
+                              "Is a directory: '{tmp}/data'"),
+    "undecodable-input": (["depth", "{tmp}/latin1.csv", "{queries}",
+                           "--output", "{tmp}/out.csv"], "latin1.csv: not UTF-8 text"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(FILE_ERROR_CASES))
+def test_file_errors_exit_two_without_a_report(case, tmp_path, capsys):
+    data = tmp_path / "data"
+    data.mkdir()
+    reference = _csv(data / "ref.csv", SEED_DATA.standard_normal((20, 2)))
+    queries = _csv(data / "q.csv", [[0.0, 0.0]])
+    (tmp_path / "latin1.csv").write_bytes(b"\xff,1\n2,3\n")
+    argv, named = FILE_ERROR_CASES[case]
+    argv = [arg.format(tmp=tmp_path, reference=reference, queries=queries) for arg in argv]
+    named = named.format(tmp=tmp_path)
+    before = sorted(os.listdir(tmp_path)), sorted(os.listdir(data))
+    assert cli.main(argv) == cli.EXIT_INVALID
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    # one line that names the file, and never the random temporary file
+    assert re.fullmatch(r"error: [^\n]*\n", captured.err) and named in captured.err
+    assert ".report-" not in captured.err
+    assert (sorted(os.listdir(tmp_path)), sorted(os.listdir(data))) == before
+
+
 NEGATIVE_VALUE_CASES = {
     "imq-beta": (["depth", "{reference}", "{queries}", "--method", "svm", "--kernel", "imq"],
                  "--imq-beta", "-1e-1"),

@@ -14,10 +14,8 @@ from lossdepth.core import (
     ValidationError,
     as_data_matrix,
     as_query_point,
-    hinge_loss,
     logistic_loss,
     weighted_expectation,
-    zero_one_loss,
 )
 
 
@@ -114,11 +112,8 @@ def test_as_helpers_pass_through():
 
 
 def test_pointwise_losses_at_zero_margin():
-    # zero prediction: log-loss gives log 2, hinge gives 1, zero-one counts it correct
+    # zero prediction: log-loss gives log 2
     assert logistic_loss(0.0, 1.0) == pytest.approx(LOG2)
-    assert hinge_loss(0.0, -1.0) == 1.0
-    assert zero_one_loss(0.0, 1.0) == 0.0
-    assert zero_one_loss(-1.0, 1.0) == 1.0
 
 
 def test_logistic_loss_is_stable_for_huge_margins():

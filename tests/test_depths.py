@@ -369,17 +369,6 @@ def test_svm_depth_never_exceeds_one():
         assert -1e-9 <= value <= 1.0 + 1e-9
 
 
-def test_svm_depth_shared_reference_gram_changes_nothing():
-    rng = np.random.default_rng(25)
-    reference = rng.standard_normal((25, 2))
-    query = np.array([0.5, 0.1])
-    spec = KernelSpec.gaussian(0.6)
-    cached = gram(spec, reference)
-    direct = svm_depth(query, reference, 1.0, kernel=spec)
-    reused = svm_depth(query, reference, 1.0, kernel=spec, reference_gram=cached)
-    assert reused.value == direct.value
-
-
 def test_svm_depth_reporting_adds_kernel_norm():
     rng = np.random.default_rng(33)
     reference = rng.standard_normal((20, 2))
@@ -508,7 +497,7 @@ def test_depth_batch_empty_queries():
     assert outcome.errors == []
 
 
-def _same_logistic_result(a: DepthResult, b: DepthResult) -> bool:
+def _same_result(a: DepthResult, b: DepthResult) -> bool:
     return (a.value == b.value and a.iterations == b.iterations and a.residual == b.residual
             and a.converged == b.converged and np.array_equal(a.coefficients, b.coefficients))
 
@@ -521,7 +510,7 @@ def test_depth_batch_matches_single_calls():
     outcome = depth_batch(request)
     assert outcome.errors == []
     for query, result in zip(queries, outcome.results):
-        assert _same_logistic_result(result, logistic_depth(query, reference, 1.0))
+        assert _same_result(result, logistic_depth(query, reference, 1.0))
 
 
 def test_logistic_batch_is_bit_identical_to_single_calls_across_block_edges(monkeypatch):
@@ -543,7 +532,7 @@ def test_logistic_batch_is_bit_identical_to_single_calls_across_block_edges(monk
                                         solver=solver)
             batch = depth_batch(request)
             assert batch.errors == []
-            assert all(_same_logistic_result(r, a) for r, a in zip(batch.results, alone)), (d, m)
+            assert all(_same_result(r, a) for r, a in zip(batch.results, alone)), (d, m)
             assert all(type(r.value) is float for r in batch.results)
 
 
@@ -560,11 +549,11 @@ def test_logistic_block_stops_each_query_on_its_own_budget():
                                 lam=0.01, solver=budget)
     near, far, other = depth_batch(request).results
     assert near.converged and other.converged
-    assert _same_logistic_result(near, full[0]) and _same_logistic_result(other, full[2])
+    assert _same_result(near, full[0]) and _same_result(other, full[2])
     assert not far.converged
     assert far.iterations == budget.max_iterations
     assert far.residual > budget.tolerance
-    assert _same_logistic_result(far, logistic_depth(queries[1], reference, 0.01, solver=budget))
+    assert _same_result(far, logistic_depth(queries[1], reference, 0.01, solver=budget))
 
 
 def test_logistic_line_search_failure_ends_only_that_query(monkeypatch):
@@ -582,8 +571,8 @@ def test_logistic_line_search_failure_ends_only_that_query(monkeypatch):
     assert mate.converged
     assert not stopped.converged
     assert stopped.iterations == 3 and stopped.residual > 1e-8
-    assert _same_logistic_result(stopped, logistic_depth(damped, reference, 5e-4))
-    assert _same_logistic_result(mate, logistic_depth(reference[0], reference, 5e-4))
+    assert _same_result(stopped, logistic_depth(damped, reference, 5e-4))
+    assert _same_result(mate, logistic_depth(reference[0], reference, 5e-4))
 
 
 def test_depth_batch_collects_per_query_errors():
@@ -632,15 +621,32 @@ def test_depth_batch_with_no_queries_builds_no_gram(monkeypatch):
         calls.append(args)
         return gram(*args)
 
+    # the closed form builds its kernel values in depths, the dual solves in solvers
     monkeypatch.setattr(depths, "gram", counting_gram)
+    monkeypatch.setattr(solvers, "gram", counting_gram)
     reference = np.random.default_rng(4).standard_normal((30, 2))
-    for intercept in (False, True):
+    for lam, intercept in ((0.01, False), (0.01, True), (1.0, False)):
         request = DepthBatchRequest(reference=reference, queries=np.empty((0, 2)), method="svm",
-                                    lam=0.01, kernel=KernelSpec.gaussian(0.8),
+                                    lam=lam, kernel=KernelSpec.gaussian(0.8),
                                     intercept=intercept)
         batch = depth_batch(request)
         assert batch.results == [] and batch.errors == []
     assert calls == []
+
+
+def test_a_failing_dual_solve_raises_out_of_depth_batch(monkeypatch):
+    # only a halfspace mode that does not fit the dimension is recorded per
+    # query; any other failure is a bug and surfaces as one
+    def broken(*args):
+        raise ArithmeticError("boom")
+
+    monkeypatch.setattr(solvers, "_greedy_ascent", broken)
+    rng = np.random.default_rng(4)
+    request = DepthBatchRequest(reference=rng.standard_normal((30, 2)),
+                                queries=rng.standard_normal((3, 2)), method="svm",
+                                lam=0.01, kernel=KernelSpec.gaussian(0.8))
+    with pytest.raises(ArithmeticError, match="boom"):
+        depth_batch(request)
 
 
 def test_batch_result_values_reports_first_failure():

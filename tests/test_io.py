@@ -128,6 +128,26 @@ def test_read_csv_converts_regular_files_without_the_cell_loop(tmp_path, monkeyp
     assert data.labels.tolist() == [1, 0]
 
 
+def test_read_csv_drops_a_byte_order_mark(tmp_path):
+    from lossdepth import io
+
+    p = tmp_path / "a.csv"
+    p.write_bytes(b"\xef\xbb\xbf1,2\n3,4\n")
+    for read in (io.read_csv, io._read_cells):
+        assert np.array_equal(read(p, False, None).features, [[1.0, 2.0], [3.0, 4.0]])
+    p.write_bytes(b"\xef\xbb\xbflab,x\n0,1.5\n1,2\n")
+    data = read_csv(p, has_header=True, label_column="lab")
+    assert np.array_equal(data.features, [[1.5], [2.0]])
+    assert data.labels.tolist() == [0, 1]
+
+
+def test_read_csv_rejects_bytes_that_are_not_utf8(tmp_path):
+    p = tmp_path / "a.csv"
+    p.write_bytes(b"1,2\n\xff,4\n")
+    with pytest.raises(ValidationError, match=f"^{p}: not UTF-8 text"):
+        read_csv(p)
+
+
 def _images_bytes(pixels, rows=2, cols=2):
     count = len(pixels) // (rows * cols)
     return struct.pack(">IIII", 2051, count, rows, cols) + bytes(pixels)

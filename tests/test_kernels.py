@@ -10,21 +10,19 @@ from lossdepth.kernels import (
     DegenerateBandwidthError,
     KernelSpec,
     gram,
-    kernel_eval,
     median_heuristic,
     quartile_heuristic,
-    rkhs_distance,
 )
 
 
 def test_gaussian_at_coincident_points():
     spec = KernelSpec.gaussian(1.0)
-    assert kernel_eval(spec, [1.0, 2.0], [1.0, 2.0]) == 1.0
+    assert gram(spec, [[1.0, 2.0]], [[1.0, 2.0]])[0, 0] == 1.0
 
 
 def test_gaussian_unit_distance():
     spec = KernelSpec.gaussian(1.0)
-    assert kernel_eval(spec, [0.0], [1.0]) == pytest.approx(math.exp(-1.0), abs=1e-15)
+    assert gram(spec, [[0.0]], [[1.0]])[0, 0] == pytest.approx(math.exp(-1.0), abs=1e-15)
 
 
 def test_imq_analytic_value():
@@ -32,17 +30,17 @@ def test_imq_analytic_value():
     spec = KernelSpec.imq(1.0, -0.5)
     x = [0.0, 0.0]
     y = [math.sqrt(3.0), 0.0]
-    assert kernel_eval(spec, x, y) == pytest.approx(0.5, abs=1e-12)
+    assert gram(spec, [x], [y])[0, 0] == pytest.approx(0.5, abs=1e-12)
 
 
 def test_laplacian_unit_distance():
     spec = KernelSpec.laplacian(2.0)
-    assert kernel_eval(spec, [0.0], [1.0]) == pytest.approx(math.exp(-0.5), abs=1e-15)
+    assert gram(spec, [[0.0]], [[1.0]])[0, 0] == pytest.approx(math.exp(-0.5), abs=1e-15)
 
 
 def test_linear_kernel_is_dot_product():
     spec = KernelSpec.linear()
-    assert kernel_eval(spec, [1.0, 2.0], [3.0, -1.0]) == pytest.approx(1.0)
+    assert gram(spec, [[1.0, 2.0]], [[3.0, -1.0]])[0, 0] == pytest.approx(1.0)
 
 
 def test_kernel_parameter_validation():
@@ -94,7 +92,7 @@ def test_gram_matches_entrywise_eval():
         k = gram(spec, pts)
         for i in range(5):
             for j in range(5):
-                assert k[i, j] == pytest.approx(kernel_eval(spec, pts[i], pts[j]), abs=1e-12)
+                assert k[i, j] == pytest.approx(gram(spec, [pts[i]], [pts[j]])[0, 0], abs=1e-12)
         assert np.allclose(k, k.T, atol=1e-12)
 
 
@@ -191,15 +189,3 @@ def test_quartile_heuristic_single_pair():
 def test_quartile_heuristic_identical_points_degenerate():
     with pytest.raises(DegenerateBandwidthError):
         quartile_heuristic(np.ones((3, 1)))
-
-
-def test_rkhs_distance_gaussian_bound():
-    # squared feature distance 2(1 - k) is at most 2 * gamma * squared distance
-    spec = KernelSpec.gaussian(0.8)
-    rng = np.random.default_rng(17)
-    for _ in range(50):
-        x, y = rng.standard_normal((2, 3))
-        d = rkhs_distance(spec, x, y)
-        k = kernel_eval(spec, x, y)
-        assert d == pytest.approx(math.sqrt(2.0 * (1.0 - k)), abs=1e-12)
-        assert d * d <= 2.0 * 0.8 * float(np.sum((x - y) ** 2)) + 1e-12

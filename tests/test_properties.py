@@ -10,8 +10,10 @@ under integer affine maps.  The logistic depth of a query has the same bits
 alone and in any batch, and its strong-convexity certificate bounds its
 error against a tight solve, also where the budget stops it early.  A pinned
 example shows that the logistic depth with a penalised intercept is not
-translation invariant.  On generated CSV text, the bulk reader gives the
-cell loop's values, labels and error messages.
+translation invariant.  An iterative kernel depth has the same bits alone
+and in any batch, with the reference Gram held densely or read column by
+column.  On generated CSV text, the bulk reader gives the cell loop's
+values, labels and error messages.
 """
 import numpy as np
 import pytest
@@ -40,7 +42,7 @@ from lossdepth.depths import (  # noqa: E402
 )
 from lossdepth.kernels import KernelSpec, gram  # noqa: E402
 from lossdepth.solvers import SolverConfig, svm_dual_solve, svm_duality_gap  # noqa: E402
-from test_depths import _same_logistic_result, integer_halfspace_2d  # noqa: E402
+from test_depths import _same_result, integer_halfspace_2d  # noqa: E402
 
 COORDINATE = st.floats(-2.0, 2.0, allow_nan=False, allow_infinity=False, width=64)
 
@@ -230,7 +232,7 @@ def test_a_logistic_result_has_the_same_bits_alone_and_in_any_batch(
         patch.setattr(depths, "LOGISTIC_BLOCK_ENTRIES", 2 * dim * max(n, dim))
         blocked = scored(queries)
     for results in (scored(queries), permuted, blocked):
-        assert all(_same_logistic_result(a, b) for a, b in zip(results, alone))
+        assert all(_same_result(a, b) for a, b in zip(results, alone))
 
 
 def _logistic_certificate(reference, query, weights, lam, intercept):
@@ -305,6 +307,49 @@ def test_a_starved_solve_stops_after_one_pass_inside_the_box(sample, kernel, lam
     _, longer = svm_dual_solve(problem, SolverConfig(max_iterations=2, tolerance=1e-14))
     assert starved.converged == (longer.converged and longer.iterations <= 1)
     assert starved.converged or (starved.iterations == 1 and starved.residual > 1e-14)
+
+
+ITERATIVE_KERNELS = st.sampled_from(
+    [KernelSpec.gaussian(0.7), KernelSpec.laplacian(1.3), KernelSpec.imq(2.0, -0.5),
+     KernelSpec.linear()]
+)
+
+
+@st.composite
+def svm_batches(draw):
+    """(reference, queries): up to 15 reference rows and 2-5 queries, drawn
+    directly (round values and duplicates included) or from a seeded
+    Gaussian, whose values round in every kernel product.  Some queries lie
+    past the reference, so the solves within a batch take different paths."""
+    reference, query = draw(samples(max_n=15))
+    m, d = draw(st.integers(2, 5)), query.size
+    if draw(st.booleans()):
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        return rng.standard_normal(reference.shape), 2.0 * rng.standard_normal((m, d))
+    others = draw(hnp.arrays(float, (m - 1, d), elements=st.floats(-4.0, 4.0, width=64)))
+    return reference, np.vstack([query, others])
+
+
+@settings(max_examples=60)
+@given(svm_batches(), ITERATIVE_KERNELS, st.floats(0.04, 0.96), st.booleans(),
+       st.sampled_from(list(Reporting)), st.booleans(), st.randoms(use_true_random=False))
+def test_an_iterative_svm_result_has_the_same_bits_alone_and_in_any_batch(
+    batch, kernel, fraction, intercept, reporting, lazy, random
+):
+    reference, queries = batch
+    lam = fraction * (kernel.bound() or 1.0) / 4.0  # below kappa/4: no closed form
+    settings_ = dict(lam=lam, intercept=intercept, reporting=reporting)
+    order = list(range(queries.shape[0]))
+    random.shuffle(order)
+    with pytest.MonkeyPatch.context() as patch:
+        if lazy:  # kernel columns on demand instead of the dense reference Gram
+            patch.setattr(solvers, "DENSE_GRAM_LIMIT", 0)
+        alone = [svm_depth(q, reference, kernel=kernel, **settings_) for q in queries]
+        for rows in (list(range(len(order))), order):
+            request = DepthBatchRequest(reference=reference, queries=queries[rows],
+                                        method="svm", kernel=kernel, **settings_)
+            results = depth_batch(request).results
+            assert all(_same_result(result, alone[i]) for i, result in zip(rows, results))
 
 
 INTEGER = st.integers(-6, 6)
@@ -384,7 +429,8 @@ def _csv_cell(draw, body: str, padding: str) -> str:
 def csv_files(draw):
     """(text, has_header, label_column): mostly regular numeric CSV text, with
     blank and all-blank rows, quoting, mixed line ends and padding, and now
-    and then a ragged row, an odd cell or a label other than 0 and 1."""
+    and then a leading byte-order mark, a ragged row, an odd cell or a label
+    other than 0 and 1."""
     width = draw(st.integers(1, 4))
     has_header = draw(st.booleans())
     label_column = draw(st.one_of(
@@ -427,6 +473,8 @@ def csv_files(draw):
     text = "".join(row + end for row, end in zip(rows, ends))
     if rows and draw(st.booleans()):
         text = text[: -len(ends[-1])]
+    if draw(st.integers(0, 7)) == 0:
+        text = "\ufeff" + text  # the UTF-8 byte-order mark of a spreadsheet export
     return text, has_header, label_column
 
 
@@ -448,10 +496,11 @@ def _read_outcome(read, path, has_header, label_column):
 @example(("1,2\n3,4,5\n", False, None))
 @example(("1,0x1p3\n", False, None))
 @example((" +.5e-3 ,1_0\nnan,inf", False, 1))
+@example(("\ufefflab,x\n0,1\n1,2\n", True, "lab"))
 def test_bulk_csv_reader_matches_the_cell_loop(tmp_path, csv_file):
     text, has_header, label_column = csv_file
     path = tmp_path / "data.csv"
-    with open(path, "w", newline="") as out:
+    with open(path, "w", newline="", encoding="utf-8") as out:
         out.write(text)
     assert _read_outcome(io.read_csv, path, has_header, label_column) == _read_outcome(
         io._read_cells, path, has_header, label_column

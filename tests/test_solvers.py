@@ -444,7 +444,7 @@ def test_svm_depth_matches_depth_batch_at_the_dense_limit(monkeypatch):
 
 
 def test_svm_supplied_reference_gram_gives_the_bordered_matrix_bits():
-    # the solver reads row k of the shared reference Gram plus k(x_k, q) for
+    # the solver reads row k of the batch's reference Gram plus k(x_k, q) for
     # each column: the same numbers, and so the same iterates, as solving
     # against the full (n+1) x (n+1) kernel matrix
     rng = np.random.default_rng(41)
@@ -460,15 +460,8 @@ def test_svm_supplied_reference_gram_gives_the_bordered_matrix_bits():
         problem = _hinge_problem(reference, query, lam=0.02, kernel=spec, intercept=intercept)
         signed, expected = solve(labels, np.zeros(31), lo, hi, np.zeros(31), np.diagonal(kmat),
                                  lambda k: kmat[k], cfg)
-        for supplied in (None, gram(spec, reference)):
-            alpha, diagnostics = svm_dual_solve(problem, cfg, supplied)
-            assert diagnostics.iterations == expected.iterations > 0
-            assert np.array_equal(alpha, np.abs(signed))
-            assert np.array_equal(diagnostics.function_values, expected.function_values)
-            assert diagnostics.offset == expected.offset
-
-
-def test_svm_supplied_reference_gram_must_match_the_reference():
-    problem = _hinge_problem(np.zeros((4, 2)), [1.0, 1.0], lam=0.01)
-    with pytest.raises(ValidationError):
-        svm_dual_solve(problem, reference_gram=np.eye(5))
+        alpha, diagnostics = svm_dual_solve(problem, cfg)
+        assert diagnostics.iterations == expected.iterations > 0
+        assert np.array_equal(alpha, np.abs(signed))
+        assert np.array_equal(diagnostics.function_values, expected.function_values)
+        assert diagnostics.offset == expected.offset
