@@ -45,7 +45,6 @@ from .solvers import SolverConfig
 _METHOD_NAMES = {"halfspace": METHOD_HALFSPACE, "lr": METHOD_LOGISTIC, "svm": METHOD_SVM}
 
 EXIT_OK = 0
-EXIT_PARTIAL = 1
 EXIT_INVALID = 2
 
 
@@ -214,25 +213,19 @@ def cmd_depth(args) -> int:
         solver=solver,
         halfspace=halfspace,
     )
-    outcome = depth_batch(request)
+    results = depth_batch(request).results
 
     depths = ReportTable("depths", ("query", "depth", "converged", "iterations", "residual"))
-    for i, result in enumerate(outcome.results):
-        if result is not None:
-            depths.append(i, result.value, result.converged, result.iterations, result.residual)
+    for i, result in enumerate(results):
+        depths.append(i, result.value, result.converged, result.iterations, result.residual)
     tables = [depths]
     if args.coefficients:
         coefficients = ReportTable("coefficients", ("query", "coefficient", "value"))
-        for i, result in enumerate(outcome.results):
-            if result is not None and result.coefficients is not None:
+        for i, result in enumerate(results):
+            if result.coefficients is not None:
                 for j, value in enumerate(result.coefficients):
                     coefficients.append(i, j, float(value))
         tables.append(coefficients)
-    if outcome.errors:
-        failures = ReportTable("failures", ("query", "message"))
-        for index, message in outcome.errors:
-            failures.append(index, message)
-        tables.append(failures)
 
     report = ExperimentReport(
         name="depth",
@@ -251,9 +244,7 @@ def cmd_depth(args) -> int:
         tables=tables,
     )
     _emit(report, args)
-    for index, message in outcome.errors:
-        print(f"query {index}: {message}", file=sys.stderr)
-    return EXIT_PARTIAL if outcome.errors else EXIT_OK
+    return EXIT_OK
 
 
 def cmd_benchmark(args) -> int:

@@ -4,8 +4,8 @@ A depth query separates one point (the query, labelled -1, mass 1/2) from a
 reference sample (labelled +1, total mass 1/2, split uniformly).  The depth of
 the query is the smallest achievable expected classification loss over a
 family of classifiers.  This module holds the containers, which check their
-own invariants when built, the weighting and the pointwise losses; the actual
-minimisation lives in :mod:`lossdepth.solvers` and :mod:`lossdepth.depths`.
+own invariants when built, and the weighting; the actual minimisation lives
+in :mod:`lossdepth.solvers` and :mod:`lossdepth.depths`.
 """
 from __future__ import annotations
 
@@ -45,11 +45,6 @@ class Reporting(Enum):
 
     LOSS_ONLY = "loss"
     LOSS_PLUS_REG = "loss+reg"
-
-
-def logistic_loss(predictions, labels):
-    """log(1 + exp(-y * f)) evaluated stably, elementwise."""
-    return np.logaddexp(0.0, -np.asarray(labels, dtype=float) * np.asarray(predictions, dtype=float))
 
 
 def _validated_matrix(values) -> np.ndarray:

@@ -565,19 +565,12 @@ class DepthBatchRequest:
 
 @dataclass(eq=False)
 class BatchResult:
-    """Per-query results in request order; failed slots hold None and the
-    failure message is recorded under the query index."""
+    """One DepthResult per query, in request order."""
 
     results: list
-    errors: list
 
     @property
     def values(self) -> np.ndarray:
-        if self.errors:
-            raise ValidationError(
-                f"{len(self.errors)} of {len(self.results)} queries failed; "
-                f"first failure at index {self.errors[0][0]}: {self.errors[0][1]}"
-            )
         return np.array([r.value for r in self.results])
 
 
@@ -587,22 +580,18 @@ def depth_batch(request: DepthBatchRequest) -> BatchResult:
     a single query runs as a batch of one.
 
     The shared reference structures are built once per call and only read by
-    the queries.  A halfspace mode that does not fit the dimension is
-    recorded as an error at every query; any other failure raises.
+    the queries.  Every query is scored or the call raises: a halfspace mode
+    that does not fit the dimension raises ValidationError, even with no
+    queries.
     """
     reference = request.reference.values
     if request.method == METHOD_HALFSPACE:
         halfspace_cfg = request.halfspace
         if halfspace_cfg is None:
             halfspace_cfg = default_halfspace_config(request.reference.d)
-        try:
-            values = _halfspace_depths(reference, request.queries, halfspace_cfg)
-        except ValidationError as exc:  # a mode that does not fit d fails every query
-            m = request.queries.shape[0]
-            return BatchResult(results=[None] * m, errors=[(i, str(exc)) for i in range(m)])
         results = [
             DepthResult(value=float(value), iterations=0, residual=0.0, converged=True)
-            for value in values
+            for value in _halfspace_depths(reference, request.queries, halfspace_cfg)
         ]
     elif request.method == METHOD_LOGISTIC:
         results = _logistic_depths(
@@ -616,4 +605,4 @@ def depth_batch(request: DepthBatchRequest) -> BatchResult:
             False if request.intercept is None else request.intercept,
             request.reporting, request.solver,
         )
-    return BatchResult(results=results, errors=[])
+    return BatchResult(results=results)

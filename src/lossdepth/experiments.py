@@ -53,7 +53,10 @@ def _pad_center(center, d: int) -> np.ndarray:
     return np.concatenate([c, np.zeros(d - c.size)])
 
 
-def gen_bigaussian(n_per_mode: int, centers=((-3.5, -3.5), (3.5, 3.5)), d: int = 2,
+BIMODAL_CENTERS = ((-3.5, -3.5), (3.5, 3.5))  # modes of the bimodal experiments
+
+
+def gen_bigaussian(n_per_mode: int, centers=BIMODAL_CENTERS, d: int = 2,
                    seed=0) -> np.ndarray:
     """Sample equally from unit-covariance Gaussians at the given centers.
 
@@ -194,16 +197,16 @@ def convergence_experiment(
     master_seed: int = 0,
     n_reference: int | None = None,
     query=None,
-    sample_fn=None,
 ) -> ConvergenceResult:
     """Measure |depth_n - depth_proxy| over a grid of sample sizes.
 
-    depth_fn maps (sample, query) to a scalar.  The proxy value comes from
-    one sample 50 times larger than the biggest grid entry, and the reported
-    slope is the least-squares fit of log mean error against log n.  The
-    default query sits at the all-ones point rather than the sample mean:
-    at a symmetry point of the sampling distribution the leading fluctuation
-    terms cancel and the fit would measure a faster, unrepresentative rate.
+    depth_fn maps (sample, query) to a scalar, and every sample is standard
+    normal in d dimensions.  The proxy value comes from one sample 50 times
+    larger than the biggest grid entry, and the reported slope is the
+    least-squares fit of log mean error against log n.  The default query
+    sits at the all-ones point rather than the sample mean: at a symmetry
+    point of the sampling distribution the leading fluctuation terms cancel
+    and the fit would measure a faster, unrepresentative rate.
     """
     grid = tuple(int(n) for n in n_grid)
     if len(grid) < 2:
@@ -212,8 +215,6 @@ def convergence_experiment(
         raise ValidationError("sample sizes must be >= 1")
     if repeats < 1:
         raise ValidationError("repeats must be >= 1")
-    if sample_fn is None:
-        sample_fn = lambda rng, n, dim: rng.standard_normal((n, dim))
     q = np.ones(d) if query is None else np.asarray(query, dtype=float).reshape(-1)
     if q.size != d:
         raise ValidationError(f"query has {q.size} coordinates but d={d}")
@@ -221,13 +222,13 @@ def convergence_experiment(
     if n_ref <= max(grid):
         raise ValidationError("the reference sample must exceed every grid size")
 
-    reference = sample_fn(_spawned_rng(master_seed, _REFERENCE_STREAM, 0, 0), n_ref, d)
+    reference = _spawned_rng(master_seed, _REFERENCE_STREAM, 0, 0).standard_normal((n_ref, d))
     reference_value = float(depth_fn(reference, q))
 
     errors = np.empty((len(grid), repeats))
     for i, n in enumerate(grid):
         for r in range(repeats):
-            sample = sample_fn(_spawned_rng(master_seed, _SAMPLE_STREAM, i, r), n, d)
+            sample = _spawned_rng(master_seed, _SAMPLE_STREAM, i, r).standard_normal((n, d))
             errors[i, r] = abs(float(depth_fn(sample, q)) - reference_value)
     means = errors.mean(axis=1)
     if np.any(means <= 0.0):
@@ -261,9 +262,9 @@ def rank_correlation_experiment(
     n: int = 200,
     runs: int = 10,
     master_seed: int = 0,
-    centers=((-3.5, -3.5), (3.5, 3.5)),
 ) -> list:
-    """Correlate scores with the true sampling density on bimodal data.
+    """Correlate scores with the true sampling density on bimodal data, with
+    modes at BIMODAL_CENTERS.
 
     score_fn maps a sample to one score per row (using the sample itself as
     the reference).  Each (dimension, run) cell gets its own child stream.
@@ -277,8 +278,8 @@ def rank_correlation_experiment(
     for d in d_grid:
         for run in range(runs):
             rng = _spawned_rng(master_seed, _MIXTURE_STREAM, int(d), run)
-            sample = gen_bigaussian(n // 2, centers=centers, d=int(d), seed=rng)
-            density = mixture_density(sample, centers)
+            sample = gen_bigaussian(n // 2, d=int(d), seed=rng)
+            density = mixture_density(sample, BIMODAL_CENTERS)
             scores = np.asarray(score_fn(sample), dtype=float)
             rows.append(
                 RankCorrelationRow(
@@ -306,8 +307,8 @@ class GridScan:
 
 
 def contamination_grid(data, score_fn, *, resolution: int = 50,
-                       quantiles=(0.5, 0.6, 0.7, 0.8, 0.9), margin: float = 1.0) -> GridScan:
-    """Score a regular grid spanning the data range plus a margin.
+                       quantiles=(0.5, 0.6, 0.7, 0.8, 0.9)) -> GridScan:
+    """Score a regular grid spanning the data range plus 1 on every side.
 
     Grid rows run x-fastest.  Thresholds are the requested quantiles of the
     scores of the data points themselves; for nondecreasing quantile levels
@@ -321,8 +322,8 @@ def contamination_grid(data, score_fn, *, resolution: int = 50,
     levels = tuple(float(q) for q in quantiles)
     if any(not 0.0 <= q <= 1.0 for q in levels):
         raise ValidationError("quantile levels must lie in [0, 1]")
-    xs = np.linspace(pts[:, 0].min() - margin, pts[:, 0].max() + margin, resolution)
-    ys = np.linspace(pts[:, 1].min() - margin, pts[:, 1].max() + margin, resolution)
+    xs = np.linspace(pts[:, 0].min() - 1.0, pts[:, 0].max() + 1.0, resolution)
+    ys = np.linspace(pts[:, 1].min() - 1.0, pts[:, 1].max() + 1.0, resolution)
     gx, gy = np.meshgrid(xs, ys)
     grid_points = np.column_stack([gx.ravel(), gy.ravel()])
     scores = np.asarray(score_fn(grid_points), dtype=float)

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -48,12 +48,6 @@ class SolverConfig:
             raise ValidationError("solver needs a finite positive tolerance")
 
 
-@dataclass
-class DescentHistory:
-    values: list = field(default_factory=list)
-    iterates: list = field(default_factory=list)
-
-
 @dataclass(frozen=True, eq=False)
 class SolveDiagnostics:
     """Iteration count, final stopping residual, and convergence flag.
@@ -69,7 +63,6 @@ class SolveDiagnostics:
     residual: float
     converged: bool
     degenerate_coordinates: int = 0
-    history: DescentHistory | None = None
     function_values: np.ndarray | None = None
     offset: float = 0.0
 
@@ -180,7 +173,6 @@ def logistic_block_solve(
     queries: np.ndarray,
     lam: float,
     config: SolverConfig | None = None,
-    keep_history: bool = False,
 ) -> tuple[np.ndarray, np.ndarray, list]:
     """Damped Newton on the logistic depth objectives of a block of queries,
     in lockstep, each from the zero vector.
@@ -212,7 +204,6 @@ def logistic_block_solve(
     losses_out = np.empty(size)
     margins_out = np.empty((size, n + 1))
     diagnostics = [None] * size
-    histories = [DescentHistory() if keep_history else None for _ in range(size)]
 
     live = np.arange(size)  # block rows of the queries still being solved
     weights = np.zeros((size, dim))
@@ -228,16 +219,12 @@ def logistic_block_solve(
             margins_out[i, :n] = signed[k, :n]
             margins_out[i, n] = -signed[k, n]
             diagnostics[i] = SolveDiagnostics(
-                iteration, float(residual[k]), bool(converged[k]), history=histories[i],
+                iteration, float(residual[k]), bool(converged[k]),
                 function_values=margins_out[i],
             )
 
     for iteration in range(cfg.max_iterations + 1):
         residual = np.linalg.norm(grad, axis=1)
-        if keep_history:
-            for k, i in enumerate(live):
-                histories[i].values.append(float(value[k]))
-                histories[i].iterates.append(weights[k].copy())
         converged = residual <= cfg.tolerance
         stop = converged | (iteration == cfg.max_iterations)
         if stop.any():
@@ -290,14 +277,11 @@ def logistic_block_solve(
 def logistic_solve(
     problem: DepthProblem,
     config: SolverConfig | None = None,
-    keep_history: bool = False,
 ) -> tuple[np.ndarray, SolveDiagnostics]:
     """Damped Newton on one logistic depth objective from the zero vector: a
     block of one for logistic_block_solve, with the same stopping rules."""
     features, query = _logistic_parts(problem)
-    weights, _, diagnostics = logistic_block_solve(
-        features, query, problem.lam, config, keep_history
-    )
+    weights, _, diagnostics = logistic_block_solve(features, query, problem.lam, config)
     return weights[0], diagnostics[0]
 
 

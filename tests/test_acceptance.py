@@ -198,9 +198,12 @@ def test_criterion_03_solver_certificates():
         problem = _logistic_problem(
             rng.standard_normal((30, 3)) * 2.0, rng.standard_normal(3) * 2.0, lam=lam,
         )
-        w, diag = logistic_solve(problem, SolverConfig(tolerance=1e-8),
-                                 keep_history=True)
-        values = np.asarray(diag.history.values)
+        w, diag = logistic_solve(problem, SolverConfig(tolerance=1e-8))
+        # the iterate after k Newton steps is the solve with a budget of k steps
+        values = [logistic_objective(np.zeros_like(w), problem)[0]]
+        for k in range(1, diag.iterations + 1):
+            w_k, _ = logistic_solve(problem, SolverConfig(max_iterations=k, tolerance=1e-8))
+            values.append(logistic_objective(w_k, problem)[0])
         worst_increase = max(worst_increase, float(np.max(np.diff(values))))
         worst_norm_excess = max(
             worst_norm_excess, float(np.linalg.norm(w) - math.sqrt(LOG2 / lam))

@@ -10,7 +10,6 @@ import numpy as np
 import pytest
 
 from lossdepth import cli
-from lossdepth.depths import BatchResult
 from lossdepth.io import format_float
 from lossdepth.kernels import median_heuristic
 
@@ -144,6 +143,18 @@ def test_depth_halfspace_needs_directions_beyond_2d(tmp_path, capsys):
                      "--directions", "200"])
     assert code == cli.EXIT_OK
 
+    # d = 1 and d = 2 score with or without directions and report no failures
+    for d in (1, 2):
+        reference = _csv(tmp_path / f"r{d}.csv", SEED_DATA.standard_normal((15, d)))
+        queries = _csv(tmp_path / f"q{d}.csv", SEED_DATA.standard_normal((3, d)))
+        for flags in ([], ["--directions", "50"]):
+            out = tmp_path / f"out{d}{len(flags)}.csv"
+            code = cli.main(["depth", reference, queries, "--method", "halfspace", *flags,
+                             "--output", str(out)])
+            assert code == cli.EXIT_OK
+            assert out.read_text().count("\n") == 4
+    assert list(tmp_path.glob("*.failures.csv")) == []
+
 
 def test_depth_laplacian_requires_sigma(sample_files, capsys):
     reference, queries = sample_files
@@ -151,23 +162,6 @@ def test_depth_laplacian_requires_sigma(sample_files, capsys):
                      "--kernel", "laplacian"])
     assert code == cli.EXIT_INVALID
     assert "--sigma" in capsys.readouterr().err
-
-
-def test_depth_partial_failure_exit_code(sample_files, tmp_path, capsys, monkeypatch):
-    reference, queries = sample_files
-
-    def broken_batch(request):
-        return BatchResult(results=[None] * len(request.queries),
-                           errors=[(0, "boom"), (2, "boom")])
-
-    monkeypatch.setattr(cli, "depth_batch", broken_batch)
-    out = tmp_path / "out.csv"
-    code = cli.main(["depth", reference, queries, "--output", str(out)])
-    assert code == cli.EXIT_PARTIAL
-    err = capsys.readouterr().err
-    assert "query 0: boom" in err and "query 2: boom" in err
-    failures = (tmp_path / "out.failures.csv").read_text().splitlines()
-    assert failures == ["query,message", "0,boom", "2,boom"]
 
 
 def test_threads_env_variable(sample_files, tmp_path, monkeypatch, capsys):

@@ -1,6 +1,4 @@
 """Container, weighting and validation behaviour."""
-import math
-
 import numpy as np
 import pytest
 
@@ -14,7 +12,6 @@ from lossdepth.core import (
     ValidationError,
     as_data_matrix,
     as_query_point,
-    logistic_loss,
     weighted_expectation,
 )
 
@@ -109,20 +106,6 @@ def test_as_helpers_pass_through():
     assert as_query_point(q) is q
     assert isinstance(as_data_matrix([[1.0]]), DataMatrix)
     assert isinstance(as_query_point([1.0]), QueryPoint)
-
-
-def test_pointwise_losses_at_zero_margin():
-    # zero prediction: log-loss gives log 2
-    assert logistic_loss(0.0, 1.0) == pytest.approx(LOG2)
-
-
-def test_logistic_loss_is_stable_for_huge_margins():
-    # naive exp would overflow near 710
-    big = logistic_loss(-1000.0, 1.0)
-    assert big == pytest.approx(1000.0)
-    small = logistic_loss(1000.0, 1.0)
-    assert small == 0.0
-    assert math.isfinite(float(logistic_loss(750.0, -1.0)))
 
 
 def test_depth_problem_rejects_dimension_mismatch():

@@ -15,7 +15,6 @@ from lossdepth.core import (
     ValidationError,
 )
 from lossdepth.depths import (
-    BatchResult,
     DepthBatchRequest,
     DepthResult,
     HalfspaceConfig,
@@ -154,7 +153,6 @@ def test_halfspace_batch_is_bit_identical_to_single_calls_across_block_edges(mon
             request = DepthBatchRequest(reference=reference, queries=queries,
                                         method="halfspace", halfspace=config)
             batch = depth_batch(request)
-            assert batch.errors == []
             assert [r.value for r in batch.results] == alone, (config.mode, m)
             assert all(type(r.value) is float for r in batch.results)
 
@@ -494,7 +492,6 @@ def test_depth_batch_empty_queries():
                                 queries=np.empty((0, 2)), method="logistic")
     outcome = depth_batch(request)
     assert outcome.values.shape == (0,)
-    assert outcome.errors == []
 
 
 def _same_result(a: DepthResult, b: DepthResult) -> bool:
@@ -508,7 +505,6 @@ def test_depth_batch_matches_single_calls():
     queries = rng.standard_normal((8, 2))
     request = DepthBatchRequest(reference=reference, queries=queries, method="logistic")
     outcome = depth_batch(request)
-    assert outcome.errors == []
     for query, result in zip(queries, outcome.results):
         assert _same_result(result, logistic_depth(query, reference, 1.0))
 
@@ -531,7 +527,6 @@ def test_logistic_batch_is_bit_identical_to_single_calls_across_block_edges(monk
                                         lam=0.05, intercept=intercept, reporting=reporting,
                                         solver=solver)
             batch = depth_batch(request)
-            assert batch.errors == []
             assert all(_same_result(r, a) for r, a in zip(batch.results, alone)), (d, m)
             assert all(type(r.value) is float for r in batch.results)
 
@@ -575,27 +570,18 @@ def test_logistic_line_search_failure_ends_only_that_query(monkeypatch):
     assert _same_result(mate, logistic_depth(reference[0], reference, 5e-4))
 
 
-def test_depth_batch_collects_per_query_errors():
-    # halfspace depth over d=3 queries is reachable only through an explicit
-    # sampling config; per-query failures must not abort the batch
-    reference = np.zeros((4, 3))
-    request = DepthBatchRequest(
-        reference=reference,
-        queries=np.zeros((2, 3)),
-        method="halfspace",
-        halfspace=HalfspaceConfig.exact_2d(),  # wrong dimension on purpose
-    )
-    outcome = depth_batch(request)
-    assert [i for i, _ in outcome.errors] == [0, 1]
-    assert outcome.results == [None, None]
-    with pytest.raises(ValidationError):
-        outcome.values
-    for d, config in ((2, HalfspaceConfig.exact_1d()), (1, HalfspaceConfig.exact_2d())):
-        request = DepthBatchRequest(reference=np.zeros((4, d)), queries=np.zeros((3, d)),
-                                    method="halfspace", halfspace=config)
-        outcome = depth_batch(request)
-        assert [i for i, _ in outcome.errors] == [0, 1, 2]
-        assert outcome.results == [None, None, None]
+def test_depth_batch_rejects_a_halfspace_mode_that_does_not_fit_the_dimension():
+    # the whole request fails with the mode's own message, even with no queries
+    two_d = "exact-2d halfspace depth needs two-dimensional data"
+    one_d = "exact-1d halfspace depth needs one-dimensional data"
+    for d, config, message in ((3, HalfspaceConfig.exact_2d(), two_d),
+                               (1, HalfspaceConfig.exact_2d(), two_d),
+                               (2, HalfspaceConfig.exact_1d(), one_d)):
+        for m in (0, 2):
+            request = DepthBatchRequest(reference=np.zeros((4, d)), queries=np.zeros((m, d)),
+                                        method="halfspace", halfspace=config)
+            with pytest.raises(ValidationError, match=message):
+                depth_batch(request)
 
 
 def test_depth_batch_builds_the_reference_gram_once(monkeypatch):
@@ -610,7 +596,7 @@ def test_depth_batch_builds_the_reference_gram_once(monkeypatch):
     request = DepthBatchRequest(reference=rng.standard_normal((30, 2)),
                                 queries=rng.standard_normal((5, 2)), method="svm",
                                 kernel=KernelSpec.gaussian(0.8))
-    assert depth_batch(request).errors == []
+    depth_batch(request)
     assert len(calls) == 1
 
 
@@ -630,13 +616,12 @@ def test_depth_batch_with_no_queries_builds_no_gram(monkeypatch):
                                     lam=lam, kernel=KernelSpec.gaussian(0.8),
                                     intercept=intercept)
         batch = depth_batch(request)
-        assert batch.results == [] and batch.errors == []
+        assert batch.results == []
     assert calls == []
 
 
 def test_a_failing_dual_solve_raises_out_of_depth_batch(monkeypatch):
-    # only a halfspace mode that does not fit the dimension is recorded per
-    # query; any other failure is a bug and surfaces as one
+    # any failure inside a batch raises out of depth_batch
     def broken(*args):
         raise ArithmeticError("boom")
 
@@ -647,14 +632,3 @@ def test_a_failing_dual_solve_raises_out_of_depth_batch(monkeypatch):
                                 lam=0.01, kernel=KernelSpec.gaussian(0.8))
     with pytest.raises(ArithmeticError, match="boom"):
         depth_batch(request)
-
-
-def test_batch_result_values_reports_first_failure():
-    partial = BatchResult(
-        results=[DepthResult(0.5, 1, 0.0, True), None],
-        errors=[(1, "boom")],
-    )
-    with pytest.raises(ValidationError) as info:
-        partial.values
-    assert "boom" in str(info.value)
-    assert "index 1" in str(info.value)

@@ -180,8 +180,12 @@ def test_descent_objective_monotone():
             rng.standard_normal(d) * 2.0,
             lam=float(rng.uniform(0.05, 2.0)),
         )
-        _, diag = logistic_solve(problem, keep_history=True)
-        values = np.array(diag.history.values)
+        w, diag = logistic_solve(problem)
+        # the iterate after k Newton steps is the solve with a budget of k steps
+        values = [logistic_objective(np.zeros_like(w), problem)[0]]
+        for k in range(1, diag.iterations + 1):
+            w_k, _ = logistic_solve(problem, SolverConfig(max_iterations=k))
+            values.append(logistic_objective(w_k, problem)[0])
         assert np.all(np.diff(values) <= 1e-12)
 
 
