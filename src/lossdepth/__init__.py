@@ -7,15 +7,12 @@ other half spread uniformly).  Rich families drive the loss to zero
 everywhere; restricted ones - halfspace indicators, penalised logistic
 regression, kernel SVMs - grade how central the query sits.
 """
-from .baselines import OneClassSvmModel, lof_scores, ocsvm_fit, ocsvm_fit_score
+from .baselines import OneClassSvmModel, lof_scores, ocsvm_fit
 from .core import (
     DataMatrix,
-    DepthProblem,
     DepthResult,
     LossDepthError,
-    LossKind,
     NotConvergedError,
-    QueryPoint,
     Reporting,
     ValidationError,
     weighted_expectation,
@@ -46,7 +43,7 @@ from .experiments import (
 from .io import ExperimentReport, LabeledDataset, ReportTable, read_csv, read_idx, write_report
 from .kernels import DegenerateBandwidthError, KernelSpec, gram, median_heuristic, quartile_heuristic
 from .metrics import UndefinedCorrelationError, auc_roc, kendall_tau, spearman_rho
-from .solvers import SolverConfig, logistic_solve, svm_dual_solve
+from .solvers import SolverConfig
 
 __version__ = "0.1.0"
 
@@ -57,17 +54,14 @@ __all__ = [
     "DataMatrix",
     "DegenerateBandwidthError",
     "DepthBatchRequest",
-    "DepthProblem",
     "DepthResult",
     "ExperimentReport",
     "HalfspaceConfig",
     "KernelSpec",
     "LabeledDataset",
     "LossDepthError",
-    "LossKind",
     "NotConvergedError",
     "OneClassSvmModel",
-    "QueryPoint",
     "ReportTable",
     "Reporting",
     "SolverConfig",
@@ -87,11 +81,9 @@ __all__ = [
     "kendall_tau",
     "lof_scores",
     "logistic_depth",
-    "logistic_solve",
     "median_heuristic",
     "mixture_density",
     "ocsvm_fit",
-    "ocsvm_fit_score",
     "quartile_heuristic",
     "rank_correlation_experiment",
     "read_csv",
@@ -99,7 +91,6 @@ __all__ = [
     "spearman_rho",
     "stratified_split",
     "svm_depth",
-    "svm_dual_solve",
     "weighted_expectation",
     "write_report",
 ]

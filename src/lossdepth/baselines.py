@@ -130,12 +130,6 @@ def ocsvm_fit(train, kernel: KernelSpec, nu: float = 0.15,
     )
 
 
-def ocsvm_fit_score(train, test, kernel: KernelSpec, nu: float = 0.15,
-                    config: SolverConfig | None = None) -> np.ndarray:
-    """Fit on train and return signed margins for test."""
-    return ocsvm_fit(train, kernel, nu, config).score(test)
-
-
 def ocsvm_duality_gap(model: OneClassSvmModel) -> float:
     """Primal objective at the recovered (f, rho) minus the dual value.
 

@@ -24,7 +24,6 @@ from .depths import (
     METHOD_SVM,
     DepthBatchRequest,
     HalfspaceConfig,
-    default_halfspace_config,
     depth_batch,
     logistic_depth,
     svm_depth,
@@ -195,11 +194,8 @@ def cmd_depth(args) -> int:
     if method == METHOD_SVM:
         kernel = _resolve_kernel(args, reference)
     halfspace = None
-    if method == METHOD_HALFSPACE:
-        if args.directions is not None:
-            halfspace = HalfspaceConfig.random_directions(args.directions, args.seed)
-        else:
-            halfspace = default_halfspace_config(reference.shape[1])
+    if method == METHOD_HALFSPACE and args.directions is not None:
+        halfspace = HalfspaceConfig.random_directions(args.directions, args.seed)
 
     request = DepthBatchRequest(
         reference=reference,

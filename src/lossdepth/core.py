@@ -3,9 +3,12 @@
 A depth query separates one point (the query, labelled -1, mass 1/2) from a
 reference sample (labelled +1, total mass 1/2, split uniformly).  The depth of
 the query is the smallest achievable expected classification loss over a
-family of classifiers.  This module holds the containers, which check their
-own invariants when built, and the weighting; the actual minimisation lives
-in :mod:`lossdepth.solvers` and :mod:`lossdepth.depths`.
+family of classifiers.  Only the loss and the family differ between the
+depths, so one request type, :class:`lossdepth.depths.DepthBatchRequest`,
+describes every depth, one query or many.  This module holds the reference
+container, which checks its own invariants when built, the result type, the
+weighting and the ridge-strength check; the actual minimisation lives in
+:mod:`lossdepth.solvers` and :mod:`lossdepth.depths`.
 """
 from __future__ import annotations
 
@@ -28,11 +31,6 @@ class ValidationError(LossDepthError, ValueError):
 
 class NotConvergedError(LossDepthError):
     """Raised by harness code when a solver result is required to converge."""
-
-
-class LossKind(Enum):
-    LOGISTIC = "logistic"
-    HINGE = "hinge"
 
 
 class Reporting(Enum):
@@ -77,26 +75,6 @@ class DataMatrix:
         return self.values.shape[1]
 
 
-@dataclass(frozen=True, eq=False)
-class QueryPoint:
-    """Immutable query location, a finite float64 d-vector."""
-
-    coords: np.ndarray
-
-    def __post_init__(self):
-        arr = np.array(self.coords, dtype=float).reshape(-1)
-        if arr.size < 1:
-            raise ValidationError("query point must have at least one coordinate")
-        if not np.all(np.isfinite(arr)):
-            raise ValidationError("query point contains non-finite entries")
-        arr.setflags(write=False)
-        object.__setattr__(self, "coords", arr)
-
-    @property
-    def d(self) -> int:
-        return self.coords.size
-
-
 def weighted_expectation(positive_losses, negative_loss: float) -> float:
     """Expected loss under the two-class weighting.
 
@@ -119,41 +97,6 @@ def lambda_violation(lam: float) -> str | None:
 
 
 @dataclass(frozen=True, eq=False)
-class DepthProblem:
-    """One depth evaluation: reference sample, query, loss family and knobs.
-
-    lam is the ridge coefficient on the classifier weights.  With an
-    intercept, the classifier acts on features augmented by a constant 1 and
-    the intercept coordinate is penalised like any other weight.
-    Construction checks the cross-field invariants and raises one
-    ValidationError naming every violation; DataMatrix and QueryPoint
-    already guarantee finite entries.
-    """
-
-    reference: DataMatrix
-    query: QueryPoint
-    loss: LossKind
-    lam: float = 1.0
-    kernel: "object | None" = None  # KernelSpec, kept untyped to avoid an import cycle
-    intercept: bool = True
-    reporting: Reporting = Reporting.LOSS_ONLY
-    normalize: bool = True
-
-    def __post_init__(self):
-        violations = []
-        if self.reference.d != self.query.d:
-            violations.append(
-                f"dimension mismatch: reference has d={self.reference.d}, query has d={self.query.d}"
-            )
-        if (lam_violation := lambda_violation(self.lam)) is not None:
-            violations.append(lam_violation)
-        if self.loss is LossKind.HINGE and self.kernel is None:
-            violations.append("hinge depth requires a kernel")
-        if violations:
-            raise ValidationError("; ".join(violations))
-
-
-@dataclass(frozen=True, eq=False)
 class DepthResult:
     """Depth value plus solver diagnostics.
 
@@ -173,7 +116,3 @@ class DepthResult:
 
 def as_data_matrix(values) -> DataMatrix:
     return values if isinstance(values, DataMatrix) else DataMatrix(values)
-
-
-def as_query_point(coords) -> QueryPoint:
-    return coords if isinstance(coords, QueryPoint) else QueryPoint(coords)

@@ -6,16 +6,17 @@ random directions in higher dimension.  logistic_depth and svm_depth report
 the weighted classification loss of the best ridge-penalised separator
 between the reference sample and the query.
 
-Each depth is one batch function that a single query runs as a batch of
-one, and depth_batch only dispatches to it.  The halfspace depth: the exact
-1-d depth sorts the reference once, the exact 2-d depth sweeps cache-sized
-blocks of queries with one sort per query row, and random directions are
-drawn once per batch.  The logistic depth: one lockstep Newton solve per
-cache-sized block of queries.  The kernel depth: without an intercept, with
-a bounded kernel of constant diagonal kappa and lam >= kappa/4, in closed
-form, one block of queries at a time; otherwise one dual solve per query,
-in request order, against labels, box and reference Gram built once per
-batch.
+DepthBatchRequest is the one way to ask for a depth.  halfspace_depth,
+logistic_depth and svm_depth build a request of one row and return its one
+result, and depth_batch only dispatches to the method's batch function, the
+same code for one query or many.  The halfspace depth: the exact 1-d depth
+sorts the reference once, the exact 2-d depth sweeps cache-sized blocks of
+queries with one sort per query row, and random directions are drawn once
+per batch.  The logistic depth: one lockstep Newton solve per cache-sized
+block of queries.  The kernel depth: without an intercept, with a bounded
+kernel of constant diagonal kappa and lam >= kappa/4, in closed form, one
+block of queries at a time; otherwise one dual solve per query, in request
+order, against labels, box and reference Gram built once per batch.
 """
 from __future__ import annotations
 
@@ -26,13 +27,10 @@ import numpy as np
 from .core import (
     LOG2,
     DataMatrix,
-    DepthProblem,
     DepthResult,
-    LossKind,
     Reporting,
     ValidationError,
     as_data_matrix,
-    as_query_point,
     lambda_violation,
     weighted_expectation,
 )
@@ -44,6 +42,10 @@ from .solvers import (
     logistic_features,
     svm_dual_solves,
 )
+
+METHOD_HALFSPACE = "halfspace"
+METHOD_LOGISTIC = "logistic"
+METHOD_SVM = "svm"
 
 EXACT_1D = "exact-1d"
 EXACT_2D = "exact-2d"
@@ -200,15 +202,21 @@ def _halfspace_depths(points: np.ndarray, queries: np.ndarray, config: Halfspace
     return _halfspace_random(points, queries, config)
 
 
+def _one_query(query, reference, method: str, **settings) -> DepthBatchRequest:
+    """The request of a single query: its coordinates flattened into one row.
+    An empty query leaves no row to score."""
+    row = np.asarray(query, dtype=float).reshape(1, -1)
+    request = DepthBatchRequest(reference=reference, queries=row, method=method, **settings)
+    if request.queries.shape[0] == 0:
+        raise ValidationError("query point must have at least one coordinate")
+    return request
+
+
 def halfspace_depth(query, reference, config: HalfspaceConfig | None = None) -> float:
     """Smallest fraction of reference points in a closed halfspace whose
-    boundary passes through the query point."""
-    ref = as_data_matrix(reference)
-    q = as_query_point(query)
-    if ref.d != q.d:
-        raise ValidationError(f"dimension mismatch: reference has d={ref.d}, query has d={q.d}")
-    cfg = config if config is not None else default_halfspace_config(ref.d)
-    return float(_halfspace_depths(ref.values, q.coords[None, :], cfg)[0])
+    boundary passes through the query point: a one-row depth_batch."""
+    request = _one_query(query, reference, METHOD_HALFSPACE, halfspace=config)
+    return depth_batch(request).results[0].value
 
 
 def halfspace_depth_as_loss(query, reference, directions, strict: bool = False) -> float:
@@ -224,8 +232,8 @@ def halfspace_depth_as_loss(query, reference, directions, strict: bool = False) 
     instead, which can fall below the closed value by exactly the fraction of
     reference mass sitting on the optimal hyperplane.
     """
-    ref = as_data_matrix(reference)
-    q = as_query_point(query)
+    request = _one_query(query, reference, METHOD_HALFSPACE)
+    ref = request.reference
     dirs = np.atleast_2d(np.asarray(directions, dtype=float))
     if dirs.shape[0] < 1:
         raise ValidationError("halfspace loss search needs at least one direction")
@@ -237,7 +245,7 @@ def halfspace_depth_as_loss(query, reference, directions, strict: bool = False) 
         raise ValidationError("directions contain non-finite entries")
     if np.any(np.all(dirs == 0.0, axis=1)):
         raise ValidationError("directions must be non-zero")
-    margins = (ref.values - q.coords) @ dirs.T
+    margins = (ref.values - request.queries[0]) @ dirs.T
     if strict:
         counts = np.count_nonzero(margins < 0.0, axis=0)
     else:
@@ -263,22 +271,14 @@ def logistic_depth(
     Runs damped Newton to the unique minimiser and reports the weighted
     log-loss there (plus the ridge term when reporting asks for it).  With
     normalize the value is divided by log 2, the loss of the constant-zero
-    classifier, so it lands in [0, 1].  The query is a batch of one, by the
-    same code and to the same bits as in depth_batch.
+    classifier, so it lands in [0, 1].  The query is a one-row depth_batch,
+    by the same code and to the same bits as in any batch.
     """
-    problem = DepthProblem(
-        reference=as_data_matrix(reference),
-        query=as_query_point(query),
-        loss=LossKind.LOGISTIC,
-        lam=lam,
-        intercept=intercept,
-        reporting=reporting,
-        normalize=normalize,
+    request = _one_query(
+        query, reference, METHOD_LOGISTIC, lam=lam, intercept=intercept, reporting=reporting,
+        normalize=normalize, solver=solver,
     )
-    return _logistic_depths(
-        problem.reference.values, problem.query.coords[None, :], lam, intercept, reporting,
-        normalize, solver,
-    )[0]
+    return depth_batch(request).results[0]
 
 
 # Entries of the largest per-block array, the (block, D, max(n, D)) Hessian
@@ -465,22 +465,14 @@ def svm_depth(
     Coefficients are the n+1 dual variables, query last, with a trailing
     offset when intercept is on.  Where the dual solution is the box itself
     (_closed_form_applies) it is read off in closed form with 0 iterations.
-    The query is a batch of one, by the same code and to the same bits as in
-    depth_batch.
+    The query is a one-row depth_batch, by the same code and to the same bits
+    as in any batch.
     """
-    problem = DepthProblem(
-        reference=as_data_matrix(reference),
-        query=as_query_point(query),
-        loss=LossKind.HINGE,
-        lam=lam,
-        kernel=kernel,
-        intercept=intercept,
-        reporting=reporting,
+    request = _one_query(
+        query, reference, METHOD_SVM, lam=lam, kernel=kernel, intercept=intercept,
+        reporting=reporting, solver=solver,
     )
-    return _svm_depths(
-        kernel, problem.reference.values, problem.query.coords[None, :], lam, intercept,
-        reporting, solver,
-    )[0]
+    return depth_batch(request).results[0]
 
 
 def _svm_depths(
@@ -518,11 +510,6 @@ def _svm_depths(
             )
         )
     return results
-
-
-METHOD_HALFSPACE = "halfspace"
-METHOD_LOGISTIC = "logistic"
-METHOD_SVM = "svm"
 
 
 @dataclass(frozen=True, eq=False)

@@ -14,16 +14,13 @@ from .baselines import lof_scores, ocsvm_fit
 from .core import (
     LossDepthError,
     NotConvergedError,
-    Reporting,
     ValidationError,
     as_data_matrix,
 )
 from .depths import (
-    METHOD_HALFSPACE,
     METHOD_LOGISTIC,
     METHOD_SVM,
     DepthBatchRequest,
-    HalfspaceConfig,
     depth_batch,
 )
 from .kernels import KernelSpec, median_heuristic
@@ -130,11 +127,7 @@ def depth_scorer(
     *,
     lam: float = 1.0,
     kernel: KernelSpec | None = None,
-    intercept: bool | None = None,
-    reporting: Reporting = Reporting.LOSS_ONLY,
-    normalize: bool = True,
     solver: SolverConfig | None = None,
-    halfspace: HalfspaceConfig | None = None,
     require_convergence: bool = True,
 ):
     """Bind a depth method to a fixed reference sample.
@@ -142,6 +135,7 @@ def depth_scorer(
     Returns a callable mapping query rows to depth values.  The kernel for
     the hinge depth defaults to a Gaussian at the median-heuristic bandwidth
     of the reference, resolved once here so every later call shares it.
+    Every other setting of the request keeps its default.
     """
     ref = as_data_matrix(reference)
     resolved = kernel
@@ -155,11 +149,7 @@ def depth_scorer(
             method=method,
             lam=lam,
             kernel=resolved,
-            intercept=intercept,
-            reporting=reporting,
-            normalize=normalize,
             solver=solver,
-            halfspace=halfspace,
         )
         outcome = depth_batch(request)
         values = outcome.values
@@ -221,6 +211,8 @@ def convergence_experiment(
     n_ref = 50 * max(grid) if n_reference is None else int(n_reference)
     if n_ref <= max(grid):
         raise ValidationError("the reference sample must exceed every grid size")
+    if not np.all(np.isfinite(q)):
+        raise ValidationError("query point contains non-finite entries")
 
     reference = _spawned_rng(master_seed, _REFERENCE_STREAM, 0, 0).standard_normal((n_ref, d))
     reference_value = float(depth_fn(reference, q))

@@ -1,14 +1,17 @@
 """Optimisers behind the regularised depths.
 
-Two solvers are provided.  The logistic depth runs damped Newton with Armijo
-backtracking on the ridge-penalised expected log-loss, for a block of
-queries in lockstep, each with its own line search and stopping rule.  The
-kernel hinge depth solves the box constrained dual of the weighted SVM, by
-greedy maximal-violation coordinate ascent without an intercept (the
-default), or by maximal-violating-pair updates that keep the balance
-constraint when an unpenalised intercept is requested.  Both read the kernel
-through the same column and diagonal interface, and the pairwise solver also
-fits the one-class SVM baseline, whose dual has the same form.
+Two solvers are provided, each over plain arrays: a reference, a batch of
+queries and the ridge strength, with a single query a batch of one.  The
+logistic depth runs damped Newton with Armijo backtracking on the
+ridge-penalised expected log-loss, for a block of queries in lockstep, each
+with its own line search and stopping rule (logistic_block_solve).  The
+kernel hinge depth solves the box constrained dual of the weighted SVM, one
+query at a time (svm_dual_solves), by greedy maximal-violation coordinate
+ascent without an intercept (the default), or by maximal-violating-pair
+updates that keep the balance constraint when an unpenalised intercept is
+requested.  Both dual solvers read the kernel through the same column and
+diagonal interface, and the pairwise one also fits the one-class SVM
+baseline, whose dual has the same form.
 """
 from __future__ import annotations
 
@@ -18,7 +21,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import DepthProblem, LossKind, ValidationError
+from .core import ValidationError
 from .kernels import KernelSpec, gram
 
 _EPS = float(np.finfo(float).eps)
@@ -52,11 +55,11 @@ class SolverConfig:
 class SolveDiagnostics:
     """Iteration count, final stopping residual, and convergence flag.
 
-    Both solvers report the classifier values at the solution, reference
-    rows first and the query last, so callers can evaluate losses without
-    touching the data again.  The dual solver also reports how many
-    kernel-degenerate coordinates it saw and, with an intercept, the
-    recovered offset, which its function values do not include.
+    The dual solver also reports the classifier values at the solution,
+    reference rows first and the query last, so callers can evaluate losses
+    without touching the data again, how many kernel-degenerate coordinates
+    it saw and, with an intercept, the recovered offset, which its function
+    values do not include.
     """
 
     iterations: int
@@ -73,11 +76,6 @@ def augment(points: np.ndarray, intercept: bool) -> np.ndarray:
     if not intercept:
         return pts
     return np.hstack([pts, np.ones((pts.shape[0], 1))])
-
-
-def _require_loss(problem: DepthProblem, loss: LossKind) -> None:
-    if problem.loss is not loss:
-        raise ValidationError(f"expected a {loss.value} problem, got {problem.loss.value}")
 
 
 def _logistic_evaluate(
@@ -145,27 +143,23 @@ def logistic_features(reference: np.ndarray, intercept: bool) -> np.ndarray:
     return np.ascontiguousarray(augment(reference, intercept).T)
 
 
-def _logistic_parts(problem: DepthProblem) -> tuple[np.ndarray, np.ndarray]:
-    """The augmented reference features and the (1, D) augmented query of a
-    logistic problem."""
-    _require_loss(problem, LossKind.LOGISTIC)
-    features = logistic_features(problem.reference.values, problem.intercept)
-    return features, augment(problem.query.coords[None, :], problem.intercept)
-
-
-def logistic_objective(w, problem: DepthProblem) -> tuple[float, np.ndarray]:
-    """Value and gradient of the ridge-penalised weighted log-loss.
+def logistic_objective(
+    w, reference, query, lam: float, intercept: bool = True
+) -> tuple[float, np.ndarray]:
+    """Value and gradient of the ridge-penalised weighted log-loss of the
+    weights w, for the (n, d) reference and the d-vector query.
 
     The reference rows carry label +1 and weight 1/(2n) each, the query
     carries label -1 and weight 1/2.  Numerically stable for any margin
     magnitude; no exp overflow occurs.
     """
-    features, query = _logistic_parts(problem)
+    features = logistic_features(reference, intercept)
+    query = augment(np.reshape(query, (1, -1)), intercept)
     w = np.asarray(w, dtype=float).reshape(1, -1)
     if w.shape[1] != query.shape[1]:
         raise ValidationError(f"weight vector has size {w.shape[1]}, expected {query.shape[1]}")
-    signed, exps, _, value = _logistic_evaluate(w, features, query, problem.lam)
-    return float(value[0]), _logistic_gradient(w, signed, exps, features, query, problem.lam)[0]
+    signed, exps, _, value = _logistic_evaluate(w, features, query, lam)
+    return float(value[0]), _logistic_gradient(w, signed, exps, features, query, lam)[0]
 
 
 def logistic_block_solve(
@@ -194,15 +188,12 @@ def logistic_block_solve(
 
     Every operation acts on each query's row alone, so a query's bits do not
     depend on its block-mates.  Returns the (B, D) weights, the weighted
-    log-loss at them, and one SolveDiagnostics per query whose function
-    values are its final margins, reference rows first and the query last.
+    log-loss at them, and one SolveDiagnostics per query.
     """
     cfg = config if config is not None else SolverConfig()
     size, dim = queries.shape
-    n = features.shape[1]
     weights_out = np.zeros((size, dim))
     losses_out = np.empty(size)
-    margins_out = np.empty((size, n + 1))
     diagnostics = [None] * size
 
     live = np.arange(size)  # block rows of the queries still being solved
@@ -216,12 +207,7 @@ def logistic_block_solve(
             i = live[k]
             weights_out[i] = weights[k]
             losses_out[i] = loss[k]
-            margins_out[i, :n] = signed[k, :n]
-            margins_out[i, n] = -signed[k, n]
-            diagnostics[i] = SolveDiagnostics(
-                iteration, float(residual[k]), bool(converged[k]),
-                function_values=margins_out[i],
-            )
+            diagnostics[i] = SolveDiagnostics(iteration, float(residual[k]), bool(converged[k]))
 
     for iteration in range(cfg.max_iterations + 1):
         residual = np.linalg.norm(grad, axis=1)
@@ -272,30 +258,6 @@ def logistic_block_solve(
             )
         grad = _logistic_gradient(weights, signed, exps, features, queries, lam)
     return weights_out, losses_out, diagnostics
-
-
-def logistic_solve(
-    problem: DepthProblem,
-    config: SolverConfig | None = None,
-) -> tuple[np.ndarray, SolveDiagnostics]:
-    """Damped Newton on one logistic depth objective from the zero vector: a
-    block of one for logistic_block_solve, with the same stopping rules."""
-    features, query = _logistic_parts(problem)
-    weights, _, diagnostics = logistic_block_solve(features, query, problem.lam, config)
-    return weights[0], diagnostics[0]
-
-
-def svm_dual_solve(
-    problem: DepthProblem,
-    config: SolverConfig | None = None,
-) -> tuple[np.ndarray, SolveDiagnostics]:
-    """Maximise the weighted-SVM dual of one problem: a batch of one for
-    svm_dual_solves, with the same stopping rules."""
-    _require_loss(problem, LossKind.HINGE)
-    return svm_dual_solves(
-        problem.kernel, problem.reference.values, problem.query.coords[None, :], problem.lam,
-        problem.intercept, config,
-    )[0]
 
 
 def svm_dual_solves(

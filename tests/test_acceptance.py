@@ -13,14 +13,7 @@ import numpy as np
 import pytest
 
 from lossdepth import cli
-from lossdepth.core import (
-    LOG2,
-    DataMatrix,
-    DepthProblem,
-    LossKind,
-    QueryPoint,
-    Reporting,
-)
+from lossdepth.core import LOG2, Reporting
 from lossdepth.depths import (
     METHOD_SVM,
     halfspace_depth,
@@ -43,9 +36,11 @@ from lossdepth.kernels import KernelSpec, median_heuristic
 from lossdepth.metrics import auc_roc
 from lossdepth.solvers import (
     SolverConfig,
+    augment,
+    logistic_block_solve,
+    logistic_features,
     logistic_objective,
-    logistic_solve,
-    svm_dual_solve,
+    svm_dual_solves,
     svm_duality_gap,
 )
 
@@ -55,24 +50,24 @@ def _verdict(label: str, ok: bool, detail: str) -> None:
 
 
 def _logistic_problem(reference, query, lam=1.0, intercept=True):
-    return DepthProblem(
-        reference=DataMatrix(reference),
-        query=QueryPoint(query),
-        loss=LossKind.LOGISTIC,
-        lam=lam,
-        intercept=intercept,
+    """(reference, query, lam, intercept) as plain arrays, in logistic_objective's order."""
+    return np.asarray(reference, dtype=float), np.asarray(query, dtype=float), lam, intercept
+
+
+def _logistic_solve(problem, config=None):
+    """The weights and diagnostics of one query, a block of one for logistic_block_solve."""
+    reference, query, lam, intercept = problem
+    weights, _, diagnostics = logistic_block_solve(
+        logistic_features(reference, intercept), augment(query, intercept), lam, config
     )
+    return weights[0], diagnostics[0]
 
 
 def _hinge_problem(reference, query, lam=1.0, kernel=None):
-    return DepthProblem(
-        reference=DataMatrix(reference),
-        query=QueryPoint(query),
-        loss=LossKind.HINGE,
-        lam=lam,
-        kernel=kernel if kernel is not None else KernelSpec.gaussian(1.0),
-        intercept=False,
-    )
+    """svm_dual_solves' arguments for one query without an intercept, as plain arrays."""
+    kernel = kernel if kernel is not None else KernelSpec.gaussian(1.0)
+    query = np.asarray(query, dtype=float).reshape(1, -1)
+    return kernel, np.asarray(reference, dtype=float), query, lam, False
 
 
 def _candidate_angles(points, z):
@@ -174,20 +169,19 @@ def test_criterion_03_solver_certificates():
     for _ in range(50):
         d = int(rng.integers(1, 7))
         n = int(rng.integers(2, 51))
-        problem = _logistic_problem(
-            rng.standard_normal((n, d)), rng.standard_normal(d),
-            lam=float(10.0 ** rng.uniform(-2, 1)), intercept=bool(rng.integers(2)),
-        )
-        dim = d + (1 if problem.intercept else 0)
+        reference, query = rng.standard_normal((n, d)), rng.standard_normal(d)
+        lam, intercept = float(10.0 ** rng.uniform(-2, 1)), bool(rng.integers(2))
+        problem = _logistic_problem(reference, query, lam=lam, intercept=intercept)
+        dim = d + (1 if intercept else 0)
         w = rng.standard_normal(dim)
-        _, grad = logistic_objective(w, problem)
+        _, grad = logistic_objective(w, *problem)
         fd = np.empty_like(grad)
         for j in range(dim):
             h = 1e-6 * max(1.0, abs(w[j]))
             forward = w.copy(); forward[j] += h
             backward = w.copy(); backward[j] -= h
-            fd[j] = (logistic_objective(forward, problem)[0]
-                     - logistic_objective(backward, problem)[0]) / (2.0 * h)
+            fd[j] = (logistic_objective(forward, *problem)[0]
+                     - logistic_objective(backward, *problem)[0]) / (2.0 * h)
         worst_rel = max(worst_rel, float(np.linalg.norm(grad - fd)
                                          / max(1.0, np.linalg.norm(grad))))
 
@@ -198,12 +192,12 @@ def test_criterion_03_solver_certificates():
         problem = _logistic_problem(
             rng.standard_normal((30, 3)) * 2.0, rng.standard_normal(3) * 2.0, lam=lam,
         )
-        w, diag = logistic_solve(problem, SolverConfig(tolerance=1e-8))
+        w, diag = _logistic_solve(problem, SolverConfig(tolerance=1e-8))
         # the iterate after k Newton steps is the solve with a budget of k steps
-        values = [logistic_objective(np.zeros_like(w), problem)[0]]
+        values = [logistic_objective(np.zeros_like(w), *problem)[0]]
         for k in range(1, diag.iterations + 1):
-            w_k, _ = logistic_solve(problem, SolverConfig(max_iterations=k, tolerance=1e-8))
-            values.append(logistic_objective(w_k, problem)[0])
+            w_k, _ = _logistic_solve(problem, SolverConfig(max_iterations=k, tolerance=1e-8))
+            values.append(logistic_objective(w_k, *problem)[0])
         worst_increase = max(worst_increase, float(np.max(np.diff(values))))
         worst_norm_excess = max(
             worst_norm_excess, float(np.linalg.norm(w) - math.sqrt(LOG2 / lam))
@@ -212,14 +206,15 @@ def test_criterion_03_solver_certificates():
     worst_gap = -np.inf
     for _ in range(50):
         d = int(rng.integers(1, 6))
+        reference, query = rng.standard_normal((20, d)), rng.standard_normal(d)
+        lam = float(10.0 ** rng.uniform(-2, 1))
         problem = _hinge_problem(
-            rng.standard_normal((20, d)), rng.standard_normal(d),
-            lam=float(10.0 ** rng.uniform(-2, 1)),
+            reference, query, lam=lam,
             kernel=KernelSpec.gaussian(float(10.0 ** rng.uniform(-2, 1))),
         )
-        alpha, diag = svm_dual_solve(problem, SolverConfig(tolerance=1e-9))
+        alpha, diag = svm_dual_solves(*problem, SolverConfig(tolerance=1e-9))[0]
         labels = np.concatenate([np.ones(20), [-1.0]])
-        gap = svm_duality_gap(alpha, labels, diag.function_values, problem.lam)
+        gap = svm_duality_gap(alpha, labels, diag.function_values, lam)
         assert gap >= -1e-12
         worst_gap = max(worst_gap, float(gap))
 

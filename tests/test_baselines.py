@@ -7,7 +7,6 @@ from lossdepth.baselines import (
     lof_scores,
     ocsvm_duality_gap,
     ocsvm_fit,
-    ocsvm_fit_score,
 )
 from lossdepth.core import ValidationError
 from lossdepth.kernels import KernelSpec, median_heuristic
@@ -111,14 +110,6 @@ def test_ocsvm_is_deterministic():
     b = _fitted_model()
     assert np.array_equal(a.alpha, b.alpha)
     assert a.rho == b.rho
-
-
-def test_ocsvm_fit_score_composes():
-    kern = KernelSpec.gaussian(0.5)
-    queries = np.array([[0.0, 0.0], [6.0, 6.0]])
-    combined = ocsvm_fit_score(TRAIN, queries, kern, nu=0.2)
-    model = ocsvm_fit(TRAIN, kern, nu=0.2)
-    assert np.array_equal(combined, model.score(queries))
 
 
 def test_ocsvm_custom_solver_config():

@@ -156,6 +156,19 @@ def test_depth_halfspace_needs_directions_beyond_2d(tmp_path, capsys):
     assert list(tmp_path.glob("*.failures.csv")) == []
 
 
+def test_depth_dimension_mismatch_reads_the_same_for_every_method(tmp_path, capsys):
+    # halfspace checks the dimensions before it looks for a mode that fits d = 3
+    rng = np.random.default_rng(8)
+    reference = _csv(tmp_path / "r3.csv", rng.standard_normal((15, 3)))
+    queries = _csv(tmp_path / "q2.csv", rng.standard_normal((2, 2)))
+    for method in ("halfspace", "lr", "svm"):
+        code = cli.main(["depth", reference, queries, "--method", method])
+        assert code == cli.EXIT_INVALID
+        assert capsys.readouterr().err == (
+            "error: dimension mismatch: reference has d=3, queries have d=2\n"
+        )
+
+
 def test_depth_laplacian_requires_sigma(sample_files, capsys):
     reference, queries = sample_files
     code = cli.main(["depth", reference, queries, "--method", "svm",

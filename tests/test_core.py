@@ -5,13 +5,9 @@ import pytest
 from lossdepth.core import (
     LOG2,
     DataMatrix,
-    DepthProblem,
-    LossKind,
-    QueryPoint,
     Reporting,
     ValidationError,
     as_data_matrix,
-    as_query_point,
     weighted_expectation,
 )
 
@@ -90,75 +86,10 @@ def test_data_matrix_values_are_read_only():
         m.values[0, 0] = 9.0
 
 
-def test_query_point_flattens_and_validates():
-    q = QueryPoint([[1.0, 2.0]])
-    assert q.d == 2
-    with pytest.raises(ValidationError):
-        QueryPoint([float("nan")])
-    with pytest.raises(ValidationError):
-        QueryPoint([])
-
-
 def test_as_helpers_pass_through():
     m = DataMatrix([[0.0]])
     assert as_data_matrix(m) is m
-    q = QueryPoint([0.0])
-    assert as_query_point(q) is q
     assert isinstance(as_data_matrix([[1.0]]), DataMatrix)
-    assert isinstance(as_query_point([1.0]), QueryPoint)
-
-
-def test_depth_problem_rejects_dimension_mismatch():
-    with pytest.raises(ValidationError, match="dimension mismatch"):
-        DepthProblem(
-            reference=DataMatrix([[1.0, 2.0]]),
-            query=QueryPoint([1.0, 2.0, 3.0]),
-            loss=LossKind.LOGISTIC,
-        )
-
-
-def test_depth_problem_rejects_zero_lambda():
-    with pytest.raises(ValidationError, match="unbounded"):
-        DepthProblem(
-            reference=DataMatrix([[1.0]]),
-            query=QueryPoint([0.0]),
-            loss=LossKind.LOGISTIC,
-            lam=0.0,
-        )
-
-
-def test_depth_problem_rejects_hinge_without_kernel():
-    with pytest.raises(ValidationError, match="kernel"):
-        DepthProblem(
-            reference=DataMatrix([[1.0]]),
-            query=QueryPoint([0.0]),
-            loss=LossKind.HINGE,
-        )
-
-
-def test_depth_problem_names_every_violation_at_once():
-    with pytest.raises(ValidationError) as info:
-        DepthProblem(
-            reference=DataMatrix([[1.0, 2.0]]),
-            query=QueryPoint([0.0]),
-            loss=LossKind.HINGE,
-            lam=-1.0,
-        )
-    parts = str(info.value).split("; ")
-    assert len(parts) == 3
-    assert "dimension mismatch" in parts[0]
-    assert "unbounded" in parts[1]
-    assert "kernel" in parts[2]
-
-
-def test_depth_problem_accepts_well_formed():
-    problem = DepthProblem(
-        reference=DataMatrix([[1.0, 0.0], [0.0, 1.0]]),
-        query=QueryPoint([0.5, 0.5]),
-        loss=LossKind.LOGISTIC,
-        lam=1.0,
-    )
-    assert problem.reference.d == problem.query.d == 2
 
 
 def test_reporting_values():

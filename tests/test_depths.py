@@ -5,15 +5,7 @@ import numpy as np
 import pytest
 
 from lossdepth import depths, solvers
-from lossdepth.core import (
-    LOG2,
-    DataMatrix,
-    DepthProblem,
-    LossKind,
-    QueryPoint,
-    Reporting,
-    ValidationError,
-)
+from lossdepth.core import LOG2, Reporting, ValidationError
 from lossdepth.depths import (
     DepthBatchRequest,
     DepthResult,
@@ -26,7 +18,7 @@ from lossdepth.depths import (
     svm_depth,
 )
 from lossdepth.kernels import KernelSpec, gram
-from lossdepth.solvers import SolverConfig, svm_dual_solve
+from lossdepth.solvers import SolverConfig, svm_dual_solves
 
 
 def brute_force_halfspace_2d(points, z):
@@ -389,11 +381,11 @@ def test_svm_depth_with_intercept_reports_offset():
 
 
 def _dual_solver_depth(query, reference, lam, spec, reporting):
-    """The kernel depth from svm_dual_solve at a tight tolerance, as svm_depth
+    """The kernel depth from svm_dual_solves at a tight tolerance, as svm_depth
     computes it outside the closed form."""
-    problem = DepthProblem(DataMatrix(reference), QueryPoint(query), LossKind.HINGE, lam,
-                           spec, intercept=False, reporting=reporting)
-    alpha, diagnostics = svm_dual_solve(problem, SolverConfig(tolerance=1e-13))
+    alpha, diagnostics = svm_dual_solves(
+        spec, reference, query[None, :], lam, False, SolverConfig(tolerance=1e-13)
+    )[0]
     f, n = diagnostics.function_values, reference.shape[0]
     value = np.maximum(0.0, 1.0 - f[:n]).sum() / (2.0 * n) + 0.5 * max(0.0, 1.0 + f[n])
     if reporting is Reporting.LOSS_PLUS_REG:
@@ -507,6 +499,48 @@ def test_depth_batch_matches_single_calls():
     outcome = depth_batch(request)
     for query, result in zip(queries, outcome.results):
         assert _same_result(result, logistic_depth(query, reference, 1.0))
+
+
+def test_single_query_entry_points_are_one_row_requests():
+    # a query shaped (d,), (1, d) or (d, 1) is one row of a request and gets
+    # that row's bits in depth_batch; the request refuses what it refuses in
+    # a batch, and an empty query, which leaves no row to score
+    rng = np.random.default_rng(15)
+    reference = rng.standard_normal((20, 2))
+    queries = rng.standard_normal((3, 2)) * 1.5
+    kernel = KernelSpec.gaussian(0.8)
+    single = {
+        "halfspace": lambda q: halfspace_depth(q, reference),
+        "logistic": lambda q: logistic_depth(q, reference, 0.05),
+        "svm": lambda q: svm_depth(q, reference, 0.05, kernel=kernel),
+        "as-loss": lambda q: halfspace_depth_as_loss(q, reference, [[1.0, 0.0], [0.3, -1.0]]),
+    }
+    for method, depth in single.items():
+        if method != "as-loss":
+            request = DepthBatchRequest(reference=reference, queries=queries, method=method,
+                                        lam=0.05, kernel=kernel)
+            batch = depth_batch(request).results
+        for i, query in enumerate(queries):
+            for shaped in (query, query[None, :], query[:, None], list(query)):
+                result = depth(shaped)
+                if method == "as-loss":
+                    assert result == depth(query)
+                elif method == "halfspace":
+                    assert type(result) is float and result == batch[i].value
+                else:
+                    assert _same_result(result, batch[i])
+        for bad, message in (([], "at least one coordinate"), ([np.nan, 0.0], "non-finite"),
+                             ([[0.0], [np.inf]], "non-finite"), ([0.0], "dimension mismatch"),
+                             ([0.0, 0.0, 0.0], "dimension mismatch")):
+            with pytest.raises(ValidationError, match=message):
+                depth(bad)
+    for lam in (0.0, -1.0, math.inf, math.nan):
+        with pytest.raises(ValidationError, match="unbounded"):
+            logistic_depth(queries[0], reference, lam)
+        with pytest.raises(ValidationError, match="unbounded"):
+            svm_depth(queries[0], reference, lam, kernel=kernel)
+    with pytest.raises(ValidationError, match="requires a kernel"):
+        svm_depth(queries[0], reference, kernel=None)
 
 
 def test_logistic_batch_is_bit_identical_to_single_calls_across_block_edges(monkeypatch):

@@ -172,6 +172,9 @@ def test_convergence_experiment_validation():
         convergence_experiment(fn, n_grid=(50, 100), repeats=0)
     with pytest.raises(ValidationError):
         convergence_experiment(fn, n_grid=(50, 100), n_reference=80)
+    for query in ([np.nan, 1.0], [1.0, np.inf]):
+        with pytest.raises(ValidationError, match="non-finite"):
+            convergence_experiment(fn, n_grid=(50, 100), query=query)
     with pytest.raises(DegenerateFitError):
         convergence_experiment(fn, n_grid=(20, 40), repeats=2, n_reference=100)
 

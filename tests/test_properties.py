@@ -26,10 +26,6 @@ from hypothesis.extra import numpy as hnp  # noqa: E402
 from lossdepth import depths, io, solvers  # noqa: E402
 from lossdepth.core import (  # noqa: E402
     LOG2,
-    DataMatrix,
-    DepthProblem,
-    LossKind,
-    QueryPoint,
     Reporting,
     ValidationError,
 )
@@ -41,7 +37,7 @@ from lossdepth.depths import (  # noqa: E402
     svm_depth,
 )
 from lossdepth.kernels import KernelSpec, gram  # noqa: E402
-from lossdepth.solvers import SolverConfig, svm_dual_solve, svm_duality_gap  # noqa: E402
+from lossdepth.solvers import SolverConfig, svm_dual_solves, svm_duality_gap  # noqa: E402
 from test_depths import _same_result, integer_halfspace_2d  # noqa: E402
 
 COORDINATE = st.floats(-2.0, 2.0, allow_nan=False, allow_infinity=False, width=64)
@@ -65,8 +61,8 @@ BOUNDED_KERNELS = st.one_of(
 
 
 def _problem(reference, query, lam, kernel):
-    return DepthProblem(reference=DataMatrix(reference), query=QueryPoint(query),
-                        loss=LossKind.HINGE, lam=lam, kernel=kernel, intercept=False)
+    """svm_dual_solves' arguments for one query without an intercept, as plain arrays."""
+    return kernel, reference, np.reshape(query, (1, -1)), lam, False
 
 
 def _labels(n):
@@ -91,8 +87,8 @@ def test_greedy_matches_the_closed_form_at_and_above_a_quarter_kappa(
 ):
     reference, query = sample
     lam = kernel.bound() / 4.0 + excess
-    alpha, diagnostics = svm_dual_solve(_problem(reference, query, lam, kernel),
-                                        SolverConfig(tolerance=1e-12))
+    alpha, diagnostics = svm_dual_solves(*_problem(reference, query, lam, kernel),
+                                         SolverConfig(tolerance=1e-12))[0]
     assert diagnostics.converged
     closed = svm_depth(query, reference, lam, kernel=kernel, reporting=reporting)
     assert closed.iterations == 0
@@ -113,7 +109,7 @@ def test_reported_objective_exceeds_a_tight_solve_by_at_most_the_gap(sample, ker
     tight = svm_depth(query, reference, lam, kernel=kernel, reporting=Reporting.LOSS_PLUS_REG,
                       solver=SolverConfig(tolerance=1e-13))
     assert reported.converged and tight.converged
-    alpha, diagnostics = svm_dual_solve(_problem(reference, query, lam, kernel))
+    alpha, diagnostics = svm_dual_solves(*_problem(reference, query, lam, kernel))[0]
     gap = svm_duality_gap(alpha, _labels(reference.shape[0]), diagnostics.function_values, lam)
     # both values are primal objectives, so each sits at or above the optimum;
     # 1e-12 absorbs the rounding of evaluating them
@@ -129,7 +125,7 @@ def test_permuting_the_reference_moves_the_depth_within_the_gaps(sample, kernel,
     labels = _labels(reference.shape[0])
     values, gaps = [], []
     for rows in (reference, reference[order]):
-        alpha, diagnostics = svm_dual_solve(_problem(rows, query, lam, kernel))
+        alpha, diagnostics = svm_dual_solves(*_problem(rows, query, lam, kernel))[0]
         fvals = diagnostics.function_values
         values.append(_dual_depth(alpha, fvals, lam, Reporting.LOSS_PLUS_REG))
         gaps.append(svm_duality_gap(alpha, labels, fvals, lam))
@@ -174,7 +170,7 @@ def test_rigid_motions_move_the_iterative_svm_depth_within_the_gaps(sample, kern
     for rows, point in ((reference, query), moved):
         values.append(svm_depth(point, rows, lam, kernel=kernel,
                                 reporting=Reporting.LOSS_PLUS_REG).value)
-        alpha, diagnostics = svm_dual_solve(_problem(rows, point, lam, kernel))
+        alpha, diagnostics = svm_dual_solves(*_problem(rows, point, lam, kernel))[0]
         gaps.append(svm_duality_gap(alpha, labels, diagnostics.function_values, lam))
     # both values are primal objectives of problems with one optimum
     assert abs(values[0] - values[1]) <= sum(gaps) + 1e-12
@@ -298,13 +294,15 @@ def test_a_starved_solve_stops_after_one_pass_inside_the_box(sample, kernel, lam
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(solvers, "DENSE_GRAM_LIMIT", 0)
         patch.setattr(solvers, "gram", counting_gram)
-        alpha, starved = svm_dual_solve(problem, SolverConfig(max_iterations=1, tolerance=1e-14))
+        alpha, starved = svm_dual_solves(
+            *problem, SolverConfig(max_iterations=1, tolerance=1e-14)
+        )[0]
     assert len(updates) <= n + 1
     box = np.append(np.full(n, 1.0 / (4.0 * n * lam)), 1.0 / (4.0 * lam))
     assert np.all((alpha >= 0.0) & (alpha <= box))
     # the updates follow the same path under any budget, so the starved solve
     # is unconverged exactly when a longer one needs more than its one pass
-    _, longer = svm_dual_solve(problem, SolverConfig(max_iterations=2, tolerance=1e-14))
+    _, longer = svm_dual_solves(*problem, SolverConfig(max_iterations=2, tolerance=1e-14))[0]
     assert starved.converged == (longer.converged and longer.iterations <= 1)
     assert starved.converged or (starved.iterations == 1 and starved.residual > 1e-14)
 

@@ -4,46 +4,40 @@ import math
 import numpy as np
 import pytest
 
-from lossdepth.core import (
-    LOG2,
-    DataMatrix,
-    DepthProblem,
-    LossKind,
-    QueryPoint,
-    ValidationError,
-)
+from lossdepth.core import LOG2, ValidationError
 from lossdepth import solvers
 from lossdepth.depths import METHOD_SVM, DepthBatchRequest, depth_batch, svm_depth
 from lossdepth.kernels import KernelSpec, gram
 from lossdepth.solvers import (
     SolverConfig,
     augment,
+    logistic_block_solve,
+    logistic_features,
     logistic_objective,
-    logistic_solve,
-    svm_dual_solve,
+    svm_dual_solves,
     svm_duality_gap,
 )
 
 
-def _logistic_problem(reference, query, lam=1.0, intercept=True, kernel=None):
-    return DepthProblem(
-        reference=DataMatrix(reference),
-        query=QueryPoint(query),
-        loss=LossKind.LOGISTIC,
-        lam=lam,
-        intercept=intercept,
+def _logistic_problem(reference, query, lam=1.0, intercept=True):
+    """(reference, query, lam, intercept) as plain arrays, in logistic_objective's order."""
+    return np.asarray(reference, dtype=float), np.asarray(query, dtype=float), lam, intercept
+
+
+def _logistic_solve(problem, config=None):
+    """The weights and diagnostics of one query, a block of one for logistic_block_solve."""
+    reference, query, lam, intercept = problem
+    weights, _, diagnostics = logistic_block_solve(
+        logistic_features(reference, intercept), augment(query, intercept), lam, config
     )
+    return weights[0], diagnostics[0]
 
 
 def _hinge_problem(reference, query, lam=1.0, kernel=None, intercept=False):
-    return DepthProblem(
-        reference=DataMatrix(reference),
-        query=QueryPoint(query),
-        loss=LossKind.HINGE,
-        lam=lam,
-        kernel=kernel if kernel is not None else KernelSpec.gaussian(1.0),
-        intercept=intercept,
-    )
+    """svm_dual_solves' arguments for one query, as plain arrays."""
+    kernel = kernel if kernel is not None else KernelSpec.gaussian(1.0)
+    query = np.asarray(query, dtype=float).reshape(1, -1)
+    return kernel, np.asarray(reference, dtype=float), query, lam, intercept
 
 
 def test_solver_config_validation():
@@ -70,7 +64,7 @@ def test_logistic_objective_at_zero():
     query = np.array([0.5, -0.5])
     problem = _logistic_problem(reference, query, lam=0.7)
     w0 = np.zeros(3)
-    value, grad = logistic_objective(w0, problem)
+    value, grad = logistic_objective(w0, *problem)
     assert value == pytest.approx(LOG2, abs=1e-15)
     aug_ref = np.hstack([reference, np.ones((3, 1))])
     aug_q = np.append(query, 1.0)
@@ -81,7 +75,7 @@ def test_logistic_objective_at_zero():
 def test_logistic_objective_includes_ridge():
     problem = _logistic_problem([[1.0]], [0.0], lam=2.0, intercept=False)
     w = np.array([3.0])
-    value, grad = logistic_objective(w, problem)
+    value, grad = logistic_objective(w, *problem)
     # n=1 gives the single reference point weight 1/2
     raw = 0.5 * math.log1p(math.exp(-3.0)) + 0.5 * math.log1p(math.exp(0.0))
     assert value == pytest.approx(raw + 2.0 * 9.0, rel=1e-12)
@@ -93,18 +87,18 @@ def test_logistic_objective_includes_ridge():
 def test_logistic_objective_rejects_wrong_sizes():
     problem = _logistic_problem([[1.0, 2.0]], [0.0, 0.0])
     with pytest.raises(ValidationError):
-        logistic_objective(np.zeros(2), problem)  # needs d+1 with the intercept
+        logistic_objective(np.zeros(2), *problem)  # needs d+1 with the intercept
 
 
 def test_logistic_objective_stable_for_extreme_weights():
     # margins of +-1200 overflow a naive exp; the stable form returns the
     # asymptote log1p(exp(m)) -> m exactly
     problem = _logistic_problem([[30.0]], [-30.0], intercept=False)
-    value, grad = logistic_objective(np.array([-40.0]), problem)
+    value, grad = logistic_objective(np.array([-40.0]), *problem)
     assert math.isfinite(value)
     assert np.all(np.isfinite(grad))
     assert value == pytest.approx(0.5 * 1200.0 + 0.5 * 1200.0 + 1600.0, rel=1e-9)
-    winning, _ = logistic_objective(np.array([40.0]), problem)
+    winning, _ = logistic_objective(np.array([40.0]), *problem)
     assert winning == pytest.approx(1600.0, rel=1e-9)
 
 
@@ -120,13 +114,13 @@ def test_gradient_matches_central_differences():
             lam=float(rng.uniform(0.05, 3.0)),
         )
         w = rng.standard_normal(d + 1)
-        _, grad = logistic_objective(w, problem)
+        _, grad = logistic_objective(w, *problem)
         numeric = np.empty_like(w)
         for j in range(w.size):
             bump = np.zeros_like(w)
             bump[j] = h
-            up, _ = logistic_objective(w + bump, problem)
-            down, _ = logistic_objective(w - bump, problem)
+            up, _ = logistic_objective(w + bump, *problem)
+            down, _ = logistic_objective(w - bump, *problem)
             numeric[j] = (up - down) / (2.0 * h)
         scale = max(float(np.linalg.norm(grad)), 1e-12)
         assert float(np.linalg.norm(grad - numeric)) / scale <= 1e-5
@@ -139,10 +133,10 @@ def test_strong_convexity_witness():
     for _ in range(20):
         w1, w2 = rng.standard_normal((2, 4))
         gap2 = float(np.sum((w1 - w2) ** 2))
-        v1, _ = logistic_objective(w1, problem)
-        v2, _ = logistic_objective(w2, problem)
+        v1, _ = logistic_objective(w1, *problem)
+        v2, _ = logistic_objective(w2, *problem)
         for t in (0.2, 0.5, 0.8):
-            vt, _ = logistic_objective(t * w1 + (1 - t) * w2, problem)
+            vt, _ = logistic_objective(t * w1 + (1 - t) * w2, *problem)
             assert vt <= t * v1 + (1 - t) * v2 - lam * t * (1 - t) * gap2 + 1e-10
 
 
@@ -150,7 +144,7 @@ def test_descent_on_pure_ridge_problem():
     # data at the origin contributes constant loss, leaving the pure ridge:
     # the start w0 = 0 is already the minimiser
     problem = _logistic_problem([[0.0]], [0.0], lam=1.0, intercept=False)
-    w, diag = logistic_solve(problem)
+    w, diag = _logistic_solve(problem)
     assert diag.converged
     assert diag.iterations <= 60
     assert abs(w[0]) <= 1e-8
@@ -158,7 +152,7 @@ def test_descent_on_pure_ridge_problem():
 
 def test_descent_matches_grid_search_1d():
     problem = _logistic_problem([[-1.0], [1.0]], [0.0], lam=1.0, intercept=False)
-    w, diag = logistic_solve(problem)
+    w, diag = _logistic_solve(problem)
     assert diag.converged
     ws = np.arange(-5.0, 5.0, 1e-4)
     values = (
@@ -180,12 +174,12 @@ def test_descent_objective_monotone():
             rng.standard_normal(d) * 2.0,
             lam=float(rng.uniform(0.05, 2.0)),
         )
-        w, diag = logistic_solve(problem)
+        w, diag = _logistic_solve(problem)
         # the iterate after k Newton steps is the solve with a budget of k steps
-        values = [logistic_objective(np.zeros_like(w), problem)[0]]
+        values = [logistic_objective(np.zeros_like(w), *problem)[0]]
         for k in range(1, diag.iterations + 1):
-            w_k, _ = logistic_solve(problem, SolverConfig(max_iterations=k))
-            values.append(logistic_objective(w_k, problem)[0])
+            w_k, _ = _logistic_solve(problem, SolverConfig(max_iterations=k))
+            values.append(logistic_objective(w_k, *problem)[0])
         assert np.all(np.diff(values) <= 1e-12)
 
 
@@ -197,7 +191,7 @@ def test_descent_norm_bound_from_zero_start():
         problem = _logistic_problem(
             rng.standard_normal((25, 3)), rng.standard_normal(3) * 3.0, lam=lam
         )
-        w, diag = logistic_solve(problem)
+        w, diag = _logistic_solve(problem)
         assert diag.converged
         assert float(np.linalg.norm(w)) <= math.sqrt(LOG2 / lam) + 1e-9
 
@@ -206,8 +200,8 @@ def test_descent_distance_bound_against_tight_solve():
     problem = _logistic_problem(
         np.random.default_rng(3).standard_normal((30, 2)), [2.0, 1.0], lam=0.5
     )
-    loose, d_loose = logistic_solve(problem, SolverConfig(tolerance=1e-3))
-    tight, d_tight = logistic_solve(problem, SolverConfig(tolerance=1e-12,
+    loose, d_loose = _logistic_solve(problem, SolverConfig(tolerance=1e-3))
+    tight, d_tight = _logistic_solve(problem, SolverConfig(tolerance=1e-12,
                                                           max_iterations=200_000))
     assert d_loose.converged and d_tight.converged
     # strong convexity 2*lam turns the gradient norm into a distance bound
@@ -218,7 +212,7 @@ def test_descent_reports_nonconvergence_softly():
     problem = _logistic_problem(
         np.random.default_rng(5).standard_normal((40, 3)), [3.0, 0.0, 0.0], lam=0.01
     )
-    w, diag = logistic_solve(problem, SolverConfig(max_iterations=2))
+    w, diag = _logistic_solve(problem, SolverConfig(max_iterations=2))
     assert not diag.converged
     assert diag.iterations == 2
     assert diag.residual > 1e-8
@@ -231,7 +225,7 @@ def test_newton_step_count_does_not_grow_as_lambda_shrinks():
     for lam in (1.0, 1e-1, 1e-2, 1e-3):
         for query in ([0.0, 0.0], [1.0, -0.5], [2.5, 2.5], [6.0, 0.0]):
             problem = _logistic_problem(reference, query, lam=lam)
-            _, diag = logistic_solve(problem, SolverConfig(tolerance=1e-8))
+            _, diag = _logistic_solve(problem, SolverConfig(tolerance=1e-8))
             assert diag.converged, (lam, query)
             assert diag.iterations <= 20, (lam, query, diag.iterations)
 
@@ -249,19 +243,9 @@ def test_newton_reaches_tight_tolerance_on_scaled_features():
             rng.standard_normal(d) * scale,
             lam=float(10.0 ** rng.uniform(-3, 1)),
         )
-        _, diag = logistic_solve(problem, SolverConfig(tolerance=1e-12, max_iterations=50))
+        _, diag = _logistic_solve(problem, SolverConfig(tolerance=1e-12, max_iterations=50))
         assert diag.converged
         assert diag.residual <= 1e-12
-
-
-def test_newton_returns_final_margins():
-    rng = np.random.default_rng(4)
-    reference, query = rng.standard_normal((20, 2)), rng.standard_normal(2)
-    for intercept in (True, False):
-        problem = _logistic_problem(reference, query, lam=0.3, intercept=intercept)
-        w, diag = logistic_solve(problem)
-        rows = augment(np.vstack([reference, query]), intercept)
-        assert np.allclose(diag.function_values, rows @ w, atol=1e-14)
 
 
 def test_svm_query_coincident_with_single_reference_point():
@@ -269,7 +253,7 @@ def test_svm_query_coincident_with_single_reference_point():
     # and every hinge term sits exactly at 1
     point = np.array([[0.3, -0.2]])
     problem = _hinge_problem(point, point[0], lam=1.0)
-    alpha, diag = svm_dual_solve(problem)
+    alpha, diag = svm_dual_solves(*problem)[0]
     assert diag.converged
     assert alpha == pytest.approx([0.25, 0.25], abs=1e-12)
     # dense grid over the two box-constrained duals: the solver's dual value
@@ -291,7 +275,7 @@ def test_svm_far_query_decouples():
     reference = 1e-3 * rng.standard_normal((30, 2))
     query = np.array([8.0, 0.0])
     problem = _hinge_problem(reference, query, lam=1.0)
-    alpha, diag = svm_dual_solve(problem)
+    alpha, diag = svm_dual_solves(*problem)[0]
     assert diag.converged
     assert alpha[-1] == pytest.approx(0.25, abs=1e-12)
     assert float(alpha[:-1].sum()) == pytest.approx(0.25, abs=1e-3)
@@ -312,7 +296,7 @@ def test_svm_duality_gap_small_on_random_problems():
         lam = float(rng.uniform(0.05, 2.0))
         problem = _hinge_problem(reference, query, lam=lam,
                                  kernel=KernelSpec.gaussian(float(rng.uniform(0.2, 2.0))))
-        alpha, diag = svm_dual_solve(problem, config)
+        alpha, diag = svm_dual_solves(*problem, config)[0]
         assert diag.converged
         labels = np.concatenate([np.ones(20), [-1.0]])
         gap = svm_duality_gap(alpha, labels, diag.function_values, lam)
@@ -324,7 +308,7 @@ def test_svm_complementary_slackness():
     reference = rng.standard_normal((25, 2))
     query = np.array([1.5, -0.5])
     problem = _hinge_problem(reference, query, lam=0.3)
-    alpha, diag = svm_dual_solve(problem, SolverConfig(tolerance=1e-10))
+    alpha, diag = svm_dual_solves(*problem, SolverConfig(tolerance=1e-10))[0]
     labels = np.concatenate([np.ones(25), [-1.0]])
     box = np.concatenate([np.full(25, 1.0 / (4 * 25 * 0.3)), [1.0 / (4 * 0.3)]])
     margins = labels * diag.function_values
@@ -339,7 +323,7 @@ def test_svm_function_values_match_recompute():
     query = np.array([0.5, 0.5])
     spec = KernelSpec.gaussian(0.7)
     problem = _hinge_problem(reference, query, kernel=spec)
-    alpha, diag = svm_dual_solve(problem)
+    alpha, diag = svm_dual_solves(*problem)[0]
     stacked = np.vstack([reference, query])
     kmat = gram(spec, stacked)
     labels = np.concatenate([np.ones(15), [-1.0]])
@@ -351,9 +335,9 @@ def test_svm_lazy_columns_agree_with_dense(monkeypatch):
     reference = rng.standard_normal((40, 2))
     query = np.array([0.2, -1.0])
     problem = _hinge_problem(reference, query)
-    a_dense, d_dense = svm_dual_solve(problem)
+    a_dense, d_dense = svm_dual_solves(*problem)[0]
     monkeypatch.setattr(solvers, "DENSE_GRAM_LIMIT", 0)
-    a_lazy, d_lazy = svm_dual_solve(problem)
+    a_lazy, d_lazy = svm_dual_solves(*problem)[0]
     assert d_dense.converged and d_lazy.converged
     assert np.allclose(a_dense, a_lazy, atol=1e-12)
 
@@ -364,7 +348,7 @@ def test_svm_degenerate_kernel_coordinates_are_pinned():
     reference = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
     query = np.array([2.0, 2.0])
     problem = _hinge_problem(reference, query, kernel=KernelSpec.linear())
-    alpha, diag = svm_dual_solve(problem)
+    alpha, diag = svm_dual_solves(*problem)[0]
     assert diag.degenerate_coordinates == 1
     assert alpha[0] == pytest.approx(1.0 / 12.0)  # its box bound 1/(4 n lam)
 
@@ -374,8 +358,8 @@ def test_svm_sweeps_are_deterministic():
     reference = rng.standard_normal((30, 2))
     query = np.array([1.0, 1.0])
     problem = _hinge_problem(reference, query)
-    a1, _ = svm_dual_solve(problem)
-    a2, _ = svm_dual_solve(problem)
+    a1, _ = svm_dual_solves(*problem)[0]
+    a2, _ = svm_dual_solves(*problem)[0]
     assert np.array_equal(a1, a2)
 
 
@@ -383,7 +367,7 @@ def test_svm_nonconvergence_is_soft():
     # below kappa/4, where one pass of greedy updates stops short of the optimum
     rng = np.random.default_rng(31)
     problem = _hinge_problem(rng.standard_normal((50, 2)), [0.0, 0.0], lam=0.1)
-    alpha, diag = svm_dual_solve(problem, SolverConfig(max_iterations=1, tolerance=1e-14))
+    alpha, diag = svm_dual_solves(*problem, SolverConfig(max_iterations=1, tolerance=1e-14))[0]
     assert not diag.converged
     assert diag.residual > 1e-14
     assert np.all((alpha >= 0.0) & np.isfinite(alpha))
@@ -394,7 +378,7 @@ def test_smo_with_intercept_keeps_equality_constraint():
     reference = rng.standard_normal((20, 2)) + 1.0
     query = np.array([-2.0, -2.0])
     problem = _hinge_problem(reference, query, intercept=True)
-    alpha, diag = svm_dual_solve(problem)
+    alpha, diag = svm_dual_solves(*problem)[0]
     labels = np.concatenate([np.ones(20), [-1.0]])
     assert abs(float(alpha @ labels)) <= 1e-12
     assert diag.function_values is not None
@@ -464,7 +448,7 @@ def test_svm_supplied_reference_gram_gives_the_bordered_matrix_bits():
         problem = _hinge_problem(reference, query, lam=0.02, kernel=spec, intercept=intercept)
         signed, expected = solve(labels, np.zeros(31), lo, hi, np.zeros(31), np.diagonal(kmat),
                                  lambda k: kmat[k], cfg)
-        alpha, diagnostics = svm_dual_solve(problem, cfg)
+        alpha, diagnostics = svm_dual_solves(*problem, cfg)[0]
         assert diagnostics.iterations == expected.iterations > 0
         assert np.array_equal(alpha, np.abs(signed))
         assert np.array_equal(diagnostics.function_values, expected.function_values)
