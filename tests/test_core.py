@@ -10,6 +10,8 @@ from lossdepth.core import (
     as_data_matrix,
     weighted_expectation,
 )
+from lossdepth.depths import DepthBatchRequest, halfspace_depth
+from lossdepth.kernels import KernelSpec
 
 
 def test_weighted_expectation_zero_losses():
@@ -86,10 +88,48 @@ def test_data_matrix_values_are_read_only():
         m.values[0, 0] = 9.0
 
 
+def test_query_point_flattens_and_validates():
+    # a single query of any shape holding d coordinates is one row of d
+    reference = [[0.0, 0.0], [1.0, 2.0], [2.0, 1.0]]
+    assert halfspace_depth([[1.0, 2.0]], reference) == halfspace_depth([1.0, 2.0], reference)
+    with pytest.raises(ValidationError, match="non-finite"):
+        halfspace_depth([float("nan"), 0.0], reference)
+    with pytest.raises(ValidationError, match="at least one coordinate"):
+        halfspace_depth([], reference)
+
+
 def test_as_helpers_pass_through():
     m = DataMatrix([[0.0]])
     assert as_data_matrix(m) is m
     assert isinstance(as_data_matrix([[1.0]]), DataMatrix)
+
+
+def test_depth_problem_rejects_dimension_mismatch():
+    with pytest.raises(ValidationError, match="dimension mismatch"):
+        DepthBatchRequest(reference=[[1.0, 2.0]], queries=[[1.0, 2.0, 3.0]], method="logistic")
+
+
+def test_depth_problem_rejects_zero_lambda():
+    with pytest.raises(ValidationError, match="unbounded"):
+        DepthBatchRequest(reference=[[1.0]], queries=[[0.0]], method="logistic", lam=0.0)
+
+
+def test_depth_problem_rejects_hinge_without_kernel():
+    with pytest.raises(ValidationError, match="kernel"):
+        DepthBatchRequest(reference=[[1.0]], queries=[[0.0]], method="svm")
+
+
+def test_depth_problem_accepts_well_formed():
+    request = DepthBatchRequest(
+        reference=[[1.0, 0.0], [0.0, 1.0]],
+        queries=[0.5, 0.5],
+        method="svm",
+        lam=1.0,
+        kernel=KernelSpec.gaussian(1.0),
+    )
+    assert isinstance(request.reference, DataMatrix)
+    assert request.reference.d == request.queries.shape[1] == 2
+    assert request.queries.shape == (1, 2)
 
 
 def test_reporting_values():
