@@ -41,7 +41,7 @@ from .experiments import (
     stratified_split,
 )
 from .io import ExperimentReport, LabeledDataset, ReportTable, read_csv, read_idx, write_report
-from .kernels import DegenerateBandwidthError, KernelSpec, gram, median_heuristic, quartile_heuristic
+from .kernels import DegenerateBandwidthError, KernelSpec, gram, median_heuristic
 from .metrics import UndefinedCorrelationError, auc_roc, kendall_tau, spearman_rho
 from .solvers import SolverConfig
 
@@ -84,7 +84,6 @@ __all__ = [
     "median_heuristic",
     "mixture_density",
     "ocsvm_fit",
-    "quartile_heuristic",
     "rank_correlation_experiment",
     "read_csv",
     "read_idx",

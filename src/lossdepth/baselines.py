@@ -10,7 +10,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial.distance import cdist
 
 from .core import ValidationError
 from .kernels import KernelSpec, gram
@@ -45,6 +44,7 @@ def lof_scores(train, test, k: int) -> np.ndarray:
         )
     if not 1 <= k < n:
         raise ValidationError(f"lof needs 1 <= k < n_train, got k={k}, n_train={n}")
+    from scipy.spatial.distance import cdist  # local: scipy.spatial costs ~0.5 s to import
 
     dists = cdist(train, train)
     np.fill_diagonal(dists, np.inf)  # a training point is not its own neighbour
@@ -128,19 +128,3 @@ def ocsvm_fit(train, kernel: KernelSpec, nu: float = 0.15,
         residual=diagnostics.residual,
         converged=diagnostics.converged,
     )
-
-
-def ocsvm_duality_gap(model: OneClassSvmModel) -> float:
-    """Primal objective at the recovered (f, rho) minus the dual value.
-
-    Nonnegative, and zero at the exact optimum: the primal is
-    0.5 ||f||^2 - rho + (1 / (nu n)) sum_i max(0, rho - f(x_i)), the dual is
-    -0.5 a'Ka.
-    """
-    n = model.train.shape[0]
-    decision = gram(model.kernel, model.train) @ model.alpha
-    squared_norm = float(model.alpha @ decision)
-    slack = np.maximum(0.0, model.rho - decision)
-    primal = 0.5 * squared_norm - model.rho + float(slack.sum()) / (model.nu * n)
-    dual = -0.5 * squared_norm
-    return primal - dual

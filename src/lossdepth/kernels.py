@@ -1,11 +1,16 @@
-"""Positive-definite kernels and data-driven bandwidth heuristics."""
+"""Positive-definite kernels and data-driven bandwidth heuristics.
+
+`scipy.spatial.distance` is imported inside the functions that compute a
+distance, not here: the `scipy.spatial` package import takes about 0.5 s,
+and the halfspace and logistic depths, which never build a kernel, would
+otherwise pay it on every CLI start-up.
+"""
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial.distance import cdist, pdist
 
 from .core import LossDepthError, ValidationError
 
@@ -88,6 +93,10 @@ def gram(spec: KernelSpec, left, right=None) -> np.ndarray:
     b = a if right is None else np.atleast_2d(np.asarray(right, dtype=float))
     if a.shape[1] != b.shape[1]:
         raise ValidationError(f"kernel inputs disagree on dimension: {a.shape[1]} vs {b.shape[1]}")
+    if spec.family == LINEAR:
+        return a @ b.T
+    from scipy.spatial.distance import cdist  # local: scipy.spatial costs ~0.5 s to import
+
     # in place on the distance matrix, so a block allocates no further temporaries
     if spec.family == GAUSSIAN:
         out = cdist(a, b, "sqeuclidean")
@@ -98,11 +107,9 @@ def gram(spec: KernelSpec, left, right=None) -> np.ndarray:
         out /= spec.sigma
         np.negative(out, out=out)
         return np.exp(out, out=out)
-    if spec.family == IMQ:
-        out = cdist(a, b, "sqeuclidean")
-        out += spec.c ** 2
-        return np.power(out, spec.beta, out=out)
-    return a @ b.T
+    out = cdist(a, b, "sqeuclidean")  # imq
+    out += spec.c ** 2
+    return np.power(out, spec.beta, out=out)
 
 
 def _pair_rows(points, max_points: int, seed: int) -> np.ndarray:
@@ -130,18 +137,10 @@ def median_heuristic(points, max_points: int = 2000, seed: int = 0) -> float:
     the two middle values so the result does not depend on float averaging.
     Samples max_points rows with the given seed when the input is larger.
     """
+    from scipy.spatial.distance import pdist  # local: scipy.spatial costs ~0.5 s to import
+
     pairs = pdist(_pair_rows(points, max_points, seed), "sqeuclidean")
     med = _order_statistic(pairs, (pairs.size - 1) // 2)
     if med <= 0.0:
         raise DegenerateBandwidthError("median pairwise squared distance is zero")
     return 1.0 / med
-
-
-def quartile_heuristic(points, max_points: int = 2000, seed: int = 0) -> float:
-    """Gaussian bandwidth gamma = 0.5 / q25^2 with q25 the lower quartile of
-    pairwise Euclidean distances (lower-interpolation convention)."""
-    pairs = pdist(_pair_rows(points, max_points, seed), "euclidean")
-    q25 = _order_statistic(pairs, int(np.floor(0.25 * (pairs.size - 1))))
-    if q25 <= 0.0:
-        raise DegenerateBandwidthError("lower-quartile pairwise distance is zero")
-    return 0.5 / (q25 * q25)

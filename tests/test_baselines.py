@@ -5,11 +5,10 @@ import pytest
 from lossdepth.baselines import (
     OneClassSvmModel,
     lof_scores,
-    ocsvm_duality_gap,
     ocsvm_fit,
 )
 from lossdepth.core import ValidationError
-from lossdepth.kernels import KernelSpec, median_heuristic
+from lossdepth.kernels import KernelSpec, gram, median_heuristic
 from lossdepth.solvers import SolverConfig
 
 
@@ -61,6 +60,22 @@ def test_lof_handles_stacked_duplicates():
     scores = lof_scores(train, np.array([[0.0, 0.0], [0.5, 0.5]]), 3)
     assert np.all(np.isfinite(scores))
     assert scores[1] > scores[0]
+
+
+def ocsvm_duality_gap(model: OneClassSvmModel) -> float:
+    """Primal objective at the recovered (f, rho) minus the dual value.
+
+    Nonnegative, and zero at the exact optimum: the primal is
+    0.5 ||f||^2 - rho + (1 / (nu n)) sum_i max(0, rho - f(x_i)), the dual is
+    -0.5 a'Ka.
+    """
+    n = model.train.shape[0]
+    decision = gram(model.kernel, model.train) @ model.alpha
+    squared_norm = float(model.alpha @ decision)
+    slack = np.maximum(0.0, model.rho - decision)
+    primal = 0.5 * squared_norm - model.rho + float(slack.sum()) / (model.nu * n)
+    dual = -0.5 * squared_norm
+    return primal - dual
 
 
 def _fitted_model():

@@ -30,14 +30,65 @@ def sample_files(tmp_path):
     return reference, queries
 
 
-def test_cli_import_leaves_scipy_stats_unloaded():
-    # scipy.stats costs most of a second at start-up; only the ranking metrics need it
+def _fresh_python(code):
+    """Run code in a new interpreter that imports lossdepth from this checkout."""
     src = str(Path(cli.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=src)
-    code = "import sys, lossdepth.cli; print('scipy.stats' in sys.modules)"
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True, timeout=120)
-    assert out.stdout.strip() == "False"
+    return out.stdout
+
+
+def test_cli_import_leaves_scipy_stats_unloaded():
+    # scipy.spatial and scipy.stats cost most of a second at start-up; only
+    # the kernels, LOF and the ranking metrics import them, on first use
+    code = (
+        "import sys\n"
+        "def scipy_loaded(): return any(m.split('.')[0] == 'scipy' for m in sys.modules)\n"
+        "import lossdepth; print(scipy_loaded())\n"
+        "import lossdepth.cli; print(scipy_loaded())\n"
+    )
+    assert _fresh_python(code).split() == ["False", "False"]
+
+
+def test_halfspace_and_lr_depths_run_without_scipy(sample_files, tmp_path):
+    reference, queries = sample_files
+    outputs = [str(tmp_path / f"{method}.csv") for method in ("halfspace", "lr")]
+    code = (
+        "import sys\n"
+        "from lossdepth import cli\n"
+        f"codes = [cli.main(['depth', {reference!r}, {queries!r}, '--method', method,\n"
+        "                   '--output', out])\n"
+        f"         for method, out in zip(('halfspace', 'lr'), {outputs!r})]\n"
+        "print(codes, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
+    # cli.main prints each output path first; the last line is the verdict
+    assert _fresh_python(code).splitlines()[-1] == f"{[cli.EXIT_OK] * 2} []"
+    assert all(Path(out).read_text().startswith("query,depth,") for out in outputs)
+
+
+def test_kernel_commands_match_in_a_fresh_interpreter(sample_files, tmp_path):
+    # the kernels and LOF import scipy on first use; a process that pays
+    # that import on the spot prints the bytes of one that already has it
+    reference, queries = sample_files
+    commands = {
+        "svm.json": ["depth", reference, queries, "--method", "svm", "--format", "json",
+                     "--coefficients"],
+        "lof.csv": ["grid", "--contaminated", "--method", "lof", "--n", "60",
+                    "--resolution", "8"],
+    }
+    for side in ("fresh", "here"):
+        (tmp_path / side).mkdir()
+    for name, argv in commands.items():
+        fresh = str(tmp_path / "fresh" / name)
+        _fresh_python(f"from lossdepth import cli; "
+                      f"raise SystemExit(cli.main({argv + ['--output', fresh]!r}))")
+        assert cli.main(argv + ["--output", str(tmp_path / "here" / name)]) == cli.EXIT_OK
+    fresh_files = sorted(path.name for path in (tmp_path / "fresh").iterdir())
+    assert fresh_files == sorted(path.name for path in (tmp_path / "here").iterdir())
+    assert len(fresh_files) > len(commands)  # grid also writes its thresholds
+    for name in fresh_files:
+        assert (tmp_path / "fresh" / name).read_bytes() == (tmp_path / "here" / name).read_bytes()
 
 
 def test_build_parser_defaults():

@@ -11,7 +11,6 @@ from lossdepth.kernels import (
     KernelSpec,
     gram,
     median_heuristic,
-    quartile_heuristic,
 )
 
 
@@ -169,23 +168,3 @@ def test_heuristics_equal_the_sorted_pair_formula_bit_for_bit():
         pts[rng.integers(0, n, size=n // 5)] = pts[0]  # and duplicate rows
         median = _sorted_pair_statistic(pts, "sqeuclidean", lambda size: (size - 1) // 2)
         assert median_heuristic(pts) == 1.0 / median
-        q25 = _sorted_pair_statistic(
-            pts, "euclidean", lambda size: int(np.floor(0.25 * (size - 1)))
-        )
-        assert quartile_heuristic(pts) == 0.5 / (q25 * q25)
-
-
-def test_quartile_heuristic_three_points():
-    # distances {1, 1, 2}, lower first quartile 1, gamma = 0.5 / 1
-    gamma = quartile_heuristic(np.array([[0.0], [1.0], [2.0]]))
-    assert gamma == pytest.approx(0.5, abs=1e-15)
-
-
-def test_quartile_heuristic_single_pair():
-    gamma = quartile_heuristic(np.array([[0.0], [2.0]]))
-    assert gamma == pytest.approx(0.125, abs=1e-15)
-
-
-def test_quartile_heuristic_identical_points_degenerate():
-    with pytest.raises(DegenerateBandwidthError):
-        quartile_heuristic(np.ones((3, 1)))
