@@ -10,13 +10,14 @@ DepthBatchRequest is the one way to ask for a depth.  halfspace_depth,
 logistic_depth and svm_depth build a request of one row and return its one
 result, and depth_batch only dispatches to the method's batch function, the
 same code for one query or many.  The halfspace depth: the exact 1-d depth
-sorts the reference once, the exact 2-d depth sweeps cache-sized blocks of
-queries with one sort per query row, and random directions are drawn once
-per batch.  The logistic depth: one lockstep Newton solve per cache-sized
-block of queries.  The kernel depth: without an intercept, with a bounded
-kernel of constant diagonal kappa and lam >= kappa/4, in closed form, one
-block of queries at a time; otherwise one dual solve per query, in request
-order, against labels, box and reference Gram built once per batch.
+sorts the reference once, the exact 2-d depth sweeps half the circle of
+directions with one sort of n angle keys per query, in blocks of queries,
+and random directions are drawn once per batch.  The logistic depth: one
+lockstep Newton solve per cache-sized block of queries.  The kernel depth:
+without an intercept, with a bounded kernel of constant diagonal kappa and
+lam >= kappa/4, in closed form, one block of queries at a time; otherwise
+one dual solve per query, in request order, against labels, box and
+reference Gram built once per batch.
 """
 from __future__ import annotations
 
@@ -96,7 +97,10 @@ def default_halfspace_config(d: int) -> HalfspaceConfig:
     )
 
 
-HALFSPACE_BLOCK_PAIRS = 1 << 13  # query-reference pairs per 2-d sweep block: its arrays fit in L2
+# Query-reference pairs per 2-d sweep block.  Measured per pair at n = 400,
+# 1000 and 4000 (2-CPU Xeon, one thread): 32-36 ns at 2^13, against 40-61 ns
+# at 2^11 and 2^12 and 51-58 ns at 2^14 and 2^15.
+HALFSPACE_BLOCK_PAIRS = 1 << 13
 
 
 def _halfspace_exact_1d(values: np.ndarray, queries: np.ndarray) -> np.ndarray:
@@ -108,56 +112,56 @@ def _halfspace_exact_1d(values: np.ndarray, queries: np.ndarray) -> np.ndarray:
     return np.minimum(below, above) / ordered.size
 
 
-def _halfspace_sweep_2d(points: np.ndarray, queries: np.ndarray) -> np.ndarray:
-    """Angular sweep over the circle of unit normals, for a block of queries.
+def _halfspace_sweep_2d(dx: np.ndarray, dy: np.ndarray) -> np.ndarray:
+    """Smallest closed-halfspace counts for the (rows, n) differences dx, dy
+    between the reference points and each row's query, by a sweep over half
+    the circle of boundary directions.
 
-    A non-duplicate point lies in the closed halfspace of direction u(phi)
-    exactly when phi falls in the closed half-circle arc centred on its angle,
-    so the count of covered points is piecewise constant between arc
-    endpoints and the minimum is attained on an open gap.  Each difference is
-    first folded into the upper half-plane by exact negation, and both ends of
-    its arc come from the one folded angle, so collinear points on either side
-    of the query share their endpoints exactly.  Sorting a query's 2n
-    endpoints and summing their +1 (start) and -1 (end) steps gives the count
-    on every gap, which is read where a run of equal angles ends.  Duplicates
-    of the query belong to every closed halfspace: their arcs start and end at
-    angle 0, so their steps cancel, and they are added back at the end.  Each
-    row of the result depends on its own query alone.
+    Each difference is folded into the upper half-plane by exact negation, so
+    collinear points on either side of the query share one angle theta in
+    [0, pi).  Turn the boundary line through the query from just below angle
+    0 to just below pi, counting the closed halfspace on its left.  It starts
+    with the D duplicates of the query, which lie in every closed halfspace,
+    and the points that were not folded.  Where the line crosses a theta, the
+    points there that were not folded leave it and the folded ones enter.  One
+    sort per row of the n keys, theta's bits with the folded flag below them,
+    lines up these -1 and +1 steps, and the count on the open gap after a run
+    of equal angles is read where the run ends.  The minimum is attained on an
+    open gap, and there the halfspace on the right holds n + D minus the
+    count, so the smallest count is min(cmin, n + D - cmax) over the run ends
+    and the other half-circle is never swept.  Each row depends on its own
+    query alone.  dx and dy are folded in place.
     """
-    n = points.shape[0]
-    dx = points[:, 0] - queries[:, 0:1]
-    dy = points[:, 1] - queries[:, 1:2]
+    n = dx.shape[1]
     duplicate = (dx == 0.0) & (dy == 0.0)
     flipped = (dy < 0.0) | ((dy == 0.0) & (dx < 0.0))
-    sign = np.where(flipped, -1.0, 1.0)  # times -1.0 is exact negation
+    sign = 1.0 - 2.0 * flipped  # times -1.0 is exact negation
     dx *= sign
     dy *= sign
-    lower = np.arctan2(dy, dx)
-    lower += 0.5 * np.pi
-    upper = lower + np.pi
-    upper -= (upper >= 2.0 * np.pi) * (2.0 * np.pi)
-    lower[duplicate] = 0.0
-    upper[duplicate] = 0.0
-    # a point's arc runs from upper to lower; a flipped point's the other way
-    starts = np.where(flipped, lower, upper)
-    ends = np.where(flipped, upper, lower)
-    wrapped = np.count_nonzero(starts > ends, axis=1)  # count on the gap across angle 0
-    # The angles are nonnegative, so their bit patterns sort as integers do.
-    # A bit shifted in below them marks ends, so one sort of the keys puts
-    # every start before the ends at an equal angle.  Within a run of equal
-    # angles the running count then rises before it falls, and its minimum
-    # over all prefixes is its minimum over run ends.  The full sum is 0: the
-    # cycle closes on the wrap-around gap.
-    keys = np.concatenate([starts, ends], axis=1).view(np.uint64)
+    theta = np.arctan2(dy, dx)
+    # A duplicate's angle may come out as -pi or pi and is set to 0.  The shift
+    # drops the sign bit, so the -0.0 of a folded -0.0 keys as +0.0, and the
+    # bit patterns of nonnegative angles sort as the angles do.
+    theta[duplicate] = 0.0
+    keys = theta.view(np.uint64)
     keys <<= 1
-    keys[:, n:] |= 1
+    keys |= flipped
     keys.sort(axis=1)
-    keys &= 1
-    steps = keys.view(np.int64)
-    steps *= -2
-    steps += 1
+    run_end = np.empty(keys.shape, dtype=bool)
+    np.greater(keys[:, 1:] ^ keys[:, :-1], 1, out=run_end[:, :-1])  # the angle bits differ
+    run_end[:, -1] = True
+    steps = (keys & 1).view(np.int64)
+    steps *= 2
+    steps -= 1
     counts = np.cumsum(steps, axis=1)
-    return (wrapped + counts.min(axis=1) + np.count_nonzero(duplicate, axis=1)) / n
+    # The steps sum to 2F - n over F folded points, so the start is n - F + D:
+    # duplicates sort into the first run as points that were not folded, and
+    # counting them twice undoes their steps of -1.
+    dups = duplicate.sum(axis=1)
+    start = (n - counts[:, -1]) // 2 + dups
+    cmin = counts.min(axis=1, where=run_end, initial=n)
+    cmax = counts.max(axis=1, where=run_end, initial=-n)
+    return np.minimum(start + cmin, n + dups - (start + cmax))
 
 
 def _halfspace_random(points: np.ndarray, queries: np.ndarray, config: HalfspaceConfig):
@@ -197,8 +201,10 @@ def _halfspace_depths(points: np.ndarray, queries: np.ndarray, config: Halfspace
         values = np.empty(m)
         for start in range(0, m, size):
             block = queries[start : start + size]
-            values[start : start + size] = _halfspace_sweep_2d(points, block)
-        return values
+            values[start : start + size] = _halfspace_sweep_2d(
+                points[:, 0] - block[:, 0:1], points[:, 1] - block[:, 1:2]
+            )
+        return values / points.shape[0]
     return _halfspace_random(points, queries, config)
 
 

@@ -122,6 +122,50 @@ def test_halfspace_2d_matches_integer_oracle_on_degenerate_sets():
         assert exact == integer_halfspace_2d(points, z), f"trial {trial}"
 
 
+def test_halfspace_2d_ignores_the_sign_of_zero_differences():
+    # A difference is -0.0 where a -0.0 coordinate meets a +0.0 one: copies of
+    # the query written as -0.0, and points on the horizontal line through the
+    # query whose y is -0.0, on either side of it.  The queries are also
+    # written with -0.0.  Every variant must give the integer depth's bits.
+    rng = np.random.default_rng(23)
+    for trial in range(400):
+        z = np.array([float(rng.integers(-1, 2)) if trial % 2 else 0.0, 0.0])
+        line = rng.integers(-3, 4, int(rng.integers(1, 5)))
+        parts = [rng.integers(-3, 4, (int(rng.integers(0, 6)), 2)),
+                 np.column_stack([line, np.zeros_like(line)]),
+                 np.tile(z.astype(int), (int(rng.integers(0, 3)), 1))]
+        points = np.vstack(parts).astype(float)
+        signed = points.copy()
+        signed[(signed == 0.0) & (rng.random(signed.shape) < 0.7)] = -0.0
+        queries = np.vstack([z, [z[0] + 0.5, 0.0]])
+        expected = np.array([integer_halfspace_2d(points, z),
+                             integer_halfspace_2d(2 * points, 2 * queries[1])])
+        for reference in (points, signed):
+            for rows in (queries, np.where(queries == 0.0, -0.0, queries)):
+                values = depth_batch(DepthBatchRequest(reference=reference, queries=rows,
+                                                       method="halfspace")).values
+                assert values.tobytes() == expected.tobytes(), f"trial {trial}"
+
+
+def test_halfspace_2d_is_bit_identical_under_permuted_reference_rows():
+    # the sweep reads a run of equal angles only where it ends, whatever the
+    # order of the points inside it
+    rng = np.random.default_rng(31)
+    for trial in range(120):
+        n = int(rng.integers(1, 40))
+        if trial % 2:
+            reference = rng.standard_normal((n, 2)) * 10.0 ** rng.integers(-3, 4)
+        else:  # ties, collinear points and repeats
+            reference = rng.integers(-3, 4, (n, 2)).astype(float)
+        queries = np.vstack([reference[rng.integers(n, size=3)],
+                             np.round(rng.standard_normal((3, 2)) * 2.0)])
+        values = depth_batch(DepthBatchRequest(reference=reference, queries=queries,
+                                               method="halfspace")).values
+        permuted = depth_batch(DepthBatchRequest(reference=rng.permutation(reference),
+                                                 queries=queries, method="halfspace")).values
+        assert permuted.tobytes() == values.tobytes(), f"trial {trial}"
+
+
 def test_halfspace_2d_query_on_duplicate_rows():
     points = np.array([[1.0, 1.0], [1.0, 1.0], [0.0, 0.0], [2.0, 0.0]])
     # duplicates of the query sit on every hyperplane through it
