@@ -1,20 +1,23 @@
 """File ingestion and report serialisation.
 
 CSV reading is strict: ragged rows and non-numeric cells fail with the file
-line and column in the message rather than silently dropping data.  Reports
-serialise deterministically; floats are written with 17 significant digits,
-which round-trips the binary value exactly, and files land atomically via a
-rename so readers never observe a half-written report.
+line and column in the message rather than silently dropping data.  A
+regular file is converted by numpy's tokenizer in one pass, without a Python
+object per cell; anything it rejects is read again cell by cell, which gives
+the same values and names the fault.  Reports serialise deterministically;
+floats are written with 17 significant digits, which round-trips the binary
+value exactly, and files land atomically via a rename, with the mode a plain
+open() would give them, so readers never observe a half-written report.
 """
 from __future__ import annotations
 
 import csv
 import gzip
-import itertools
 import json
 import os
 import struct
 import tempfile
+import warnings
 from dataclasses import dataclass, field
 from io import StringIO
 
@@ -52,10 +55,11 @@ def read_csv(path, has_header: bool = False, label_column=None) -> LabeledDatase
 
     The file is read as UTF-8, and a leading byte-order mark is dropped, so
     the result does not depend on the locale; other bytes fail validation.
-    Every cell is converted in one bulk pass.  When that pass meets anything
-    irregular (a ragged or all-blank row, a cell that is not a float, a label
-    that is not 0 or 1) the file is read again by the cell loop, which skips
-    blank rows or names the faulty line and column.
+    The rows after the header are converted by one numpy tokenizer pass.
+    When that pass meets anything irregular (no data rows, a ragged or
+    all-blank row, a cell that is not an ASCII float such as 1_0, a label that
+    is not 0 or 1) the file is read again by the cell loop, which skips blank
+    rows, converts each cell with float, or names the faulty line and column.
     """
     if isinstance(label_column, str) and not has_header:
         raise ValidationError("selecting the label column by name requires a header row")
@@ -72,26 +76,27 @@ def read_csv(path, has_header: bool = False, label_column=None) -> LabeledDatase
 
 
 def _read_bulk(path, has_header: bool):
-    """(header, values) with every cell converted by one float pass, or None
-    when the header row is blank, a row is ragged or a cell is not a float."""
+    """(header, values) from one numpy tokenizer pass, or None when the header
+    row is blank or the tokenizer rejects the rest: no data rows, a ragged or
+    blank row, or a cell that is not an ASCII float."""
     with open(path, newline="", encoding="utf-8-sig") as handle:
-        rows = [row for row in csv.reader(handle) if row]
-    header = None
-    if has_header and rows:
-        header = [c.strip() for c in rows.pop(0)]
-        if not any(header):
+        header = None
+        if has_header:
+            row = next((row for row in csv.reader(handle) if row), [])
+            header = [c.strip() for c in row]
+            if not any(header):
+                return None
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", UserWarning)  # "input contained no data"
+                values = np.loadtxt(
+                    handle, delimiter=",", quotechar='"', comments=None, ndmin=2, dtype=float
+                )
+        except ValueError:
             return None
-    widths = set(map(len, rows))
-    if len(widths) != 1:
+    if not values.size:
         return None
-    width = widths.pop()
-    try:
-        flat = np.fromiter(
-            map(float, itertools.chain.from_iterable(rows)), float, len(rows) * width
-        )
-    except ValueError:
-        return None
-    return header, flat.reshape(len(rows), width)
+    return header, values
 
 
 def _read_cells(path, has_header: bool, label_column) -> LabeledDataset:
@@ -313,6 +318,9 @@ def _atomic_write_text(path: str, text: str) -> None:
         handle, temp = tempfile.mkstemp(dir=directory, prefix=".report-")
         with os.fdopen(handle, "w", newline="") as out:
             out.write(text)
+        mask = os.umask(0o022)  # reading the umask means setting it, so set it back
+        os.umask(mask)
+        os.chmod(temp, 0o666 & ~mask)  # mkstemp creates 0o600; match a plain open()
         os.replace(temp, path)
     except BaseException as error:
         if temp is not None and os.path.exists(temp):
@@ -322,12 +330,24 @@ def _atomic_write_text(path: str, text: str) -> None:
         raise
 
 
+def _cell_text(value) -> str:
+    """_format_cell's text, with the common cell types matched exactly first
+    (a numpy scalar is not one of them and goes through _format_cell)."""
+    kind = type(value)
+    if kind is float:
+        return format(value, ".17g")
+    if kind is bool:
+        return "true" if value else "false"
+    if kind is int:
+        return str(value)
+    return _format_cell(value)
+
+
 def table_to_csv(table: ReportTable) -> str:
     buffer = StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(table.columns)
-    for row in table.rows:
-        writer.writerow([_format_cell(c) for c in row])
+    writer.writerows([_cell_text(c) for c in row] for row in table.rows)
     return buffer.getvalue()
 
 

@@ -2,7 +2,9 @@
 import gzip
 import json
 import os
+import stat
 import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -103,9 +105,14 @@ def test_read_csv_header_width_mismatch(tmp_path):
 
 
 def test_read_csv_empty_file(tmp_path):
-    p = _write(tmp_path / "a.csv", "\n\n")
-    with pytest.raises(ValidationError, match="no data rows"):
-        read_csv(p)
+    # empty, blank-only and header-only files; a warning would surface as an error
+    for text, has_header in (("", False), ("\n\n", False), (" , \n\t\n", False),
+                             ("a,b\n", True), ("a,b\n\n , \n", True)):
+        p = _write(tmp_path / "a.csv", text)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValidationError, match="no data rows"):
+                read_csv(p, has_header=has_header)
 
 
 def test_csv_round_trip_is_bit_exact(tmp_path):
@@ -336,6 +343,20 @@ def test_write_report_byte_identical_and_no_temp_leftovers(tmp_path):
     assert target.read_bytes() == first
     leftovers = [f for f in os.listdir(tmp_path) if f.startswith(".report-")]
     assert leftovers == []
+
+
+def test_write_report_gives_files_the_mode_of_a_plain_open(tmp_path):
+    report = _sample_report()
+    previous = os.umask(0o022)
+    try:
+        for mask in (0o022, 0o077, 0o002):
+            os.umask(mask)
+            written = write_report(report, tmp_path / f"out{mask:o}.csv", fmt="csv")
+            written += write_report(report, tmp_path / f"out{mask:o}.json", fmt="json")
+            for path in written:
+                assert stat.S_IMODE(os.stat(path).st_mode) == 0o666 & ~mask, path
+    finally:
+        os.umask(previous)
 
 
 def test_write_report_validation(tmp_path):

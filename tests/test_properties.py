@@ -13,8 +13,12 @@ example shows that the logistic depth with a penalised intercept is not
 translation invariant.  An iterative kernel depth has the same bits alone
 and in any batch, with the reference Gram held densely or read column by
 column.  On generated CSV text, the bulk reader gives the cell loop's
-values, labels and error messages.
+values, labels and error messages.  On generated report rows, the CSV report
+has the bytes of csv.writer over the generic cell formatter.
 """
+import csv
+from io import StringIO
+
 import numpy as np
 import pytest
 from scipy.special import expit
@@ -495,6 +499,16 @@ def _read_outcome(read, path, has_header, label_column):
 @example(("1,0x1p3\n", False, None))
 @example((" +.5e-3 ,1_0\nnan,inf", False, 1))
 @example(("\ufefflab,x\n0,1\n1,2\n", True, "lab"))
+@example(("1_0,2\n", False, None))
+@example(("\u0661,2\n", False, None))
+@example(("-nan,1\n-0,nan\n", False, None))
+@example(("1e999,-1e999\n", False, None))
+@example(("\u00a01\u00a0,\u20032\u2003\n\u00a0\u20033,4\u00a0\n", False, None))
+@example(('"a\r\nb",lab\n1,0\n2,1\n', True, "lab"))
+@example(("1,2\n \t\n3,4\n", False, None))
+@example(("1,2\n,\n3,4\n", False, None))
+@example(("1,2\r3,4\r", False, None))
+@example(("a,b\n", True, None))
 def test_bulk_csv_reader_matches_the_cell_loop(tmp_path, csv_file):
     text, has_header, label_column = csv_file
     path = tmp_path / "data.csv"
@@ -503,3 +517,33 @@ def test_bulk_csv_reader_matches_the_cell_loop(tmp_path, csv_file):
     assert _read_outcome(io.read_csv, path, has_header, label_column) == _read_outcome(
         io._read_cells, path, has_header, label_column
     )
+
+
+REPORT_CELLS = st.one_of(
+    st.floats(width=64),
+    st.floats(width=64).map(np.float64),
+    st.sampled_from([-0.0, np.float64(-0.0), float("nan"), np.float64("nan")]),
+    st.integers(),
+    st.integers(-2**63, 2**63 - 1).map(np.int64),
+    st.booleans(),
+    st.booleans().map(np.bool_),
+    st.none(),
+    st.text(st.sampled_from('ab ,"\n\r')),
+)
+
+
+@settings(max_examples=300)
+@given(st.integers(1, 5).flatmap(lambda width: st.tuples(
+    st.just(width), st.lists(st.lists(REPORT_CELLS, min_size=width, max_size=width), max_size=8)
+)))
+def test_report_csv_cells_match_the_writer_over_format_cell(table_shape):
+    width, rows = table_shape
+    table = io.ReportTable("t", [f"c{j}" for j in range(width)])
+    for row in rows:
+        table.append(*row)
+    buffer = StringIO()
+    writer = csv.writer(buffer, lineterminator="\n")
+    writer.writerow(table.columns)
+    for row in table.rows:
+        writer.writerow([io._format_cell(c) for c in row])
+    assert io.table_to_csv(table) == buffer.getvalue()
