@@ -195,7 +195,7 @@ def cmd_depth(args) -> int:
         kernel = _resolve_kernel(args, reference)
     halfspace = None
     if method == METHOD_HALFSPACE and args.directions is not None:
-        halfspace = HalfspaceConfig.random_directions(args.directions, args.seed)
+        halfspace = HalfspaceConfig(args.directions, args.seed)
 
     request = DepthBatchRequest(
         reference=reference,

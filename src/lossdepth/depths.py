@@ -1,10 +1,12 @@
 """Depth computations.
 
-halfspace_depth is the classical smallest closed-halfspace probability,
-computed exactly in one and two dimensions and bounded from above by seeded
-random directions in higher dimension.  logistic_depth and svm_depth report
-the weighted classification loss of the best ridge-penalised separator
-between the reference sample and the query.
+halfspace_depth is the classical smallest closed-halfspace probability.
+Without a HalfspaceConfig it is exact, by the algorithm the reference's
+dimension picks (one and two dimensions; higher ones raise); with one it is
+bounded from above by the config's seeded random directions, in any
+dimension.  logistic_depth and svm_depth report the weighted classification
+loss of the best ridge-penalised separator between the reference sample and
+the query.
 
 DepthBatchRequest is the one way to ask for a depth.  halfspace_depth,
 logistic_depth and svm_depth build a request of one row and return its one
@@ -48,53 +50,19 @@ METHOD_HALFSPACE = "halfspace"
 METHOD_LOGISTIC = "logistic"
 METHOD_SVM = "svm"
 
-EXACT_1D = "exact-1d"
-EXACT_2D = "exact-2d"
-RANDOM_DIRECTIONS = "random"
-
-
 @dataclass(frozen=True)
 class HalfspaceConfig:
-    """How to search over halfspace directions.
+    """Random halfspace directions: n_directions standard Gaussian directions
+    drawn from the seed, each checked with both signs, which bound the depth
+    from above in any dimension.  Without a config the depth is exact, which
+    needs d <= 2."""
 
-    exact-1d and exact-2d enumerate every distinct closed halfspace through
-    the query.  random draws n_directions standard Gaussian directions from
-    the seed and checks both signs of each, giving an upper bound on the
-    depth in any dimension.
-    """
-
-    mode: str
-    n_directions: int = 0
+    n_directions: int
     seed: int = 0
 
     def __post_init__(self):
-        if self.mode not in (EXACT_1D, EXACT_2D, RANDOM_DIRECTIONS):
-            raise ValidationError(f"unknown halfspace mode {self.mode!r}")
-        if self.mode == RANDOM_DIRECTIONS and self.n_directions < 1:
+        if self.n_directions < 1:
             raise ValidationError("random-directions halfspace depth needs n_directions >= 1")
-
-    @classmethod
-    def exact_1d(cls) -> "HalfspaceConfig":
-        return cls(mode=EXACT_1D)
-
-    @classmethod
-    def exact_2d(cls) -> "HalfspaceConfig":
-        return cls(mode=EXACT_2D)
-
-    @classmethod
-    def random_directions(cls, n_directions: int, seed: int = 0) -> "HalfspaceConfig":
-        return cls(mode=RANDOM_DIRECTIONS, n_directions=n_directions, seed=seed)
-
-
-def default_halfspace_config(d: int) -> HalfspaceConfig:
-    """Exact mode for d <= 2; higher dimensions must choose a direction count."""
-    if d == 1:
-        return HalfspaceConfig.exact_1d()
-    if d == 2:
-        return HalfspaceConfig.exact_2d()
-    raise ValidationError(
-        "halfspace depth in dimension >= 3 needs an explicit random-directions configuration"
-    )
 
 
 # Query-reference pairs per 2-d sweep block.  Measured per pair at n = 400,
@@ -181,31 +149,33 @@ def _halfspace_random(points: np.ndarray, queries: np.ndarray, config: Halfspace
     return counts / points.shape[0]
 
 
-def _halfspace_depths(points: np.ndarray, queries: np.ndarray, config: HalfspaceConfig):
+def _halfspace_depths(points: np.ndarray, queries: np.ndarray, config: HalfspaceConfig | None):
     """Halfspace depths of the (m, d) queries against the (n, d) reference.
 
-    Exact 1-d sorts the reference once for the whole batch.  Exact 2-d sweeps
-    blocks of about HALFSPACE_BLOCK_PAIRS query-reference pairs, one sort per
-    query row.  Random directions are drawn once.  A query's value never
-    depends on the others, so it has the same bits alone or in any batch.
+    With a config, random directions drawn once.  Without one, the exact
+    depth by the reference's dimension: in 1-d one sort of the reference for
+    the whole batch, in 2-d sweeps over blocks of about HALFSPACE_BLOCK_PAIRS
+    query-reference pairs, one sort per query row; d >= 3 raises, even with no
+    queries.  A query's value never depends on the others, so it has the same
+    bits alone or in any batch.
     """
-    m, d = queries.shape
-    if config.mode == EXACT_1D:
-        if d != 1:
-            raise ValidationError("exact-1d halfspace depth needs one-dimensional data")
+    if config is not None:
+        return _halfspace_random(points, queries, config)
+    m, d = queries.shape[0], points.shape[1]
+    if d == 1:
         return _halfspace_exact_1d(points[:, 0], queries[:, 0])
-    if config.mode == EXACT_2D:
-        if d != 2:
-            raise ValidationError("exact-2d halfspace depth needs two-dimensional data")
-        size = max(1, HALFSPACE_BLOCK_PAIRS // points.shape[0])
-        values = np.empty(m)
-        for start in range(0, m, size):
-            block = queries[start : start + size]
-            values[start : start + size] = _halfspace_sweep_2d(
-                points[:, 0] - block[:, 0:1], points[:, 1] - block[:, 1:2]
-            )
-        return values / points.shape[0]
-    return _halfspace_random(points, queries, config)
+    if d != 2:
+        raise ValidationError(
+            "halfspace depth in dimension >= 3 needs an explicit random-directions configuration"
+        )
+    size = max(1, HALFSPACE_BLOCK_PAIRS // points.shape[0])
+    values = np.empty(m)
+    for start in range(0, m, size):
+        block = queries[start : start + size]
+        values[start : start + size] = _halfspace_sweep_2d(
+            points[:, 0] - block[:, 0:1], points[:, 1] - block[:, 1:2]
+        )
+    return values / points.shape[0]
 
 
 def _one_query(query, reference, method: str, **settings) -> DepthBatchRequest:
@@ -573,18 +543,15 @@ def depth_batch(request: DepthBatchRequest) -> BatchResult:
     a single query runs as a batch of one.
 
     The shared reference structures are built once per call and only read by
-    the queries.  Every query is scored or the call raises: a halfspace mode
-    that does not fit the dimension raises ValidationError, even with no
+    the queries.  Every query is scored or the call raises: an exact halfspace
+    depth (no config) in dimension >= 3 raises ValidationError, even with no
     queries.
     """
     reference = request.reference.values
     if request.method == METHOD_HALFSPACE:
-        halfspace_cfg = request.halfspace
-        if halfspace_cfg is None:
-            halfspace_cfg = default_halfspace_config(request.reference.d)
         results = [
             DepthResult(value=float(value), iterations=0, residual=0.0, converged=True)
-            for value in _halfspace_depths(reference, request.queries, halfspace_cfg)
+            for value in _halfspace_depths(reference, request.queries, request.halfspace)
         ]
     elif request.method == METHOD_LOGISTIC:
         results = _logistic_depths(

@@ -16,7 +16,6 @@ import gzip
 import json
 import os
 import struct
-import tempfile
 import warnings
 from dataclasses import dataclass, field
 from io import StringIO
@@ -312,18 +311,19 @@ class ExperimentReport:
 
 
 def _atomic_write_text(path: str, text: str) -> None:
-    directory = os.path.dirname(os.path.abspath(path))
-    temp = None
+    """Write text to a fresh file of random name next to path, then rename it
+    onto path.  The file is created with mode 0o666 and the kernel applies
+    the umask, so it gets the mode a plain open() would give it."""
+    temp = os.path.join(os.path.dirname(os.path.abspath(path)), f".report-{os.urandom(8).hex()}")
+    created = False
     try:
-        handle, temp = tempfile.mkstemp(dir=directory, prefix=".report-")
+        handle = os.open(temp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+        created = True
         with os.fdopen(handle, "w", newline="") as out:
             out.write(text)
-        mask = os.umask(0o022)  # reading the umask means setting it, so set it back
-        os.umask(mask)
-        os.chmod(temp, 0o666 & ~mask)  # mkstemp creates 0o600; match a plain open()
         os.replace(temp, path)
     except BaseException as error:
-        if temp is not None and os.path.exists(temp):
+        if created and os.path.exists(temp):
             os.unlink(temp)
         if isinstance(error, OSError):  # name the report, not the random temporary file
             raise OSError(error.errno, error.strerror, path) from None

@@ -112,35 +112,33 @@ def gram(spec: KernelSpec, left, right=None) -> np.ndarray:
     return np.power(out, spec.beta, out=out)
 
 
-def _pair_rows(points, max_points: int, seed: int) -> np.ndarray:
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    if pts.shape[0] < 2:
-        raise ValidationError("bandwidth heuristics need at least two points")
-    if pts.shape[0] > max_points:
-        rng = np.random.default_rng(seed)
-        keep = rng.choice(pts.shape[0], size=max_points, replace=False)
-        pts = pts[np.sort(keep)]
-    return pts
+# A larger input to median_heuristic is subsampled to this many rows, drawn
+# with this seed.
+_HEURISTIC_MAX_POINTS = 2000
+_HEURISTIC_SEED = 0
 
 
-def _order_statistic(values: np.ndarray, index: int) -> float:
-    """The value at index in sorted order, found by partition without a full
-    sort.  Partitions values in place, so it reorders its argument."""
-    values.partition(index)
-    return float(values[index])
-
-
-def median_heuristic(points, max_points: int = 2000, seed: int = 0) -> float:
+def median_heuristic(points) -> float:
     """Gaussian bandwidth gamma = 1 / median of pairwise squared distances.
 
     Distinct pairs only (upper triangle).  Even pair counts take the lower of
-    the two middle values so the result does not depend on float averaging.
-    Samples max_points rows with the given seed when the input is larger.
+    the two middle values, found by partition without a full sort, so the
+    result does not depend on float averaging.  Samples _HEURISTIC_MAX_POINTS
+    rows, seeded, when the input is larger.
     """
     from scipy.spatial.distance import pdist  # local: scipy.spatial costs ~0.5 s to import
 
-    pairs = pdist(_pair_rows(points, max_points, seed), "sqeuclidean")
-    med = _order_statistic(pairs, (pairs.size - 1) // 2)
+    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    if pts.shape[0] < 2:
+        raise ValidationError("bandwidth heuristics need at least two points")
+    if pts.shape[0] > _HEURISTIC_MAX_POINTS:
+        rng = np.random.default_rng(_HEURISTIC_SEED)
+        keep = rng.choice(pts.shape[0], size=_HEURISTIC_MAX_POINTS, replace=False)
+        pts = pts[np.sort(keep)]
+    pairs = pdist(pts, "sqeuclidean")
+    middle = (pairs.size - 1) // 2
+    pairs.partition(middle)
+    med = float(pairs[middle])
     if med <= 0.0:
         raise DegenerateBandwidthError("median pairwise squared distance is zero")
     return 1.0 / med

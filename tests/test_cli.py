@@ -208,7 +208,7 @@ def test_depth_halfspace_needs_directions_beyond_2d(tmp_path, capsys):
 
 
 def test_depth_dimension_mismatch_reads_the_same_for_every_method(tmp_path, capsys):
-    # halfspace checks the dimensions before it looks for a mode that fits d = 3
+    # halfspace checks the dimensions before it finds no exact algorithm for d = 3
     rng = np.random.default_rng(8)
     reference = _csv(tmp_path / "r3.csv", rng.standard_normal((15, 3)))
     queries = _csv(tmp_path / "q2.csv", rng.standard_normal((2, 2)))

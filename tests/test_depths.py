@@ -10,7 +10,6 @@ from lossdepth.depths import (
     DepthBatchRequest,
     DepthResult,
     HalfspaceConfig,
-    default_halfspace_config,
     depth_batch,
     halfspace_depth,
     halfspace_depth_as_loss,
@@ -178,8 +177,7 @@ def test_halfspace_batch_is_bit_identical_to_single_calls_across_block_edges(mon
     # 4 reference rows per query: a 2-d sweep block then holds `size` queries
     rng = np.random.default_rng(71)
     size = 3
-    for d, config in ((1, HalfspaceConfig.exact_1d()), (2, HalfspaceConfig.exact_2d()),
-                      (3, HalfspaceConfig.random_directions(40, seed=5))):
+    for d, config in ((1, None), (2, None), (3, HalfspaceConfig(40, seed=5))):
         reference = np.round(rng.standard_normal((12, d)) * 2.0) / 2.0  # ties and repeats
         monkeypatch.setattr(depths, "HALFSPACE_BLOCK_PAIRS", size * reference.shape[0])
         for m in (1, size - 1, size, size + 1, 3 * size + 1):
@@ -189,7 +187,7 @@ def test_halfspace_batch_is_bit_identical_to_single_calls_across_block_edges(mon
             request = DepthBatchRequest(reference=reference, queries=queries,
                                         method="halfspace", halfspace=config)
             batch = depth_batch(request)
-            assert [r.value for r in batch.results] == alone, (config.mode, m)
+            assert [r.value for r in batch.results] == alone, (d, m)
             assert all(type(r.value) is float for r in batch.results)
 
 
@@ -207,7 +205,7 @@ def test_halfspace_random_directions_upper_bounds_exact():
     points = rng.standard_normal((30, 2))
     z = np.array([0.2, 0.1])
     exact = halfspace_depth(z, points)
-    sampled = halfspace_depth(z, points, HalfspaceConfig.random_directions(4000, seed=1))
+    sampled = halfspace_depth(z, points, HalfspaceConfig(4000, seed=1))
     assert sampled >= exact - 1e-12
     assert sampled <= exact + 0.1
 
@@ -215,22 +213,15 @@ def test_halfspace_random_directions_upper_bounds_exact():
 def test_halfspace_random_directions_exact_in_1d():
     # every sampled direction normalises to +-1, so sampling is exact
     data = COLUMN([1.0, 2.0, 3.0, 4.0])
-    cfg = HalfspaceConfig.random_directions(5, seed=3)
+    cfg = HalfspaceConfig(5, seed=3)
     assert halfspace_depth([2.5], data, cfg) == pytest.approx(0.5)
 
 
-def test_halfspace_config_defaults_by_dimension():
-    assert default_halfspace_config(1).mode == "exact-1d"
-    assert default_halfspace_config(2).mode == "exact-2d"
-    with pytest.raises(ValidationError):
-        default_halfspace_config(3)
-
-
 def test_halfspace_config_validation():
-    with pytest.raises(ValidationError):
-        HalfspaceConfig.random_directions(0)
-    with pytest.raises(ValidationError):
-        halfspace_depth([0.0], COLUMN([1.0]), HalfspaceConfig.exact_2d())
+    with pytest.raises(ValidationError, match="needs n_directions >= 1"):
+        HalfspaceConfig(0)
+    with pytest.raises(ValidationError, match="dimension >= 3 needs an explicit"):
+        halfspace_depth([0.0, 0.0, 0.0], np.eye(3))
 
 
 def test_halfspace_dimension_mismatch():
@@ -243,6 +234,17 @@ def test_as_loss_matches_depth_in_1d():
     value = halfspace_depth_as_loss([2.0], data, [[1.0], [-1.0]])
     assert value == pytest.approx(2.0 / 3.0)
     assert value == pytest.approx(halfspace_depth([2.0], data))
+
+
+def test_as_loss_in_three_dimensions_equals_random_directions_with_both_signs():
+    # the random-directions depth checks each direction u as u and -u
+    rng = np.random.default_rng(17)
+    reference = rng.standard_normal((25, 3))
+    directions = np.random.default_rng(4).standard_normal((50, 3))  # HalfspaceConfig's draw
+    for z in (reference[0], rng.standard_normal(3), np.full(3, 5.0)):
+        value = halfspace_depth_as_loss(z, reference, np.vstack([directions, -directions]))
+        assert value == halfspace_depth(z, reference, HalfspaceConfig(50, seed=4))
+        assert 0.0 <= value <= 0.5
 
 
 def test_as_loss_separating_direction_gives_zero():
@@ -648,18 +650,16 @@ def test_logistic_line_search_failure_ends_only_that_query(monkeypatch):
     assert _same_result(mate, logistic_depth(reference[0], reference, 5e-4))
 
 
-def test_depth_batch_rejects_a_halfspace_mode_that_does_not_fit_the_dimension():
-    # the whole request fails with the mode's own message, even with no queries
-    two_d = "exact-2d halfspace depth needs two-dimensional data"
-    one_d = "exact-1d halfspace depth needs one-dimensional data"
-    for d, config, message in ((3, HalfspaceConfig.exact_2d(), two_d),
-                               (1, HalfspaceConfig.exact_2d(), two_d),
-                               (2, HalfspaceConfig.exact_1d(), one_d)):
-        for m in (0, 2):
-            request = DepthBatchRequest(reference=np.zeros((4, d)), queries=np.zeros((m, d)),
-                                        method="halfspace", halfspace=config)
-            with pytest.raises(ValidationError, match=message):
-                depth_batch(request)
+def test_depth_batch_needs_directions_for_halfspace_depth_in_three_dimensions():
+    # the whole request fails, even with no queries; directions make it valid
+    for m in (0, 2):
+        request = DepthBatchRequest(reference=np.zeros((4, 3)), queries=np.zeros((m, 3)),
+                                    method="halfspace")
+        with pytest.raises(ValidationError, match="dimension >= 3 needs an explicit"):
+            depth_batch(request)
+        request = DepthBatchRequest(reference=np.zeros((4, 3)), queries=np.zeros((m, 3)),
+                                    method="halfspace", halfspace=HalfspaceConfig(3))
+        assert depth_batch(request).values.tolist() == [1.0] * m
 
 
 def test_depth_batch_builds_the_reference_gram_once(monkeypatch):

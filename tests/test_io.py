@@ -359,6 +359,22 @@ def test_write_report_gives_files_the_mode_of_a_plain_open(tmp_path):
         os.umask(previous)
 
 
+def test_write_report_leaves_the_process_umask_alone(tmp_path, monkeypatch):
+    # setting the umask, even to read it, changes the mode of files that other
+    # threads create meanwhile
+    def no_umask(mask):
+        raise AssertionError("write_report set the process umask")
+
+    report = _sample_report()
+    mask = os.umask(0o022)
+    os.umask(mask)
+    monkeypatch.setattr(os, "umask", no_umask)
+    written = write_report(report, tmp_path / "out.csv", fmt="csv")
+    written += write_report(report, tmp_path / "out.json", fmt="json")
+    for path in written:
+        assert stat.S_IMODE(os.stat(path).st_mode) == 0o666 & ~mask, path
+
+
 def test_write_report_validation(tmp_path):
     report = _sample_report()
     with pytest.raises(ValidationError, match="unknown report format"):

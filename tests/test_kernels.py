@@ -144,8 +144,8 @@ def test_median_heuristic_identical_points_degenerate():
 def test_median_heuristic_subsample_is_deterministic():
     rng = np.random.default_rng(5)
     pts = rng.standard_normal((2500, 2))
-    a = median_heuristic(pts, seed=9)
-    b = median_heuristic(pts, seed=9)
+    a = median_heuristic(pts)
+    b = median_heuristic(pts)
     assert a == b
     full = median_heuristic(pts[:2000])
     assert a == pytest.approx(full, rel=0.5)  # subsample only needs the right scale

@@ -1,4 +1,9 @@
 """The package's public names."""
+import importlib
+import pkgutil
+import re
+from pathlib import Path
+
 import lossdepth
 
 
@@ -12,3 +17,27 @@ def test_star_import_binds_every_exported_name():
     namespace = {}
     exec("from lossdepth import *", namespace)
     assert set(lossdepth.__all__) <= set(namespace)
+
+
+def test_every_name_the_readme_cites_resolves():
+    # a backticked `head.name` or `head.name(...)`, where head is a lossdepth
+    # submodule or an exported class, must name something that exists
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    heads = {info.name: importlib.import_module(f"lossdepth.{info.name}")
+             for info in pkgutil.iter_modules(lossdepth.__path__)}
+    heads.update((name, getattr(lossdepth, name)) for name in lossdepth.__all__
+                 if isinstance(getattr(lossdepth, name), type))
+    cited = re.findall(r"`([A-Za-z_]\w*(?:\.[A-Za-z_]\w*)+)(?:\([^`]*\))?`", readme)
+    cited = [name for name in cited if name.split(".")[0] in heads]
+    assert {"depths.LOGISTIC_BLOCK_ENTRIES", "solvers.svm_dual_solves"} <= set(cited)
+
+    def resolves(name):
+        head, *parts = name.split(".")
+        target = heads[head]
+        for part in parts:
+            if not hasattr(target, part):
+                return False
+            target = getattr(target, part)
+        return True
+
+    assert [name for name in cited if not resolves(name)] == []
