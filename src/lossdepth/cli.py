@@ -475,7 +475,8 @@ def build_parser() -> argparse.ArgumentParser:
     depth.add_argument("--intercept", action=argparse.BooleanOptionalAction, default=None,
                        help="default: on for lr, off for svm")
     depth.add_argument("--directions", type=int, default=None,
-                       help="random directions for halfspace depth in d >= 3")
+                       help="bound halfspace depth from above with this many random "
+                       "directions, in any dimension (default: the exact depth, d <= 2)")
     depth.add_argument("--coefficients", action="store_true",
                        help="emit a table of classifier coefficients per query")
     _add_model_options(depth)
@@ -600,6 +601,8 @@ def main(argv=None) -> int:
     args = _shared_parser().parse_args(_attach_negative_values(argv))
     try:
         _check_threads(args)
+        if args.seed < 0:
+            raise ValidationError("seed must be >= 0")
         return args.handler(args)
     except (LossDepthError, OSError) as error:  # OSError: a file that cannot be read or written
         print(f"error: {error}", file=sys.stderr)

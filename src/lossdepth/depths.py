@@ -17,9 +17,9 @@ directions with one sort of n angle keys per query, in blocks of queries,
 and random directions are drawn once per batch.  The logistic depth: one
 lockstep Newton solve per cache-sized block of queries.  The kernel depth:
 without an intercept, with a bounded kernel of constant diagonal kappa and
-lam >= kappa/4, in closed form, one block of queries at a time; otherwise
-one dual solve per query, in request order, against labels, box and
-reference Gram built once per batch.
+lam >= kappa/4, in closed form: one pass for the reference row means, then
+one gram call per block of queries; otherwise one dual solve per query, in
+request order, against labels, box and reference Gram built once per batch.
 """
 from __future__ import annotations
 
@@ -323,74 +323,25 @@ def _closed_form_applies(kernel: KernelSpec, lam: float, intercept: bool) -> boo
     return not intercept and kappa is not None and lam >= kappa / 4.0
 
 
-def _kernel_means(spec: KernelSpec, reference: np.ndarray, queries: np.ndarray):
-    """Row means r = K 1/n of the reference Gram K, and the kernel values
-    between each query and the reference, in one pass over K's upper triangle.
+def _kernel_row_means(spec: KernelSpec, reference: np.ndarray) -> np.ndarray:
+    """Row means r = K 1/n of the reference Gram K, in one pass over K's upper
+    triangle.
 
-    Reference rows [s, e) are evaluated against reference rows s: and the
-    queries in one gram call.  Its row sums over the reference columns go to
-    r[s:e], its column sums past the diagonal block to r[e:], and its query
-    columns are the queries' kernel values on rows s:e.  A block holds about
-    KERNEL_BLOCK_ENTRIES reference values, so the blocks, and with them the
-    bits of r, depend on n alone, not on the queries.
-    Returns (r, query kernel) with the query kernel of shape (m, n).
+    Reference rows [s, e) are evaluated against reference rows s: in one gram
+    call.  Its row sums go to r[s:e] and its column sums past the diagonal
+    block to r[e:].  A block holds about KERNEL_BLOCK_ENTRIES values, so the
+    blocks, and with them the bits of r, depend on n alone.
     """
     n = reference.shape[0]
-    points = np.vstack([reference, queries])
     sums = np.zeros(n)
-    query_kernel = np.empty((queries.shape[0], n))
     start = 0
     while start < n:
         stop = min(n, start + max(1, KERNEL_BLOCK_ENTRIES // (n - start)))
-        block = gram(spec, reference[start:stop], points[start:])
-        sums[start:stop] += block[:, : n - start].sum(axis=1)
-        sums[stop:] += block[:, stop - start : n - start].sum(axis=0)
-        query_kernel[:, start:stop] = block[:, n - start :].T
+        block = gram(spec, reference[start:stop], reference[start:])
+        sums[start:stop] += block.sum(axis=1)
+        sums[stop:] += block[:, stop - start :].sum(axis=0)
         start = stop
-    return sums / n, query_kernel
-
-
-def _closed_form_depths(
-    row_means: np.ndarray,
-    query_kernel: np.ndarray,
-    lam: float,
-    kappa: float,
-    reporting: Reporting,
-    tolerance: float,
-) -> list:
-    """Depth results of a block of queries with every dual variable at its box
-    bound (see _closed_form_applies), from the reference row means and the
-    block's (m, n) kernel values against the reference.
-
-    The value is the weighted hinge loss of f(x_i) = (r_i - k(x_i, q))/(4 lam)
-    and f(q) = (m(q) - kappa)/(4 lam), which is
-    1 - (mean(K) + kappa)/(8 lam) + m(q)/(4 lam), an affine transform of the
-    kernel mean m(q).  The residual is the KKT violation measured at the box,
-    and the coefficients, one read-only box vector shared by the block, are
-    alpha_i = 1/(4 n lam) and alpha_q = 1/(4 lam).
-    """
-    n = row_means.size
-    scale = 4.0 * lam
-    fvals = (row_means - query_kernel) / scale
-    fquery = (query_kernel.mean(axis=1) - kappa) / scale
-    positive = np.maximum(0.0, 1.0 - fvals).sum(axis=1)
-    values = positive / (2.0 * n) + 0.5 * np.maximum(0.0, 1.0 + fquery)
-    if reporting is Reporting.LOSS_PLUS_REG:
-        # lam ||f||^2 = lam sum_k alpha_k y_k f(p_k) at alpha = box
-        values += 0.25 * (fvals.mean(axis=1) - fquery)
-    residuals = np.maximum(0.0, np.maximum(fvals.max(axis=1) - 1.0, -1.0 - fquery))
-    box = np.append(np.full(n, 1.0 / (scale * n)), 1.0 / scale)
-    box.setflags(write=False)
-    return [
-        DepthResult(
-            value=float(value),
-            iterations=0,
-            residual=float(residual),
-            converged=bool(residual <= tolerance),
-            coefficients=box,
-        )
-        for value, residual in zip(values, residuals)
-    ]
+    return sums / n
 
 
 def _svm_closed_form(
@@ -401,25 +352,53 @@ def _svm_closed_form(
     reporting: Reporting,
     solver: SolverConfig | None,
 ) -> list:
-    """Closed-form kernel depths of every query, one block at a time.
+    """Closed-form kernel depths of every query, with every dual variable at
+    its box bound (see _closed_form_applies).
 
-    The first block rides along the pass that computes the reference row
-    means; every later one is a single gram call against the reference.
-    Blocks hold about KERNEL_BLOCK_ENTRIES kernel values, and each query's
-    value depends on its own row only, so a query gets the same bits alone
-    or in any batch.
+    The value is the weighted hinge loss of f(x_i) = (r_i - k(x_i, q))/(4 lam)
+    and f(q) = (m(q) - kappa)/(4 lam), which is
+    1 - (mean(K) + kappa)/(8 lam) + m(q)/(4 lam), an affine transform of the
+    kernel mean m(q).  The residual is the KKT violation measured at the box,
+    and the coefficients, one read-only box vector shared by the batch, are
+    alpha_i = 1/(4 n lam) and alpha_q = 1/(4 lam).
+
+    The reference row means r come from their own pass (_kernel_row_means);
+    then each block of about KERNEL_BLOCK_ENTRIES query kernel values is one
+    gram call against the reference.  Each query's value depends on its own
+    row only, so a query gets the same bits alone or in any batch.  No
+    queries, no Gram.
     """
     m, n = queries.shape[0], reference.shape[0]
     if m == 0:
         return []
     kappa = spec.bound()
     tolerance = (solver if solver is not None else SolverConfig()).tolerance
+    row_means = _kernel_row_means(spec, reference)
+    scale = 4.0 * lam
+    box = np.append(np.full(n, 1.0 / (scale * n)), 1.0 / scale)
+    box.setflags(write=False)
     size = max(1, KERNEL_BLOCK_ENTRIES // n)
-    row_means, query_kernel = _kernel_means(spec, reference, queries[:size])
-    results = _closed_form_depths(row_means, query_kernel, lam, kappa, reporting, tolerance)
-    for start in range(size, m, size):
+    results = []
+    for start in range(0, m, size):
         query_kernel = gram(spec, queries[start : start + size], reference)
-        results += _closed_form_depths(row_means, query_kernel, lam, kappa, reporting, tolerance)
+        fvals = (row_means - query_kernel) / scale
+        fquery = (query_kernel.mean(axis=1) - kappa) / scale
+        positive = np.maximum(0.0, 1.0 - fvals).sum(axis=1)
+        values = positive / (2.0 * n) + 0.5 * np.maximum(0.0, 1.0 + fquery)
+        if reporting is Reporting.LOSS_PLUS_REG:
+            # lam ||f||^2 = lam sum_k alpha_k y_k f(p_k) at alpha = box
+            values += 0.25 * (fvals.mean(axis=1) - fquery)
+        residuals = np.maximum(0.0, np.maximum(fvals.max(axis=1) - 1.0, -1.0 - fquery))
+        results += [
+            DepthResult(
+                value=float(value),
+                iterations=0,
+                residual=float(residual),
+                converged=bool(residual <= tolerance),
+                coefficients=box,
+            )
+            for value, residual in zip(values, residuals)
+        ]
     return results
 
 

@@ -181,10 +181,11 @@ def logistic_block_solve(
     machine precision while the gradient still exceeds a tight tolerance.
     A query stops, converged, once its gradient norm is at or below
     tolerance, and unconverged after max_iterations steps or after 60
-    halvings without an acceptable step; it then leaves the block.  With a
-    positive ridge the objective is 2 lam strongly convex, so the distance
-    to the unique minimiser is at most the returned residual divided by
-    2 lam.
+    halvings without an acceptable step.  Every stopped query leaves the
+    block at the top of the loop, a stalled one counted at the step that
+    failed.  With a positive ridge the objective is 2 lam strongly convex, so
+    the distance to the unique minimiser is at most the returned residual
+    divided by 2 lam.
 
     Every operation acts on each query's row alone, so a query's bits do not
     depend on its block-mates.  Returns the (B, D) weights, the weighted
@@ -200,6 +201,7 @@ def logistic_block_solve(
     weights = np.zeros((size, dim))
     signed, exps, loss, value = _logistic_evaluate(weights, features, queries, lam)
     grad = _logistic_gradient(weights, signed, exps, features, queries, lam)
+    stalled = np.zeros(size, dtype=bool)  # no acceptable step in the last search
 
     def finish(rows: np.ndarray, iteration: int, residual: np.ndarray, converged: np.ndarray):
         """Record the queries at the live positions rows as they stand."""
@@ -207,20 +209,21 @@ def logistic_block_solve(
             i = live[k]
             weights_out[i] = weights[k]
             losses_out[i] = loss[k]
-            diagnostics[i] = SolveDiagnostics(iteration, float(residual[k]), bool(converged[k]))
+            diagnostics[i] = SolveDiagnostics(
+                iteration - int(stalled[k]), float(residual[k]), bool(converged[k])
+            )
 
     for iteration in range(cfg.max_iterations + 1):
         residual = np.linalg.norm(grad, axis=1)
         converged = residual <= cfg.tolerance
-        stop = converged | (iteration == cfg.max_iterations)
+        stop = converged | stalled | (iteration == cfg.max_iterations)
         if stop.any():
             finish(stop, iteration, residual, converged)
             if stop.all():
                 break
             keep = ~stop
-            live, weights, queries, signed, exps, loss, value, grad, residual = (
-                part[keep]
-                for part in (live, weights, queries, signed, exps, loss, value, grad, residual)
+            live, weights, queries, signed, exps, loss, value, grad = (
+                part[keep] for part in (live, weights, queries, signed, exps, loss, value, grad)
             )
         hessian = _logistic_hessian(exps, features, queries, lam)
         direction = -np.linalg.solve(hessian, grad[:, :, None])[:, :, 0]
@@ -246,16 +249,8 @@ def logistic_block_solve(
             if not searching.size:
                 break
             step[searching] *= 0.5
-        if searching.size:  # no representable decrease along the Newton direction
-            failed = np.zeros(live.size, dtype=bool)
-            failed[searching] = True
-            finish(failed, iteration, residual, np.zeros(live.size, dtype=bool))
-            if failed.all():
-                break
-            keep = ~failed
-            live, weights, queries, signed, exps, loss, value = (
-                part[keep] for part in (live, weights, queries, signed, exps, loss, value)
-            )
+        stalled = np.zeros(live.size, dtype=bool)
+        stalled[searching] = True  # no representable decrease along the Newton direction
         grad = _logistic_gradient(weights, signed, exps, features, queries, lam)
     return weights_out, losses_out, diagnostics
 

@@ -305,6 +305,28 @@ def test_negative_threads_exit_two_on_every_subcommand(sample_files, labeled_fil
     assert len(lines) == 1 and lines[0].startswith("error:") and "threads" in lines[0]
 
 
+@pytest.mark.parametrize("command", [
+    ["depth", "{reference}", "{queries}"],
+    ["depth", "{reference}", "{queries}", "--method", "halfspace", "--directions", "5"],
+    ["depth", "{reference}", "{queries}", "--method", "svm"],
+    ["benchmark", "{labeled}", "--split", "--label-column", "2", "--methods", "lr"],
+    ["benchmark", "{labeled}", "{labeled}", "--label-column", "2", "--methods", "lr"],
+    ["convergence", "--n-grid", "10", "--repeats", "1", "--n-ref", "20"],
+    ["grid", "--contaminated", "--n", "20", "--resolution", "2"],
+    ["rankcorr", "--n", "20", "--runs", "1"],
+])
+def test_negative_seed_exits_two_on_every_subcommand(sample_files, labeled_file, capsys,
+                                                     command):
+    reference, queries = sample_files
+    argv = [part.format(reference=reference, queries=queries, labeled=labeled_file)
+            for part in command]
+    assert cli.main(argv + ["--seed", "-1"]) == cli.EXIT_INVALID
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:") and "seed" in lines[0]
+
+
 @pytest.fixture()
 def labeled_file(tmp_path):
     inliers = SEED_DATA.standard_normal((40, 2))

@@ -507,12 +507,10 @@ def test_kernel_means_match_the_gram_row_means(monkeypatch):
     monkeypatch.setattr(depths, "KERNEL_BLOCK_ENTRIES", 64)
     rng = np.random.default_rng(64)
     spec = KernelSpec.gaussian(0.4)
-    queries = rng.standard_normal((3, 2))
     for n in (1, 7, 8, 9, 15, 16, 17, 40):
         reference = rng.standard_normal((n, 2))
-        row_means, query_kernel = depths._kernel_means(spec, reference, queries)
+        row_means = depths._kernel_row_means(spec, reference)
         assert np.allclose(row_means, gram(spec, reference).mean(axis=1), rtol=0.0, atol=1e-15)
-        assert np.array_equal(query_kernel, gram(spec, queries, reference))
 
 
 def test_depth_batch_request_validation():
@@ -648,6 +646,12 @@ def test_logistic_line_search_failure_ends_only_that_query(monkeypatch):
     assert stopped.iterations == 3 and stopped.residual > 1e-8
     assert _same_result(stopped, logistic_depth(damped, reference, 5e-4))
     assert _same_result(mate, logistic_depth(reference[0], reference, 5e-4))
+    # a block whose every query stalls at once ends there, each as alone
+    request = DepthBatchRequest(reference=reference, queries=np.vstack([damped, damped]),
+                                method="logistic", lam=5e-4)
+    for copy in depth_batch(request).results:
+        assert not copy.converged and copy.iterations == 3
+        assert _same_result(copy, stopped)
 
 
 def test_depth_batch_needs_directions_for_halfspace_depth_in_three_dimensions():
@@ -671,11 +675,15 @@ def test_depth_batch_builds_the_reference_gram_once(monkeypatch):
 
     monkeypatch.setattr(depths, "gram", counting_gram)
     rng = np.random.default_rng(4)
-    request = DepthBatchRequest(reference=rng.standard_normal((30, 2)),
-                                queries=rng.standard_normal((5, 2)), method="svm",
+    reference = rng.standard_normal((30, 2))
+    queries = rng.standard_normal((5, 2))
+    request = DepthBatchRequest(reference=reference, queries=queries, method="svm",
                                 kernel=KernelSpec.gaussian(0.8))
     depth_batch(request)
-    assert len(calls) == 1
+    # the row-means pass is one block at n = 30, then one block of queries
+    assert len(calls) == 2
+    assert np.array_equal(calls[0][1], reference) and np.array_equal(calls[0][2], reference)
+    assert np.array_equal(calls[1][1], queries) and np.array_equal(calls[1][2], reference)
 
 
 def test_depth_batch_with_no_queries_builds_no_gram(monkeypatch):

@@ -1,5 +1,6 @@
 """The package's public names."""
 import importlib
+import importlib.util
 import pkgutil
 import re
 from pathlib import Path
@@ -41,3 +42,22 @@ def test_every_name_the_readme_cites_resolves():
         return True
 
     assert [name for name in cited if not resolves(name)] == []
+
+
+def test_the_benchmark_trace_hooks_still_resolve():
+    # perfbench/spans.py times layers by wrapping functions of the modules
+    # that call them; a renamed or removed function silently zeroes its layer.
+    # Two hooks name functions that are gone and are known to read 0.
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("spans_under_test", path)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    recorder = spans.Recorder()
+    try:
+        recorder.install()
+    finally:
+        recorder.uninstall()
+    assert sorted(recorder.absent) == [
+        "lossdepth.depths.gradient_descent",
+        "lossdepth.depths.svm_dual_solve",
+    ]
