@@ -116,7 +116,7 @@ def ocsvm_fit(train, kernel: KernelSpec, nu: float = 0.15,
     start = np.full(n, 1.0 / n)
     alpha, diagnostics = _pairwise_smo(
         np.zeros(n), start, np.zeros(n), np.full(n, box), kmat @ start,
-        np.diagonal(kmat), lambda k: kmat[:, k], cfg,
+        np.diagonal(kmat), kmat.__getitem__, cfg,
     )
     return OneClassSvmModel(
         train=train,

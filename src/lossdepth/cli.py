@@ -351,6 +351,9 @@ def cmd_convergence(args) -> int:
 def cmd_grid(args) -> int:
     if (args.data is None) == (not args.contaminated):
         raise ValidationError("provide either a data file or --contaminated, not both")
+    if len(args.lof_k) > 1:
+        raise ValidationError(f"grid scores with one --lof-k, got {len(args.lof_k)}")
+    lof_k = args.lof_k[0] if args.lof_k else 10
     if args.contaminated:
         sample = gen_contaminated(
             n=args.n,
@@ -380,8 +383,7 @@ def cmd_grid(args) -> int:
         model = ocsvm_fit(data, kernel, args.ocsvm_nu, solver)
         score_fn = model.score
     else:
-        k = args.lof_k[0] if args.lof_k else 10
-        score_fn = lambda pts: -lof_scores(data, pts, int(k))
+        score_fn = lambda pts: -lof_scores(data, pts, lof_k)
 
     scan = contamination_grid(
         data, score_fn, resolution=args.resolution, quantiles=args.quantiles
@@ -405,6 +407,10 @@ def cmd_grid(args) -> int:
             "contaminated": bool(args.contaminated),
             "n": args.n,
             "rate": args.rate,
+            "center": [float(c) for c in args.center],
+            "contamination_center": [float(c) for c in args.contamination_center],
+            "lof_k": lof_k,
+            "ocsvm_nu": args.ocsvm_nu,
         },
         tables=[grid_table, threshold_table],
     )

@@ -10,12 +10,14 @@ query at a time (svm_dual_solves), by greedy maximal-violation coordinate
 ascent without an intercept (the default), or by maximal-violating-pair
 updates that keep the balance constraint when an unpenalised intercept is
 requested.  Both dual solvers read the kernel through the same column and
-diagonal interface, and the pairwise one also fits the one-class SVM
-baseline, whose dual has the same form.
+diagonal interface.  Up to DENSE_GRAM_LIMIT reference rows a column is a
+row of one (n+1) x (n+1) kernel matrix per batch, whose last row and column
+each query overwrites; above it, columns are computed on demand.  The
+pairwise solver also fits the one-class SVM baseline, whose dual has the
+same form.
 """
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, replace
 
@@ -282,24 +284,37 @@ def svm_dual_solves(
     degenerate coordinates are frozen at zero, and the offset recovered from
     the margin conditions comes back in the diagnostics.
 
-    The labels and the box are built once per batch, and so is the reference
-    Gram, when there are queries and n is at most DENSE_GRAM_LIMIT; each
-    query then computes its own kernel column once and reads the Gram's rows
-    without copying them.  Otherwise columns are formed on demand so large
-    references never materialise an n^2 matrix.  Each query is solved on its
-    own, so it gets the same bits alone or in any batch.
+    The labels and the box are built once per batch, and so is the
+    (n+1) x (n+1) kernel matrix of the reference and a query, when there are
+    queries and n is at most DENSE_GRAM_LIMIT: each query overwrites its last
+    row and column, the border, with its own kernel values, and the solver
+    reads the matrix's rows, which are its columns by symmetry, as views.
+    Otherwise columns are formed on demand so large references never
+    materialise an n^2 matrix.  Each query is solved on its own, so it gets
+    the same bits alone or in any batch.
     """
     cfg = config if config is not None else SolverConfig()
     n = reference.shape[0]
     labels = np.append(np.ones(n), -1.0)
     signed_box = labels * np.append(np.full(n, 1.0 / (4.0 * n * lam)), 1.0 / (4.0 * lam))
-    reference_gram = None
-    if queries.shape[0] and n <= DENSE_GRAM_LIMIT:
-        reference_gram = gram(spec, reference)
+    dense = queries.shape[0] > 0 and n <= DENSE_GRAM_LIMIT
+    if dense:
+        kernel = gram(spec, np.vstack([reference, queries[:1]]))
+        diag, column = np.diagonal(kernel), kernel.__getitem__
     solve = _pairwise_smo if intercept else _greedy_ascent
     results = []
     for query in queries:
-        diag, column = _kernel_columns(spec, reference, reference_gram, query[None, :])
+        query = query[None, :]
+        if dense:
+            kernel[n, :n] = kernel[:n, n] = gram(spec, reference, query)[:, 0]
+            kernel[n, n] = gram(spec, query, query)[0, 0]
+        else:
+            points = np.vstack([reference, query])
+            diag = spec.diagonal(points)
+
+            def column(k: int) -> np.ndarray:
+                return gram(spec, points, points[k : k + 1])[:, 0]
+
         # only degenerate coordinates, whose kernel columns vanish, start
         # nonzero, so K @ start is zero
         degenerate = diag <= 1e-15
@@ -312,39 +327,6 @@ def svm_dual_solves(
             (alpha, replace(diagnostics, degenerate_coordinates=int(degenerate.sum())))
         )
     return results
-
-
-def _kernel_columns(
-    spec: KernelSpec, reference: np.ndarray, reference_gram: np.ndarray | None, query: np.ndarray
-):
-    """The diagonal and a column reader of the kernel matrix of the reference
-    rows and the (1, d) query, last: bordered around the reference Gram when
-    there is one, else computed column by column on demand."""
-    n = reference.shape[0]
-    if reference_gram is None:
-        points = np.vstack([reference, query])
-
-        def column(k: int) -> np.ndarray:
-            return gram(spec, points, points[k : k + 1])[:, 0]
-
-        return spec.diagonal(points), column
-
-    query_column = np.append(gram(spec, reference, query)[:, 0], gram(spec, query, query)[0, 0])
-    # column k of the bordered matrix is row k of the reference Gram (which is
-    # symmetric, and whose rows are contiguous) plus k(x_k, q).  Two row
-    # buffers are filled in turn, so the last two columns handed out stay
-    # valid: _pairwise_smo reads a pair at once.
-    rows = itertools.cycle(np.empty((2, n + 1)))
-
-    def column(k: int) -> np.ndarray:
-        if k == n:
-            return query_column
-        row = next(rows)
-        row[:n] = reference_gram[k]
-        row[n] = query_column[k]
-        return row
-
-    return np.append(np.diagonal(reference_gram), query_column[n]), column
 
 
 def _greedy_ascent(
@@ -362,6 +344,8 @@ def _greedy_ascent(
     largest violation is at or below tolerance.  The budget is max_iterations
     passes of u.size updates, and the reported iterations count passes,
     rounded up.  The function values f = Ku come back in the diagnostics.
+    column(k) may return row k of the symmetric K, as a view, which the
+    solver only reads.
     """
     u = start.copy()
     scores = linear - start_values
@@ -401,7 +385,8 @@ def _pairwise_smo(
     max p'alpha - 0.5 (y alpha)' K (y alpha) over 0 <= alpha <= box with
     y'alpha fixed: c = y p and [lo, hi] = [min(0, y box), max(0, y box)].
     A coordinate with lo = hi never moves.  The kernel is read only through
-    column(k) and diag; start_values is K @ start.
+    column(k) and diag; start_values is K @ start.  column(k) may return row k
+    of the symmetric K, as a view, which the solver only reads.
 
     Each iteration moves mass from the coordinate that can still go down with
     the smallest gradient s = c - Ku to the one that can still go up with the

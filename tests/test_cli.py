@@ -402,6 +402,28 @@ def test_grid_requires_one_data_source(tmp_path, capsys):
     assert code == cli.EXIT_INVALID
 
 
+def test_grid_config_names_every_scoring_option(capsys):
+    base = ["grid", "--contaminated", "--method", "lof", "--n", "60", "--resolution", "4",
+            "--format", "json"]
+    configs = []
+    for flags in ([], ["--center", "0,0"], ["--contamination-center", "3,3"],
+                  ["--lof-k", "5"], ["--ocsvm-nu", "0.3"]):
+        assert cli.main(base + flags) == cli.EXIT_OK
+        configs.append(json.loads(capsys.readouterr().out)["config"])
+    assert configs[0]["center"] == [-1.0, -1.0]
+    assert configs[0]["contamination_center"] == [2.0, 2.0]
+    assert configs[0]["lof_k"] == 10 and configs[0]["ocsvm_nu"] == 0.15
+    assert configs[1]["center"] == [0.0, 0.0]
+    assert configs[2]["contamination_center"] == [3.0, 3.0]
+    assert configs[3]["lof_k"] == 5
+    assert configs[4]["ocsvm_nu"] == 0.3
+    # grid scores with one k, so a list of several is refused, not cut to its first
+    for method in ("lof", "svm"):
+        assert cli.main(base + ["--method", method, "--lof-k", "5,10"]) == cli.EXIT_INVALID
+        captured = capsys.readouterr()
+        assert captured.out == "" and "one --lof-k" in captured.err
+
+
 def test_rankcorr_small_run(tmp_path):
     out = tmp_path / "rc.csv"
     code = cli.main(["rankcorr", "--methods", "lr", "--runs", "2", "--n", "40",

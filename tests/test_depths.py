@@ -685,6 +685,16 @@ def test_depth_batch_builds_the_reference_gram_once(monkeypatch):
     assert np.array_equal(calls[0][1], reference) and np.array_equal(calls[0][2], reference)
     assert np.array_equal(calls[1][1], queries) and np.array_equal(calls[1][2], reference)
 
+    # below kappa/4 the dual solves build one (n+1) x (n+1) matrix, then two
+    # border calls per query, and never hold the n x n reference Gram apart
+    calls.clear()
+    monkeypatch.setattr(solvers, "gram", counting_gram)
+    depth_batch(DepthBatchRequest(reference=reference, queries=queries, method="svm",
+                                  lam=0.01, kernel=KernelSpec.gaussian(0.8)))
+    assert len(calls) == 1 + 2 * len(queries)
+    assert len(calls[0]) == 2 and calls[0][1].shape == (31, 2)
+    assert (30, 30) not in [(len(args[1]), len(args[-1])) for args in calls]
+
 
 def test_depth_batch_with_no_queries_builds_no_gram(monkeypatch):
     calls = []

@@ -331,15 +331,30 @@ def test_svm_function_values_match_recompute():
 
 
 def test_svm_lazy_columns_agree_with_dense(monkeypatch):
+    # the lazy columns and the bordered matrix hold the same kernel values
+    # for the distance kernels, so every iterate is the same; the linear
+    # kernel's matrix products may round differently
     rng = np.random.default_rng(19)
     reference = rng.standard_normal((40, 2))
-    query = np.array([0.2, -1.0])
-    problem = _hinge_problem(reference, query)
-    a_dense, d_dense = svm_dual_solves(*problem)[0]
-    monkeypatch.setattr(solvers, "DENSE_GRAM_LIMIT", 0)
-    a_lazy, d_lazy = svm_dual_solves(*problem)[0]
-    assert d_dense.converged and d_lazy.converged
-    assert np.allclose(a_dense, a_lazy, atol=1e-12)
+    queries = np.vstack([[0.2, -1.0], rng.standard_normal((2, 2)) * 1.5])
+    kernels = (KernelSpec.gaussian(1.0), KernelSpec.laplacian(1.3), KernelSpec.imq(1.0, -0.5),
+               KernelSpec.linear())
+    for spec in kernels:
+        for intercept in (False, True):
+            args = (spec, reference, queries, 0.02, intercept)
+            dense = svm_dual_solves(*args)
+            with monkeypatch.context() as patch:
+                patch.setattr(solvers, "DENSE_GRAM_LIMIT", 0)
+                lazy = svm_dual_solves(*args)
+            for (a_dense, d_dense), (a_lazy, d_lazy) in zip(dense, lazy):
+                assert d_dense.converged and d_lazy.converged
+                if spec.family == "linear":
+                    assert np.allclose(a_dense, a_lazy, atol=1e-12)
+                    continue
+                assert np.array_equal(a_dense, a_lazy)
+                assert np.array_equal(d_dense.function_values, d_lazy.function_values)
+                assert d_dense.iterations == d_lazy.iterations
+                assert d_dense.offset == d_lazy.offset
 
 
 def test_svm_degenerate_kernel_coordinates_are_pinned():
@@ -417,8 +432,8 @@ def test_svm_offset_one_sided_bracket_takes_its_finite_end():
 
 
 def test_svm_depth_matches_depth_batch_at_the_dense_limit(monkeypatch):
-    # n equal to the limit is dense both alone and in a batch, so the two
-    # paths give the same bits; a lazy solve differs in the last bits
+    # n equal to the limit is dense both alone and in a batch, and each query
+    # overwrites the whole border, so the two paths give the same bits
     monkeypatch.setattr(solvers, "DENSE_GRAM_LIMIT", 60)
     rng = np.random.default_rng(3)
     reference = rng.standard_normal((60, 2))
@@ -432,24 +447,24 @@ def test_svm_depth_matches_depth_batch_at_the_dense_limit(monkeypatch):
 
 
 def test_svm_supplied_reference_gram_gives_the_bordered_matrix_bits():
-    # the solver reads row k of the batch's reference Gram plus k(x_k, q) for
-    # each column: the same numbers, and so the same iterates, as solving
-    # against the full (n+1) x (n+1) kernel matrix
+    # the batch's bordered matrix, its border rewritten for each query, gives
+    # the same numbers, and so the same iterates, as solving each query
+    # against its own (n+1) x (n+1) kernel matrix: no border goes stale
     rng = np.random.default_rng(41)
     reference = rng.standard_normal((30, 2))
-    query = np.array([0.3, -0.6])
+    queries = np.array([[0.3, -0.6], [1.8, 0.4], [-0.2, 0.1]])
     spec = KernelSpec.gaussian(0.8)
-    kmat = gram(spec, np.vstack([reference, query]))
     labels = np.append(np.ones(30), -1.0)
     box = labels * np.append(np.full(30, 1.0 / (4.0 * 30 * 0.02)), 1.0 / (4.0 * 0.02))
     lo, hi = np.minimum(0.0, box), np.maximum(0.0, box)
     cfg = SolverConfig(tolerance=1e-10)
     for intercept, solve in ((False, solvers._greedy_ascent), (True, solvers._pairwise_smo)):
-        problem = _hinge_problem(reference, query, lam=0.02, kernel=spec, intercept=intercept)
-        signed, expected = solve(labels, np.zeros(31), lo, hi, np.zeros(31), np.diagonal(kmat),
-                                 lambda k: kmat[k], cfg)
-        alpha, diagnostics = svm_dual_solves(*problem, cfg)[0]
-        assert diagnostics.iterations == expected.iterations > 0
-        assert np.array_equal(alpha, np.abs(signed))
-        assert np.array_equal(diagnostics.function_values, expected.function_values)
-        assert diagnostics.offset == expected.offset
+        solved = svm_dual_solves(spec, reference, queries, 0.02, intercept, cfg)
+        for query, (alpha, diagnostics) in zip(queries, solved):
+            kmat = gram(spec, np.vstack([reference, query]))
+            signed, expected = solve(labels, np.zeros(31), lo, hi, np.zeros(31),
+                                     np.diagonal(kmat), kmat.__getitem__, cfg)
+            assert diagnostics.iterations == expected.iterations > 0
+            assert np.array_equal(alpha, np.abs(signed))
+            assert np.array_equal(diagnostics.function_values, expected.function_values)
+            assert diagnostics.offset == expected.offset
