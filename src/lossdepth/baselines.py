@@ -103,7 +103,8 @@ def ocsvm_fit(train, kernel: KernelSpec, nu: float = 0.15,
     tolerance or no coordinate can move (at nu = 1 the start is the only
     feasible point).  rho is the median decision value over the
     strictly-interior support vectors, falling back to the KKT bracket when
-    none are strictly interior.
+    none are strictly interior.  A kernel diagonal that is not finite (the
+    kernel values overflow) raises ValidationError.
     """
     train = _points_2d(train, "train")
     n = train.shape[0]
@@ -114,8 +115,10 @@ def ocsvm_fit(train, kernel: KernelSpec, nu: float = 0.15,
 
     kmat = gram(kernel, train)
     start = np.full(n, 1.0 / n)
+    with np.errstate(over="ignore", invalid="ignore"):  # the solver refuses an overflowed kernel
+        start_values = kmat @ start
     alpha, diagnostics = _pairwise_smo(
-        np.zeros(n), start, np.zeros(n), np.full(n, box), kmat @ start,
+        np.zeros(n), start, np.zeros(n), np.full(n, box), start_values,
         np.diagonal(kmat), kmat.__getitem__, cfg,
     )
     return OneClassSvmModel(

@@ -91,12 +91,9 @@ def _add_kernel_options(parser) -> None:
     parser.add_argument(
         "--kernel", choices=("gaussian", "laplacian", "imq", "linear"), default="gaussian"
     )
-    bandwidth = parser.add_mutually_exclusive_group()
-    bandwidth.add_argument("--gamma", type=float, default=None, help="gaussian bandwidth")
-    bandwidth.add_argument(
-        "--median-heuristic",
-        action="store_true",
-        help="set gamma from pairwise distances (also the default when --gamma is absent)",
+    parser.add_argument(
+        "--gamma", type=float, default=None,
+        help="gaussian bandwidth (default: the median heuristic, 1 / median squared distance)",
     )
     parser.add_argument("--sigma", type=float, default=None, help="laplacian scale")
     parser.add_argument("--imq-c", type=float, default=1.0)
@@ -209,18 +206,21 @@ def cmd_depth(args) -> int:
         solver=solver,
         halfspace=halfspace,
     )
-    results = depth_batch(request).results
+    batch = depth_batch(request)
 
     depths = ReportTable("depths", ("query", "depth", "converged", "iterations", "residual"))
-    for i, result in enumerate(results):
-        depths.append(i, result.value, result.converged, result.iterations, result.residual)
+    for row in zip(
+        range(batch.values.size), batch.values.tolist(), batch.converged.tolist(),
+        batch.iterations.tolist(), batch.residuals.tolist(),
+    ):
+        depths.append(*row)
     tables = [depths]
     if args.coefficients:
         coefficients = ReportTable("coefficients", ("query", "coefficient", "value"))
-        for i, result in enumerate(results):
-            if result.coefficients is not None:
-                for j, value in enumerate(result.coefficients):
-                    coefficients.append(i, j, float(value))
+        if batch.coefficients is not None:  # halfspace depths have none
+            for i, row in enumerate(batch.coefficients.tolist()):
+                for j, value in enumerate(row):
+                    coefficients.append(i, j, value)
         tables.append(coefficients)
 
     report = ExperimentReport(
@@ -561,7 +561,7 @@ def _shared_parser() -> argparse.ArgumentParser:
 
 # the long options that take no value; every other long option takes one
 _FLAGS = frozenset({
-    "--help", "--has-header", "--median-heuristic", "--coefficients", "--split",
+    "--help", "--has-header", "--coefficients", "--split",
     "--contaminated", "--normalize", "--no-normalize", "--intercept", "--no-intercept",
 })
 

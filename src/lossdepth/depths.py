@@ -8,18 +8,20 @@ dimension.  logistic_depth and svm_depth report the weighted classification
 loss of the best ridge-penalised separator between the reference sample and
 the query.
 
-DepthBatchRequest is the one way to ask for a depth.  halfspace_depth,
-logistic_depth and svm_depth build a request of one row and return its one
-result, and depth_batch only dispatches to the method's batch function, the
-same code for one query or many.  The halfspace depth: the exact 1-d depth
-sorts the reference once, the exact 2-d depth sweeps half the circle of
-directions with one sort of n angle keys per query, in blocks of queries,
-and random directions are drawn once per batch.  The logistic depth: one
-lockstep Newton solve per cache-sized block of queries.  The kernel depth:
-without an intercept, with a bounded kernel of constant diagonal kappa and
-lam >= kappa/4, in closed form: one pass for the reference row means, then
-one gram call per block of queries; otherwise one dual solve per query, in
-request order, against labels, box and reference Gram built once per batch.
+DepthBatchRequest is the one way to ask for a depth, and BatchResult, one
+array per quantity with a row per query, the one answer.  halfspace_depth,
+logistic_depth and svm_depth build a request of one row and return row 0 by
+BatchResult.result, the only place a DepthResult is built, and depth_batch
+only dispatches to the method's batch function, the same code for one query
+or many.  The halfspace depth: the exact 1-d depth sorts the reference once,
+the exact 2-d depth sweeps half the circle of directions with one sort of n
+angle keys per query, in blocks of queries, and random directions are drawn
+once per batch.  The logistic depth: one lockstep Newton solve per
+cache-sized block of queries.  The kernel depth: without an intercept, with
+a bounded kernel of constant diagonal kappa and lam >= kappa/4, in closed
+form: one pass for the reference row means, then one gram call per block of
+queries; otherwise one dual solve per query, in request order, against
+labels, box and reference Gram built once per batch.
 """
 from __future__ import annotations
 
@@ -63,6 +65,33 @@ class HalfspaceConfig:
     def __post_init__(self):
         if self.n_directions < 1:
             raise ValidationError("random-directions halfspace depth needs n_directions >= 1")
+
+
+@dataclass(frozen=True, eq=False)
+class BatchResult:
+    """The per-query columns of a depth batch, row i for query i: values,
+    iterations (int64; 0 for the halfspace depth and the closed form),
+    residuals and converged (bool), each of shape (m,), and coefficients,
+    (m, k) or None for the halfspace depth: the logistic weights or the dual
+    coefficients, query last, with the offset after them under an intercept.
+    The closed form's coefficients are one read-only box vector with a zero
+    row stride.  result(i) is query i's DepthResult, with its row's bits.
+    """
+
+    values: np.ndarray
+    iterations: np.ndarray
+    residuals: np.ndarray
+    converged: np.ndarray
+    coefficients: np.ndarray | None = None
+
+    def result(self, i: int) -> DepthResult:
+        return DepthResult(
+            value=float(self.values[i]),
+            iterations=int(self.iterations[i]),
+            residual=float(self.residuals[i]),
+            converged=bool(self.converged[i]),
+            coefficients=None if self.coefficients is None else self.coefficients[i],
+        )
 
 
 # Query-reference pairs per 2-d sweep block.  Measured per pair at n = 400,
@@ -192,7 +221,7 @@ def halfspace_depth(query, reference, config: HalfspaceConfig | None = None) -> 
     """Smallest fraction of reference points in a closed halfspace whose
     boundary passes through the query point: a one-row depth_batch."""
     request = _one_query(query, reference, METHOD_HALFSPACE, halfspace=config)
-    return depth_batch(request).results[0].value
+    return depth_batch(request).result(0).value
 
 
 def halfspace_depth_as_loss(query, reference, directions, strict: bool = False) -> float:
@@ -254,7 +283,7 @@ def logistic_depth(
         query, reference, METHOD_LOGISTIC, lam=lam, intercept=intercept, reporting=reporting,
         normalize=normalize, solver=solver,
     )
-    return depth_batch(request).results[0]
+    return depth_batch(request).result(0)
 
 
 # Entries of the largest per-block array, the (block, D, max(n, D)) Hessian
@@ -271,7 +300,7 @@ def _logistic_depths(
     reporting: Reporting,
     normalize: bool,
     solver: SolverConfig | None,
-) -> list:
+) -> BatchResult:
     """Logistic depths of every query, one lockstep Newton block at a time.
 
     The augmented reference is built once; a block's Hessian product holds
@@ -281,28 +310,21 @@ def _logistic_depths(
     features = logistic_features(reference, intercept)
     rows = augment(queries, intercept)
     dim, n = features.shape
+    m = rows.shape[0]
     size = max(1, LOGISTIC_BLOCK_ENTRIES // (dim * max(n, dim)))
-    results = []
-    for start in range(0, rows.shape[0], size):
-        weights, losses, diagnostics = logistic_block_solve(
-            features, rows[start : start + size], lam, solver
+    weights, values, residuals = np.empty((m, dim)), np.empty(m), np.empty(m)
+    iterations, converged = np.empty(m, dtype=np.int64), np.empty(m, dtype=bool)
+    for start in range(0, m, size):
+        block = slice(start, start + size)
+        weights[block], values[block], iterations[block], residuals[block], converged[block] = (
+            logistic_block_solve(features, rows[block], lam, solver)
         )
-        for w, loss, diag in zip(weights, losses, diagnostics):
-            value = float(loss)
-            if reporting is Reporting.LOSS_PLUS_REG:
-                value += lam * float(w @ w)
-            if normalize:
-                value /= LOG2
-            results.append(
-                DepthResult(
-                    value=value,
-                    iterations=diag.iterations,
-                    residual=diag.residual,
-                    converged=diag.converged,
-                    coefficients=w,
-                )
-            )
-    return results
+    if reporting is Reporting.LOSS_PLUS_REG:
+        # one dot per row: an einsum over the rows rounds differently
+        values += lam * np.array([w @ w for w in weights])
+    if normalize:
+        values /= LOG2
+    return BatchResult(values, iterations, residuals, converged, weights)
 
 
 KERNEL_BLOCK_ENTRIES = 1 << 18  # reference kernel values per block: 2 MiB of float64
@@ -351,7 +373,7 @@ def _svm_closed_form(
     lam: float,
     reporting: Reporting,
     solver: SolverConfig | None,
-) -> list:
+) -> BatchResult:
     """Closed-form kernel depths of every query, with every dual variable at
     its box bound (see _closed_form_applies).
 
@@ -359,8 +381,9 @@ def _svm_closed_form(
     and f(q) = (m(q) - kappa)/(4 lam), which is
     1 - (mean(K) + kappa)/(8 lam) + m(q)/(4 lam), an affine transform of the
     kernel mean m(q).  The residual is the KKT violation measured at the box,
-    and the coefficients, one read-only box vector shared by the batch, are
-    alpha_i = 1/(4 n lam) and alpha_q = 1/(4 lam).
+    and the coefficients are alpha_i = 1/(4 n lam) and alpha_q = 1/(4 lam):
+    one box vector broadcast to every query, read-only, with a zero row
+    stride.
 
     The reference row means r come from their own pass (_kernel_row_means);
     then each block of about KERNEL_BLOCK_ENTRIES query kernel values is one
@@ -369,37 +392,28 @@ def _svm_closed_form(
     queries, no Gram.
     """
     m, n = queries.shape[0], reference.shape[0]
-    if m == 0:
-        return []
     kappa = spec.bound()
     tolerance = (solver if solver is not None else SolverConfig()).tolerance
-    row_means = _kernel_row_means(spec, reference)
+    row_means = _kernel_row_means(spec, reference) if m else None
     scale = 4.0 * lam
     box = np.append(np.full(n, 1.0 / (scale * n)), 1.0 / scale)
-    box.setflags(write=False)
     size = max(1, KERNEL_BLOCK_ENTRIES // n)
-    results = []
+    values, residuals = np.empty(m), np.empty(m)
     for start in range(0, m, size):
-        query_kernel = gram(spec, queries[start : start + size], reference)
+        block = slice(start, start + size)
+        query_kernel = gram(spec, queries[block], reference)
         fvals = (row_means - query_kernel) / scale
         fquery = (query_kernel.mean(axis=1) - kappa) / scale
         positive = np.maximum(0.0, 1.0 - fvals).sum(axis=1)
-        values = positive / (2.0 * n) + 0.5 * np.maximum(0.0, 1.0 + fquery)
+        values[block] = positive / (2.0 * n) + 0.5 * np.maximum(0.0, 1.0 + fquery)
         if reporting is Reporting.LOSS_PLUS_REG:
             # lam ||f||^2 = lam sum_k alpha_k y_k f(p_k) at alpha = box
-            values += 0.25 * (fvals.mean(axis=1) - fquery)
-        residuals = np.maximum(0.0, np.maximum(fvals.max(axis=1) - 1.0, -1.0 - fquery))
-        results += [
-            DepthResult(
-                value=float(value),
-                iterations=0,
-                residual=float(residual),
-                converged=bool(residual <= tolerance),
-                coefficients=box,
-            )
-            for value, residual in zip(values, residuals)
-        ]
-    return results
+            values[block] += 0.25 * (fvals.mean(axis=1) - fquery)
+        residuals[block] = np.maximum(0.0, np.maximum(fvals.max(axis=1) - 1.0, -1.0 - fquery))
+    return BatchResult(
+        values, np.zeros(m, dtype=np.int64), residuals, residuals <= tolerance,
+        np.broadcast_to(box, (m, n + 1)),
+    )
 
 
 def svm_depth(
@@ -427,7 +441,7 @@ def svm_depth(
         query, reference, METHOD_SVM, lam=lam, kernel=kernel, intercept=intercept,
         reporting=reporting, solver=solver,
     )
-    return depth_batch(request).results[0]
+    return depth_batch(request).result(0)
 
 
 def _svm_depths(
@@ -438,15 +452,19 @@ def _svm_depths(
     intercept: bool,
     reporting: Reporting,
     solver: SolverConfig | None,
-) -> list:
+) -> BatchResult:
     """Kernel depths of every query: in closed form where _closed_form_applies,
     else from one dual solve per query (svm_dual_solves), in request order.
     Either way a query gets the same bits alone or in any batch."""
     if _closed_form_applies(spec, lam, intercept):
         return _svm_closed_form(spec, reference, queries, lam, reporting, solver)
-    n = reference.shape[0]
-    results = []
-    for alpha, diagnostics in svm_dual_solves(spec, reference, queries, lam, intercept, solver):
+    n, m = reference.shape[0], queries.shape[0]
+    values, residuals = np.empty(m), np.empty(m)
+    iterations, converged = np.empty(m, dtype=np.int64), np.empty(m, dtype=bool)
+    coefficients = np.empty((m, n + 1 + intercept))  # the offset last, with an intercept
+    for i, (alpha, diagnostics) in enumerate(
+        svm_dual_solves(spec, reference, queries, lam, intercept, solver)
+    ):
         fvals = diagnostics.function_values
         margins = fvals + diagnostics.offset
         positive = np.maximum(0.0, 1.0 - margins[:n])
@@ -455,16 +473,11 @@ def _svm_depths(
         if reporting is Reporting.LOSS_PLUS_REG:
             signed = np.append(alpha[:n], -alpha[n])  # y_k alpha_k: the query is labelled -1
             value += lam * float(signed @ fvals)
-        results.append(
-            DepthResult(
-                value=float(value),
-                iterations=diagnostics.iterations,
-                residual=diagnostics.residual,
-                converged=diagnostics.converged,
-                coefficients=np.append(alpha, diagnostics.offset) if intercept else alpha,
-            )
-        )
-    return results
+        values[i], iterations[i] = value, diagnostics.iterations
+        residuals[i], converged[i] = diagnostics.residual, diagnostics.converged
+        coefficients[i, : n + 1] = alpha
+        coefficients[i, n + 1 :] = diagnostics.offset
+    return BatchResult(values, iterations, residuals, converged, coefficients)
 
 
 @dataclass(frozen=True, eq=False)
@@ -505,21 +518,11 @@ class DepthBatchRequest:
             raise ValidationError(violation)
 
 
-@dataclass(eq=False)
-class BatchResult:
-    """One DepthResult per query, in request order."""
-
-    results: list
-
-    @property
-    def values(self) -> np.ndarray:
-        return np.array([r.value for r in self.results])
-
-
 def depth_batch(request: DepthBatchRequest) -> BatchResult:
     """Score every query in the request, by the method's batch function:
     _halfspace_depths, _logistic_depths or _svm_depths, each the same code
-    a single query runs as a batch of one.
+    a single query runs as a batch of one.  A halfspace depth is exact or an
+    upper bound, so its columns read 0 iterations, residual 0 and converged.
 
     The shared reference structures are built once per call and only read by
     the queries.  Every query is scored or the call raises: an exact halfspace
@@ -528,20 +531,17 @@ def depth_batch(request: DepthBatchRequest) -> BatchResult:
     """
     reference = request.reference.values
     if request.method == METHOD_HALFSPACE:
-        results = [
-            DepthResult(value=float(value), iterations=0, residual=0.0, converged=True)
-            for value in _halfspace_depths(reference, request.queries, request.halfspace)
-        ]
-    elif request.method == METHOD_LOGISTIC:
-        results = _logistic_depths(
+        values = _halfspace_depths(reference, request.queries, request.halfspace)
+        m = values.size
+        return BatchResult(values, np.zeros(m, dtype=np.int64), np.zeros(m), np.ones(m, dtype=bool))
+    if request.method == METHOD_LOGISTIC:
+        return _logistic_depths(
             reference, request.queries, request.lam,
             True if request.intercept is None else request.intercept,
             request.reporting, request.normalize, request.solver,
         )
-    else:
-        results = _svm_depths(
-            request.kernel, reference, request.queries, request.lam,
-            False if request.intercept is None else request.intercept,
-            request.reporting, request.solver,
-        )
-    return BatchResult(results=results)
+    return _svm_depths(
+        request.kernel, reference, request.queries, request.lam,
+        False if request.intercept is None else request.intercept,
+        request.reporting, request.solver,
+    )

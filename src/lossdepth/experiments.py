@@ -152,15 +152,13 @@ def depth_scorer(
             solver=solver,
         )
         outcome = depth_batch(request)
-        values = outcome.values
-        if require_convergence:
-            stalled = [r for r in outcome.results if not r.converged]
-            if stalled:
-                raise NotConvergedError(
-                    f"{len(stalled)} of {len(outcome.results)} depth solves stopped "
-                    f"before tolerance; worst residual {max(r.residual for r in stalled):g}"
-                )
-        return values
+        stalled = ~outcome.converged
+        if require_convergence and stalled.any():
+            raise NotConvergedError(
+                f"{stalled.sum()} of {stalled.size} depth solves stopped "
+                f"before tolerance; worst residual {outcome.residuals[stalled].max():g}"
+            )
+        return outcome.values
 
     return score
 

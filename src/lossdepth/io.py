@@ -140,7 +140,7 @@ def _read_cells(path, has_header: bool, label_column) -> LabeledDataset:
         bad = int(np.flatnonzero(~np.isin(raw, (0.0, 1.0)))[0])
         raise ValidationError(
             f"{path}: label column must contain only 0 and 1; "
-            f"row at line {lines[bad]} has {raw[bad]!r}"
+            f"row at line {lines[bad]} has {float(raw[bad])!r}"
         )
     return dataset
 

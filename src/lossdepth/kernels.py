@@ -16,7 +16,8 @@ from .core import LossDepthError, ValidationError
 
 
 class DegenerateBandwidthError(LossDepthError):
-    """Raised when a bandwidth heuristic lands on a zero distance."""
+    """Raised when a bandwidth heuristic lands on a zero or an infinite
+    distance."""
 
 
 GAUSSIAN = "gaussian"
@@ -36,7 +37,9 @@ class KernelSpec:
     imq:       k(x, y) = (c^2 + ||x - y||^2)^beta,       c > 0, beta < 0
     linear:    k(x, y) = <x, y>
 
-    Every parameter a family reads must be finite.
+    Every parameter a family reads must be finite, and so must imq's c^2 > 0
+    and c^(2 beta), its diagonal, as floats: otherwise gram's diagonal is not
+    the kernel's.
     """
 
     family: str
@@ -52,8 +55,18 @@ class KernelSpec:
             raise ValidationError("gaussian kernel needs a finite gamma > 0")
         if self.family == LAPLACIAN and not 0.0 < self.sigma < math.inf:
             raise ValidationError("laplacian kernel needs a finite sigma > 0")
-        if self.family == IMQ and not (0.0 < self.c < math.inf and -math.inf < self.beta < 0.0):
-            raise ValidationError("imq kernel needs a finite c > 0 and a finite beta < 0")
+        if self.family == IMQ:
+            if not (0.0 < self.c < math.inf and -math.inf < self.beta < 0.0):
+                raise ValidationError("imq kernel needs a finite c > 0 and a finite beta < 0")
+            try:  # a float ** that overflows raises OverflowError
+                usable = self.c ** 2 > 0.0 and self.c ** (2.0 * self.beta) < math.inf
+            except OverflowError:
+                usable = False
+            if not usable:
+                raise ValidationError(
+                    f"imq kernel values overflow at c={self.c!r}, beta={self.beta!r}: "
+                    "c**2 must not underflow to 0, and c**2 and c**(2*beta) must be finite"
+                )
 
     @classmethod
     def gaussian(cls, gamma: float) -> "KernelSpec":
@@ -94,7 +107,9 @@ def gram(spec: KernelSpec, left, right=None) -> np.ndarray:
     if a.shape[1] != b.shape[1]:
         raise ValidationError(f"kernel inputs disagree on dimension: {a.shape[1]} vs {b.shape[1]}")
     if spec.family == LINEAR:
-        return a @ b.T
+        # an overflow leaves inf or nan in the result, which the dual solvers refuse
+        with np.errstate(over="ignore", invalid="ignore"):
+            return a @ b.T
     from scipy.spatial.distance import cdist  # local: scipy.spatial costs ~0.5 s to import
 
     # in place on the distance matrix, so a block allocates no further temporaries
@@ -141,4 +156,8 @@ def median_heuristic(points) -> float:
     med = float(pairs[middle])
     if med <= 0.0:
         raise DegenerateBandwidthError("median pairwise squared distance is zero")
+    if med == math.inf:
+        raise DegenerateBandwidthError(
+            "median pairwise squared distance overflows to inf: no gaussian bandwidth fits the data"
+        )
     return 1.0 / med

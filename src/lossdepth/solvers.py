@@ -55,7 +55,9 @@ class SolverConfig:
 
 @dataclass(frozen=True, eq=False)
 class SolveDiagnostics:
-    """Iteration count, final stopping residual, and convergence flag.
+    """Iteration count, final stopping residual, and convergence flag of one
+    dual solve (_greedy_ascent, _pairwise_smo); the logistic solver returns
+    arrays over its block instead.
 
     The dual solver also reports the classifier values at the solution,
     reference rows first and the query last, so callers can evaluate losses
@@ -169,7 +171,7 @@ def logistic_block_solve(
     queries: np.ndarray,
     lam: float,
     config: SolverConfig | None = None,
-) -> tuple[np.ndarray, np.ndarray, list]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Damped Newton on the logistic depth objectives of a block of queries,
     in lockstep, each from the zero vector.
 
@@ -190,14 +192,15 @@ def logistic_block_solve(
     divided by 2 lam.
 
     Every operation acts on each query's row alone, so a query's bits do not
-    depend on its block-mates.  Returns the (B, D) weights, the weighted
-    log-loss at them, and one SolveDiagnostics per query.
+    depend on its block-mates.  Returns one array per quantity, row b for
+    query b: the (B, D) weights, the (B,) weighted log-loss at them, and the
+    (B,) Newton step counts (int64), final gradient norms and convergence
+    flags.
     """
     cfg = config if config is not None else SolverConfig()
     size, dim = queries.shape
-    weights_out = np.zeros((size, dim))
-    losses_out = np.empty(size)
-    diagnostics = [None] * size
+    weights_out, losses_out, residuals_out = np.empty((size, dim)), np.empty(size), np.empty(size)
+    iterations_out, converged_out = np.empty(size, dtype=np.int64), np.empty(size, dtype=bool)
 
     live = np.arange(size)  # block rows of the queries still being solved
     weights = np.zeros((size, dim))
@@ -205,22 +208,17 @@ def logistic_block_solve(
     grad = _logistic_gradient(weights, signed, exps, features, queries, lam)
     stalled = np.zeros(size, dtype=bool)  # no acceptable step in the last search
 
-    def finish(rows: np.ndarray, iteration: int, residual: np.ndarray, converged: np.ndarray):
-        """Record the queries at the live positions rows as they stand."""
-        for k in np.flatnonzero(rows):
-            i = live[k]
-            weights_out[i] = weights[k]
-            losses_out[i] = loss[k]
-            diagnostics[i] = SolveDiagnostics(
-                iteration - int(stalled[k]), float(residual[k]), bool(converged[k])
-            )
-
     for iteration in range(cfg.max_iterations + 1):
         residual = np.linalg.norm(grad, axis=1)
         converged = residual <= cfg.tolerance
         stop = converged | stalled | (iteration == cfg.max_iterations)
-        if stop.any():
-            finish(stop, iteration, residual, converged)
+        if stop.any():  # record the stopped queries as they stand
+            done = live[stop]
+            weights_out[done] = weights[stop]
+            losses_out[done] = loss[stop]
+            iterations_out[done] = iteration - stalled[stop]
+            residuals_out[done] = residual[stop]
+            converged_out[done] = converged[stop]
             if stop.all():
                 break
             keep = ~stop
@@ -254,7 +252,7 @@ def logistic_block_solve(
         stalled = np.zeros(live.size, dtype=bool)
         stalled[searching] = True  # no representable decrease along the Newton direction
         grad = _logistic_gradient(weights, signed, exps, features, queries, lam)
-    return weights_out, losses_out, diagnostics
+    return weights_out, losses_out, iterations_out, residuals_out, converged_out
 
 
 def svm_dual_solves(
@@ -291,7 +289,8 @@ def svm_dual_solves(
     reads the matrix's rows, which are its columns by symmetry, as views.
     Otherwise columns are formed on demand so large references never
     materialise an n^2 matrix.  Each query is solved on its own, so it gets
-    the same bits alone or in any batch.
+    the same bits alone or in any batch.  A kernel diagonal that is not
+    finite (the kernel values overflow) raises ValidationError.
     """
     cfg = config if config is not None else SolverConfig()
     n = reference.shape[0]
@@ -329,6 +328,14 @@ def svm_dual_solves(
     return results
 
 
+def _check_finite_diagonal(diag: np.ndarray) -> None:
+    """Refuse a kernel whose values overflow.  An infinite K_kk makes every
+    Newton step on coordinate k NaN, which no stopping rule catches: the
+    solve would spin its whole budget or stop with a NaN marked converged."""
+    if not np.isfinite(diag).all():
+        raise ValidationError("kernel values overflow: the kernel diagonal is not finite")
+
+
 def _greedy_ascent(
     linear: np.ndarray, start: np.ndarray, lo: np.ndarray, hi: np.ndarray,
     start_values: np.ndarray, diag: np.ndarray, column, cfg: SolverConfig,
@@ -345,8 +352,9 @@ def _greedy_ascent(
     passes of u.size updates, and the reported iterations count passes,
     rounded up.  The function values f = Ku come back in the diagnostics.
     column(k) may return row k of the symmetric K, as a view, which the
-    solver only reads.
+    solver only reads.  A diagonal that is not finite raises ValidationError.
     """
+    _check_finite_diagonal(diag)
     u = start.copy()
     scores = linear - start_values
     # clipping s_k below at 0 where u_k cannot fall and above at 0 where it
@@ -386,7 +394,8 @@ def _pairwise_smo(
     y'alpha fixed: c = y p and [lo, hi] = [min(0, y box), max(0, y box)].
     A coordinate with lo = hi never moves.  The kernel is read only through
     column(k) and diag; start_values is K @ start.  column(k) may return row k
-    of the symmetric K, as a view, which the solver only reads.
+    of the symmetric K, as a view, which the solver only reads.  A diagonal
+    that is not finite raises ValidationError.
 
     Each iteration moves mass from the coordinate that can still go down with
     the smallest gradient s = c - Ku to the one that can still go up with the
@@ -396,6 +405,7 @@ def _pairwise_smo(
     the diagnostics with the offset b of the margin conditions c_k - f_k = b
     on free coordinates (see _pairwise_offset).
     """
+    _check_finite_diagonal(diag)
     u = start.copy()
     scores = linear - start_values
 

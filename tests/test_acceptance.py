@@ -8,6 +8,7 @@ LOSSDEPTH_ODDS_DIR / LOSSDEPTH_FMNIST_DIR.
 import math
 import os
 import time
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -57,10 +58,12 @@ def _logistic_problem(reference, query, lam=1.0, intercept=True):
 def _logistic_solve(problem, config=None):
     """The weights and diagnostics of one query, a block of one for logistic_block_solve."""
     reference, query, lam, intercept = problem
-    weights, _, diagnostics = logistic_block_solve(
+    weights, _, iterations, residuals, converged = logistic_block_solve(
         logistic_features(reference, intercept), augment(query, intercept), lam, config
     )
-    return weights[0], diagnostics[0]
+    return weights[0], SimpleNamespace(
+        iterations=iterations[0], residual=residuals[0], converged=converged[0]
+    )
 
 
 def _hinge_problem(reference, query, lam=1.0, kernel=None):

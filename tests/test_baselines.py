@@ -144,3 +144,12 @@ def test_ocsvm_nu_one_stops_at_the_only_feasible_point():
     assert model.iterations == 0
     assert np.array_equal(model.alpha, np.full(TRAIN.shape[0], 1.0 / TRAIN.shape[0]))
     assert ocsvm_duality_gap(model) <= 1e-12
+
+
+def test_ocsvm_refuses_a_kernel_whose_values_overflow():
+    # at this scale the linear kernel's diagonal is inf, and the fit once
+    # returned rho = nan; the imq kernel whose c**2 underflows is refused earlier
+    with pytest.raises(ValidationError, match="kernel values overflow"):
+        ocsvm_fit(TRAIN * 1e200, KernelSpec.linear())
+    with pytest.raises(ValidationError, match="kernel values overflow"):
+        ocsvm_fit(TRAIN, KernelSpec.imq(1e-200, -0.5))

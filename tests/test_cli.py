@@ -1,9 +1,11 @@
 """End-to-end runs of the command line front end."""
+import argparse
 import json
 import os
 import re
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -573,13 +575,68 @@ def test_unknown_options_still_exit_two(sample_files):
         assert info.value.code == 2
 
 
+def test_median_heuristic_flag_is_gone(sample_files, capsys):
+    # the median heuristic is the default without --gamma; the flag that asked
+    # for it again is no longer accepted, on any kernel command
+    reference, queries = sample_files
+    for argv in (["depth", reference, queries, "--method", "svm"],
+                 ["grid", "--contaminated", "--n", "40", "--resolution", "4"]):
+        with pytest.raises(SystemExit) as info:
+            cli.main([*argv, "--median-heuristic"])
+        assert info.value.code == 2
+        assert "unrecognized arguments: --median-heuristic" in capsys.readouterr().err
+
+
+OVERFLOW_CASES = {  # kernels whose values overflow on the sample: (scale, options)
+    "imq-tiny-c-intercept": (1.0, ["--kernel", "imq", "--imq-c", "1e-200", "--intercept"]),
+    "imq-tiny-c": (1.0, ["--kernel", "imq", "--imq-c", "1e-200"]),
+    "imq-huge-c": (1.0, ["--kernel", "imq", "--imq-c", "1e200"]),
+    "linear-huge-data": (1e200, ["--kernel", "linear"]),
+    "linear-huge-data-intercept": (1e200, ["--kernel", "linear", "--intercept"]),
+    "gaussian-huge-data": (1e200, []),  # the median squared distance overflows
+}
+
+
+@pytest.mark.parametrize("case", sorted(OVERFLOW_CASES))
+def test_an_overflowing_kernel_exits_two_at_once(case, tmp_path, capsys):
+    # before, these printed a NaN depth marked converged or ran the whole
+    # iteration budget (seconds per query) and then printed NaN
+    scale, options = OVERFLOW_CASES[case]
+    rng = np.random.default_rng(5)
+    reference = _csv(tmp_path / "ref.csv", rng.standard_normal((100, 2)) * scale)
+    queries = _csv(tmp_path / "q.csv", rng.standard_normal((1, 2)) * scale)
+    started = time.perf_counter()
+    code = cli.main(["depth", reference, queries, "--method", "svm", *options])
+    elapsed = time.perf_counter() - started
+    captured = capsys.readouterr()
+    assert code == cli.EXIT_INVALID and captured.out == ""
+    assert re.fullmatch(r"error: [^\n]*overflow[^\n]*\n", captured.err), captured.err
+    assert elapsed < 1.0
+
+
+def test_an_overflowing_kernel_exits_two_on_the_ocsvm_commands(tmp_path, capsys):
+    rng = np.random.default_rng(6)
+    data = _csv(tmp_path / "data.csv", rng.standard_normal((40, 2)) * 1e200)
+    labelled = np.column_stack([rng.standard_normal((40, 2)) * 1e200, np.arange(40) % 4 == 0])
+    train = _csv(tmp_path / "train.csv", labelled)
+    for argv in (["grid", data, "--method", "ocsvm", "--resolution", "4"],
+                 ["grid", data, "--method", "svm", "--lambda", "0.01", "--resolution", "4"],
+                 ["benchmark", train, "--split", "--label-column", "2",
+                  "--methods", "svm,ocsvm"]):
+        assert cli.main([*argv, "--kernel", "linear"]) == cli.EXIT_INVALID
+        assert re.fullmatch(r"error: kernel values overflow[^\n]*\n", capsys.readouterr().err)
+
+
 @pytest.mark.parametrize("command", ["depth", "benchmark", "convergence", "grid", "rankcorr"])
-def test_flag_list_names_every_option_without_a_value(command, capsys):
-    with pytest.raises(SystemExit):
-        cli.build_parser().parse_args([command, "--help"])
-    usage = capsys.readouterr().out.split("\n\n")[0]
-    flags = set(re.findall(r"(--[\w-]+) ?[\]|]", usage))
-    assert flags and flags <= cli._FLAGS
+def test_flag_list_names_every_option_without_a_value(command):
+    # --help takes no value on every command, so the check is never vacuous
+    commands = next(a for a in cli.build_parser()._actions
+                    if isinstance(a, argparse._SubParsersAction))
+    options = {option: action.nargs == 0 for action in commands.choices[command]._actions
+               for option in action.option_strings if option.startswith("--")}
+    assert options["--help"]
+    assert {option for option, flag in options.items() if flag} <= cli._FLAGS
+    assert not cli._FLAGS & {option for option, flag in options.items() if not flag}
 
 
 def test_main_reuses_one_parser(monkeypatch, sample_files):

@@ -187,8 +187,8 @@ def test_halfspace_batch_is_bit_identical_to_single_calls_across_block_edges(mon
             request = DepthBatchRequest(reference=reference, queries=queries,
                                         method="halfspace", halfspace=config)
             batch = depth_batch(request)
-            assert [r.value for r in batch.results] == alone, (d, m)
-            assert all(type(r.value) is float for r in batch.results)
+            assert [r.value for r in _results(batch)] == alone, (d, m)
+            assert all(type(r.value) is float for r in _results(batch))
 
 
 def test_halfspace_1d_counts_ties_on_both_closed_sides():
@@ -479,7 +479,7 @@ def test_svm_outside_the_closed_form_runs_the_dual_solver():
         alone = svm_depth(query, reference, lam, kernel=spec, intercept=intercept)
         request = DepthBatchRequest(reference=reference, queries=query[None, :], method="svm",
                                     lam=lam, kernel=spec, intercept=intercept)
-        batched = depth_batch(request).results[0]
+        batched = depth_batch(request).result(0)
         assert alone.iterations > 0
         assert batched.iterations > 0
 
@@ -496,7 +496,7 @@ def test_svm_closed_form_is_bit_identical_alone_and_in_a_batch(monkeypatch):
                          for q in queries]
                 request = DepthBatchRequest(reference=reference, queries=queries,
                                             method="svm", kernel=spec, reporting=reporting)
-                batch = depth_batch(request).results
+                batch = _results(depth_batch(request))
                 assert [r.value for r in batch] == [r.value for r in alone]
                 assert [r.residual for r in batch] == [r.residual for r in alone]
 
@@ -530,19 +530,58 @@ def test_depth_batch_empty_queries():
     assert outcome.values.shape == (0,)
 
 
+def _results(batch) -> list:
+    """The DepthResult of every query of a BatchResult, in request order."""
+    return [batch.result(i) for i in range(batch.values.size)]
+
+
 def _same_result(a: DepthResult, b: DepthResult) -> bool:
     return (a.value == b.value and a.iterations == b.iterations and a.residual == b.residual
             and a.converged == b.converged and np.array_equal(a.coefficients, b.coefficients))
 
 
 def test_depth_batch_matches_single_calls():
+    # every path returns one column per quantity, row i for query i, and
+    # result(i) has the bits of query i's single call; m = 0 gives empty columns
     rng = np.random.default_rng(1)
-    reference = rng.standard_normal((30, 2))
-    queries = rng.standard_normal((8, 2))
-    request = DepthBatchRequest(reference=reference, queries=queries, method="logistic")
-    outcome = depth_batch(request)
-    for query, result in zip(queries, outcome.results):
-        assert _same_result(result, logistic_depth(query, reference, 1.0))
+    n = 30
+    reference = rng.standard_normal((n, 2))
+    kernel = KernelSpec.gaussian(0.8)
+    paths = {  # name: (request settings, single call, coefficients per query)
+        "halfspace": (dict(method="halfspace"), lambda q: halfspace_depth(q, reference), None),
+        "lr": (dict(method="logistic"), lambda q: logistic_depth(q, reference, 1.0), 3),
+        "closed-form svm": (dict(method="svm", kernel=kernel),
+                            lambda q: svm_depth(q, reference, 1.0, kernel=kernel), n + 1),
+        "dual svm": (dict(method="svm", lam=0.01, kernel=kernel),
+                     lambda q: svm_depth(q, reference, 0.01, kernel=kernel), n + 1),
+        "dual svm, intercept": (
+            dict(method="svm", lam=0.01, kernel=kernel, intercept=True),
+            lambda q: svm_depth(q, reference, 0.01, kernel=kernel, intercept=True), n + 2,
+        ),
+    }
+    for m in (8, 1, 0):
+        queries = rng.standard_normal((m, 2))
+        for name, (settings, single, width) in paths.items():
+            batch = depth_batch(DepthBatchRequest(reference=reference, queries=queries,
+                                                  **settings))
+            for column, dtype in ((batch.values, np.float64), (batch.iterations, np.int64),
+                                  (batch.residuals, np.float64), (batch.converged, np.bool_)):
+                assert column.shape == (m,) and column.dtype == dtype, (name, m)
+            if width is None:
+                assert batch.coefficients is None
+            else:
+                assert batch.coefficients.shape == (m, width), (name, m)
+                assert batch.coefficients.dtype == np.float64
+                if name == "closed-form svm":  # one read-only box row for every query
+                    assert batch.coefficients.strides[0] == 0
+                    assert not batch.coefficients.flags.writeable
+            for i, query in enumerate(queries):
+                alone = single(query)
+                if name == "halfspace":
+                    assert type(alone) is float and batch.result(i).value == alone
+                    assert _same_result(batch.result(i), DepthResult(alone, 0, 0.0, True))
+                else:
+                    assert _same_result(batch.result(i), alone), (name, m, i)
 
 
 def test_single_query_entry_points_are_one_row_requests():
@@ -563,7 +602,7 @@ def test_single_query_entry_points_are_one_row_requests():
         if method != "as-loss":
             request = DepthBatchRequest(reference=reference, queries=queries, method=method,
                                         lam=0.05, kernel=kernel)
-            batch = depth_batch(request).results
+            batch = _results(depth_batch(request))
         for i, query in enumerate(queries):
             for shaped in (query, query[None, :], query[:, None], list(query)):
                 result = depth(shaped)
@@ -605,8 +644,8 @@ def test_logistic_batch_is_bit_identical_to_single_calls_across_block_edges(monk
                                         lam=0.05, intercept=intercept, reporting=reporting,
                                         solver=solver)
             batch = depth_batch(request)
-            assert all(_same_result(r, a) for r, a in zip(batch.results, alone)), (d, m)
-            assert all(type(r.value) is float for r in batch.results)
+            assert all(_same_result(r, a) for r, a in zip(_results(batch), alone)), (d, m)
+            assert all(type(r.value) is float for r in _results(batch))
 
 
 def test_logistic_block_stops_each_query_on_its_own_budget():
@@ -620,7 +659,7 @@ def test_logistic_block_stops_each_query_on_its_own_budget():
     budget = SolverConfig(max_iterations=max(full[0].iterations, full[2].iterations))
     request = DepthBatchRequest(reference=reference, queries=queries, method="logistic",
                                 lam=0.01, solver=budget)
-    near, far, other = depth_batch(request).results
+    near, far, other = _results(depth_batch(request))
     assert near.converged and other.converged
     assert _same_result(near, full[0]) and _same_result(other, full[2])
     assert not far.converged
@@ -640,7 +679,7 @@ def test_logistic_line_search_failure_ends_only_that_query(monkeypatch):
     monkeypatch.setattr(solvers, "_MAX_HALVINGS", 1)
     request = DepthBatchRequest(reference=reference, queries=np.vstack([reference[0], damped]),
                                 method="logistic", lam=5e-4)
-    mate, stopped = depth_batch(request).results
+    mate, stopped = _results(depth_batch(request))
     assert mate.converged
     assert not stopped.converged
     assert stopped.iterations == 3 and stopped.residual > 1e-8
@@ -649,7 +688,7 @@ def test_logistic_line_search_failure_ends_only_that_query(monkeypatch):
     # a block whose every query stalls at once ends there, each as alone
     request = DepthBatchRequest(reference=reference, queries=np.vstack([damped, damped]),
                                 method="logistic", lam=5e-4)
-    for copy in depth_batch(request).results:
+    for copy in _results(depth_batch(request)):
         assert not copy.converged and copy.iterations == 3
         assert _same_result(copy, stopped)
 
@@ -712,7 +751,7 @@ def test_depth_batch_with_no_queries_builds_no_gram(monkeypatch):
                                     lam=lam, kernel=KernelSpec.gaussian(0.8),
                                     intercept=intercept)
         batch = depth_batch(request)
-        assert batch.results == []
+        assert _results(batch) == []
     assert calls == []
 
 

@@ -88,7 +88,7 @@ def test_read_csv_non_numeric_cites_line_and_column(tmp_path):
 
 def test_read_csv_labels_must_be_binary(tmp_path):
     p = _write(tmp_path / "a.csv", "1,2\n3,4\n")
-    with pytest.raises(ValidationError, match="only 0 and 1"):
+    with pytest.raises(ValidationError, match=r"only 0 and 1; row at line 1 has 2\.0$"):
         read_csv(p, label_column=1)
 
 

@@ -59,6 +59,12 @@ def test_kernel_parameter_validation():
     lambda: KernelSpec.laplacian(math.inf),
     lambda: KernelSpec.imq(math.inf, -0.5),
     lambda: KernelSpec.imq(1.0, -math.inf),
+    # c**2 underflows to 0 (gram's diagonal is then inf, spec.diagonal's c**(2 beta)
+    # finite) or overflows, or c**(2 beta) overflows
+    lambda: KernelSpec.imq(1e-200, -0.5),
+    lambda: KernelSpec.imq(1e200, -0.5),
+    lambda: KernelSpec.imq(1e-100, -2.0),
+    lambda: KernelSpec.imq(1e-10, -100.0),
 ])
 def test_kernel_parameters_must_be_finite(build):
     with pytest.raises(ValidationError, match="finite"):
@@ -141,6 +147,13 @@ def test_median_heuristic_identical_points_degenerate():
         median_heuristic(np.zeros((4, 2)))
 
 
+def test_median_heuristic_refuses_an_overflowing_median():
+    # the median squared distance is inf, whose inverse would be a gamma of 0
+    points = np.array([[0.0, 0.0], [1e200, 0.0], [0.0, -1e200]])
+    with pytest.raises(DegenerateBandwidthError, match="overflows to inf"):
+        median_heuristic(points)
+
+
 def test_median_heuristic_subsample_is_deterministic():
     rng = np.random.default_rng(5)
     pts = rng.standard_normal((2500, 2))
@@ -168,3 +181,4 @@ def test_heuristics_equal_the_sorted_pair_formula_bit_for_bit():
         pts[rng.integers(0, n, size=n // 5)] = pts[0]  # and duplicate rows
         median = _sorted_pair_statistic(pts, "sqeuclidean", lambda size: (size - 1) // 2)
         assert median_heuristic(pts) == 1.0 / median
+

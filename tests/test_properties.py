@@ -42,7 +42,7 @@ from lossdepth.depths import (  # noqa: E402
 )
 from lossdepth.kernels import KernelSpec, gram  # noqa: E402
 from lossdepth.solvers import SolverConfig, svm_dual_solves, svm_duality_gap  # noqa: E402
-from test_depths import _same_result, integer_halfspace_2d  # noqa: E402
+from test_depths import _results, _same_result, integer_halfspace_2d  # noqa: E402
 
 COORDINATE = st.floats(-2.0, 2.0, allow_nan=False, allow_infinity=False, width=64)
 
@@ -220,7 +220,7 @@ def test_a_logistic_result_has_the_same_bits_alone_and_in_any_batch(
     def scored(rows):
         request = DepthBatchRequest(reference=reference, queries=rows, method="logistic",
                                     **settings_)
-        return depth_batch(request).results
+        return _results(depth_batch(request))
 
     order = list(range(queries.shape[0]))
     random.shuffle(order)
@@ -265,7 +265,7 @@ def test_the_logistic_certificate_bounds_the_error_against_a_tight_solve(
     solver = SolverConfig(max_iterations=budget)
     request = DepthBatchRequest(reference=reference, queries=queries, method="logistic", lam=lam,
                                 intercept=intercept, solver=solver)
-    results = depth_batch(request).results
+    results = _results(depth_batch(request))
     for query, result in zip(queries, results):
         tight = logistic_depth(query, reference, lam, intercept=intercept,
                                solver=SolverConfig(tolerance=1e-12, max_iterations=200))
@@ -350,7 +350,7 @@ def test_an_iterative_svm_result_has_the_same_bits_alone_and_in_any_batch(
         for rows in (list(range(len(order))), order):
             request = DepthBatchRequest(reference=reference, queries=queries[rows],
                                         method="svm", kernel=kernel, **settings_)
-            results = depth_batch(request).results
+            results = _results(depth_batch(request))
             assert all(_same_result(result, alone[i]) for i, result in zip(rows, results))
 
 

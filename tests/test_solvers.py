@@ -1,5 +1,6 @@
 """Newton and dual ascent engines against independent oracles."""
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -27,10 +28,12 @@ def _logistic_problem(reference, query, lam=1.0, intercept=True):
 def _logistic_solve(problem, config=None):
     """The weights and diagnostics of one query, a block of one for logistic_block_solve."""
     reference, query, lam, intercept = problem
-    weights, _, diagnostics = logistic_block_solve(
+    weights, _, iterations, residuals, converged = logistic_block_solve(
         logistic_features(reference, intercept), augment(query, intercept), lam, config
     )
-    return weights[0], diagnostics[0]
+    return weights[0], SimpleNamespace(
+        iterations=iterations[0], residual=residuals[0], converged=converged[0]
+    )
 
 
 def _hinge_problem(reference, query, lam=1.0, kernel=None, intercept=False):
@@ -468,3 +471,20 @@ def test_svm_supplied_reference_gram_gives_the_bordered_matrix_bits():
             assert np.array_equal(alpha, np.abs(signed))
             assert np.array_equal(diagnostics.function_values, expected.function_values)
             assert diagnostics.offset == expected.offset
+
+
+def test_dual_solvers_refuse_a_kernel_diagonal_that_is_not_finite(monkeypatch):
+    # a NaN Newton step once ran the whole budget or stopped NaN and converged
+    rng = np.random.default_rng(8)
+    reference, queries = rng.standard_normal((30, 2)) * 1e200, rng.standard_normal((2, 2))
+    for limit in (solvers.DENSE_GRAM_LIMIT, 0):  # the dense and the lazy kernel columns
+        monkeypatch.setattr(solvers, "DENSE_GRAM_LIMIT", limit)
+        for intercept in (False, True):
+            with pytest.raises(ValidationError, match="kernel diagonal is not finite"):
+                svm_dual_solves(KernelSpec.linear(), reference, queries, 0.01, intercept)
+    cfg = SolverConfig()
+    for diagonal in (np.array([1.0, np.inf, 1.0]), np.array([1.0, np.nan, 1.0])):
+        for solve in (solvers._greedy_ascent, solvers._pairwise_smo):
+            with pytest.raises(ValidationError, match="kernel diagonal is not finite"):
+                solve(np.ones(3), np.zeros(3), np.full(3, -1.0), np.ones(3), np.zeros(3),
+                      diagonal, lambda k: np.eye(3)[k], cfg)
