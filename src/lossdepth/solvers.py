@@ -4,17 +4,18 @@ Two solvers are provided, each over plain arrays: a reference, a batch of
 queries and the ridge strength, with a single query a batch of one.  The
 logistic depth runs damped Newton with Armijo backtracking on the
 ridge-penalised expected log-loss, for a block of queries in lockstep, each
-with its own line search and stopping rule (logistic_block_solve).  The
-kernel hinge depth solves the box constrained dual of the weighted SVM, one
-query at a time (svm_dual_solves), by greedy maximal-violation coordinate
-ascent without an intercept (the default), or by maximal-violating-pair
-updates that keep the balance constraint when an unpenalised intercept is
-requested.  Both dual solvers read the kernel through the same column and
-diagonal interface.  Up to DENSE_GRAM_LIMIT reference rows a column is a
-row of one (n+1) x (n+1) kernel matrix per batch, whose last row and column
-each query overwrites; above it, columns are computed on demand.  The
-pairwise solver also fits the one-class SVM baseline, whose dual has the
-same form.
+with its own line search and stopping rule (logistic_block_solve); the
+block shares one evaluated start row at w = 0, and each full step's
+evaluation is the new state.  The kernel hinge depth solves the box
+constrained dual of the weighted SVM, one query at a time
+(svm_dual_solves), by greedy maximal-violation coordinate ascent without an
+intercept (the default), or by maximal-violating-pair updates that keep the
+balance constraint when an unpenalised intercept is requested.  Both dual
+solvers read the kernel through the same column and diagonal interface.  Up
+to DENSE_GRAM_LIMIT reference rows a column is a row of one (n+1) x (n+1)
+kernel matrix per batch, whose last row and column each query overwrites;
+above it, columns are computed on demand.  The pairwise solver also fits
+the one-class SVM baseline, whose dual has the same form.
 """
 from __future__ import annotations
 
@@ -116,14 +117,14 @@ def _logistic_gradient(
 ) -> np.ndarray:
     """Each row's objective gradient from its evaluation.  A point's loss
     slope sigmoid(-s) is 1 / (1 + exps) where s < 0 and exps / (1 + exps)
-    elsewhere; as exps <= 1, the numerator is max(exps, [s < 0])."""
+    elsewhere; as exps <= 1, the numerator is max(exps, [s < 0]).  One row
+    of signed and exps broadcasts against every row of queries and weights."""
     n = features.shape[1]
     slopes = np.maximum(exps, signed < 0.0)
     slopes /= 1.0 + exps
     grad = np.einsum("an,dn->ad", slopes[:, :n], features) / (-2.0 * n)
-    grad += (0.5 * slopes[:, n])[:, None] * queries
-    grad += (2.0 * lam) * weights
-    return grad
+    grad = grad + (0.5 * slopes[:, n])[:, None] * queries
+    return grad + (2.0 * lam) * weights
 
 
 def _logistic_hessian(
@@ -131,11 +132,13 @@ def _logistic_hessian(
 ) -> np.ndarray:
     """Each row's Hessian X' diag(c) X / (2n) + 0.5 c_q q q' + 2 lam I, with
     the curvature c = sigmoid(s) sigmoid(-s) = exps / (1 + exps)^2.  The
-    stacked product runs one small matrix product per row."""
+    stacked product runs one small matrix product per row of exps, and one
+    row of exps broadcasts against every row of queries."""
     n = features.shape[1]
     curvature = exps / np.square(1.0 + exps)
     hessian = (features * (curvature[:, None, :n] / (2.0 * n))) @ features.T
-    hessian += (0.5 * curvature[:, n])[:, None, None] * (queries[:, :, None] * queries[:, None, :])
+    outer = queries[:, :, None] * queries[:, None, :]
+    hessian = hessian + (0.5 * curvature[:, n])[:, None, None] * outer
     diagonal = np.arange(features.shape[0])
     hessian[:, diagonal, diagonal] += 2.0 * lam
     return hessian
@@ -187,9 +190,14 @@ def logistic_block_solve(
     tolerance, and unconverged after max_iterations steps or after 60
     halvings without an acceptable step.  Every stopped query leaves the
     block at the top of the loop, a stalled one counted at the step that
-    failed.  With a positive ridge the objective is 2 lam strongly convex, so
-    the distance to the unique minimiser is at most the returned residual
-    divided by 2 lam.
+    failed, with its state before that step.  The start is one row evaluated
+    at w = 0, where every margin is 0, read through broadcast views; the
+    first Hessian is built from it before the loop, and one that overflows
+    raises ValidationError, as does a singular Newton system.  Each step's
+    full-step evaluation is the new state, and only the queries that fail
+    its Armijo test are evaluated again, at halved steps.  With a positive
+    ridge the objective is 2 lam strongly convex, so the distance to the
+    unique minimiser is at most the returned residual divided by 2 lam.
 
     Every operation acts on each query's row alone, so a query's bits do not
     depend on its block-mates.  Returns one array per quantity, row b for
@@ -204,8 +212,15 @@ def logistic_block_solve(
 
     live = np.arange(size)  # block rows of the queries still being solved
     weights = np.zeros((size, dim))
-    signed, exps, loss, value = _logistic_evaluate(weights, features, queries, lam)
-    grad = _logistic_gradient(weights, signed, exps, features, queries, lam)
+    # at w = 0 every margin is 0: one evaluated row serves the whole block
+    zero = np.zeros((1, dim))
+    start = _logistic_evaluate(zero, features, zero, lam)
+    signed, exps, loss, value = (np.broadcast_to(part, (size, *part.shape[1:])) for part in start)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused below
+        grad = _logistic_gradient(weights, start[0], start[1], features, queries, lam)
+        hessian = _logistic_hessian(start[1], features, queries, lam)
+    if not np.isfinite(hessian).all():
+        raise ValidationError("the logistic Hessian overflows: rescale the data")
     stalled = np.zeros(size, dtype=bool)  # no acceptable step in the last search
 
     for iteration in range(cfg.max_iterations + 1):
@@ -222,35 +237,40 @@ def logistic_block_solve(
             if stop.all():
                 break
             keep = ~stop
-            live, weights, queries, signed, exps, loss, value, grad = (
-                part[keep] for part in (live, weights, queries, signed, exps, loss, value, grad)
+            live, weights, queries, signed, exps, loss, value, grad, hessian = (
+                part[keep]
+                for part in (live, weights, queries, signed, exps, loss, value, grad, hessian)
             )
-        hessian = _logistic_hessian(exps, features, queries, lam)
-        direction = -np.linalg.solve(hessian, grad[:, :, None])[:, :, 0]
+        if iteration:  # step 0 solves against the start's Hessian
+            hessian = _logistic_hessian(exps, features, queries, lam)
+        try:
+            direction = -np.linalg.solve(hessian, grad[:, :, None])[:, :, 0]
+        except np.linalg.LinAlgError:
+            hint = "use a larger --lambda or rescale the data"
+            raise ValidationError(f"singular Newton system at lambda = {lam:g}: {hint}") from None
         slope = np.einsum("ad,ad->a", grad, direction)
-        step = np.ones(live.size)
-        searching = np.arange(live.size)  # live positions whose search goes on
-        for _ in range(_MAX_HALVINGS):
-            trial = weights[searching] + step[searching, None] * direction[searching]
-            t_signed, t_exps, t_loss, t_value = _logistic_evaluate(
-                trial, features, queries[searching], lam
-            )
-            base = value[searching]
-            accept = (t_value <= base + 1e-4 * step[searching] * slope[searching]) | (
-                (step[searching] == 1.0) & (t_value - base <= 8.0 * _EPS * np.abs(base))
-            )
-            moved = searching[accept]
-            weights[moved] = trial[accept]
-            signed[moved] = t_signed[accept]
-            exps[moved] = t_exps[accept]
-            loss[moved] = t_loss[accept]
-            value[moved] = t_value[accept]
-            searching = searching[~accept]
+        # the full step's evaluation is the new state; only the rows that
+        # fail its Armijo test are evaluated again, each at a halved step
+        previous, base = (weights, signed, exps, loss, value), value
+        weights = weights + direction
+        signed, exps, loss, value = _logistic_evaluate(weights, features, queries, lam)
+        searching = np.flatnonzero(  # live positions whose search goes on
+            ~((value <= base + 1e-4 * slope) | (value - base <= 8.0 * _EPS * np.abs(base)))
+        )
+        for halvings in range(1, _MAX_HALVINGS):
             if not searching.size:
                 break
-            step[searching] *= 0.5
+            step = 0.5**halvings
+            trial = previous[0][searching] + step * direction[searching]
+            evaluated = _logistic_evaluate(trial, features, queries[searching], lam)
+            for state, rows in zip((weights, signed, exps, loss, value), (trial, *evaluated)):
+                state[searching] = rows
+            accept = value[searching] <= base[searching] + 1e-4 * step * slope[searching]
+            searching = searching[~accept]
         stalled = np.zeros(live.size, dtype=bool)
         stalled[searching] = True  # no representable decrease along the Newton direction
+        for state, old in zip((weights, signed, exps, loss, value), previous):
+            state[searching] = old[searching]
         grad = _logistic_gradient(weights, signed, exps, features, queries, lam)
     return weights_out, losses_out, iterations_out, residuals_out, converged_out
 

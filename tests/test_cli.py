@@ -614,6 +614,36 @@ def test_an_overflowing_kernel_exits_two_at_once(case, tmp_path, capsys):
     assert elapsed < 1.0
 
 
+@pytest.mark.parametrize("intercept", ["--intercept", "--no-intercept"])
+def test_an_overflowing_logistic_hessian_exits_two_at_once(intercept, tmp_path, capsys):
+    # before, numpy overflow warnings and the row 0,1,false,0,inf, with exit 0
+    rng = np.random.default_rng(5)
+    reference = _csv(tmp_path / "ref.csv", rng.standard_normal((100, 2)) * 1e200)
+    queries = _csv(tmp_path / "q.csv", [[0.0, 0.0]])
+    started = time.perf_counter()
+    code = cli.main(["depth", reference, queries, "--method", "lr", intercept])
+    elapsed = time.perf_counter() - started
+    captured = capsys.readouterr()
+    assert code == cli.EXIT_INVALID and captured.out == ""
+    assert re.fullmatch(r"error: [^\n]*overflow[^\n]*\n", captured.err), captured.err
+    assert elapsed < 1.0
+
+
+def test_a_singular_logistic_newton_system_exits_two(tmp_path, capsys):
+    # the first Hessian, 0.125 q q' + X'X / (8n) + 2 lam I, is positive definite,
+    # but 2 lam is lost next to 1.25e9 and LU meets an exact zero pivot; before,
+    # a LinAlgError traceback and exit 1
+    reference = _csv(tmp_path / "ref.csv",
+                     np.random.default_rng(0).standard_normal((20, 2)) * 1e-4)
+    queries = _csv(tmp_path / "q.csv", [[1e5, 1e5]])
+    code = cli.main(["depth", reference, queries, "--method", "lr", "--lambda", "1e-8",
+                     "--no-intercept"])
+    captured = capsys.readouterr()
+    assert code == cli.EXIT_INVALID and captured.out == ""
+    assert re.fullmatch(r"error: singular Newton system at lambda = 1e-08: [^\n]*--lambda[^\n]*\n",
+                        captured.err), captured.err
+
+
 def test_an_overflowing_kernel_exits_two_on_the_ocsvm_commands(tmp_path, capsys):
     rng = np.random.default_rng(6)
     data = _csv(tmp_path / "data.csv", rng.standard_normal((40, 2)) * 1e200)

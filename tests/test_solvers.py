@@ -251,6 +251,73 @@ def test_newton_reaches_tight_tolerance_on_scaled_features():
         assert diag.residual <= 1e-12
 
 
+def test_the_line_search_writes_only_the_rows_it_halves(monkeypatch):
+    # with the search capped at one halving, the first query only takes full
+    # steps, the second halves its sixth step once, and the third needs two
+    # halvings at its fifth step, so it stalls there
+    reference = np.array([[-0.3, 8.3], [6.7, -3.1], [1.1, 2.5], [-7.0, -0.5]])
+    queries = np.array([[1.3, -1.3], [-19.3, -2.4], [-11.4, -1.6]])
+    monkeypatch.setattr(solvers, "_MAX_HALVINGS", 2)
+    log = []  # the query rows of each evaluation, and None for each gradient
+    evaluate, gradient = solvers._logistic_evaluate, solvers._logistic_gradient
+
+    def recording_evaluate(weights, features, rows, lam):
+        log.append(rows[:, :2].tolist())
+        return evaluate(weights, features, rows, lam)
+
+    def recording_gradient(*args):
+        log.append(None)
+        return gradient(*args)
+
+    monkeypatch.setattr(solvers, "_logistic_evaluate", recording_evaluate)
+    monkeypatch.setattr(solvers, "_logistic_gradient", recording_gradient)
+    features, rows = logistic_features(reference, True), augment(queries, True)
+    block = logistic_block_solve(features, rows, 5e-4)
+    halved, step, evaluations = [], 0, 0  # (Newton step, query) of each halved trial
+    for entry in log:  # the start, then per step the full step, any halvings, a gradient
+        if entry is None:
+            step, evaluations = step + 1, 0
+            continue
+        evaluations += 1
+        if evaluations > 1:
+            halved += [(step, queries.tolist().index(row)) for row in entry]
+    assert halved == [(5, 2), (6, 1)]
+    _, _, iterations, residuals, converged = block
+    assert converged.tolist() == [True, True, False]
+    assert iterations[2] == 4 and residuals[2] > 1e-8
+    # each row has the bits of its solve alone, and the stalled query keeps
+    # the state its last accepted step left, as a budget of 4 steps does
+    for b, config in ((0, None), (1, None), (2, None), (2, SolverConfig(max_iterations=4))):
+        alone = logistic_block_solve(features, rows[b : b + 1], 5e-4, config)
+        assert all(out[b].tobytes() == one[0].tobytes() for out, one in zip(block, alone)), b
+
+
+def test_a_block_evaluates_its_shared_start_once(monkeypatch):
+    # every query starts at w = 0, where one row of margins serves the block:
+    # k full Newton steps cost one start row and k evaluations of the B rows,
+    # and k Hessians, the first built from the start row
+    reference = np.random.default_rng(8).standard_normal((30, 2))
+    queries = np.random.default_rng(1).standard_normal((4, 2))
+    evaluated, hessians = [], []
+    evaluate, hessian = solvers._logistic_evaluate, solvers._logistic_hessian
+
+    def counting_evaluate(weights, *args):
+        evaluated.append(weights.shape[0])
+        return evaluate(weights, *args)
+
+    def counting_hessian(exps, *args):
+        hessians.append(exps.shape[0])
+        return hessian(exps, *args)
+
+    monkeypatch.setattr(solvers, "_logistic_evaluate", counting_evaluate)
+    monkeypatch.setattr(solvers, "_logistic_hessian", counting_hessian)
+    block = logistic_block_solve(logistic_features(reference, True), augment(queries, True), 0.1)
+    _, _, iterations, _, converged = block
+    assert converged.all() and iterations.tolist() == [3] * 4
+    assert evaluated == [1, 4, 4, 4]
+    assert hessians == [1, 4, 4]
+
+
 def test_svm_query_coincident_with_single_reference_point():
     # both duals hit the shared box bound 1/4; the function cancels to zero
     # and every hinge term sits exactly at 1
