@@ -117,7 +117,7 @@ def ocsvm_fit(train, kernel: KernelSpec, nu: float = 0.15,
     start = np.full(n, 1.0 / n)
     with np.errstate(over="ignore", invalid="ignore"):  # the solver refuses an overflowed kernel
         start_values = kmat @ start
-    alpha, diagnostics = _pairwise_smo(
+    alpha, _, offset, iterations, residual, converged = _pairwise_smo(
         np.zeros(n), start, np.zeros(n), np.full(n, box), start_values,
         np.diagonal(kmat), kmat.__getitem__, cfg,
     )
@@ -126,8 +126,8 @@ def ocsvm_fit(train, kernel: KernelSpec, nu: float = 0.15,
         kernel=kernel,
         nu=nu,
         alpha=alpha,
-        rho=0.0 - diagnostics.offset,  # rho = -b, and a zero rho stays +0
-        iterations=diagnostics.iterations,
-        residual=diagnostics.residual,
-        converged=diagnostics.converged,
+        rho=0.0 - offset,  # rho = -b, and a zero rho stays +0
+        iterations=iterations,
+        residual=residual,
+        converged=converged,
     )

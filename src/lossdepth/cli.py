@@ -610,8 +610,9 @@ def main(argv=None) -> int:
         if args.seed < 0:
             raise ValidationError("seed must be >= 0")
         return args.handler(args)
-    except (LossDepthError, OSError) as error:  # OSError: a file that cannot be read or written
-        print(f"error: {error}", file=sys.stderr)
+    # OSError: a file that cannot be read or written; MemoryError: an array too large
+    except (LossDepthError, OSError, MemoryError) as error:
+        print(f"error: {error or 'out of memory'}", file=sys.stderr)
         return EXIT_INVALID
 
 

@@ -75,17 +75,26 @@ class DataMatrix:
         return self.values.shape[1]
 
 
-def weighted_expectation(positive_losses, negative_loss: float) -> float:
-    """Expected loss under the two-class weighting.
+def weighted_expectation(positive_losses, negative_loss):
+    """Expected loss under the two-class weighting, the one place it is
+    written: every depth reports it for its own pointwise losses.
 
     Args:
-        positive_losses: loss values at the n reference points, weight 1/(2n) each.
-        negative_loss: loss value at the query point, weight 1/2.
+        positive_losses: loss values at the n reference points, weight 1/(2n)
+            each, along the last axis: one row of shape (n,) or rows of shape
+            (..., n), read without a copy.
+        negative_loss: loss value at the query point, weight 1/2, of shape
+            (...), one per row.
+
+    Each row's value is its own sum over the last axis, so a row has the same
+    bits alone or among others.  A single row returns a float, rows an array.
     """
-    pos = np.asarray(positive_losses, dtype=float).reshape(-1)
-    if pos.size < 1:
+    pos = np.atleast_1d(np.asarray(positive_losses, dtype=float))
+    if pos.shape[-1] < 1:
         raise ValidationError("weighted expectation needs at least one reference loss")
-    return float(pos.sum() / (2.0 * pos.size) + 0.5 * float(negative_loss))
+    neg = np.asarray(negative_loss, dtype=float)
+    value = pos.sum(axis=-1) / (2.0 * pos.shape[-1]) + 0.5 * neg
+    return float(value) if value.ndim == 0 else value
 
 
 def lambda_violation(lam: float) -> str | None:

@@ -404,8 +404,9 @@ def _svm_closed_form(
         query_kernel = gram(spec, queries[block], reference)
         fvals = (row_means - query_kernel) / scale
         fquery = (query_kernel.mean(axis=1) - kappa) / scale
-        positive = np.maximum(0.0, 1.0 - fvals).sum(axis=1)
-        values[block] = positive / (2.0 * n) + 0.5 * np.maximum(0.0, 1.0 + fquery)
+        values[block] = weighted_expectation(
+            np.maximum(0.0, 1.0 - fvals), np.maximum(0.0, 1.0 + fquery)
+        )
         if reporting is Reporting.LOSS_PLUS_REG:
             # lam ||f||^2 = lam sum_k alpha_k y_k f(p_k) at alpha = box
             values[block] += 0.25 * (fvals.mean(axis=1) - fquery)
@@ -454,29 +455,25 @@ def _svm_depths(
     solver: SolverConfig | None,
 ) -> BatchResult:
     """Kernel depths of every query: in closed form where _closed_form_applies,
-    else from one dual solve per query (svm_dual_solves), in request order.
-    Either way a query gets the same bits alone or in any batch."""
+    else from the dual solves' columns (svm_dual_solves), one row per query
+    in request order.  The value is the weighted hinge loss of the margins
+    f + b, with the ridge term added as one dot per row, since an einsum over
+    the rows rounds differently.  Either way a query gets the same bits alone
+    or in any batch."""
     if _closed_form_applies(spec, lam, intercept):
         return _svm_closed_form(spec, reference, queries, lam, reporting, solver)
-    n, m = reference.shape[0], queries.shape[0]
-    values, residuals = np.empty(m), np.empty(m)
-    iterations, converged = np.empty(m, dtype=np.int64), np.empty(m, dtype=bool)
-    coefficients = np.empty((m, n + 1 + intercept))  # the offset last, with an intercept
-    for i, (alpha, diagnostics) in enumerate(
-        svm_dual_solves(spec, reference, queries, lam, intercept, solver)
-    ):
-        fvals = diagnostics.function_values
-        margins = fvals + diagnostics.offset
-        positive = np.maximum(0.0, 1.0 - margins[:n])
-        negative = float(max(0.0, 1.0 + margins[n]))
-        value = weighted_expectation(positive, negative)
-        if reporting is Reporting.LOSS_PLUS_REG:
-            signed = np.append(alpha[:n], -alpha[n])  # y_k alpha_k: the query is labelled -1
-            value += lam * float(signed @ fvals)
-        values[i], iterations[i] = value, diagnostics.iterations
-        residuals[i], converged[i] = diagnostics.residual, diagnostics.converged
-        coefficients[i, : n + 1] = alpha
-        coefficients[i, n + 1 :] = diagnostics.offset
+    n = reference.shape[0]
+    alpha, fvals, offsets, iterations, residuals, converged = svm_dual_solves(
+        spec, reference, queries, lam, intercept, solver
+    )
+    margins = fvals + offsets[:, None]
+    values = weighted_expectation(
+        np.maximum(0.0, 1.0 - margins[:, :n]), np.maximum(0.0, 1.0 + margins[:, n])
+    )
+    if reporting is Reporting.LOSS_PLUS_REG:
+        signed = alpha * np.append(np.ones(n), -1.0)  # y_k alpha_k: the query is labelled -1
+        values += lam * np.array([s @ f for s, f in zip(signed, fvals)])
+    coefficients = np.hstack([alpha, offsets[:, None]]) if intercept else alpha  # the offset last
     return BatchResult(values, iterations, residuals, converged, coefficients)
 
 

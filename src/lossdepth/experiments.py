@@ -109,6 +109,9 @@ def gen_contaminated(n: int, center=(-1.0, -1.0), contamination_center=(2.0, 2.0
     other = np.asarray(contamination_center, dtype=float).reshape(-1)
     if base.size != other.size:
         raise ValidationError("center and contamination_center disagree in dimension")
+    for name, point in (("center", base), ("contamination_center", other)):
+        if not np.all(np.isfinite(point)):
+            raise ValidationError(f"{name} contains non-finite entries")
     d = base.size
     rng = np.random.default_rng(seed)
     points = base + rng.standard_normal((n, d))
@@ -196,6 +199,8 @@ def convergence_experiment(
     point of the sampling distribution the leading fluctuation terms cancel
     and the fit would measure a faster, unrepresentative rate.
     """
+    if d < 1:
+        raise ValidationError("d must be >= 1")
     grid = tuple(int(n) for n in n_grid)
     if len(grid) < 2:
         raise ValidationError("convergence needs at least two sample sizes")
@@ -264,6 +269,8 @@ def rank_correlation_experiment(
         raise ValidationError("runs must be >= 1")
     if n < 4:
         raise ValidationError("rank correlation needs n >= 4")
+    if any(int(d) < 1 for d in d_grid):
+        raise ValidationError("d must be >= 1")
     rows = []
     for d in d_grid:
         for run in range(runs):

@@ -7,24 +7,27 @@ ridge-penalised expected log-loss, for a block of queries in lockstep, each
 with its own line search and stopping rule (logistic_block_solve); the
 block shares one evaluated start row at w = 0, and each full step's
 evaluation is the new state.  The kernel hinge depth solves the box
-constrained dual of the weighted SVM, one query at a time
-(svm_dual_solves), by greedy maximal-violation coordinate ascent without an
-intercept (the default), or by maximal-violating-pair updates that keep the
-balance constraint when an unpenalised intercept is requested.  Both dual
-solvers read the kernel through the same column and diagonal interface.  Up
-to DENSE_GRAM_LIMIT reference rows a column is a row of one (n+1) x (n+1)
-kernel matrix per batch, whose last row and column each query overwrites;
-above it, columns are computed on demand.  The pairwise solver also fits
-the one-class SVM baseline, whose dual has the same form.
+constrained dual of the weighted SVM, one query at a time, by greedy
+maximal-violation coordinate ascent without an intercept (the default), or
+by maximal-violating-pair updates that keep the balance constraint when an
+unpenalised intercept is requested (svm_dual_solves).  Both solves return
+one array per quantity, with a row per query, and every weighted loss is
+core.weighted_expectation.  The two dual solvers read the kernel through
+the same column and diagonal interface and return the same six fields for
+one query.  Up to DENSE_GRAM_LIMIT reference rows a column
+is a row of one (n+1) x (n+1) kernel matrix per batch, whose last row and
+column each query overwrites; above it, columns are computed on demand.
+The pairwise solver also fits the one-class SVM baseline, whose dual has
+the same form.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ValidationError
+from .core import ValidationError, weighted_expectation
 from .kernels import KernelSpec, gram
 
 _EPS = float(np.finfo(float).eps)
@@ -52,27 +55,6 @@ class SolverConfig:
             raise ValidationError("solver needs max_iterations >= 1")
         if not 0.0 < self.tolerance < math.inf:
             raise ValidationError("solver needs a finite positive tolerance")
-
-
-@dataclass(frozen=True, eq=False)
-class SolveDiagnostics:
-    """Iteration count, final stopping residual, and convergence flag of one
-    dual solve (_greedy_ascent, _pairwise_smo); the logistic solver returns
-    arrays over its block instead.
-
-    The dual solver also reports the classifier values at the solution,
-    reference rows first and the query last, so callers can evaluate losses
-    without touching the data again, how many kernel-degenerate coordinates
-    it saw and, with an intercept, the recovered offset, which its function
-    values do not include.
-    """
-
-    iterations: int
-    residual: float
-    converged: bool
-    degenerate_coordinates: int = 0
-    function_values: np.ndarray | None = None
-    offset: float = 0.0
 
 
 def augment(points: np.ndarray, intercept: bool) -> np.ndarray:
@@ -107,7 +89,7 @@ def _logistic_evaluate(
     np.exp(exps, out=exps)
     losses = np.log1p(exps)
     losses -= np.minimum(signed, 0.0)
-    loss = losses[:, :n].sum(axis=1) / (2.0 * n) + 0.5 * losses[:, n]
+    loss = weighted_expectation(losses[:, :n], losses[:, n])
     return signed, exps, loss, loss + lam * np.einsum("ad,ad->a", weights, weights)
 
 
@@ -282,9 +264,8 @@ def svm_dual_solves(
     lam: float,
     intercept: bool,
     config: SolverConfig | None = None,
-) -> list:
-    """Maximise the weighted-SVM dual of each query against the reference and
-    return one (n+1 dual coefficients, SolveDiagnostics) pair per query.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Maximise the weighted-SVM dual of each query against the reference.
 
     Dual: max over alpha of sum(alpha) - 0.5 * alpha' Y K Y alpha, subject to
     0 <= alpha_i <= 1/(4 n lam) for reference points and
@@ -296,11 +277,10 @@ def svm_dual_solves(
     [lo, hi] = [min(0, y box), max(0, y box)]: without an intercept by greedy
     single-coordinate updates (_greedy_ascent), whose order depends on the
     data alone.  Coordinates with K_kk = 0 contribute a fixed unit hinge loss
-    whatever alpha does, so they are pinned at their box bound where the
-    (linear) dual term is largest and counted as degenerate.  With an
-    intercept, pairwise updates keep sum_k y_k alpha_k = 0 (_pairwise_smo),
-    degenerate coordinates are frozen at zero, and the offset recovered from
-    the margin conditions comes back in the diagnostics.
+    whatever alpha does, so they are pinned at their box bound, where the
+    (linear) dual term is largest.  With an intercept, pairwise updates keep
+    sum_k y_k alpha_k = 0 (_pairwise_smo), degenerate coordinates are frozen
+    at zero, and the offset is recovered from the margin conditions.
 
     The labels and the box are built once per batch, and so is the
     (n+1) x (n+1) kernel matrix of the reference and a query, when there are
@@ -308,21 +288,29 @@ def svm_dual_solves(
     row and column, the border, with its own kernel values, and the solver
     reads the matrix's rows, which are its columns by symmetry, as views.
     Otherwise columns are formed on demand so large references never
-    materialise an n^2 matrix.  Each query is solved on its own, so it gets
-    the same bits alone or in any batch.  A kernel diagonal that is not
-    finite (the kernel values overflow) raises ValidationError.
+    materialise an n^2 matrix.  Each query is solved on its own, in request
+    order, so it gets the same bits alone or in any batch.  A kernel diagonal
+    that is not finite (the kernel values overflow) raises ValidationError.
+
+    Returns one array per quantity, row i for query i: the (m, n+1) dual
+    coefficients alpha and function values f at the reference points and
+    then the query, which exclude the offset, and the (m,) offsets (0 without
+    an intercept), iteration counts (int64), final residuals and convergence
+    flags.
     """
     cfg = config if config is not None else SolverConfig()
-    n = reference.shape[0]
+    n, m = reference.shape[0], queries.shape[0]
     labels = np.append(np.ones(n), -1.0)
     signed_box = labels * np.append(np.full(n, 1.0 / (4.0 * n * lam)), 1.0 / (4.0 * lam))
-    dense = queries.shape[0] > 0 and n <= DENSE_GRAM_LIMIT
+    dense = m > 0 and n <= DENSE_GRAM_LIMIT
     if dense:
         kernel = gram(spec, np.vstack([reference, queries[:1]]))
         diag, column = np.diagonal(kernel), kernel.__getitem__
     solve = _pairwise_smo if intercept else _greedy_ascent
-    results = []
-    for query in queries:
+    alpha, fvals = np.empty((m, n + 1)), np.empty((m, n + 1))
+    offsets, residuals = np.empty(m), np.empty(m)
+    iterations, converged = np.empty(m, dtype=np.int64), np.empty(m, dtype=bool)
+    for i, query in enumerate(queries):
         query = query[None, :]
         if dense:
             kernel[n, :n] = kernel[:n, n] = gram(spec, reference, query)[:, 0]
@@ -340,12 +328,11 @@ def svm_dual_solves(
         start = np.zeros(n + 1) if intercept else np.where(degenerate, signed_box, 0.0)
         lo = np.where(degenerate, start, np.minimum(0.0, signed_box))
         hi = np.where(degenerate, start, np.maximum(0.0, signed_box))
-        signed, diagnostics = solve(labels, start, lo, hi, np.zeros(n + 1), diag, column, cfg)
-        alpha = np.abs(signed)  # alpha = y u, which is |u| as alpha >= 0
-        results.append(
-            (alpha, replace(diagnostics, degenerate_coordinates=int(degenerate.sum())))
+        signed, fvals[i], offsets[i], iterations[i], residuals[i], converged[i] = solve(
+            labels, start, lo, hi, np.zeros(n + 1), diag, column, cfg
         )
-    return results
+        np.abs(signed, out=alpha[i])  # alpha = y u, which is |u| as alpha >= 0
+    return alpha, fvals, offsets, iterations, residuals, converged
 
 
 def _check_finite_diagonal(diag: np.ndarray) -> None:
@@ -359,7 +346,7 @@ def _check_finite_diagonal(diag: np.ndarray) -> None:
 def _greedy_ascent(
     linear: np.ndarray, start: np.ndarray, lo: np.ndarray, hi: np.ndarray,
     start_values: np.ndarray, diag: np.ndarray, column, cfg: SolverConfig,
-) -> tuple[np.ndarray, SolveDiagnostics]:
+) -> tuple[np.ndarray, np.ndarray, float, int, float, bool]:
     """Greedy maximal-violation coordinate ascent (Gauss-Southwell) for
     max c'u - 0.5 u'Ku over lo <= u <= hi: the equality-free twin of
     _pairwise_smo, with the same arguments.
@@ -370,7 +357,8 @@ def _greedy_ascent(
     min(max(u_k + s_k / K_kk, lo_k), hi_k).  It stops, converged, once the
     largest violation is at or below tolerance.  The budget is max_iterations
     passes of u.size updates, and the reported iterations count passes,
-    rounded up.  The function values f = Ku come back in the diagnostics.
+    rounded up.  Returns u, the function values f = Ku, the offset 0.0, the
+    iterations, the residual and the convergence flag.
     column(k) may return row k of the symmetric K, as a view, which the
     solver only reads.  A diagonal that is not finite raises ValidationError.
     """
@@ -396,16 +384,13 @@ def _greedy_ascent(
         u[k] = updated
         floor[k] = -np.inf if updated > lo[k] else 0.0
         ceiling[k] = np.inf if updated < hi[k] else 0.0
-    return u, SolveDiagnostics(
-        -(-updates // u.size), residual, residual <= cfg.tolerance,
-        function_values=linear - scores,
-    )
+    return u, linear - scores, 0.0, -(-updates // u.size), residual, residual <= cfg.tolerance
 
 
 def _pairwise_smo(
     linear: np.ndarray, start: np.ndarray, lo: np.ndarray, hi: np.ndarray,
     start_values: np.ndarray, diag: np.ndarray, column, cfg: SolverConfig,
-) -> tuple[np.ndarray, SolveDiagnostics]:
+) -> tuple[np.ndarray, np.ndarray, float, int, float, bool]:
     """Maximal-violating-pair SMO (Fan, Chen & Lin 2005) for
     max c'u - 0.5 u'Ku over lo <= u <= hi with sum(u) held at its start.
 
@@ -421,9 +406,10 @@ def _pairwise_smo(
     the smallest gradient s = c - Ku to the one that can still go up with the
     largest, by the exact maximiser along the pair clipped to the box.  It
     stops, converged, once that spread is at or below tolerance or no
-    coordinate can move up or down.  The function values f = Ku come back in
-    the diagnostics with the offset b of the margin conditions c_k - f_k = b
-    on free coordinates (see _pairwise_offset).
+    coordinate can move up or down.  Returns _greedy_ascent's six fields: u,
+    the function values f = Ku, the offset b of the margin conditions
+    c_k - f_k = b on free coordinates (see _pairwise_offset), the iterations,
+    the residual and the convergence flag.
     """
     _check_finite_diagonal(diag)
     u = start.copy()
@@ -432,9 +418,7 @@ def _pairwise_smo(
     def finish(iterations: int, residual: float, converged: bool):
         fvals = linear - scores
         offset = _pairwise_offset(u, lo, hi, linear - fvals)
-        return u, SolveDiagnostics(
-            iterations, residual, converged, function_values=fvals, offset=offset
-        )
+        return u, fvals, offset, iterations, residual, converged
 
     residual = np.inf
     for iteration in range(1, cfg.max_iterations + 1):
@@ -490,9 +474,8 @@ def svm_duality_gap(alpha, labels, fvals, lam: float) -> float:
     alpha = np.asarray(alpha, dtype=float)
     labels = np.asarray(labels, dtype=float)
     fvals = np.asarray(fvals, dtype=float)
-    n = alpha.size - 1
     hinge = np.maximum(0.0, 1.0 - labels * fvals)
-    primal_loss = float(hinge[:n].sum()) / (2.0 * n) + 0.5 * float(hinge[n])
+    primal_loss = weighted_expectation(hinge[:-1], hinge[-1])
     squared_norm = float((alpha * labels) @ fvals)
     primal = primal_loss + lam * squared_norm
     dual = float(alpha.sum()) - 0.5 * squared_norm

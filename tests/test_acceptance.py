@@ -215,9 +215,9 @@ def test_criterion_03_solver_certificates():
             reference, query, lam=lam,
             kernel=KernelSpec.gaussian(float(10.0 ** rng.uniform(-2, 1))),
         )
-        alpha, diag = svm_dual_solves(*problem, SolverConfig(tolerance=1e-9))[0]
+        (alpha,), (fvals,), *_ = svm_dual_solves(*problem, SolverConfig(tolerance=1e-9))
         labels = np.concatenate([np.ones(20), [-1.0]])
-        gap = svm_duality_gap(alpha, labels, diag.function_values, lam)
+        gap = svm_duality_gap(alpha, labels, fvals, lam)
         assert gap >= -1e-12
         worst_gap = max(worst_gap, float(gap))
 

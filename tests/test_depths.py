@@ -429,10 +429,10 @@ def test_svm_depth_with_intercept_reports_offset():
 def _dual_solver_depth(query, reference, lam, spec, reporting):
     """The kernel depth from svm_dual_solves at a tight tolerance, as svm_depth
     computes it outside the closed form."""
-    alpha, diagnostics = svm_dual_solves(
+    (alpha,), (f,), *_ = svm_dual_solves(
         spec, reference, query[None, :], lam, False, SolverConfig(tolerance=1e-13)
-    )[0]
-    f, n = diagnostics.function_values, reference.shape[0]
+    )
+    n = reference.shape[0]
     value = np.maximum(0.0, 1.0 - f[:n]).sum() / (2.0 * n) + 0.5 * max(0.0, 1.0 + f[n])
     if reporting is Reporting.LOSS_PLUS_REG:
         value += lam * float(np.append(alpha[:n], -alpha[n]) @ f)

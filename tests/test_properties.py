@@ -32,6 +32,7 @@ from lossdepth.core import (  # noqa: E402
     LOG2,
     Reporting,
     ValidationError,
+    weighted_expectation,
 )
 from lossdepth.depths import (  # noqa: E402
     DepthBatchRequest,
@@ -55,6 +56,20 @@ def samples(draw, max_n=25):
     reference = draw(hnp.arrays(float, (n, d), elements=COORDINATE))
     query = draw(hnp.arrays(float, (d,), elements=COORDINATE))
     return reference, query
+
+
+@settings(max_examples=100)
+@given(st.integers(1, 8), st.integers(1, 600), st.integers(0, 2), st.integers(0, 2**32 - 1))
+def test_a_batched_weighted_expectation_has_the_bits_of_its_rows(m, n, pad, seed):
+    # every depth's value is this risk over (m, n) rows of losses, the dual
+    # path's a strided view of an (m, n + 1) array
+    rng = np.random.default_rng(seed)
+    losses = rng.exponential(size=(m, n + pad)) * 10.0 ** rng.uniform(-3.0, 3.0)
+    positive, negative = losses[:, :n], rng.exponential(size=m)
+    batch = weighted_expectation(positive, negative)
+    rows = [weighted_expectation(positive[i], negative[i]) for i in range(m)]
+    assert all(type(row) is float for row in rows)
+    assert batch.shape == (m,) and batch.tobytes() == np.array(rows).tobytes()
 
 
 BOUNDED_KERNELS = st.one_of(
@@ -91,12 +106,13 @@ def test_greedy_matches_the_closed_form_at_and_above_a_quarter_kappa(
 ):
     reference, query = sample
     lam = kernel.bound() / 4.0 + excess
-    alpha, diagnostics = svm_dual_solves(*_problem(reference, query, lam, kernel),
-                                         SolverConfig(tolerance=1e-12))[0]
-    assert diagnostics.converged
+    (alpha,), (fvals,), _, _, _, (converged,) = svm_dual_solves(
+        *_problem(reference, query, lam, kernel), SolverConfig(tolerance=1e-12)
+    )
+    assert converged
     closed = svm_depth(query, reference, lam, kernel=kernel, reporting=reporting)
     assert closed.iterations == 0
-    greedy = _dual_depth(alpha, diagnostics.function_values, lam, reporting)
+    greedy = _dual_depth(alpha, fvals, lam, reporting)
     assert abs(greedy - closed.value) <= 1e-10
 
 
@@ -113,8 +129,8 @@ def test_reported_objective_exceeds_a_tight_solve_by_at_most_the_gap(sample, ker
     tight = svm_depth(query, reference, lam, kernel=kernel, reporting=Reporting.LOSS_PLUS_REG,
                       solver=SolverConfig(tolerance=1e-13))
     assert reported.converged and tight.converged
-    alpha, diagnostics = svm_dual_solves(*_problem(reference, query, lam, kernel))[0]
-    gap = svm_duality_gap(alpha, _labels(reference.shape[0]), diagnostics.function_values, lam)
+    (alpha,), (fvals,), *_ = svm_dual_solves(*_problem(reference, query, lam, kernel))
+    gap = svm_duality_gap(alpha, _labels(reference.shape[0]), fvals, lam)
     # both values are primal objectives, so each sits at or above the optimum;
     # 1e-12 absorbs the rounding of evaluating them
     assert -1e-12 <= reported.value - tight.value <= gap + 1e-12
@@ -129,8 +145,7 @@ def test_permuting_the_reference_moves_the_depth_within_the_gaps(sample, kernel,
     labels = _labels(reference.shape[0])
     values, gaps = [], []
     for rows in (reference, reference[order]):
-        alpha, diagnostics = svm_dual_solves(*_problem(rows, query, lam, kernel))[0]
-        fvals = diagnostics.function_values
+        (alpha,), (fvals,), *_ = svm_dual_solves(*_problem(rows, query, lam, kernel))
         values.append(_dual_depth(alpha, fvals, lam, Reporting.LOSS_PLUS_REG))
         gaps.append(svm_duality_gap(alpha, labels, fvals, lam))
     assert abs(values[0] - values[1]) <= max(gaps) + 1e-12
@@ -174,8 +189,8 @@ def test_rigid_motions_move_the_iterative_svm_depth_within_the_gaps(sample, kern
     for rows, point in ((reference, query), moved):
         values.append(svm_depth(point, rows, lam, kernel=kernel,
                                 reporting=Reporting.LOSS_PLUS_REG).value)
-        alpha, diagnostics = svm_dual_solves(*_problem(rows, point, lam, kernel))[0]
-        gaps.append(svm_duality_gap(alpha, labels, diagnostics.function_values, lam))
+        (alpha,), (fvals,), *_ = svm_dual_solves(*_problem(rows, point, lam, kernel))
+        gaps.append(svm_duality_gap(alpha, labels, fvals, lam))
     # both values are primal objectives of problems with one optimum
     assert abs(values[0] - values[1]) <= sum(gaps) + 1e-12
 
@@ -298,17 +313,19 @@ def test_a_starved_solve_stops_after_one_pass_inside_the_box(sample, kernel, lam
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(solvers, "DENSE_GRAM_LIMIT", 0)
         patch.setattr(solvers, "gram", counting_gram)
-        alpha, starved = svm_dual_solves(
+        (alpha,), _, _, (iterations,), (residual,), (converged,) = svm_dual_solves(
             *problem, SolverConfig(max_iterations=1, tolerance=1e-14)
-        )[0]
+        )
     assert len(updates) <= n + 1
     box = np.append(np.full(n, 1.0 / (4.0 * n * lam)), 1.0 / (4.0 * lam))
     assert np.all((alpha >= 0.0) & (alpha <= box))
     # the updates follow the same path under any budget, so the starved solve
     # is unconverged exactly when a longer one needs more than its one pass
-    _, longer = svm_dual_solves(*problem, SolverConfig(max_iterations=2, tolerance=1e-14))[0]
-    assert starved.converged == (longer.converged and longer.iterations <= 1)
-    assert starved.converged or (starved.iterations == 1 and starved.residual > 1e-14)
+    *_, (longer_iterations,), _, (longer_converged,) = svm_dual_solves(
+        *problem, SolverConfig(max_iterations=2, tolerance=1e-14)
+    )
+    assert converged == (longer_converged and longer_iterations <= 1)
+    assert converged or (iterations == 1 and residual > 1e-14)
 
 
 ITERATIVE_KERNELS = st.sampled_from(

@@ -43,6 +43,12 @@ def _hinge_problem(reference, query, lam=1.0, kernel=None, intercept=False):
     return kernel, np.asarray(reference, dtype=float), query, lam, intercept
 
 
+def _dual_solve(problem, config=None):
+    """Row 0 of each of svm_dual_solves' six columns: alpha, function values,
+    offset, iterations, residual and convergence flag of the one query."""
+    return tuple(column[0] for column in svm_dual_solves(*problem, config))
+
+
 def test_solver_config_validation():
     with pytest.raises(ValidationError):
         SolverConfig(max_iterations=0)
@@ -323,8 +329,8 @@ def test_svm_query_coincident_with_single_reference_point():
     # and every hinge term sits exactly at 1
     point = np.array([[0.3, -0.2]])
     problem = _hinge_problem(point, point[0], lam=1.0)
-    alpha, diag = svm_dual_solves(*problem)[0]
-    assert diag.converged
+    alpha, _, _, _, _, converged = _dual_solve(problem)
+    assert converged
     assert alpha == pytest.approx([0.25, 0.25], abs=1e-12)
     # dense grid over the two box-constrained duals: the solver's dual value
     # must match the best grid cell
@@ -345,11 +351,10 @@ def test_svm_far_query_decouples():
     reference = 1e-3 * rng.standard_normal((30, 2))
     query = np.array([8.0, 0.0])
     problem = _hinge_problem(reference, query, lam=1.0)
-    alpha, diag = svm_dual_solves(*problem)[0]
-    assert diag.converged
+    alpha, fvals, _, _, _, converged = _dual_solve(problem)
+    assert converged
     assert alpha[-1] == pytest.approx(0.25, abs=1e-12)
     assert float(alpha[:-1].sum()) == pytest.approx(0.25, abs=1e-3)
-    fvals = diag.function_values
     assert fvals[-1] == pytest.approx(-0.25, abs=1e-6)
     labels = np.concatenate([np.ones(30), [-1.0]])
     hinge = np.maximum(0.0, 1.0 - labels * fvals)
@@ -366,10 +371,10 @@ def test_svm_duality_gap_small_on_random_problems():
         lam = float(rng.uniform(0.05, 2.0))
         problem = _hinge_problem(reference, query, lam=lam,
                                  kernel=KernelSpec.gaussian(float(rng.uniform(0.2, 2.0))))
-        alpha, diag = svm_dual_solves(*problem, config)[0]
-        assert diag.converged
+        alpha, fvals, _, _, _, converged = _dual_solve(problem, config)
+        assert converged
         labels = np.concatenate([np.ones(20), [-1.0]])
-        gap = svm_duality_gap(alpha, labels, diag.function_values, lam)
+        gap = svm_duality_gap(alpha, labels, fvals, lam)
         assert -1e-12 <= gap <= 1e-6
 
 
@@ -378,10 +383,10 @@ def test_svm_complementary_slackness():
     reference = rng.standard_normal((25, 2))
     query = np.array([1.5, -0.5])
     problem = _hinge_problem(reference, query, lam=0.3)
-    alpha, diag = svm_dual_solves(*problem, SolverConfig(tolerance=1e-10))[0]
+    alpha, fvals, _, _, _, _ = _dual_solve(problem, SolverConfig(tolerance=1e-10))
     labels = np.concatenate([np.ones(25), [-1.0]])
     box = np.concatenate([np.full(25, 1.0 / (4 * 25 * 0.3)), [1.0 / (4 * 0.3)]])
-    margins = labels * diag.function_values
+    margins = labels * fvals
     tol = 1e-8
     assert np.all(margins[alpha <= 0.0] >= 1.0 - tol)
     assert np.all(margins[alpha >= box] <= 1.0 + tol)
@@ -393,11 +398,11 @@ def test_svm_function_values_match_recompute():
     query = np.array([0.5, 0.5])
     spec = KernelSpec.gaussian(0.7)
     problem = _hinge_problem(reference, query, kernel=spec)
-    alpha, diag = svm_dual_solves(*problem)[0]
+    alpha, fvals, _, _, _, _ = _dual_solve(problem)
     stacked = np.vstack([reference, query])
     kmat = gram(spec, stacked)
     labels = np.concatenate([np.ones(15), [-1.0]])
-    assert np.allclose(diag.function_values, kmat @ (alpha * labels), atol=1e-12)
+    assert np.allclose(fvals, kmat @ (alpha * labels), atol=1e-12)
 
 
 def test_svm_lazy_columns_agree_with_dense(monkeypatch):
@@ -416,25 +421,22 @@ def test_svm_lazy_columns_agree_with_dense(monkeypatch):
             with monkeypatch.context() as patch:
                 patch.setattr(solvers, "DENSE_GRAM_LIMIT", 0)
                 lazy = svm_dual_solves(*args)
-            for (a_dense, d_dense), (a_lazy, d_lazy) in zip(dense, lazy):
-                assert d_dense.converged and d_lazy.converged
-                if spec.family == "linear":
-                    assert np.allclose(a_dense, a_lazy, atol=1e-12)
-                    continue
-                assert np.array_equal(a_dense, a_lazy)
-                assert np.array_equal(d_dense.function_values, d_lazy.function_values)
-                assert d_dense.iterations == d_lazy.iterations
-                assert d_dense.offset == d_lazy.offset
+            assert dense[5].all() and lazy[5].all()
+            if spec.family == "linear":
+                assert np.allclose(dense[0], lazy[0], atol=1e-12)
+                continue
+            for column_dense, column_lazy in zip(dense[:4], lazy[:4]):
+                # alpha, function values, offsets and iterations
+                assert np.array_equal(column_dense, column_lazy)
 
 
 def test_svm_degenerate_kernel_coordinates_are_pinned():
     # a linear kernel sends the origin to a zero gram column; that dual
-    # coordinate is pinned at its box bound and flagged
+    # coordinate is pinned at its box bound
     reference = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
     query = np.array([2.0, 2.0])
     problem = _hinge_problem(reference, query, kernel=KernelSpec.linear())
-    alpha, diag = svm_dual_solves(*problem)[0]
-    assert diag.degenerate_coordinates == 1
+    alpha = _dual_solve(problem)[0]
     assert alpha[0] == pytest.approx(1.0 / 12.0)  # its box bound 1/(4 n lam)
 
 
@@ -443,8 +445,8 @@ def test_svm_sweeps_are_deterministic():
     reference = rng.standard_normal((30, 2))
     query = np.array([1.0, 1.0])
     problem = _hinge_problem(reference, query)
-    a1, _ = svm_dual_solves(*problem)[0]
-    a2, _ = svm_dual_solves(*problem)[0]
+    a1 = _dual_solve(problem)[0]
+    a2 = _dual_solve(problem)[0]
     assert np.array_equal(a1, a2)
 
 
@@ -452,9 +454,11 @@ def test_svm_nonconvergence_is_soft():
     # below kappa/4, where one pass of greedy updates stops short of the optimum
     rng = np.random.default_rng(31)
     problem = _hinge_problem(rng.standard_normal((50, 2)), [0.0, 0.0], lam=0.1)
-    alpha, diag = svm_dual_solves(*problem, SolverConfig(max_iterations=1, tolerance=1e-14))[0]
-    assert not diag.converged
-    assert diag.residual > 1e-14
+    alpha, _, _, _, residual, converged = _dual_solve(
+        problem, SolverConfig(max_iterations=1, tolerance=1e-14)
+    )
+    assert not converged
+    assert residual > 1e-14
     assert np.all((alpha >= 0.0) & np.isfinite(alpha))
 
 
@@ -463,13 +467,12 @@ def test_smo_with_intercept_keeps_equality_constraint():
     reference = rng.standard_normal((20, 2)) + 1.0
     query = np.array([-2.0, -2.0])
     problem = _hinge_problem(reference, query, intercept=True)
-    alpha, diag = svm_dual_solves(*problem)[0]
+    alpha, fvals, _, _, _, _ = _dual_solve(problem)
     labels = np.concatenate([np.ones(20), [-1.0]])
     assert abs(float(alpha @ labels)) <= 1e-12
-    assert diag.function_values is not None
     spec = KernelSpec.gaussian(1.0)
     kmat = gram(spec, np.vstack([reference, query]))
-    assert np.allclose(diag.function_values, kmat @ (alpha * labels), atol=1e-9)
+    assert np.allclose(fvals, kmat @ (alpha * labels), atol=1e-9)
 
 
 def test_svm_offset_free_coordinate_median():
@@ -530,14 +533,15 @@ def test_svm_supplied_reference_gram_gives_the_bordered_matrix_bits():
     cfg = SolverConfig(tolerance=1e-10)
     for intercept, solve in ((False, solvers._greedy_ascent), (True, solvers._pairwise_smo)):
         solved = svm_dual_solves(spec, reference, queries, 0.02, intercept, cfg)
-        for query, (alpha, diagnostics) in zip(queries, solved):
+        for i, query in enumerate(queries):
             kmat = gram(spec, np.vstack([reference, query]))
-            signed, expected = solve(labels, np.zeros(31), lo, hi, np.zeros(31),
-                                     np.diagonal(kmat), kmat.__getitem__, cfg)
-            assert diagnostics.iterations == expected.iterations > 0
-            assert np.array_equal(alpha, np.abs(signed))
-            assert np.array_equal(diagnostics.function_values, expected.function_values)
-            assert diagnostics.offset == expected.offset
+            signed, *expected = solve(labels, np.zeros(31), lo, hi, np.zeros(31),
+                                      np.diagonal(kmat), kmat.__getitem__, cfg)
+            assert solved[3][i] == expected[2] > 0  # iterations
+            assert np.array_equal(solved[0][i], np.abs(signed))
+            for column, value in zip(solved[1:], expected):
+                # function values, offset, iterations, residual and flag
+                assert np.array_equal(column[i], value)
 
 
 def test_dual_solvers_refuse_a_kernel_diagonal_that_is_not_finite(monkeypatch):
