@@ -37,7 +37,7 @@ from .experiments import (
     rank_correlation_experiment,
     stratified_split,
 )
-from .io import ExperimentReport, ReportTable, read_csv, report_to_json, table_to_csv, write_report
+from .io import ExperimentReport, ReportTable, read_csv, render_report, write_report
 from .kernels import KernelSpec, median_heuristic
 from .solvers import SolverConfig
 
@@ -174,11 +174,9 @@ def _emit(report: ExperimentReport, args) -> None:
     if args.output:
         for path in write_report(report, args.output, args.format):
             print(path)
-    elif args.format == "json":
-        sys.stdout.write(report_to_json(report))
     else:
-        for table in report.tables:
-            sys.stdout.write(table_to_csv(table))
+        for _, text in render_report(report, args.format):
+            sys.stdout.write(text)
 
 
 def cmd_depth(args) -> int:
@@ -208,20 +206,16 @@ def cmd_depth(args) -> int:
     )
     batch = depth_batch(request)
 
-    depths = ReportTable("depths", ("query", "depth", "converged", "iterations", "residual"))
-    for row in zip(
-        range(batch.values.size), batch.values.tolist(), batch.converged.tolist(),
-        batch.iterations.tolist(), batch.residuals.tolist(),
-    ):
-        depths.append(*row)
-    tables = [depths]
+    columns = (batch.values, batch.converged, batch.iterations, batch.residuals)
+    tables = [ReportTable("depths", ("query", "depth", "converged", "iterations", "residual"),
+                          zip(range(batch.values.size), *(c.tolist() for c in columns)))]
     if args.coefficients:
-        coefficients = ReportTable("coefficients", ("query", "coefficient", "value"))
-        if batch.coefficients is not None:  # halfspace depths have none
-            for i, row in enumerate(batch.coefficients.tolist()):
-                for j, value in enumerate(row):
-                    coefficients.append(i, j, value)
-        tables.append(coefficients)
+        # halfspace depths have no coefficients
+        values = np.empty((0, 0)) if batch.coefficients is None else batch.coefficients
+        m, p = values.shape
+        query, coefficient = np.repeat(np.arange(m), p), np.tile(np.arange(p), m)
+        rows = zip(query.tolist(), coefficient.tolist(), values.ravel().tolist())
+        tables.append(ReportTable("coefficients", ("query", "coefficient", "value"), rows))
 
     report = ExperimentReport(
         name="depth",
@@ -279,9 +273,8 @@ def cmd_benchmark(args) -> int:
         nu=args.ocsvm_nu,
         solver=solver,
     )
-    table = ReportTable("auc", ("method", "parameter", "auc"))
-    for row in rows:
-        table.append(row.method, row.parameter, row.auc)
+    table = ReportTable("auc", ("method", "parameter", "auc"),
+                        [(row.method, row.parameter, row.auc) for row in rows])
     report = ExperimentReport(
         name="benchmark",
         config={
@@ -324,11 +317,10 @@ def cmd_convergence(args) -> int:
         n_reference=args.n_ref,
         query=np.asarray(args.query, dtype=float) if args.query is not None else None,
     )
-    errors = ReportTable("convergence", ("n", "mean_error"))
-    for n, mean in zip(result.n_grid, result.mean_errors):
-        errors.append(int(n), float(mean))
-    summary = ReportTable("summary", ("slope", "reference_depth", "n_reference"))
-    summary.append(result.slope, result.reference_value, result.n_reference)
+    errors = ReportTable("convergence", ("n", "mean_error"),
+                         zip(result.n_grid, result.mean_errors.tolist()))
+    summary = ReportTable("summary", ("slope", "reference_depth", "n_reference"),
+                          [(result.slope, result.reference_value, result.n_reference)])
     report = ExperimentReport(
         name="convergence",
         config={
@@ -388,12 +380,10 @@ def cmd_grid(args) -> int:
     scan = contamination_grid(
         data, score_fn, resolution=args.resolution, quantiles=args.quantiles
     )
-    grid_table = ReportTable("grid", ("x", "y", "score"))
-    for (x, y), score in zip(scan.points, scan.scores):
-        grid_table.append(float(x), float(y), float(score))
-    threshold_table = ReportTable("thresholds", ("quantile", "threshold"))
-    for level, threshold in zip(scan.quantiles, scan.thresholds):
-        threshold_table.append(float(level), float(threshold))
+    grid_table = ReportTable("grid", ("x", "y", "score"),
+                             np.column_stack([scan.points, scan.scores]).tolist())
+    threshold_table = ReportTable("thresholds", ("quantile", "threshold"),
+                                  zip(scan.quantiles, scan.thresholds.tolist()))
     report = ExperimentReport(
         name="grid",
         config={
@@ -420,7 +410,6 @@ def cmd_grid(args) -> int:
 
 def cmd_rankcorr(args) -> int:
     solver = _solver_from(args, default_tolerance=1e-6)
-    table = ReportTable("rankcorr", ("method", "d", "run", "kendall", "spearman"))
     for method in args.methods:
         if method not in ("lr", "svm"):
             raise ValidationError(f"rankcorr supports lr and svm, got {method!r}")
@@ -437,27 +426,21 @@ def cmd_rankcorr(args) -> int:
             "gaussian(gamma=median-heuristic)" if args.kernel == "gaussian" and args.gamma is None
             else _kernel_label(_resolve_kernel(args, None))
         )
-    for method in args.methods:
-        def score_fn(sample, method=method):
-            scorer = depth_scorer(
-                _METHOD_NAMES[method],
-                sample,
-                lam=args.lam,
-                kernel=_resolve_kernel(args, sample) if method == "svm" else None,
-                solver=solver,
-                require_convergence=False,
-            )
-            return scorer(sample)
 
-        rows = rank_correlation_experiment(
-            score_fn,
-            d_grid=args.d_grid,
-            n=args.n,
-            runs=args.runs,
-            master_seed=args.seed,
+    def score_fn(method, sample):
+        kernel = _resolve_kernel(args, sample) if method == "svm" else None
+        scorer = depth_scorer(_METHOD_NAMES[method], sample, lam=args.lam, kernel=kernel,
+                              solver=solver, require_convergence=False)
+        return scorer(sample)
+
+    table = ReportTable("rankcorr", ("method", "d", "run", "kendall", "spearman"), [
+        (method, row.d, row.run, row.kendall, row.spearman)
+        for method in args.methods
+        for row in rank_correlation_experiment(
+            functools.partial(score_fn, method),
+            d_grid=args.d_grid, n=args.n, runs=args.runs, master_seed=args.seed,
         )
-        for row in rows:
-            table.append(method, row.d, row.run, row.kendall, row.spearman)
+    ])
     report = ExperimentReport(name="rankcorr", config=config, tables=[table])
     _emit(report, args)
     return EXIT_OK

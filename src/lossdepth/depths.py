@@ -161,6 +161,13 @@ def _halfspace_sweep_2d(dx: np.ndarray, dy: np.ndarray) -> np.ndarray:
     return np.minimum(start + cmin, n + dups - (start + cmax))
 
 
+def _side_counts(points: np.ndarray, z: np.ndarray, directions: np.ndarray):
+    """Per direction u, the counts of reference points x with <u, x - z> <= 0
+    and with <u, x - z> >= 0: those on each closed side of the hyperplane."""
+    margins = (points - z) @ directions.T
+    return np.count_nonzero(margins <= 0.0, axis=0), np.count_nonzero(margins >= 0.0, axis=0)
+
+
 def _halfspace_random(points: np.ndarray, queries: np.ndarray, config: HalfspaceConfig):
     """Smallest closed-halfspace fraction over the seeded directions, drawn once
     for all queries; each query projects the reference on its own."""
@@ -171,9 +178,7 @@ def _halfspace_random(points: np.ndarray, queries: np.ndarray, config: Halfspace
     directions[norms == 0.0, 0] = 1.0
     counts = np.empty(queries.shape[0])
     for i, z in enumerate(queries):
-        scores = (points - z) @ directions.T
-        above = np.count_nonzero(scores >= 0.0, axis=0)
-        below = np.count_nonzero(scores <= 0.0, axis=0)
+        below, above = _side_counts(points, z, directions)
         counts[i] = np.minimum(above, below).min()
     return counts / points.shape[0]
 
@@ -250,15 +255,12 @@ def halfspace_depth_as_loss(query, reference, directions, strict: bool = False) 
         raise ValidationError("directions contain non-finite entries")
     if np.any(np.all(dirs == 0.0, axis=1)):
         raise ValidationError("directions must be non-zero")
-    margins = (ref.values - request.queries[0]) @ dirs.T
-    if strict:
-        counts = np.count_nonzero(margins < 0.0, axis=0)
-    else:
-        counts = np.count_nonzero(margins <= 0.0, axis=0)
-    n = ref.n
+    below, above = _side_counts(ref.values, request.queries[0], dirs)
+    # strictly below is all but the points on or above
+    counts = ref.n - above if strict else below
     # weighted zero-one loss of direction u: count/(2n) for the reference side
     # plus 0 for the query, doubled
-    return float(counts.min()) / n
+    return float(counts.min()) / ref.n
 
 
 def logistic_depth(

@@ -202,8 +202,8 @@ def convergence_experiment(
     if d < 1:
         raise ValidationError("d must be >= 1")
     grid = tuple(int(n) for n in n_grid)
-    if len(grid) < 2:
-        raise ValidationError("convergence needs at least two sample sizes")
+    if len(set(grid)) < 2:
+        raise ValidationError("convergence needs at least two distinct sample sizes")
     if any(n < 1 for n in grid):
         raise ValidationError("sample sizes must be >= 1")
     if repeats < 1:

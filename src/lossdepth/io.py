@@ -4,10 +4,12 @@ CSV reading is strict: ragged rows and non-numeric cells fail with the file
 line and column in the message rather than silently dropping data.  A
 regular file is converted by numpy's tokenizer in one pass, without a Python
 object per cell; anything it rejects is read again cell by cell, which gives
-the same values and names the fault.  Reports serialise deterministically;
-floats are written with 17 significant digits, which round-trips the binary
-value exactly, and files land atomically via a rename, with the mode a plain
-open() would give them, so readers never observe a half-written report.
+the same values and names the fault.  Only this module knows the csv and
+json report layouts, and one function writes every cell of both: floats with
+17 significant digits, which round-trips the binary value exactly, numpy
+scalars as their Python values.  Files land atomically via a rename, with
+the mode a plain open() would give them, so readers never observe a
+half-written report.
 """
 from __future__ import annotations
 
@@ -247,22 +249,9 @@ def format_float(value: float) -> str:
     return format(float(value), ".17g")
 
 
-def _format_cell(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, (bool, np.bool_)):
-        return "true" if value else "false"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, (float, np.floating)):
-        return format_float(value)
-    if isinstance(value, str):
-        return value
-    raise ValidationError(f"cannot serialise a cell of type {type(value).__name__}")
-
-
 @dataclass(eq=False)
 class ReportTable:
+    """Named columns and the rows given when the table is built."""
     name: str
     columns: tuple
     rows: list = field(default_factory=list)
@@ -275,13 +264,12 @@ class ReportTable:
         self.columns = tuple(str(c) for c in self.columns)
         if not self.columns:
             raise ValidationError(f"table {self.name!r} needs at least one column")
-
-    def append(self, *cells) -> None:
-        if len(cells) != len(self.columns):
-            raise ValidationError(
-                f"table {self.name!r} expects {len(self.columns)} cells, got {len(cells)}"
-            )
-        self.rows.append(tuple(cells))
+        self.rows = list(self.rows)
+        for row in self.rows:
+            if len(row) != len(self.columns):
+                raise ValidationError(
+                    f"table {self.name!r} expects {len(self.columns)} cells, got {len(row)}"
+                )
 
 
 @dataclass(eq=False)
@@ -331,8 +319,9 @@ def _atomic_write_text(path: str, text: str) -> None:
 
 
 def _cell_text(value) -> str:
-    """_format_cell's text, with the common cell types matched exactly first
-    (a numpy scalar is not one of them and goes through _format_cell)."""
+    """A float's 17 significant digits, true or false, an integer's digits,
+    empty for None, or a string as is.  Exact types are matched first; a numpy
+    scalar is written as its Python value, and a longdouble, with none, refused."""
     kind = type(value)
     if kind is float:
         return format(value, ".17g")
@@ -340,7 +329,17 @@ def _cell_text(value) -> str:
         return "true" if value else "false"
     if kind is int:
         return str(value)
-    return _format_cell(value)
+    if isinstance(value, np.generic) and not isinstance(item := value.item(), np.generic):
+        return _cell_text(item)
+    if value is None:
+        return ""
+    if isinstance(value, str):
+        return value
+    if isinstance(value, int):
+        return str(int(value))
+    if isinstance(value, float):
+        return format_float(value)
+    raise ValidationError(f"cannot serialise a cell of type {type(value).__name__}")
 
 
 def table_to_csv(table: ReportTable) -> str:
@@ -355,14 +354,6 @@ def _json_text(value, pieces: list, level: int) -> None:
     pad = "  " * (level + 1)
     if value is None:
         pieces.append("null")
-    elif isinstance(value, (bool, np.bool_)):
-        pieces.append("true" if value else "false")
-    elif isinstance(value, (int, np.integer)):
-        pieces.append(str(int(value)))
-    elif isinstance(value, (float, np.floating)):
-        if not np.isfinite(value):
-            raise ValidationError("json reports cannot hold non-finite numbers")
-        pieces.append(format_float(value))
     elif isinstance(value, str):
         pieces.append(json.dumps(value))
     elif isinstance(value, dict):
@@ -389,7 +380,10 @@ def _json_text(value, pieces: list, level: int) -> None:
             pieces.append(",\n" if i + 1 < len(items) else "\n")
         pieces.append("  " * level + "]")
     else:
-        raise ValidationError(f"cannot serialise a value of type {type(value).__name__}")
+        text = _cell_text(value)
+        if text in ("nan", "inf", "-inf"):
+            raise ValidationError("json reports cannot hold non-finite numbers")
+        pieces.append(text)
 
 
 def report_to_json(report: ExperimentReport) -> str:
@@ -407,27 +401,29 @@ def report_to_json(report: ExperimentReport) -> str:
     return "".join(pieces)
 
 
+def render_report(report: ExperimentReport, fmt: str) -> list:
+    """The report as (name, text) pieces: the json document, config included,
+    named after the report, or one csv text per table, named after the table."""
+    if fmt == "json":
+        return [(report.name, report_to_json(report))]
+    if fmt != "csv":
+        raise ValidationError(f"unknown report format {fmt!r}")
+    return [(table.name, table_to_csv(table)) for table in report.tables]
+
+
 def write_report(report: ExperimentReport, path, fmt: str = "csv") -> list:
     """Serialise the report and return the paths written.
 
-    csv: the first table lands at the given path and each further table at a
-    sibling file with the table name spliced in before the extension.
-    json: everything, config included, lands in the one file.
+    The first piece of render_report lands at the given path and each further
+    csv table at a sibling file with its name spliced in before the extension.
     """
     if not report.tables:
         raise ValidationError("report has no tables to write")
     path = str(path)
-    if fmt == "json":
-        _atomic_write_text(path, report_to_json(report))
-        return [path]
-    if fmt != "csv":
-        raise ValidationError(f"unknown report format {fmt!r}")
     base, ext = os.path.splitext(path)
-    if not ext:
-        ext = ".csv"
     written = []
-    for i, table in enumerate(report.tables):
-        target = path if i == 0 else f"{base}.{table.name}{ext}"
-        _atomic_write_text(target, table_to_csv(table))
+    for i, (name, text) in enumerate(render_report(report, fmt)):
+        target = path if i == 0 else f"{base}.{name}{ext or '.csv'}"
+        _atomic_write_text(target, text)
         written.append(target)
     return written

@@ -1,5 +1,6 @@
 """End-to-end runs of the command line front end."""
 import argparse
+import csv
 import json
 import os
 import re
@@ -517,6 +518,48 @@ def test_rankcorr_echoes_the_kernel(capsys):
     assert "kernel" not in json.loads(capsys.readouterr().out)["config"]
 
 
+REPORT_COMMANDS = {
+    "depth": ["depth", "{reference}", "{queries}", "--coefficients"],
+    "grid": ["grid", "--contaminated", "--method", "lr", "--n", "30", "--resolution", "3"],
+    "rankcorr": ["rankcorr", "--n", "20", "--runs", "2", "--tolerance", "1e-5"],
+    "convergence": ["convergence", "--method", "lr", "--n-grid", "20,40", "--repeats", "2",
+                    "--n-ref", "100", "--tolerance", "1e-5"],
+    "benchmark": ["benchmark", "{labeled}", "--split", "--label-column", "2", "--lof-k", "3,5",
+                  "--tolerance", "1e-5"],
+}
+
+
+def _same_cell(text, value) -> bool:
+    """Whether a CSV cell read back carries the JSON cell's value."""
+    if value is None:
+        return text == ""
+    if isinstance(value, bool):
+        return text == ("true" if value else "false")
+    if isinstance(value, (int, float)):
+        return type(value)(text) == value
+    return text == value
+
+
+@pytest.mark.parametrize("case", sorted(REPORT_COMMANDS))
+def test_csv_and_json_reports_carry_the_same_cells(case, sample_files, labeled_file, tmp_path):
+    reference, queries = sample_files
+    argv = [part.format(reference=reference, queries=queries, labeled=labeled_file)
+            for part in REPORT_COMMANDS[case]]
+    for fmt in ("csv", "json"):
+        out = str(tmp_path / f"report.{fmt}")
+        assert cli.main(argv + ["--format", fmt, "--output", out]) == cli.EXIT_OK
+    tables = json.loads((tmp_path / "report.json").read_text())["tables"]
+    assert tables
+    for i, table in enumerate(tables):
+        path = tmp_path / ("report.csv" if i == 0 else f"report.{table['name']}.csv")
+        with open(path, newline="") as handle:
+            header, *rows = csv.reader(handle)
+        assert header == table["columns"] and len(rows) == len(table["rows"]) > 0
+        for csv_row, json_row in zip(rows, table["rows"]):
+            assert len(csv_row) == len(json_row)
+            assert all(map(_same_cell, csv_row, json_row)), (csv_row, json_row)
+
+
 def test_rankcorr_rejects_unsupported_method(capsys):
     code = cli.main(["rankcorr", "--methods", "halfspace", "--runs", "1"])
     assert code == cli.EXIT_INVALID
@@ -724,6 +767,16 @@ def test_a_dimension_below_one_exits_two_before_any_sample(argv, capsys):
     assert cli.main(argv) == cli.EXIT_INVALID
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err == "error: d must be >= 1\n"
+
+
+def test_convergence_with_one_distinct_grid_size_exits_two(capsys):
+    # before, numpy warned that the fit was poorly conditioned and the command
+    # printed a meaningless slope with exit 0
+    argv = ["convergence", "--n-grid", "50,50", "--repeats", "2", "--n-ref", "200"]
+    assert cli.main(argv) == cli.EXIT_INVALID
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: convergence needs at least two distinct sample sizes\n"
 
 
 @pytest.mark.parametrize("flags, name", [

@@ -179,6 +179,14 @@ def test_convergence_experiment_validation():
         convergence_experiment(fn, n_grid=(20, 40), repeats=2, n_reference=100)
 
 
+def test_convergence_experiment_refuses_a_grid_with_one_distinct_size():
+    # before, the rate fit over one distinct log n warned that it was poorly
+    # conditioned and returned a meaningless slope
+    fn = lambda sample, query: float(sample.mean())
+    with pytest.raises(ValidationError, match="two distinct sample sizes"):
+        convergence_experiment(fn, n_grid=(50, 50), repeats=2, n_reference=200)
+
+
 def test_rank_correlation_rows_and_determinism():
     def score_fn(sample):
         scorer = depth_scorer(METHOD_LOGISTIC, sample,

@@ -249,16 +249,14 @@ def test_format_float_round_trips_exactly():
 
 
 def test_table_to_csv_cell_conventions():
-    table = ReportTable("main", ("n", "ok", "err", "note"))
-    table.append(3, True, 0.1, "x")
-    table.append(4, False, None, "")
+    table = ReportTable("main", ("n", "ok", "err", "note"),
+                        [(3, True, 0.1, "x"), (4, False, None, "")])
     expected = "n,ok,err,note\n3,true,0.10000000000000001,x\n4,false,,\n"
     assert table_to_csv(table) == expected
 
 
 def test_table_rejects_unserialisable_cell():
-    table = ReportTable("main", ("a",))
-    table.append(object())
+    table = ReportTable("main", ("a",), [(object(),)])
     with pytest.raises(ValidationError, match="cannot serialise"):
         table_to_csv(table)
 
@@ -270,9 +268,17 @@ def test_report_table_validation():
         ReportTable("has space", ("a",))
     with pytest.raises(ValidationError):
         ReportTable("ok", ())
-    table = ReportTable("ok-1_b", ("a", "b"))
     with pytest.raises(ValidationError, match="expects 2 cells"):
-        table.append(1)
+        ReportTable("ok-1_b", ("a", "b"), [(1,)])
+
+
+def test_report_table_refuses_ragged_rows():
+    # before, rows given to the constructor skipped the width check and
+    # table_to_csv wrote "a,b\n1\n1,2,3\n"
+    with pytest.raises(ValidationError, match="expects 2 cells, got 1"):
+        ReportTable("t", ("a", "b"), rows=[(1,), (1, 2, 3)])
+    with pytest.raises(ValidationError, match="expects 2 cells, got 3"):
+        ReportTable("t", ("a", "b"), rows=[(1, 2), (1, 2, 3)])
 
 
 def test_experiment_report_requires_seed():
@@ -297,11 +303,8 @@ def test_experiment_report_table_lookup():
 
 
 def _sample_report():
-    first = ReportTable("depths", ("i", "value"))
-    first.append(0, 0.25)
-    first.append(1, 0.5)
-    second = ReportTable("meta", ("key", "val"))
-    second.append("n", 2)
+    first = ReportTable("depths", ("i", "value"), [(0, 0.25), (1, 0.5)])
+    second = ReportTable("meta", ("key", "val"), [("n", 2)])
     return ExperimentReport("demo", {"seed": 7, "lam": 1.0}, [first, second])
 
 
@@ -384,8 +387,7 @@ def test_write_report_validation(tmp_path):
 
 
 def test_report_json_handles_numpy_scalars():
-    table = ReportTable("t", ("a", "b"))
-    table.append(np.int64(3), np.float64(0.5))
+    table = ReportTable("t", ("a", "b"), [(np.int64(3), np.float64(0.5))])
     report = ExperimentReport("run", {"seed": np.int64(1)}, [table])
     text = report_to_json(report)
     assert json.loads(text)["tables"][0]["rows"] == [[3, 0.5]]
@@ -393,8 +395,7 @@ def test_report_json_handles_numpy_scalars():
 
 
 def test_report_json_rejects_non_finite():
-    table = ReportTable("t", ("a",))
-    table.append(float("nan"))
+    table = ReportTable("t", ("a",), [(float("nan"),)])
     report = ExperimentReport("run", {"seed": 0}, [table])
     with pytest.raises(ValidationError, match="non-finite"):
         report_to_json(report)

@@ -14,9 +14,11 @@ translation invariant.  An iterative kernel depth has the same bits alone
 and in any batch, with the reference Gram held densely or read column by
 column.  On generated CSV text, the bulk reader gives the cell loop's
 values, labels and error messages.  On generated report rows, the CSV report
-has the bytes of csv.writer over the generic cell formatter.
+has the bytes of csv.writer over the cell rules written out here, and the
+JSON report reads back as the cells' values, or refuses a non-finite one.
 """
 import csv
+import json
 from io import StringIO
 
 import numpy as np
@@ -549,18 +551,60 @@ REPORT_CELLS = st.one_of(
 )
 
 
-@settings(max_examples=300)
-@given(st.integers(1, 5).flatmap(lambda width: st.tuples(
+REPORT_TABLES = st.integers(1, 5).flatmap(lambda width: st.tuples(
     st.just(width), st.lists(st.lists(REPORT_CELLS, min_size=width, max_size=width), max_size=8)
-)))
-def test_report_csv_cells_match_the_writer_over_format_cell(table_shape):
+))
+
+
+def _cell_rule(value) -> str:
+    """The report cell rules, written out."""
+    if value is None:
+        return ""
+    if isinstance(value, (bool, np.bool_)):
+        return "true" if value else "false"
+    if isinstance(value, (int, np.integer)):
+        return str(int(value))
+    if isinstance(value, (float, np.floating)):
+        return format(float(value), ".17g")
+    return value
+
+
+@settings(max_examples=300)
+@given(REPORT_TABLES)
+def test_report_csv_cells_match_the_writer_over_the_cell_rules(table_shape):
     width, rows = table_shape
-    table = io.ReportTable("t", [f"c{j}" for j in range(width)])
-    for row in rows:
-        table.append(*row)
+    table = io.ReportTable("t", [f"c{j}" for j in range(width)], rows)
     buffer = StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(table.columns)
-    for row in table.rows:
-        writer.writerow([io._format_cell(c) for c in row])
+    for row in rows:
+        writer.writerow([_cell_rule(c) for c in row])
     assert io.table_to_csv(table) == buffer.getvalue()
+
+
+def _json_cell_is(item, value) -> bool:
+    """Whether a cell read back from a json report carries the value."""
+    if value is None or isinstance(value, str):
+        return item == value
+    if isinstance(value, (bool, np.bool_)):
+        return item is bool(value)
+    if isinstance(value, (int, np.integer)):
+        return type(item) is int and item == int(value)
+    return float(item) == value  # a negative zero reads back as 0
+
+
+@settings(max_examples=300)
+@given(REPORT_TABLES)
+def test_report_json_cells_read_back_as_their_values(table_shape):
+    width, rows = table_shape
+    table = io.ReportTable("t", [f"c{j}" for j in range(width)], rows)
+    report = io.ExperimentReport("r", {"seed": 0}, [table])
+    floats = [c for row in rows for c in row if isinstance(c, (float, np.floating))]
+    if not all(np.isfinite(floats)):
+        with pytest.raises(ValidationError, match="non-finite"):
+            io.report_to_json(report)
+        return
+    read = json.loads(io.report_to_json(report))["tables"][0]["rows"]
+    assert len(read) == len(rows)
+    for row, items in zip(rows, read):
+        assert all(map(_json_cell_is, items, row)), (row, items)
