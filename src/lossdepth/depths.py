@@ -17,11 +17,13 @@ or many.  The halfspace depth: the exact 1-d depth sorts the reference once,
 the exact 2-d depth sweeps half the circle of directions with one sort of n
 angle keys per query, in blocks of queries, and random directions are drawn
 once per batch.  The logistic depth: one lockstep Newton solve per
-cache-sized block of queries.  The kernel depth: without an intercept, with
-a bounded kernel of constant diagonal kappa and lam >= kappa/4, in closed
-form: one pass for the reference row means, then one gram call per block of
-queries; otherwise one dual solve per query, in request order, against
-labels, box and reference Gram built once per batch.
+cache-sized block of queries, against the augmented reference and, in low
+dimension, its coordinate-pair products, both built once per batch.  The
+kernel depth: without an intercept, with a bounded kernel of constant
+diagonal kappa and lam >= kappa/4, in closed form: one pass for the
+reference row means, then one gram call per block of queries; otherwise
+one dual solve per query, in request order, against labels, box and
+reference Gram built once per batch.
 """
 from __future__ import annotations
 
@@ -45,6 +47,7 @@ from .solvers import (
     augment,
     logistic_block_solve,
     logistic_features,
+    logistic_pairs,
     svm_dual_solves,
 )
 
@@ -288,9 +291,14 @@ def logistic_depth(
     return depth_batch(request).result(0)
 
 
-# Entries of the largest per-block array, the (block, D, max(n, D)) Hessian
-# product and Hessians, per lockstep Newton block: 1 MiB of float64, about
-# 2^15 query-reference pairs at D = 3, and one query per block at large D.
+# A lockstep Newton block holds LOGISTIC_BLOCK_ENTRIES // (D max(n, D))
+# queries, one at large D.  Up to solvers.PAIR_HESSIAN_MAX_DIM its largest
+# arrays are the (block, n + 1) margins, exps and curvatures, each about
+# 1/D of this; above it, the stacked Hessian product's (block, D, n)
+# temporary and the Hessians hold about this many entries (1 MiB of float64).
+# Pair path, big-reference lr (n = 4000, D = 3, 96 queries), median call time
+# over 3 interleaved runs of 15 calls, one BLAS thread, 2-CPU host: 2^15
+# 36-51 ms, 2^16 29-35, 2^17 21-27, 2^18 22-27, 2^19 28-33.
 LOGISTIC_BLOCK_ENTRIES = 1 << 17
 
 
@@ -305,11 +313,13 @@ def _logistic_depths(
 ) -> BatchResult:
     """Logistic depths of every query, one lockstep Newton block at a time.
 
-    The augmented reference is built once; a block's Hessian product holds
-    about LOGISTIC_BLOCK_ENTRIES values, and each query's result depends on
-    its own row only, so a query gets the same bits alone or in any batch.
+    The augmented reference and its coordinate-pair products (None above
+    solvers.PAIR_HESSIAN_MAX_DIM) are built once per batch; blocks are sized
+    by LOGISTIC_BLOCK_ENTRIES, and each query's result depends on its own row
+    only, so a query gets the same bits alone or in any batch.
     """
     features = logistic_features(reference, intercept)
+    pairs = logistic_pairs(features)
     rows = augment(queries, intercept)
     dim, n = features.shape
     m = rows.shape[0]
@@ -319,7 +329,7 @@ def _logistic_depths(
     for start in range(0, m, size):
         block = slice(start, start + size)
         weights[block], values[block], iterations[block], residuals[block], converged[block] = (
-            logistic_block_solve(features, rows[block], lam, solver)
+            logistic_block_solve(features, pairs, rows[block], lam, solver)
         )
     if reporting is Reporting.LOSS_PLUS_REG:
         # one dot per row: an einsum over the rows rounds differently

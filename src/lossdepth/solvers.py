@@ -6,15 +6,18 @@ logistic depth runs damped Newton with Armijo backtracking on the
 ridge-penalised expected log-loss, for a block of queries in lockstep, each
 with its own line search and stopping rule (logistic_block_solve); the
 block shares one evaluated start row at w = 0, and each full step's
-evaluation is the new state.  The kernel hinge depth solves the box
-constrained dual of the weighted SVM, one query at a time, by greedy
-maximal-violation coordinate ascent without an intercept (the default), or
-by maximal-violating-pair updates that keep the balance constraint when an
-unpenalised intercept is requested (svm_dual_solves).  Both solves return
-one array per quantity, with a row per query, and every weighted loss is
-core.weighted_expectation.  The two dual solvers read the kernel through
-the same column and diagonal interface and return the same six fields for
-one query.  Up to DENSE_GRAM_LIMIT reference rows a column
+evaluation is the new state.  Up to PAIR_HESSIAN_MAX_DIM coordinates, the
+Hessians come from the reference's coordinate-pair products, prepared once
+per batch (logistic_pairs) and contracted against each row's curvature by
+einsum; above it, from a stacked matrix product.  The kernel hinge depth
+solves the box constrained dual of the weighted SVM, one query at a time,
+by greedy maximal-violation coordinate ascent without an intercept (the
+default), or by maximal-violating-pair updates that keep the balance
+constraint when an unpenalised intercept is requested (svm_dual_solves).
+Both solves return one array per quantity, with a row per query, and every
+weighted loss is core.weighted_expectation.  The two dual solvers read the
+kernel through the same column and diagonal interface and return the same
+six fields for one query.  Up to DENSE_GRAM_LIMIT reference rows a column
 is a row of one (n+1) x (n+1) kernel matrix per batch, whose last row and
 column each query overwrites; above it, columns are computed on demand.
 The pairwise solver also fits the one-class SVM baseline, whose dual has
@@ -22,6 +25,7 @@ the same form.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -33,6 +37,13 @@ from .kernels import KernelSpec, gram
 _EPS = float(np.finfo(float).eps)
 _MAX_HALVINGS = 60  # bounds the line search: 2**-60 of a step is far below rounding
 DENSE_GRAM_LIMIT = 3000  # largest reference n whose kernel matrix is held densely
+# Largest D whose Hessians are built from coordinate-pair products.  Per
+# block Hessian, at the block size depths._logistic_depths picks, one BLAS
+# thread on a 2-CPU host: the pair path was 1.35-2.2x faster than the stacked
+# product for D <= 5 at n = 250-4000 and even (0.99-1.00x) at n = 16000; at
+# D = 6 it ranged 0.93-1.48x, and at D = 7-8 0.82-1.34x, slower for most
+# n >= 1000.
+PAIR_HESSIAN_MAX_DIM = 5
 
 
 @dataclass(frozen=True)
@@ -66,7 +77,8 @@ def augment(points: np.ndarray, intercept: bool) -> np.ndarray:
 
 
 def _logistic_evaluate(
-    weights: np.ndarray, features: np.ndarray, queries: np.ndarray, lam: float
+    weights: np.ndarray, features: np.ndarray, queries: np.ndarray, lam: float,
+    work: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Signed margins, exp(-|signed margin|), weighted log-loss and objective
     value of each row of weights against its own row of queries.
@@ -79,6 +91,8 @@ def _logistic_evaluate(
     overflows.  The margins are contracted over the D coordinates by einsum,
     never by a matrix product, whose rounding could depend on how many rows
     there are: each row's bits depend on its own weights and query alone.
+    The pointwise losses are written into work, the solve's scratch (see
+    logistic_block_solve).
     """
     n = features.shape[1]
     signed = np.empty((weights.shape[0], n + 1))
@@ -87,41 +101,57 @@ def _logistic_evaluate(
     exps = np.abs(signed)
     np.negative(exps, out=exps)
     np.exp(exps, out=exps)
-    losses = np.log1p(exps)
-    losses -= np.minimum(signed, 0.0)
+    losses = np.log1p(exps, out=work[0, : exps.shape[0]])
+    losses -= np.minimum(signed, 0.0, out=work[1, : exps.shape[0]])
     loss = weighted_expectation(losses[:, :n], losses[:, n])
     return signed, exps, loss, loss + lam * np.einsum("ad,ad->a", weights, weights)
 
 
 def _logistic_gradient(
     weights: np.ndarray, signed: np.ndarray, exps: np.ndarray, features: np.ndarray,
-    queries: np.ndarray, lam: float,
+    queries: np.ndarray, lam: float, work: np.ndarray,
 ) -> np.ndarray:
     """Each row's objective gradient from its evaluation.  A point's loss
     slope sigmoid(-s) is 1 / (1 + exps) where s < 0 and exps / (1 + exps)
     elsewhere; as exps <= 1, the numerator is max(exps, [s < 0]).  One row
-    of signed and exps broadcasts against every row of queries and weights."""
+    of signed and exps broadcasts against every row of queries and weights.
+    The slopes are written into work, the solve's scratch."""
     n = features.shape[1]
-    slopes = np.maximum(exps, signed < 0.0)
-    slopes /= 1.0 + exps
+    slopes = np.maximum(exps, signed < 0.0, out=work[0, : exps.shape[0]])
+    slopes /= np.add(exps, 1.0, out=work[1, : exps.shape[0]])
     grad = np.einsum("an,dn->ad", slopes[:, :n], features) / (-2.0 * n)
     grad = grad + (0.5 * slopes[:, n])[:, None] * queries
     return grad + (2.0 * lam) * weights
 
 
 def _logistic_hessian(
-    exps: np.ndarray, features: np.ndarray, queries: np.ndarray, lam: float
+    exps: np.ndarray, features: np.ndarray, pairs: np.ndarray | None, queries: np.ndarray,
+    lam: float, work: np.ndarray,
 ) -> np.ndarray:
     """Each row's Hessian X' diag(c) X / (2n) + 0.5 c_q q q' + 2 lam I, with
-    the curvature c = sigmoid(s) sigmoid(-s) = exps / (1 + exps)^2.  The
-    stacked product runs one small matrix product per row of exps, and one
-    row of exps broadcasts against every row of queries."""
-    n = features.shape[1]
-    curvature = exps / np.square(1.0 + exps)
-    hessian = (features * (curvature[:, None, :n] / (2.0 * n))) @ features.T
+    the curvature c = sigmoid(s) sigmoid(-s) = exps / (1 + exps)^2.
+
+    Given the pair products of logistic_pairs, one einsum contracts each
+    row's curvature against them, with no BLAS product and no (B, D, n)
+    temporary, so a row's bits depend on that row alone.  That gives the
+    upper triangle of X' diag(c) X, which one gather mirrors into the lower
+    one, so the Hessian is bitwise symmetric.  Given None (D above
+    PAIR_HESSIAN_MAX_DIM), a stacked matrix product forms X' diag(c) X
+    instead.  The query term and the ridge are then added the same way on
+    both paths.  One row of exps broadcasts against every row of queries.
+    The curvatures are written into work, the solve's scratch."""
+    dim, n = features.shape
+    curvature = np.add(exps, 1.0, out=work[0, : exps.shape[0]])
+    np.square(curvature, out=curvature)
+    np.divide(exps, curvature, out=curvature)
+    if pairs is None:
+        hessian = (features * (curvature[:, None, :n] / (2.0 * n))) @ features.T
+    else:
+        upper = np.einsum("an,pn->ap", curvature[:, :n], pairs) / (2.0 * n)
+        hessian = upper[:, _pair_index(dim)]
     outer = queries[:, :, None] * queries[:, None, :]
     hessian = hessian + (0.5 * curvature[:, n])[:, None, None] * outer
-    diagonal = np.arange(features.shape[0])
+    diagonal = np.arange(dim)
     hessian[:, diagonal, diagonal] += 2.0 * lam
     return hessian
 
@@ -132,27 +162,36 @@ def logistic_features(reference: np.ndarray, intercept: bool) -> np.ndarray:
     return np.ascontiguousarray(augment(reference, intercept).T)
 
 
-def logistic_objective(
-    w, reference, query, lam: float, intercept: bool = True
-) -> tuple[float, np.ndarray]:
-    """Value and gradient of the ridge-penalised weighted log-loss of the
-    weights w, for the (n, d) reference and the d-vector query.
+def logistic_pairs(features: np.ndarray) -> np.ndarray | None:
+    """The D(D+1)/2 coordinate-pair products F_d F_e, d <= e, of the (D, n)
+    features, one read-only row per pair in np.triu_indices order, from which
+    every Hessian of a batch is built; None above PAIR_HESSIAN_MAX_DIM, where
+    the Hessians are a stacked matrix product.  A product that overflows is
+    left as inf: the solve's first Hessian carries it, and refuses it."""
+    dim = features.shape[0]
+    if dim > PAIR_HESSIAN_MAX_DIM:
+        return None
+    rows, cols = np.triu_indices(dim)
+    with np.errstate(over="ignore", invalid="ignore"):  # refused by the first Hessian
+        pairs = features[rows] * features[cols]
+    pairs.flags.writeable = False
+    return pairs
 
-    The reference rows carry label +1 and weight 1/(2n) each, the query
-    carries label -1 and weight 1/2.  Numerically stable for any margin
-    magnitude; no exp overflow occurs.
-    """
-    features = logistic_features(reference, intercept)
-    query = augment(np.reshape(query, (1, -1)), intercept)
-    w = np.asarray(w, dtype=float).reshape(1, -1)
-    if w.shape[1] != query.shape[1]:
-        raise ValidationError(f"weight vector has size {w.shape[1]}, expected {query.shape[1]}")
-    signed, exps, _, value = _logistic_evaluate(w, features, query, lam)
-    return float(value[0]), _logistic_gradient(w, signed, exps, features, query, lam)[0]
+
+@functools.lru_cache(maxsize=PAIR_HESSIAN_MAX_DIM)
+def _pair_index(dim: int) -> np.ndarray:
+    """The (D, D) map from each Hessian entry to its row of logistic_pairs:
+    entries (d, e) and (e, d) read the same pair, so the gather is symmetric."""
+    rows, cols = np.triu_indices(dim)
+    index = np.empty((dim, dim), dtype=np.intp)
+    index[rows, cols] = index[cols, rows] = np.arange(rows.size)
+    index.flags.writeable = False
+    return index
 
 
 def logistic_block_solve(
     features: np.ndarray,
+    pairs: np.ndarray | None,
     queries: np.ndarray,
     lam: float,
     config: SolverConfig | None = None,
@@ -160,8 +199,10 @@ def logistic_block_solve(
     """Damped Newton on the logistic depth objectives of a block of queries,
     in lockstep, each from the zero vector.
 
-    features is the augmented reference from logistic_features and queries
-    the (B, D) augmented queries.  Each step solves against each query's
+    features is the augmented reference from logistic_features, pairs its
+    coordinate-pair products from logistic_pairs (None above
+    PAIR_HESSIAN_MAX_DIM), and queries the (B, D) augmented queries.  Each
+    step solves against each query's
     Hessian X' diag(c) X / (2n) + 0.5 s_q (1 - s_q) q q' + 2 lam I, with
     c = sigmoid(m) sigmoid(-m) on the reference margins m and s_q the sigmoid
     of the query margin, and each query halves its own step until its Armijo
@@ -174,10 +215,12 @@ def logistic_block_solve(
     block at the top of the loop, a stalled one counted at the step that
     failed, with its state before that step.  The start is one row evaluated
     at w = 0, where every margin is 0, read through broadcast views; the
-    first Hessian is built from it before the loop, and one that overflows
-    raises ValidationError, as does a singular Newton system.  Each step's
-    full-step evaluation is the new state, and only the queries that fail
-    its Armijo test are evaluated again, at halved steps.  With a positive
+    first Hessian is built from it before the loop, and one that overflows,
+    or that carries an overflowed pair product, raises ValidationError, as
+    does a singular Newton system.  Each step's full-step evaluation is the
+    new state, and only the queries that fail its Armijo test are evaluated
+    again, at halved steps.  The (B, n+1) temporaries of every evaluation,
+    gradient and Hessian go into one scratch array made per block.  With a positive
     ridge the objective is 2 lam strongly convex, so the distance to the
     unique minimiser is at most the returned residual divided by 2 lam.
 
@@ -195,12 +238,16 @@ def logistic_block_solve(
     live = np.arange(size)  # block rows of the queries still being solved
     weights = np.zeros((size, dim))
     # at w = 0 every margin is 0: one evaluated row serves the whole block
+    # made once per block, not at every step: in a fresh process, glibc maps
+    # (B, n+1) temporaries of a few hundred KiB anew, and faults in their
+    # pages, at nearly every step
+    work = np.empty((2, size, features.shape[1] + 1))
     zero = np.zeros((1, dim))
-    start = _logistic_evaluate(zero, features, zero, lam)
+    start = _logistic_evaluate(zero, features, zero, lam, work)
     signed, exps, loss, value = (np.broadcast_to(part, (size, *part.shape[1:])) for part in start)
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused below
-        grad = _logistic_gradient(weights, start[0], start[1], features, queries, lam)
-        hessian = _logistic_hessian(start[1], features, queries, lam)
+        grad = _logistic_gradient(weights, start[0], start[1], features, queries, lam, work)
+        hessian = _logistic_hessian(start[1], features, pairs, queries, lam, work)
     if not np.isfinite(hessian).all():
         raise ValidationError("the logistic Hessian overflows: rescale the data")
     stalled = np.zeros(size, dtype=bool)  # no acceptable step in the last search
@@ -224,7 +271,7 @@ def logistic_block_solve(
                 for part in (live, weights, queries, signed, exps, loss, value, grad, hessian)
             )
         if iteration:  # step 0 solves against the start's Hessian
-            hessian = _logistic_hessian(exps, features, queries, lam)
+            hessian = _logistic_hessian(exps, features, pairs, queries, lam, work)
         try:
             direction = -np.linalg.solve(hessian, grad[:, :, None])[:, :, 0]
         except np.linalg.LinAlgError:
@@ -235,7 +282,7 @@ def logistic_block_solve(
         # fail its Armijo test are evaluated again, each at a halved step
         previous, base = (weights, signed, exps, loss, value), value
         weights = weights + direction
-        signed, exps, loss, value = _logistic_evaluate(weights, features, queries, lam)
+        signed, exps, loss, value = _logistic_evaluate(weights, features, queries, lam, work)
         searching = np.flatnonzero(  # live positions whose search goes on
             ~((value <= base + 1e-4 * slope) | (value - base <= 8.0 * _EPS * np.abs(base)))
         )
@@ -244,7 +291,7 @@ def logistic_block_solve(
                 break
             step = 0.5**halvings
             trial = previous[0][searching] + step * direction[searching]
-            evaluated = _logistic_evaluate(trial, features, queries[searching], lam)
+            evaluated = _logistic_evaluate(trial, features, queries[searching], lam, work)
             for state, rows in zip((weights, signed, exps, loss, value), (trial, *evaluated)):
                 state[searching] = rows
             accept = value[searching] <= base[searching] + 1e-4 * step * slope[searching]
@@ -253,7 +300,7 @@ def logistic_block_solve(
         stalled[searching] = True  # no representable decrease along the Newton direction
         for state, old in zip((weights, signed, exps, loss, value), previous):
             state[searching] = old[searching]
-        grad = _logistic_gradient(weights, signed, exps, features, queries, lam)
+        grad = _logistic_gradient(weights, signed, exps, features, queries, lam, work)
     return weights_out, losses_out, iterations_out, residuals_out, converged_out
 
 

@@ -8,7 +8,6 @@ LOSSDEPTH_ODDS_DIR / LOSSDEPTH_FMNIST_DIR.
 import math
 import os
 import time
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -35,35 +34,12 @@ from lossdepth.experiments import (
 from lossdepth.io import format_float, read_csv, read_idx
 from lossdepth.kernels import KernelSpec, median_heuristic
 from lossdepth.metrics import auc_roc
-from lossdepth.solvers import (
-    SolverConfig,
-    augment,
-    logistic_block_solve,
-    logistic_features,
-    logistic_objective,
-    svm_dual_solves,
-    svm_duality_gap,
-)
+from lossdepth.solvers import SolverConfig, svm_dual_solves, svm_duality_gap
+from test_solvers import _logistic_problem, _logistic_solve, logistic_objective
 
 
 def _verdict(label: str, ok: bool, detail: str) -> None:
     print(f"{label}: {detail} -> {'PASS' if ok else 'FAIL'}")
-
-
-def _logistic_problem(reference, query, lam=1.0, intercept=True):
-    """(reference, query, lam, intercept) as plain arrays, in logistic_objective's order."""
-    return np.asarray(reference, dtype=float), np.asarray(query, dtype=float), lam, intercept
-
-
-def _logistic_solve(problem, config=None):
-    """The weights and diagnostics of one query, a block of one for logistic_block_solve."""
-    reference, query, lam, intercept = problem
-    weights, _, iterations, residuals, converged = logistic_block_solve(
-        logistic_features(reference, intercept), augment(query, intercept), lam, config
-    )
-    return weights[0], SimpleNamespace(
-        iterations=iterations[0], residual=residuals[0], converged=converged[0]
-    )
 
 
 def _hinge_problem(reference, query, lam=1.0, kernel=None):

@@ -114,8 +114,9 @@ BLAS_THREAD_CASES = {
         ["--method", "lr", "--coefficients"],
         marks=pytest.mark.xfail(
             strict=True,
-            reason="lr report bytes depend on the BLAS thread count: the stacked matrix "
-                   "product in solvers._logistic_hessian rounds differently with more threads",
+            reason="lr report bytes depend on the BLAS thread count: at d = 40 (D = 41, above "
+                   "solvers.PAIR_HESSIAN_MAX_DIM) solvers._logistic_hessian forms the Hessians "
+                   "by a stacked matrix product, which rounds differently with more threads",
         ),
     ),
     "svm-linear": ["--method", "svm", "--kernel", "linear", "--coefficients"],

@@ -630,8 +630,12 @@ def test_logistic_batch_is_bit_identical_to_single_calls_across_block_edges(monk
     # a Newton block holds `size` queries of dim x 10 Hessian-product entries
     rng = np.random.default_rng(72)
     size = 3
+    # the last two sit at the pair-product crossover D and one above it
+    wide = solvers.PAIR_HESSIAN_MAX_DIM
     for d, intercept, reporting in ((1, True, Reporting.LOSS_ONLY), (2, False, Reporting.LOSS_ONLY),
-                                    (3, True, Reporting.LOSS_PLUS_REG)):
+                                    (3, True, Reporting.LOSS_PLUS_REG),
+                                    (wide, False, Reporting.LOSS_ONLY),
+                                    (wide, True, Reporting.LOSS_PLUS_REG)):
         reference = rng.standard_normal((10, d)) * 2.0
         dim = d + intercept
         monkeypatch.setattr(depths, "LOGISTIC_BLOCK_ENTRIES", size * dim * 10)

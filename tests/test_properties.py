@@ -8,7 +8,9 @@ The exact 2-d halfspace depth is checked against an enumeration in integer
 arithmetic on collinear, antipodal and duplicated integer point sets, and
 under integer affine maps.  The logistic depth of a query has the same bits
 alone and in any batch, and its strong-convexity certificate bounds its
-error against a tight solve, also where the budget stops it early.  A pinned
+error against a tight solve, also where the budget stops it early; seeded
+examples pin both Hessian paths, at the pair-product crossover D and one
+above it.  A pinned
 example shows that the logistic depth with a penalised intercept is not
 translation invariant.  An iterative kernel depth has the same bits alone
 and in any batch, with the reference Gram held densely or read column by
@@ -19,6 +21,7 @@ JSON report reads back as the cells' values, or refuses a non-finite one.
 """
 import csv
 import json
+import random
 from io import StringIO
 
 import numpy as np
@@ -223,10 +226,20 @@ def logistic_batches(draw):
 
 LOGISTIC_LAMBDA = st.floats(1e-3, 3.0)
 
+# samples() stays in d <= 3, where every Hessian comes from pair products:
+# with d = PAIR_HESSIAN_MAX_DIM, D sits at the crossover without an intercept
+# and one above it, on the stacked product, with one
+WIDE_BATCH = (
+    np.random.default_rng(17).standard_normal((25, solvers.PAIR_HESSIAN_MAX_DIM)),
+    np.random.default_rng(18).uniform(-6.0, 6.0, (6, solvers.PAIR_HESSIAN_MAX_DIM)),
+)
+
 
 @settings(max_examples=60)
 @given(logistic_batches(), LOGISTIC_LAMBDA, st.booleans(), st.sampled_from(list(Reporting)),
        st.randoms(use_true_random=False))
+@example(WIDE_BATCH, 0.05, False, Reporting.LOSS_ONLY, random.Random(0))
+@example(WIDE_BATCH, 0.05, True, Reporting.LOSS_PLUS_REG, random.Random(1))
 def test_a_logistic_result_has_the_same_bits_alone_and_in_any_batch(
     batch, lam, intercept, reporting, random
 ):
@@ -275,6 +288,8 @@ MIXED_BLOCK = (  # the first query converges in 3 steps, the second needs 7
 @settings(max_examples=60)
 @given(logistic_batches(), LOGISTIC_LAMBDA, st.booleans(), st.integers(1, 6))
 @example(MIXED_BLOCK, 0.01, True, 3)
+@example(WIDE_BATCH, 0.01, False, 2)
+@example(WIDE_BATCH, 0.01, True, 2)
 def test_the_logistic_certificate_bounds_the_error_against_a_tight_solve(
     batch, lam, intercept, budget
 ):

@@ -10,14 +10,34 @@ from lossdepth import solvers
 from lossdepth.depths import METHOD_SVM, DepthBatchRequest, depth_batch, svm_depth
 from lossdepth.kernels import KernelSpec, gram
 from lossdepth.solvers import (
+    PAIR_HESSIAN_MAX_DIM,
     SolverConfig,
     augment,
     logistic_block_solve,
     logistic_features,
-    logistic_objective,
+    logistic_pairs,
     svm_dual_solves,
     svm_duality_gap,
 )
+
+
+def logistic_objective(w, reference, query, lam: float, intercept: bool = True):
+    """Value and gradient of the ridge-penalised weighted log-loss of the
+    weights w, for the (n, d) reference and the d-vector query, from the
+    solver's own evaluation and gradient of a block of one.
+
+    The reference rows carry label +1 and weight 1/(2n) each, the query
+    carries label -1 and weight 1/2.
+    """
+    features = logistic_features(reference, intercept)
+    query = augment(np.reshape(query, (1, -1)), intercept)
+    w = np.asarray(w, dtype=float).reshape(1, -1)
+    if w.shape[1] != query.shape[1]:
+        raise ValidationError(f"weight vector has size {w.shape[1]}, expected {query.shape[1]}")
+    work = np.empty((2, 1, features.shape[1] + 1))
+    signed, exps, _, value = solvers._logistic_evaluate(w, features, query, lam, work)
+    grad = solvers._logistic_gradient(w, signed, exps, features, query, lam, work)
+    return float(value[0]), grad[0]
 
 
 def _logistic_problem(reference, query, lam=1.0, intercept=True):
@@ -25,11 +45,20 @@ def _logistic_problem(reference, query, lam=1.0, intercept=True):
     return np.asarray(reference, dtype=float), np.asarray(query, dtype=float), lam, intercept
 
 
+def _block_solve(reference, queries, lam, intercept=True, config=None):
+    """logistic_block_solve of the (m, d) queries against the reference, with
+    the features and pair products prepared as depth_batch prepares them."""
+    features = logistic_features(reference, intercept)
+    return logistic_block_solve(
+        features, logistic_pairs(features), augment(queries, intercept), lam, config
+    )
+
+
 def _logistic_solve(problem, config=None):
     """The weights and diagnostics of one query, a block of one for logistic_block_solve."""
     reference, query, lam, intercept = problem
-    weights, _, iterations, residuals, converged = logistic_block_solve(
-        logistic_features(reference, intercept), augment(query, intercept), lam, config
+    weights, _, iterations, residuals, converged = _block_solve(
+        reference, query, lam, intercept, config
     )
     return weights[0], SimpleNamespace(
         iterations=iterations[0], residual=residuals[0], converged=converged[0]
@@ -267,9 +296,9 @@ def test_the_line_search_writes_only_the_rows_it_halves(monkeypatch):
     log = []  # the query rows of each evaluation, and None for each gradient
     evaluate, gradient = solvers._logistic_evaluate, solvers._logistic_gradient
 
-    def recording_evaluate(weights, features, rows, lam):
+    def recording_evaluate(weights, features, rows, *args):
         log.append(rows[:, :2].tolist())
-        return evaluate(weights, features, rows, lam)
+        return evaluate(weights, features, rows, *args)
 
     def recording_gradient(*args):
         log.append(None)
@@ -277,8 +306,7 @@ def test_the_line_search_writes_only_the_rows_it_halves(monkeypatch):
 
     monkeypatch.setattr(solvers, "_logistic_evaluate", recording_evaluate)
     monkeypatch.setattr(solvers, "_logistic_gradient", recording_gradient)
-    features, rows = logistic_features(reference, True), augment(queries, True)
-    block = logistic_block_solve(features, rows, 5e-4)
+    block = _block_solve(reference, queries, 5e-4)
     halved, step, evaluations = [], 0, 0  # (Newton step, query) of each halved trial
     for entry in log:  # the start, then per step the full step, any halvings, a gradient
         if entry is None:
@@ -294,7 +322,7 @@ def test_the_line_search_writes_only_the_rows_it_halves(monkeypatch):
     # each row has the bits of its solve alone, and the stalled query keeps
     # the state its last accepted step left, as a budget of 4 steps does
     for b, config in ((0, None), (1, None), (2, None), (2, SolverConfig(max_iterations=4))):
-        alone = logistic_block_solve(features, rows[b : b + 1], 5e-4, config)
+        alone = _block_solve(reference, queries[b : b + 1], 5e-4, config=config)
         assert all(out[b].tobytes() == one[0].tobytes() for out, one in zip(block, alone)), b
 
 
@@ -317,11 +345,35 @@ def test_a_block_evaluates_its_shared_start_once(monkeypatch):
 
     monkeypatch.setattr(solvers, "_logistic_evaluate", counting_evaluate)
     monkeypatch.setattr(solvers, "_logistic_hessian", counting_hessian)
-    block = logistic_block_solve(logistic_features(reference, True), augment(queries, True), 0.1)
+    block = _block_solve(reference, queries, 0.1)
     _, _, iterations, _, converged = block
     assert converged.all() and iterations.tolist() == [3] * 4
     assert evaluated == [1, 4, 4, 4]
     assert hessians == [1, 4, 4]
+
+
+@pytest.mark.parametrize("intercept", [False, True])
+def test_pair_product_hessians_match_the_stacked_formula(intercept):
+    # every D the pair path serves, against (F * c/(2n)) @ F' + 0.5 c_q q q' + 2 lam I
+    rng = np.random.default_rng(31)
+    n, size, lam = 40, 6, 0.3
+    for dim in range(1 + intercept, PAIR_HESSIAN_MAX_DIM + 1):
+        reference = rng.standard_normal((n, dim - intercept)) * 2.0
+        queries = augment(rng.standard_normal((size, dim - intercept)) * 3.0, intercept)
+        features = logistic_features(reference, intercept)
+        pairs = logistic_pairs(features)
+        assert pairs.shape == (dim * (dim + 1) // 2, n) and not pairs.flags.writeable
+        weights, work = rng.standard_normal((size, dim)), np.empty((2, size, n + 1))
+        exps = solvers._logistic_evaluate(weights, features, queries, lam, work)[1]
+        hessians = solvers._logistic_hessian(exps, features, pairs, queries, lam, work)
+        curvature = exps / np.square(1.0 + exps)
+        for hessian, c, query in zip(hessians, curvature, queries):
+            oracle = ((features * (c[:n] / (2.0 * n))) @ features.T
+                      + 0.5 * c[n] * np.outer(query, query) + 2.0 * lam * np.eye(dim))
+            assert np.abs(hessian - oracle).max() <= 1e-13 * np.abs(oracle).max(), dim
+            assert hessian.tobytes() == hessian.T.copy().tobytes(), dim
+    # above the crossover the Hessians are the stacked product
+    assert logistic_pairs(np.ones((PAIR_HESSIAN_MAX_DIM + 1, n))) is None
 
 
 def test_svm_query_coincident_with_single_reference_point():
