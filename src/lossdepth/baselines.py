@@ -35,6 +35,14 @@ def lof_scores(train, test, k: int) -> np.ndarray:
     neighbour is its k-distance or the actual distance, whichever is larger,
     and the factor is the mean neighbour density over the point's own.
     """
+    return lof_scores_per_k(train, test, (k,))[0]
+
+
+def lof_scores_per_k(train, test, ks) -> list:
+    """lof_scores for each neighbourhood size in ks, in order, from one pair
+    of distance matrices and one stable sort of each: the first k columns of
+    a stable argsort are the k nearest neighbours with ties broken by index,
+    so each array has the bits of its own lof_scores call."""
     train = _points_2d(train, "train")
     test = _points_2d(test, "test")
     n = train.shape[0]
@@ -42,26 +50,32 @@ def lof_scores(train, test, k: int) -> np.ndarray:
         raise ValidationError(
             f"dimension mismatch: train has d={train.shape[1]}, test has d={test.shape[1]}"
         )
-    if not 1 <= k < n:
-        raise ValidationError(f"lof needs 1 <= k < n_train, got k={k}, n_train={n}")
+    for k in ks:
+        if not 1 <= k < n:
+            raise ValidationError(f"lof needs 1 <= k < n_train, got k={k}, n_train={n}")
     from scipy.spatial.distance import cdist  # local: scipy.spatial costs ~0.5 s to import
 
     dists = cdist(train, train)
     np.fill_diagonal(dists, np.inf)  # a training point is not its own neighbour
-    order = np.argsort(dists, axis=1, kind="stable")[:, :k]
-    rows = np.arange(n)[:, None]
-    neighbour_dists = dists[rows, order]
-    kdist = neighbour_dists[:, -1]
-    reach = np.maximum(kdist[order], neighbour_dists)
-    lrd = 1.0 / (reach.mean(axis=1) + _LRD_FLOOR)
-
+    ranked = np.argsort(dists, axis=1, kind="stable")
     test_dists = cdist(test, train)
-    test_order = np.argsort(test_dists, axis=1, kind="stable")[:, :k]
+    test_ranked = np.argsort(test_dists, axis=1, kind="stable")
+    rows = np.arange(n)[:, None]
     test_rows = np.arange(test.shape[0])[:, None]
-    test_neighbour = test_dists[test_rows, test_order]
-    test_reach = np.maximum(kdist[test_order], test_neighbour)
-    test_lrd = 1.0 / (test_reach.mean(axis=1) + _LRD_FLOOR)
-    return lrd[test_order].mean(axis=1) / test_lrd
+    scores = []
+    for k in ks:
+        order = ranked[:, :k]
+        neighbour_dists = dists[rows, order]
+        kdist = neighbour_dists[:, -1]
+        reach = np.maximum(kdist[order], neighbour_dists)
+        lrd = 1.0 / (reach.mean(axis=1) + _LRD_FLOOR)
+
+        test_order = test_ranked[:, :k]
+        test_neighbour = test_dists[test_rows, test_order]
+        test_reach = np.maximum(kdist[test_order], test_neighbour)
+        test_lrd = 1.0 / (test_reach.mean(axis=1) + _LRD_FLOOR)
+        scores.append(lrd[test_order].mean(axis=1) / test_lrd)
+    return scores
 
 
 @dataclass(frozen=True, eq=False)

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .baselines import lof_scores, ocsvm_fit
+from .baselines import lof_scores_per_k, ocsvm_fit
 from .core import (
     LossDepthError,
     NotConvergedError,
@@ -426,10 +426,10 @@ def benchmark_auc(
             if not lof_k:
                 raise ValidationError("lof needs at least one neighbourhood size")
             best = None
-            for k in lof_k:
-                factors = lof_scores(train_m.values, test_m.values, int(k))
+            ks = [int(k) for k in lof_k]
+            for k, factors in zip(ks, lof_scores_per_k(train_m.values, test_m.values, ks)):
                 value = auc_roc(-factors, inlier)
-                rows.append(BenchmarkRow("lof", f"k={int(k)}", value))
+                rows.append(BenchmarkRow("lof", f"k={k}", value))
                 best = value if best is None else max(best, value)
             rows.append(BenchmarkRow("lof", "best", best))
         elif method == "ocsvm":

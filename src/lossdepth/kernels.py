@@ -107,9 +107,11 @@ def gram(spec: KernelSpec, left, right=None) -> np.ndarray:
     if a.shape[1] != b.shape[1]:
         raise ValidationError(f"kernel inputs disagree on dimension: {a.shape[1]} vs {b.shape[1]}")
     if spec.family == LINEAR:
-        # an overflow leaves inf or nan in the result, which the dual solvers refuse
+        # an overflow leaves inf or nan in the result, which the dual solvers
+        # refuse; einsum sums each entry in a fixed order, where a BLAS
+        # product's rounding depends on its thread count
         with np.errstate(over="ignore", invalid="ignore"):
-            return a @ b.T
+            return np.einsum("ik,jk->ij", a, b)
     from scipy.spatial.distance import cdist  # local: scipy.spatial costs ~0.5 s to import
 
     # in place on the distance matrix, so a block allocates no further temporaries

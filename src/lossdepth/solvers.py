@@ -20,6 +20,11 @@ kernel through the same column and diagonal interface and return the same
 six fields for one query.  Up to DENSE_GRAM_LIMIT reference rows a column
 is a row of one (n+1) x (n+1) kernel matrix per batch, whose last row and
 column each query overwrites; above it, columns are computed on demand.
+Given that matrix, the no-intercept solver's update loop runs compiled
+(native.greedy_ascent, built from _dual.c on first use), with the same
+arithmetic in the same order as its numpy loop (_greedy_loop), which stays
+the reference and the fallback: for lazy columns, for a machine without a
+C compiler, and for every other solver.
 The pairwise solver also fits the one-class SVM baseline, whose dual has
 the same form.
 """
@@ -333,7 +338,9 @@ def svm_dual_solves(
     (n+1) x (n+1) kernel matrix of the reference and a query, when there are
     queries and n is at most DENSE_GRAM_LIMIT: each query overwrites its last
     row and column, the border, with its own kernel values, and the solver
-    reads the matrix's rows, which are its columns by symmetry, as views.
+    reads the matrix's rows, which are its columns by symmetry, as views;
+    the no-intercept solver is handed the matrix itself, whose loop runs
+    compiled (see _greedy_ascent).
     Otherwise columns are formed on demand so large references never
     materialise an n^2 matrix.  Each query is solved on its own, in request
     order, so it gets the same bits alone or in any batch.  A kernel diagonal
@@ -352,7 +359,7 @@ def svm_dual_solves(
     dense = m > 0 and n <= DENSE_GRAM_LIMIT
     if dense:
         kernel = gram(spec, np.vstack([reference, queries[:1]]))
-        diag, column = np.diagonal(kernel), kernel.__getitem__
+        diag, column = np.diagonal(kernel), kernel.__getitem__ if intercept else kernel
     solve = _pairwise_smo if intercept else _greedy_ascent
     alpha, fvals = np.empty((m, n + 1)), np.empty((m, n + 1))
     offsets, residuals = np.empty(m), np.empty(m)
@@ -396,7 +403,8 @@ def _greedy_ascent(
 ) -> tuple[np.ndarray, np.ndarray, float, int, float, bool]:
     """Greedy maximal-violation coordinate ascent (Gauss-Southwell) for
     max c'u - 0.5 u'Ku over lo <= u <= hi: the equality-free twin of
-    _pairwise_smo, with the same arguments.
+    _pairwise_smo, with the same arguments, except that column may also be
+    the kernel matrix itself.
 
     Each update takes the coordinate with the largest projected KKT
     violation of the gradient s = c - Ku (s_k where u_k can still rise, -s_k
@@ -408,6 +416,11 @@ def _greedy_ascent(
     iterations, the residual and the convergence flag.
     column(k) may return row k of the symmetric K, as a view, which the
     solver only reads.  A diagonal that is not finite raises ValidationError.
+
+    Given the symmetric K as a C-contiguous float64 matrix, the loop runs
+    compiled (native.greedy_ascent) when the library is available; given a
+    callable, or without the library, it runs in numpy (_greedy_loop).  The
+    two do the same arithmetic in the same order and give the same bits.
     """
     _check_finite_diagonal(diag)
     u = start.copy()
@@ -416,22 +429,40 @@ def _greedy_ascent(
     # cannot rise leaves the violation as the magnitude
     floor = np.where(u > lo, -np.inf, 0.0)
     ceiling = np.where(u < hi, np.inf, 0.0)
+    state = (diag, lo, hi, u, scores, floor, ceiling, cfg.max_iterations * u.size, cfg.tolerance)
+    outcome = None
+    if isinstance(column, np.ndarray):
+        from . import native  # local: its compiler tooling costs ~10 ms of start-up
+
+        outcome = native.greedy_ascent(column, *state)
+        column = column.__getitem__
+    updates, residual = outcome if outcome is not None else _greedy_loop(column, *state)
+    return u, linear - scores, 0.0, -(-updates // u.size), residual, residual <= cfg.tolerance
+
+
+def _greedy_loop(
+    column, diag: np.ndarray, lo: np.ndarray, hi: np.ndarray, u: np.ndarray,
+    scores: np.ndarray, floor: np.ndarray, ceiling: np.ndarray, budget: int, tolerance: float,
+) -> tuple[int, float]:
+    """The numpy maximal-violation loop of _greedy_ascent, and the reference
+    that _dual.c reproduces bit for bit: updates u, the gradient scores and
+    the violation clips floor and ceiling in place, and returns the number of
+    updates and the residual."""
     violations = np.empty_like(u)
-    budget = cfg.max_iterations * u.size
     for updates in range(budget + 1):
         np.maximum(scores, floor, out=violations)
         np.minimum(violations, ceiling, out=violations)
         np.abs(violations, out=violations)
         k = int(violations.argmax())
         residual = float(violations[k])
-        if residual <= cfg.tolerance or updates == budget:
+        if residual <= tolerance or updates == budget:
             break
         updated = min(max(u[k] + scores[k] / diag[k], lo[k]), hi[k])
         scores -= (updated - u[k]) * column(k)
         u[k] = updated
         floor[k] = -np.inf if updated > lo[k] else 0.0
         ceiling[k] = np.inf if updated < hi[k] else 0.0
-    return u, linear - scores, 0.0, -(-updates // u.size), residual, residual <= cfg.tolerance
+    return updates, residual
 
 
 def _pairwise_smo(

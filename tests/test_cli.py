@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from lossdepth import cli
+from lossdepth import baselines, cli, experiments, native
 from lossdepth.io import format_float
 from lossdepth.kernels import median_heuristic
 
@@ -33,29 +33,42 @@ def sample_files(tmp_path):
     return reference, queries
 
 
-def _fresh_python(code, **env):
+def _fresh_run(code, **env):
     """Run code in a new interpreter that imports lossdepth from this checkout,
-    with env added to its environment."""
+    with env added to its environment; the finished process, which must exit 0."""
     src = str(Path(cli.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=src, **env)
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                         text=True, check=True, timeout=120)
-    return out.stdout
+    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, check=True, timeout=120)
 
 
-def test_cli_import_leaves_scipy_stats_unloaded():
+def _fresh_python(code, **env):
+    """The standard output of _fresh_run."""
+    return _fresh_run(code, **env).stdout
+
+
+# prints whether this process has imported the compiled dual loop's loader,
+# which no import and no halfspace or lr run needs
+NATIVE_TRIED = "import sys; print('lossdepth.native' in sys.modules)\n"
+
+
+def test_cli_import_leaves_scipy_stats_unloaded(tmp_path):
     # scipy.spatial and scipy.stats cost most of a second at start-up; only
-    # the kernels, LOF and the ranking metrics import them, on first use
+    # the kernels, LOF and the ranking metrics import them, on first use; and
+    # no import compiles, loads or caches the compiled dual loop
     code = (
         "import sys\n"
         "def scipy_loaded(): return any(m.split('.')[0] == 'scipy' for m in sys.modules)\n"
         "import lossdepth; print(scipy_loaded())\n"
         "import lossdepth.cli; print(scipy_loaded())\n"
-    )
-    assert _fresh_python(code).split() == ["False", "False"]
+    ) + NATIVE_TRIED
+    cache = tmp_path / "cache"
+    assert _fresh_python(code, XDG_CACHE_HOME=str(cache)).split() == ["False"] * 3
+    assert not cache.exists()
 
 
 def test_halfspace_and_lr_depths_run_without_scipy(sample_files, tmp_path):
+    # nor do they touch the compiled dual loop or its cache
     reference, queries = sample_files
     outputs = [str(tmp_path / f"{method}.csv") for method in ("halfspace", "lr")]
     code = (
@@ -65,10 +78,13 @@ def test_halfspace_and_lr_depths_run_without_scipy(sample_files, tmp_path):
         "                   '--output', out])\n"
         f"         for method, out in zip(('halfspace', 'lr'), {outputs!r})]\n"
         "print(codes, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
-    )
-    # cli.main prints each output path first; the last line is the verdict
-    assert _fresh_python(code).splitlines()[-1] == f"{[cli.EXIT_OK] * 2} []"
+    ) + NATIVE_TRIED
+    cache = tmp_path / "cache"
+    # cli.main prints each output path first; the last lines are the verdict
+    verdict = _fresh_python(code, XDG_CACHE_HOME=str(cache)).splitlines()[-2:]
+    assert verdict == [f"{[cli.EXIT_OK] * 2} []", "False"]
     assert all(Path(out).read_text().startswith("query,depth,") for out in outputs)
+    assert not cache.exists()
 
 
 def test_kernel_commands_match_in_a_fresh_interpreter(sample_files, tmp_path):
@@ -120,15 +136,8 @@ BLAS_THREAD_CASES = {
         ),
     ),
     "svm-linear": ["--method", "svm", "--kernel", "linear", "--coefficients"],
-    "svm-linear-small-lambda": pytest.param(
-        ["--method", "svm", "--kernel", "linear", "--lambda", "0.03", "--coefficients"],
-        marks=pytest.mark.xfail(
-            strict=True,
-            reason="the linear kernel matrix X X' is a BLAS product whose bits depend on "
-                   "the thread count, and at lambda = 0.03 the dual solve carries them "
-                   "into the report",
-        ),
-    ),
+    "svm-linear-small-lambda": ["--method", "svm", "--kernel", "linear", "--lambda", "0.03",
+                                "--coefficients"],
     "halfspace": ["--method", "halfspace", "--directions", "500"],
 }
 
@@ -143,6 +152,93 @@ def test_report_bytes_do_not_depend_on_the_blas_thread_count(flags, tmp_path):
     code = f"from lossdepth import cli; raise SystemExit(cli.main({argv!r}))"
     one, two = (_fresh_python(code, OPENBLAS_NUM_THREADS=threads) for threads in ("1", "2"))
     assert one.startswith("{") and one == two
+
+
+def _write_reports(argv, folder):
+    """Run argv with its reports in folder, and return them by name."""
+    folder.mkdir()
+    assert cli.main(argv + ["--output", str(folder / "report")]) == cli.EXIT_OK
+    return {path.name: path.read_bytes() for path in sorted(folder.iterdir())}
+
+
+def test_reports_have_the_same_bytes_with_and_without_the_compiled_loop(
+    sample_files, labeled_file, tmp_path, monkeypatch
+):
+    # every command that runs a no-intercept dual below kappa/4, every kernel
+    if native._library() is None:
+        pytest.skip("no C compiler: the numpy loop is the only one")
+    reference, queries = sample_files
+    depth = ["depth", reference, queries, "--method", "svm", "--lambda", "0.05",
+             "--coefficients", "--format", "json"]
+    commands = [depth + kernel for kernel in (
+        [], ["--kernel", "laplacian", "--sigma", "1"], ["--kernel", "imq"], ["--kernel", "linear"]
+    )] + [
+        ["grid", "--contaminated", "--method", "svm", "--lambda", "0.05", "--n", "40",
+         "--resolution", "5"],
+        ["benchmark", labeled_file, "--split", "--label-column", "2", "--methods", "svm,ocsvm",
+         "--lambda", "0.05"],
+        ["rankcorr", "--methods", "svm", "--lambda", "0.05", "--runs", "2", "--n", "30"],
+        ["convergence", "--method", "svm", "--lambda", "0.05", "--n-grid", "20,40",
+         "--repeats", "2"],
+    ]
+    compiled = [_write_reports(argv, tmp_path / f"compiled{i}") for i, argv in enumerate(commands)]
+    monkeypatch.setattr(native, "_library", lambda: None)
+    looped = [_write_reports(argv, tmp_path / f"looped{i}") for i, argv in enumerate(commands)]
+    assert compiled == looped
+
+
+@pytest.mark.parametrize("case", ["no compiler", "unwritable cache"])
+def test_a_run_without_the_compiled_loop_gives_the_same_bytes_silently(
+    case, sample_files, tmp_path, capsys
+):
+    reference, queries = sample_files
+    argv = ["depth", reference, queries, "--method", "svm", "--lambda", "0.05",
+            "--coefficients", "--format", "json"]
+    assert cli.main(argv) == cli.EXIT_OK
+    expected = capsys.readouterr().out
+    cache = tmp_path / "cache"
+    code = "from lossdepth import cli, native\n"
+    if case == "no compiler":
+        code += "native._compiler = lambda: [" + repr(str(tmp_path / "no-such-cc")) + "]\n"
+    else:  # a file where the cache directory's parent should be
+        cache.write_text("")
+    code += f"code = cli.main({argv!r})\nassert native._library() is None\nraise SystemExit(code)\n"
+    run = _fresh_run(code, XDG_CACHE_HOME=str(cache))
+    assert (run.stdout, run.stderr) == (expected, "")
+    assert cache.is_file() or not list(cache.rglob("*.so"))
+
+
+def test_a_second_process_loads_the_cached_loop_without_compiling(tmp_path):
+    cache = tmp_path / "cache"
+    first = "from lossdepth import native\nprint(native._library() is not None)\n"
+    if _fresh_python(first, XDG_CACHE_HOME=str(cache)) != "True\n":
+        pytest.skip("no C compiler: nothing is cached")
+    folder = cache / "lossdepth"
+    assert folder.stat().st_mode & 0o777 == 0o700
+    names = [path.name for path in folder.iterdir()]
+    assert len(names) == 1 and re.fullmatch(r"dual-[0-9a-f]{16}\.so", names[0])  # no temporary
+    second = (
+        "from lossdepth import native\n"
+        "def refuse(*args): raise AssertionError('compiled again')\n"
+        "native._compile = refuse\n"
+    ) + first
+    assert _fresh_python(second, XDG_CACHE_HOME=str(cache)) == "True\n"
+
+
+def test_benchmark_lof_rows_have_the_bytes_of_one_lof_call_per_k(
+    labeled_file, tmp_path, monkeypatch
+):
+    # the neighbour order is sorted once for every --lof-k; each k's
+    # factors are still those of its own lof_scores call
+    argv = ["benchmark", labeled_file, "--split", "--label-column", "2", "--methods", "lof",
+            "--lof-k", "3,1,10,5"]
+    once = _write_reports(argv, tmp_path / "once")
+    monkeypatch.setattr(
+        experiments, "lof_scores_per_k",
+        lambda train, test, ks: [baselines.lof_scores(train, test, k) for k in ks],
+    )
+    assert _write_reports(argv, tmp_path / "per-k") == once
+    assert len(once["report"].splitlines()) == 6  # header, four sizes and the best
 
 
 def test_build_parser_defaults():

@@ -32,7 +32,7 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import HealthCheck, example, given, settings, strategies as st  # noqa: E402
 from hypothesis.extra import numpy as hnp  # noqa: E402
 
-from lossdepth import depths, io, solvers  # noqa: E402
+from lossdepth import depths, io, native, solvers  # noqa: E402
 from lossdepth.core import (  # noqa: E402
     LOG2,
     Reporting,
@@ -386,6 +386,65 @@ def test_an_iterative_svm_result_has_the_same_bits_alone_and_in_any_batch(
                                         method="svm", kernel=kernel, **settings_)
             results = _results(depth_batch(request))
             assert all(_same_result(result, alone[i]) for i, result in zip(rows, results))
+
+
+@st.composite
+def greedy_problems(draw):
+    """(linear, start, lo, hi, diagonal, kernel matrix, config) of a
+    no-intercept dual, built as svm_dual_solves builds it, on the dense
+    bordered matrix of any kernel family below kappa/4.  Reference rows lie
+    on a half-integer grid, so duplicates and zero rows are common (a zero
+    row makes a linear kernel's coordinate degenerate, pinned at its bound),
+    the query is sometimes a reference row, and the budget is sometimes one
+    pass.  Every coordinate's first violation is 1, so the first update
+    breaks an all-way tie."""
+    d, n = draw(st.integers(1, 3)), draw(st.integers(1, 15))
+    half = st.integers(-3, 3).map(lambda v: v / 2.0)
+    reference = draw(hnp.arrays(float, (n, d), elements=half))
+    if draw(st.booleans()):
+        query = reference[draw(st.integers(0, n - 1))]
+    else:
+        query = draw(hnp.arrays(float, (d,), elements=COORDINATE))
+    kernel = draw(ITERATIVE_KERNELS)
+    lam = draw(st.floats(0.02, 0.96)) * (kernel.bound() or 1.0) / 4.0
+    config = SolverConfig(max_iterations=draw(st.sampled_from((1, 2, 10_000))),
+                          tolerance=draw(st.sampled_from((1e-12, 1e-8, 1e-3))))
+    matrix = gram(kernel, np.vstack([reference, query]))
+    labels = np.append(np.ones(n), -1.0)
+    box = labels * np.append(np.full(n, 1.0 / (4.0 * n * lam)), 1.0 / (4.0 * lam))
+    diagonal = np.diagonal(matrix)
+    degenerate = diagonal <= 1e-15
+    start = np.where(degenerate, box, 0.0)
+    lo = np.where(degenerate, start, np.minimum(0.0, box))
+    hi = np.where(degenerate, start, np.maximum(0.0, box))
+    return labels, start, lo, hi, diagonal, matrix, config
+
+
+@settings(max_examples=300)
+@given(greedy_problems())
+def test_the_compiled_greedy_loop_has_the_bits_of_the_numpy_loop(problem):
+    if native._library() is None:
+        pytest.skip("no C compiler: the numpy loop is the only one")
+    labels, start, lo, hi, diagonal, matrix, config = problem
+    compiled_loop, ran = native.greedy_ascent, []
+
+    def recorded(*args):
+        ran.append(compiled_loop(*args))
+        return ran[-1]
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(native, "greedy_ascent", recorded)
+        compiled, looped = (
+            solvers._greedy_ascent(labels, start, lo, hi, np.zeros(labels.size), diagonal,
+                                   column, config)
+            for column in (matrix, matrix.__getitem__)
+        )
+    assert len(ran) == 1 and ran[0] is not None  # only the matrix ran compiled
+    # u and the function values, then offset, iterations, residual and flag
+    assert compiled[0].tobytes() == looped[0].tobytes()
+    assert compiled[1].tobytes() == looped[1].tobytes()
+    assert compiled[2:4] == looped[2:4] and compiled[5] == looped[5]
+    assert np.float64(compiled[4]).tobytes() == np.float64(looped[4]).tobytes()
 
 
 INTEGER = st.integers(-6, 6)

@@ -1,12 +1,13 @@
 """Newton and dual ascent engines against independent oracles."""
 import math
+import shutil
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from lossdepth.core import LOG2, ValidationError
-from lossdepth import solvers
+from lossdepth import native, solvers
 from lossdepth.depths import METHOD_SVM, DepthBatchRequest, depth_batch, svm_depth
 from lossdepth.kernels import KernelSpec, gram
 from lossdepth.solvers import (
@@ -458,9 +459,8 @@ def test_svm_function_values_match_recompute():
 
 
 def test_svm_lazy_columns_agree_with_dense(monkeypatch):
-    # the lazy columns and the bordered matrix hold the same kernel values
-    # for the distance kernels, so every iterate is the same; the linear
-    # kernel's matrix products may round differently
+    # the lazy columns and the bordered matrix hold the same kernel values,
+    # so every iterate is the same
     rng = np.random.default_rng(19)
     reference = rng.standard_normal((40, 2))
     queries = np.vstack([[0.2, -1.0], rng.standard_normal((2, 2)) * 1.5])
@@ -474,9 +474,6 @@ def test_svm_lazy_columns_agree_with_dense(monkeypatch):
                 patch.setattr(solvers, "DENSE_GRAM_LIMIT", 0)
                 lazy = svm_dual_solves(*args)
             assert dense[5].all() and lazy[5].all()
-            if spec.family == "linear":
-                assert np.allclose(dense[0], lazy[0], atol=1e-12)
-                continue
             for column_dense, column_lazy in zip(dense[:4], lazy[:4]):
                 # alpha, function values, offsets and iterations
                 assert np.array_equal(column_dense, column_lazy)
@@ -594,6 +591,32 @@ def test_svm_supplied_reference_gram_gives_the_bordered_matrix_bits():
             for column, value in zip(solved[1:], expected):
                 # function values, offset, iterations, residual and flag
                 assert np.array_equal(column[i], value)
+
+
+def test_the_compiled_loop_loads_where_there_is_a_compiler():
+    if shutil.which(native._compiler()[0]) is None:
+        pytest.skip("no C compiler")
+    assert native._library() is not None
+
+
+def test_the_compiled_loop_spreads_a_nan_as_the_numpy_loop_does():
+    # a NaN gradient entry is the argmax at once (the first NaN wins), the
+    # clipped Newton point keeps it, and it spreads to every function value
+    if native._library() is None:
+        pytest.skip("no C compiler: the numpy loop is the only one")
+    kmat = gram(KernelSpec.gaussian(0.5), np.random.default_rng(9).standard_normal((6, 2)))
+    linear = np.array([1.0, 1.0, np.nan, 1.0, np.nan, -1.0])
+    lo, hi = np.array([0.0] * 5 + [-2.0]), np.array([2.0] * 5 + [0.0])
+    cfg = SolverConfig(max_iterations=2)
+    compiled, looped = (
+        solvers._greedy_ascent(linear, np.zeros(6), lo, hi, np.zeros(6), np.diagonal(kmat),
+                               column, cfg)
+        for column in (kmat, kmat.__getitem__)
+    )
+    assert (compiled[3], compiled[5]) == (looped[3], looped[5]) == (2, False)
+    assert math.isnan(compiled[4]) and math.isnan(looped[4]) and np.isnan(looped[1]).all()
+    for ours, theirs in zip(compiled[:2], looped[:2]):
+        assert ours.tobytes() == theirs.tobytes()
 
 
 def test_dual_solvers_refuse_a_kernel_diagonal_that_is_not_finite(monkeypatch):
