@@ -11,23 +11,34 @@ the query.
 DepthBatchRequest is the one way to ask for a depth, and BatchResult, one
 array per quantity with a row per query, the one answer.  halfspace_depth,
 logistic_depth and svm_depth build a request of one row and return row 0 by
-BatchResult.result, the only place a DepthResult is built, and depth_batch
-only dispatches to the method's batch function, the same code for one query
-or many.  The halfspace depth: the exact 1-d depth sorts the reference once,
-the exact 2-d depth sweeps half the circle of directions with one sort of n
-angle keys per query, in blocks of queries, and random directions are drawn
-once per batch.  The logistic depth: one lockstep Newton solve per
+BatchResult.result, the only place a DepthResult is built.
+
+Each method has one binder, which does the work that depends on the
+reference and the settings alone, once, and returns a loop-free scorer of a
+block of query rows together with the method's block size.  depth_batch
+binds the request, then scores its queries block by block in _score_blocks,
+the only loop over query blocks, the same code for one query or many;
+bind_batch keeps one binding for many sets of queries.  A scorer only reads
+the arrays its binder keeps.  The halfspace depth: the exact 1-d depth sorts
+the reference once and scores every query in one block, the exact 2-d depth
+sweeps half the circle of directions with one sort of n angle keys per
+query, in blocks of queries, and random directions are drawn once and score
+one query per block.  The logistic depth: one lockstep Newton solve per
 cache-sized block of queries, against the augmented reference and, in low
-dimension, its coordinate-pair products, both built once per batch.  The
-kernel depth: without an intercept, with a bounded kernel of constant
-diagonal kappa and lam >= kappa/4, in closed form: one pass for the
-reference row means, then one gram call per block of queries; otherwise
-one dual solve per query, in request order, against labels, box and
-reference Gram built once per batch.
+dimension, its coordinate-pair products, both built once.  The kernel
+depth: without an intercept, with a bounded kernel of constant diagonal
+kappa and lam >= kappa/4, in closed form: one pass for the reference row
+means, before the first block and kept for the rest, then one gram call per
+block of queries; otherwise one block of dual solves, one per query, in
+request order (solvers.svm_dual_solves).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+import functools
+import numbers
+import sys
+from collections.abc import Callable
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -60,14 +71,19 @@ class HalfspaceConfig:
     """Random halfspace directions: n_directions standard Gaussian directions
     drawn from the seed, each checked with both signs, which bound the depth
     from above in any dimension.  Without a config the depth is exact, which
-    needs d <= 2."""
+    needs d <= 2.  Both fields are integers, Python or numpy ones, and the
+    seed is non-negative."""
 
     n_directions: int
     seed: int = 0
 
     def __post_init__(self):
+        if not isinstance(self.n_directions, numbers.Integral):
+            raise ValidationError(f"n_directions must be an integer, got {self.n_directions!r}")
         if self.n_directions < 1:
             raise ValidationError("random-directions halfspace depth needs n_directions >= 1")
+        if not isinstance(self.seed, numbers.Integral) or self.seed < 0:
+            raise ValidationError(f"seed must be a non-negative integer, got {self.seed!r}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -101,15 +117,6 @@ class BatchResult:
 # 1000 and 4000 (2-CPU Xeon, one thread): 32-36 ns at 2^13, against 40-61 ns
 # at 2^11 and 2^12 and 51-58 ns at 2^14 and 2^15.
 HALFSPACE_BLOCK_PAIRS = 1 << 13
-
-
-def _halfspace_exact_1d(values: np.ndarray, queries: np.ndarray) -> np.ndarray:
-    """min(#{x <= z}, #{x >= z}) / n for every query z, counted by binary
-    search in the once-sorted reference."""
-    ordered = np.sort(values)
-    below = np.searchsorted(ordered, queries, side="right")
-    above = ordered.size - np.searchsorted(ordered, queries, side="left")
-    return np.minimum(below, above) / ordered.size
 
 
 def _halfspace_sweep_2d(dx: np.ndarray, dy: np.ndarray) -> np.ndarray:
@@ -164,55 +171,68 @@ def _halfspace_sweep_2d(dx: np.ndarray, dy: np.ndarray) -> np.ndarray:
     return np.minimum(start + cmin, n + dups - (start + cmax))
 
 
-def _side_counts(points: np.ndarray, z: np.ndarray, directions: np.ndarray):
-    """Per direction u, the counts of reference points x with <u, x - z> <= 0
-    and with <u, x - z> >= 0: those on each closed side of the hyperplane."""
-    margins = (points - z) @ directions.T
-    return np.count_nonzero(margins <= 0.0, axis=0), np.count_nonzero(margins >= 0.0, axis=0)
+def _side_counts(points: np.ndarray, queries: np.ndarray, directions: np.ndarray):
+    """Per query row z and direction u, the counts of reference points x with
+    <u, x - z> <= 0 and with <u, x - z> >= 0: those on each closed side of
+    the hyperplane, each of shape (queries, directions)."""
+    margins = (points - queries[:, None, :]) @ directions.T
+    return np.count_nonzero(margins <= 0.0, axis=1), np.count_nonzero(margins >= 0.0, axis=1)
 
 
-def _halfspace_random(points: np.ndarray, queries: np.ndarray, config: HalfspaceConfig):
-    """Smallest closed-halfspace fraction over the seeded directions, drawn once
-    for all queries; each query projects the reference on its own."""
-    rng = np.random.default_rng(config.seed)
-    directions = rng.standard_normal((config.n_directions, points.shape[1]))
-    norms = np.linalg.norm(directions, axis=1)
-    directions[norms == 0.0] = 0.0
-    directions[norms == 0.0, 0] = 1.0
-    counts = np.empty(queries.shape[0])
-    for i, z in enumerate(queries):
-        below, above = _side_counts(points, z, directions)
-        counts[i] = np.minimum(above, below).min()
-    return counts / points.shape[0]
+def _halfspace_columns(values: np.ndarray) -> BatchResult:
+    """The columns of halfspace depths, each exact or an upper bound: 0
+    iterations, residual 0 and converged."""
+    m = values.size
+    return BatchResult(values, np.zeros(m, dtype=np.int64), np.zeros(m), np.ones(m, dtype=bool))
 
 
-def _halfspace_depths(points: np.ndarray, queries: np.ndarray, config: HalfspaceConfig | None):
-    """Halfspace depths of the (m, d) queries against the (n, d) reference.
+def _bind_halfspace(request: DepthBatchRequest):
+    """The halfspace scorer of the request's (n, d) reference, and its block
+    size.
 
-    With a config, random directions drawn once.  Without one, the exact
-    depth by the reference's dimension: in 1-d one sort of the reference for
-    the whole batch, in 2-d sweeps over blocks of about HALFSPACE_BLOCK_PAIRS
-    query-reference pairs, one sort per query row; d >= 3 raises, even with no
-    queries.  A query's value never depends on the others, so it has the same
-    bits alone or in any batch.
+    With a config, the seeded directions are drawn here, and each block is
+    one query, which projects the reference on its own, so the margins held
+    at once are one query's n x n_directions.  Without one, the exact depth
+    by the reference's dimension: in 1-d the reference is sorted here and all
+    queries form one block, counted min(#{x <= z}, #{x >= z}) / n
+    by binary search; in 2-d sweeps over blocks of about
+    HALFSPACE_BLOCK_PAIRS query-reference pairs, one sort per query row;
+    d >= 3 raises here, even with no queries.  A query's value never depends
+    on the others, so it has the same bits alone or in any batch.
     """
+    points, config = request.reference.values, request.halfspace
+    n, d = points.shape
     if config is not None:
-        return _halfspace_random(points, queries, config)
-    m, d = queries.shape[0], points.shape[1]
+        rng = np.random.default_rng(config.seed)
+        directions = rng.standard_normal((config.n_directions, d))
+        norms = np.linalg.norm(directions, axis=1)
+        directions[norms == 0.0] = 0.0
+        directions[norms == 0.0, 0] = 1.0
+
+        def score(block):
+            below, above = _side_counts(points, block, directions)
+            return _halfspace_columns(np.minimum(above, below).min(axis=1) / n)
+
+        return score, 1
     if d == 1:
-        return _halfspace_exact_1d(points[:, 0], queries[:, 0])
+        ordered = np.sort(points[:, 0])
+
+        def score(block):
+            below = np.searchsorted(ordered, block[:, 0], side="right")
+            above = n - np.searchsorted(ordered, block[:, 0], side="left")
+            return _halfspace_columns(np.minimum(below, above) / n)
+
+        return score, sys.maxsize
     if d != 2:
         raise ValidationError(
             "halfspace depth in dimension >= 3 needs an explicit random-directions configuration"
         )
-    size = max(1, HALFSPACE_BLOCK_PAIRS // points.shape[0])
-    values = np.empty(m)
-    for start in range(0, m, size):
-        block = queries[start : start + size]
-        values[start : start + size] = _halfspace_sweep_2d(
-            points[:, 0] - block[:, 0:1], points[:, 1] - block[:, 1:2]
-        )
-    return values / points.shape[0]
+
+    def score(block):
+        counts = _halfspace_sweep_2d(points[:, 0] - block[:, 0:1], points[:, 1] - block[:, 1:2])
+        return _halfspace_columns(counts / n)
+
+    return score, max(1, HALFSPACE_BLOCK_PAIRS // n)
 
 
 def _one_query(query, reference, method: str, **settings) -> DepthBatchRequest:
@@ -258,7 +278,7 @@ def halfspace_depth_as_loss(query, reference, directions, strict: bool = False) 
         raise ValidationError("directions contain non-finite entries")
     if np.any(np.all(dirs == 0.0, axis=1)):
         raise ValidationError("directions must be non-zero")
-    below, above = _side_counts(ref.values, request.queries[0], dirs)
+    below, above = _side_counts(ref.values, request.queries, dirs)
     # strictly below is all but the points on or above
     counts = ref.n - above if strict else below
     # weighted zero-one loss of direction u: count/(2n) for the reference side
@@ -302,41 +322,32 @@ def logistic_depth(
 LOGISTIC_BLOCK_ENTRIES = 1 << 17
 
 
-def _logistic_depths(
-    reference: np.ndarray,
-    queries: np.ndarray,
-    lam: float,
-    intercept: bool,
-    reporting: Reporting,
-    normalize: bool,
-    solver: SolverConfig | None,
-) -> BatchResult:
-    """Logistic depths of every query, one lockstep Newton block at a time.
-
-    The augmented reference and its coordinate-pair products (None above
-    solvers.PAIR_HESSIAN_MAX_DIM) are built once per batch; blocks are sized
-    by LOGISTIC_BLOCK_ENTRIES, and each query's result depends on its own row
-    only, so a query gets the same bits alone or in any batch.
+def _bind_logistic(request: DepthBatchRequest):
+    """The logistic scorer of the request, with an intercept unless it says
+    otherwise, and its block size: one lockstep Newton solve per block of
+    LOGISTIC_BLOCK_ENTRIES // (D max(n, D)) queries, against the augmented
+    reference and its coordinate-pair products (None above
+    solvers.PAIR_HESSIAN_MAX_DIM), built here.  Each query's result depends
+    on its own row only, so a query gets the same bits alone or in any batch.
     """
-    features = logistic_features(reference, intercept)
+    lam = request.lam
+    intercept = True if request.intercept is None else request.intercept
+    features = logistic_features(request.reference.values, intercept)
     pairs = logistic_pairs(features)
-    rows = augment(queries, intercept)
     dim, n = features.shape
-    m = rows.shape[0]
-    size = max(1, LOGISTIC_BLOCK_ENTRIES // (dim * max(n, dim)))
-    weights, values, residuals = np.empty((m, dim)), np.empty(m), np.empty(m)
-    iterations, converged = np.empty(m, dtype=np.int64), np.empty(m, dtype=bool)
-    for start in range(0, m, size):
-        block = slice(start, start + size)
-        weights[block], values[block], iterations[block], residuals[block], converged[block] = (
-            logistic_block_solve(features, pairs, rows[block], lam, solver)
+
+    def score(block):
+        weights, values, iterations, residuals, converged = logistic_block_solve(
+            features, pairs, augment(block, intercept), lam, request.solver
         )
-    if reporting is Reporting.LOSS_PLUS_REG:
-        # one dot per row: an einsum over the rows rounds differently
-        values += lam * np.array([w @ w for w in weights])
-    if normalize:
-        values /= LOG2
-    return BatchResult(values, iterations, residuals, converged, weights)
+        if request.reporting is Reporting.LOSS_PLUS_REG:
+            # one dot per row: an einsum over the rows rounds differently
+            values += lam * np.array([w @ w for w in weights])
+        if request.normalize:
+            values /= LOG2
+        return BatchResult(values, iterations, residuals, converged, weights)
+
+    return score, max(1, LOGISTIC_BLOCK_ENTRIES // (dim * max(n, dim)))
 
 
 KERNEL_BLOCK_ENTRIES = 1 << 18  # reference kernel values per block: 2 MiB of float64
@@ -378,16 +389,9 @@ def _kernel_row_means(spec: KernelSpec, reference: np.ndarray) -> np.ndarray:
     return sums / n
 
 
-def _svm_closed_form(
-    spec: KernelSpec,
-    reference: np.ndarray,
-    queries: np.ndarray,
-    lam: float,
-    reporting: Reporting,
-    solver: SolverConfig | None,
-) -> BatchResult:
-    """Closed-form kernel depths of every query, with every dual variable at
-    its box bound (see _closed_form_applies).
+def _bind_closed_form(request: DepthBatchRequest):
+    """The request's closed-form kernel scorer, with every dual variable at
+    its box bound (see _closed_form_applies), and its block size.
 
     The value is the weighted hinge loss of f(x_i) = (r_i - k(x_i, q))/(4 lam)
     and f(q) = (m(q) - kappa)/(4 lam), which is
@@ -397,36 +401,41 @@ def _svm_closed_form(
     one box vector broadcast to every query, read-only, with a zero row
     stride.
 
-    The reference row means r come from their own pass (_kernel_row_means);
-    then each block of about KERNEL_BLOCK_ENTRIES query kernel values is one
-    gram call against the reference.  Each query's value depends on its own
-    row only, so a query gets the same bits alone or in any batch.  No
-    queries, no Gram.
+    The reference row means r come from their own pass (_kernel_row_means),
+    made when the first block is scored and kept; then each block of about
+    KERNEL_BLOCK_ENTRIES query kernel values is one gram call against the
+    reference.  Each query's value depends on its own row only, so a query
+    gets the same bits alone or in any batch.  No queries, no Gram.
     """
-    m, n = queries.shape[0], reference.shape[0]
+    spec, reference, lam = request.kernel, request.reference.values, request.lam
+    n = reference.shape[0]
     kappa = spec.bound()
-    tolerance = (solver if solver is not None else SolverConfig()).tolerance
-    row_means = _kernel_row_means(spec, reference) if m else None
+    tolerance = (request.solver or SolverConfig()).tolerance
+    row_means = functools.cache(lambda: _kernel_row_means(spec, reference))
     scale = 4.0 * lam
     box = np.append(np.full(n, 1.0 / (scale * n)), 1.0 / scale)
-    size = max(1, KERNEL_BLOCK_ENTRIES // n)
-    values, residuals = np.empty(m), np.empty(m)
-    for start in range(0, m, size):
-        block = slice(start, start + size)
-        query_kernel = gram(spec, queries[block], reference)
-        fvals = (row_means - query_kernel) / scale
+
+    def score(block):
+        m = block.shape[0]
+        # the reference pass precedes the first block's gram call, and an
+        # empty block makes neither
+        if m:
+            means, query_kernel = row_means(), gram(spec, block, reference)
+        else:
+            means, query_kernel = 0.0, np.empty((0, n))
+        fvals = (means - query_kernel) / scale
         fquery = (query_kernel.mean(axis=1) - kappa) / scale
-        values[block] = weighted_expectation(
-            np.maximum(0.0, 1.0 - fvals), np.maximum(0.0, 1.0 + fquery)
-        )
-        if reporting is Reporting.LOSS_PLUS_REG:
+        values = weighted_expectation(np.maximum(0.0, 1.0 - fvals), np.maximum(0.0, 1.0 + fquery))
+        if request.reporting is Reporting.LOSS_PLUS_REG:
             # lam ||f||^2 = lam sum_k alpha_k y_k f(p_k) at alpha = box
-            values[block] += 0.25 * (fvals.mean(axis=1) - fquery)
-        residuals[block] = np.maximum(0.0, np.maximum(fvals.max(axis=1) - 1.0, -1.0 - fquery))
-    return BatchResult(
-        values, np.zeros(m, dtype=np.int64), residuals, residuals <= tolerance,
-        np.broadcast_to(box, (m, n + 1)),
-    )
+            values += 0.25 * (fvals.mean(axis=1) - fquery)
+        residuals = np.maximum(0.0, np.maximum(fvals.max(axis=1) - 1.0, -1.0 - fquery))
+        return BatchResult(
+            values, np.zeros(m, dtype=np.int64), residuals, residuals <= tolerance,
+            np.broadcast_to(box, (m, n + 1)),
+        )
+
+    return score, max(1, KERNEL_BLOCK_ENTRIES // n)
 
 
 def svm_depth(
@@ -457,36 +466,36 @@ def svm_depth(
     return depth_batch(request).result(0)
 
 
-def _svm_depths(
-    spec: KernelSpec,
-    reference: np.ndarray,
-    queries: np.ndarray,
-    lam: float,
-    intercept: bool,
-    reporting: Reporting,
-    solver: SolverConfig | None,
-) -> BatchResult:
-    """Kernel depths of every query: in closed form where _closed_form_applies,
-    else from the dual solves' columns (svm_dual_solves), one row per query
-    in request order.  The value is the weighted hinge loss of the margins
-    f + b, with the ridge term added as one dot per row, since an einsum over
-    the rows rounds differently.  Either way a query gets the same bits alone
-    or in any batch."""
+def _bind_svm(request: DepthBatchRequest):
+    """The request's kernel scorer, without an intercept unless it asks for
+    one, and its block size: in closed form where _closed_form_applies, else
+    every query in one block, scored from the dual solves' columns
+    (svm_dual_solves), one row per query in request order.
+    The value is the weighted hinge loss of the margins f + b, with the ridge
+    term added as one dot per row, since an einsum over the rows rounds
+    differently.  Either way a query gets the same bits alone or in any
+    batch."""
+    spec, reference, lam = request.kernel, request.reference.values, request.lam
+    intercept = bool(request.intercept)
     if _closed_form_applies(spec, lam, intercept):
-        return _svm_closed_form(spec, reference, queries, lam, reporting, solver)
+        return _bind_closed_form(request)
     n = reference.shape[0]
-    alpha, fvals, offsets, iterations, residuals, converged = svm_dual_solves(
-        spec, reference, queries, lam, intercept, solver
-    )
-    margins = fvals + offsets[:, None]
-    values = weighted_expectation(
-        np.maximum(0.0, 1.0 - margins[:, :n]), np.maximum(0.0, 1.0 + margins[:, n])
-    )
-    if reporting is Reporting.LOSS_PLUS_REG:
-        signed = alpha * np.append(np.ones(n), -1.0)  # y_k alpha_k: the query is labelled -1
-        values += lam * np.array([s @ f for s, f in zip(signed, fvals)])
-    coefficients = np.hstack([alpha, offsets[:, None]]) if intercept else alpha  # the offset last
-    return BatchResult(values, iterations, residuals, converged, coefficients)
+
+    def score(block):
+        alpha, fvals, offsets, iterations, residuals, converged = svm_dual_solves(
+            spec, reference, block, lam, intercept, request.solver
+        )
+        margins = fvals + offsets[:, None]
+        values = weighted_expectation(
+            np.maximum(0.0, 1.0 - margins[:, :n]), np.maximum(0.0, 1.0 + margins[:, n])
+        )
+        if request.reporting is Reporting.LOSS_PLUS_REG:
+            signed = alpha * np.append(np.ones(n), -1.0)  # y_k alpha_k: the query is labelled -1
+            values += lam * np.array([s @ f for s, f in zip(signed, fvals)])
+        coefficients = np.hstack([alpha, offsets[:, None]]) if intercept else alpha  # the offset last
+        return BatchResult(values, iterations, residuals, converged, coefficients)
+
+    return score, sys.maxsize
 
 
 @dataclass(frozen=True, eq=False)
@@ -527,30 +536,57 @@ class DepthBatchRequest:
             raise ValidationError(violation)
 
 
-def depth_batch(request: DepthBatchRequest) -> BatchResult:
-    """Score every query in the request, by the method's batch function:
-    _halfspace_depths, _logistic_depths or _svm_depths, each the same code
-    a single query runs as a batch of one.  A halfspace depth is exact or an
-    upper bound, so its columns read 0 iterations, residual 0 and converged.
+def _bind(request: DepthBatchRequest) -> tuple[Callable[[np.ndarray], BatchResult], int]:
+    """The request's method bound to its reference and settings: the scorer
+    of one block of query rows, and the block size."""
+    binders = {METHOD_HALFSPACE: _bind_halfspace, METHOD_LOGISTIC: _bind_logistic,
+               METHOD_SVM: _bind_svm}
+    return binders[request.method](request)
 
-    The shared reference structures are built once per call and only read by
-    the queries.  Every query is scored or the call raises: an exact halfspace
-    depth (no config) in dimension >= 3 raises ValidationError, even with no
-    queries.
-    """
-    reference = request.reference.values
-    if request.method == METHOD_HALFSPACE:
-        values = _halfspace_depths(reference, request.queries, request.halfspace)
-        m = values.size
-        return BatchResult(values, np.zeros(m, dtype=np.int64), np.zeros(m), np.ones(m, dtype=bool))
-    if request.method == METHOD_LOGISTIC:
-        return _logistic_depths(
-            reference, request.queries, request.lam,
-            True if request.intercept is None else request.intercept,
-            request.reporting, request.normalize, request.solver,
-        )
-    return _svm_depths(
-        request.kernel, reference, request.queries, request.lam,
-        False if request.intercept is None else request.intercept,
-        request.reporting, request.solver,
+
+def _score_blocks(
+    score: Callable[[np.ndarray], BatchResult], size: int, queries: np.ndarray
+) -> BatchResult:
+    """The queries scored block by block, size rows at a time in query order,
+    and the blocks' columns stacked: the only loop over query blocks.  Blocks
+    of the closed form's box, one read-only row with a zero stride, stack to
+    that box over every query, never copied.  No queries are one empty
+    block, whose columns have the method's shapes."""
+    m = queries.shape[0]
+    blocks = [score(queries[start : start + size]) for start in range(0, max(m, 1), size)]
+    if len(blocks) == 1:
+        return blocks[0]
+    coefficients = blocks[0].coefficients
+    if coefficients is not None and coefficients.strides[0] == 0:
+        coefficients = np.broadcast_to(coefficients[0], (m, coefficients.shape[1]))
+    elif coefficients is not None:
+        coefficients = np.concatenate([block.coefficients for block in blocks])
+    columns = ("values", "iterations", "residuals", "converged")
+    return BatchResult(
+        *(np.concatenate([getattr(block, name) for block in blocks]) for name in columns),
+        coefficients,
     )
+
+
+def bind_batch(request: DepthBatchRequest) -> Callable[..., BatchResult]:
+    """depth_batch with the request's method bound once: the returned
+    function scores any query rows against the request's reference and
+    settings, checked as DepthBatchRequest checks them, to the bits
+    depth_batch gives them; the request's own queries are not scored.  The
+    reference-only work is done here, or on the first block, once for every
+    call, and binding raises what depth_batch raises before it scores."""
+    score, size = _bind(request)
+    return lambda queries: _score_blocks(score, size, replace(request, queries=queries).queries)
+
+
+def depth_batch(request: DepthBatchRequest) -> BatchResult:
+    """Score every query in the request: the method's binder (_bind) does the
+    reference-only work once, and _score_blocks scores the queries block by
+    block, the same code a single query runs as a batch of one.  A halfspace
+    depth is exact or an upper bound, so its columns read 0 iterations,
+    residual 0 and converged.
+
+    Every query is scored or the call raises: an exact halfspace depth (no
+    config) in dimension >= 3 raises ValidationError, even with no queries.
+    """
+    return _score_blocks(*_bind(request), request.queries)

@@ -21,7 +21,7 @@ from .depths import (
     METHOD_LOGISTIC,
     METHOD_SVM,
     DepthBatchRequest,
-    depth_batch,
+    bind_batch,
 )
 from .kernels import KernelSpec, median_heuristic
 from .metrics import auc_roc, kendall_tau, spearman_rho
@@ -135,26 +135,22 @@ def depth_scorer(
 ):
     """Bind a depth method to a fixed reference sample.
 
-    Returns a callable mapping query rows to depth values.  The kernel for
-    the hinge depth defaults to a Gaussian at the median-heuristic bandwidth
-    of the reference, resolved once here so every later call shares it.
-    Every other setting of the request keeps its default.
+    Returns a callable mapping query rows to depth values.  The method is
+    bound to the reference once here (depths.bind_batch), so every call
+    shares the reference-only work: the kernel for the hinge depth, which
+    defaults to a Gaussian at the median-heuristic bandwidth of the
+    reference, its row means in the closed form, and the logistic depth's
+    augmented reference and pair products.  Every other setting of the
+    request keeps its default.
     """
     ref = as_data_matrix(reference)
-    resolved = kernel
-    if method == METHOD_SVM and resolved is None:
-        resolved = KernelSpec.gaussian(median_heuristic(ref.values))
+    if method == METHOD_SVM and kernel is None:
+        kernel = KernelSpec.gaussian(median_heuristic(ref.values))
+    batch = bind_batch(DepthBatchRequest(reference=ref, queries=np.empty((0, ref.d)),
+                                         method=method, lam=lam, kernel=kernel, solver=solver))
 
     def score(points) -> np.ndarray:
-        request = DepthBatchRequest(
-            reference=ref,
-            queries=points,
-            method=method,
-            lam=lam,
-            kernel=resolved,
-            solver=solver,
-        )
-        outcome = depth_batch(request)
+        outcome = batch(points)
         stalled = ~outcome.converged
         if require_convergence and stalled.any():
             raise NotConvergedError(

@@ -14,6 +14,13 @@ Any failure (no compiler, a compile error, an unwritable cache directory, a
 library that does not load) leaves this process on the numpy loop of
 solvers._greedy_ascent, which gives the same bits, and prints nothing.
 Removing the cache directory only costs the next process one compile.
+
+Nothing here deletes a library, so each edit of _dual.c, or a new compiler
+command, leaves the older one (about 15 KB) in the cache for good.  That is
+deliberate: checkouts of different revisions, such as the two sides of a
+benchmark comparison, share the cache, and a process of the other checkout
+may be about to load its library; deleting it could race that process onto
+the numpy loop.
 """
 from __future__ import annotations
 

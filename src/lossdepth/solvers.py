@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,7 +44,7 @@ _EPS = float(np.finfo(float).eps)
 _MAX_HALVINGS = 60  # bounds the line search: 2**-60 of a step is far below rounding
 DENSE_GRAM_LIMIT = 3000  # largest reference n whose kernel matrix is held densely
 # Largest D whose Hessians are built from coordinate-pair products.  Per
-# block Hessian, at the block size depths._logistic_depths picks, one BLAS
+# block Hessian, at the block size depths._bind_logistic picks, one BLAS
 # thread on a 2-CPU host: the pair path was 1.35-2.2x faster than the stacked
 # product for D <= 5 at n = 250-4000 and even (0.99-1.00x) at n = 16000; at
 # D = 6 it ranged 0.93-1.48x, and at D = 7-8 0.82-1.34x, slower for most
@@ -60,13 +61,16 @@ class SolverConfig:
     tolerance bounds the largest projected Karush-Kuhn-Tucker violation, and
     max_iterations counts passes of n+1 single-coordinate updates; for the
     pairwise solver it bounds the violating pair's gradient spread, and
-    max_iterations counts pair updates.
+    max_iterations counts pair updates.  max_iterations is an integer, a
+    Python or numpy one.
     """
 
     max_iterations: int = 10_000
     tolerance: float = 1e-8
 
     def __post_init__(self):
+        if not isinstance(self.max_iterations, numbers.Integral):
+            raise ValidationError(f"max_iterations must be an integer, got {self.max_iterations!r}")
         if self.max_iterations < 1:
             raise ValidationError("solver needs max_iterations >= 1")
         if not 0.0 < self.tolerance < math.inf:
@@ -239,6 +243,8 @@ def logistic_block_solve(
     size, dim = queries.shape
     weights_out, losses_out, residuals_out = np.empty((size, dim)), np.empty(size), np.empty(size)
     iterations_out, converged_out = np.empty(size, dtype=np.int64), np.empty(size, dtype=bool)
+    if not size:  # an empty block would spin the loop below for its whole budget
+        return weights_out, losses_out, iterations_out, residuals_out, converged_out
 
     live = np.arange(size)  # block rows of the queries still being solved
     weights = np.zeros((size, dim))

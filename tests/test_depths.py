@@ -224,6 +224,36 @@ def test_halfspace_config_validation():
         halfspace_depth([0.0, 0.0, 0.0], np.eye(3))
 
 
+def test_configs_refuse_budgets_and_seeds_that_are_not_integers():
+    # a float budget used to fail inside a dual solve (ctypes.ArgumentError in
+    # the compiled loop, TypeError in the numpy one), and a float or negative
+    # halfspace count or seed inside numpy
+    for budget in (2.5, 3.0):
+        with pytest.raises(ValidationError, match="max_iterations must be an integer"):
+            SolverConfig(max_iterations=budget)
+    with pytest.raises(ValidationError, match="n_directions must be an integer"):
+        HalfspaceConfig(2.5)
+    for seed in (-1, 1.5):
+        with pytest.raises(ValidationError, match="seed must be a non-negative integer"):
+            HalfspaceConfig(5, seed=seed)
+    # numpy integers stay valid, with the bits of Python ints
+    rng = np.random.default_rng(17)
+    reference, queries = rng.standard_normal((20, 3)), rng.standard_normal((4, 3))
+    kernel = KernelSpec.gaussian(0.5)
+    for settings, numpy_settings in (
+        (dict(method="halfspace", halfspace=HalfspaceConfig(30, seed=2)),
+         dict(method="halfspace", halfspace=HalfspaceConfig(np.int32(30), seed=np.uint8(2)))),
+        (dict(method="svm", lam=0.01, kernel=kernel, solver=SolverConfig(max_iterations=3)),
+         dict(method="svm", lam=0.01, kernel=kernel,
+              solver=SolverConfig(max_iterations=np.int64(3)))),
+    ):
+        plain, typed = (depth_batch(DepthBatchRequest(reference=reference, queries=queries,
+                                                      **chosen))
+                        for chosen in (settings, numpy_settings))
+        assert plain.values.tobytes() == typed.values.tobytes()
+        assert plain.iterations.tolist() == typed.iterations.tolist()
+
+
 def test_halfspace_dimension_mismatch():
     with pytest.raises(ValidationError):
         halfspace_depth([0.0, 0.0], COLUMN([1.0, 2.0]))
@@ -499,6 +529,23 @@ def test_svm_closed_form_is_bit_identical_alone_and_in_a_batch(monkeypatch):
                 batch = _results(depth_batch(request))
                 assert [r.value for r in batch] == [r.value for r in alone]
                 assert [r.residual for r in batch] == [r.residual for r in alone]
+
+
+def test_closed_form_coefficients_stay_one_box_across_blocks(monkeypatch):
+    # 64 entries per block hold 2 queries of n = 30: four blocks, and the
+    # stacked coefficients are still the one box row, never copied
+    monkeypatch.setattr(depths, "KERNEL_BLOCK_ENTRIES", 64)
+    rng = np.random.default_rng(65)
+    n = 30
+    request = DepthBatchRequest(reference=rng.standard_normal((n, 2)),
+                                queries=rng.standard_normal((7, 2)), method="svm",
+                                lam=2.0, kernel=KernelSpec.gaussian(0.8))
+    coefficients = depth_batch(request).coefficients
+    box = np.append(np.full(n, 1.0 / (8.0 * n)), 1.0 / 8.0)
+    assert coefficients.shape == (7, n + 1)
+    assert coefficients.strides[0] == 0
+    assert not coefficients.flags.writeable
+    assert all(row.tobytes() == box.tobytes() for row in coefficients)
 
 
 def test_kernel_means_match_the_gram_row_means(monkeypatch):

@@ -3,8 +3,9 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from lossdepth import depths
 from lossdepth.core import NotConvergedError, ValidationError
-from lossdepth.depths import METHOD_LOGISTIC, METHOD_SVM
+from lossdepth.depths import METHOD_LOGISTIC, METHOD_SVM, DepthBatchRequest, depth_batch
 from lossdepth.experiments import (
     DegenerateFitError,
     benchmark_auc,
@@ -115,6 +116,40 @@ def test_depth_scorer_resolves_median_heuristic_once():
         METHOD_SVM, reference, kernel=KernelSpec.gaussian(median_heuristic(reference))
     )
     assert np.array_equal(auto(queries), explicit(queries))
+
+
+def test_a_bound_scorer_prepares_its_reference_once(monkeypatch):
+    # two calls of one scorer share the closed form's row-means pass and the
+    # lr features and pair products, and each gives depth_batch's bits
+    calls = []
+
+    def counting(name):
+        original = getattr(depths, name)
+
+        def wrapped(*args):
+            calls.append(name)
+            return original(*args)
+
+        return wrapped
+
+    for name in ("_kernel_row_means", "logistic_features", "logistic_pairs"):
+        monkeypatch.setattr(depths, name, counting(name))
+    rng = np.random.default_rng(16)
+    reference = rng.standard_normal((40, 2))
+    batches = [rng.standard_normal((5, 2)), rng.standard_normal((3, 2))]
+    kernel = KernelSpec.gaussian(0.8)
+    for method, settings, prepared in (
+        (METHOD_SVM, dict(kernel=kernel), ["_kernel_row_means"]),
+        (METHOD_LOGISTIC, {}, ["logistic_features", "logistic_pairs"]),
+    ):
+        calls.clear()
+        scorer = depth_scorer(method, reference, **settings)
+        scored = [scorer(queries) for queries in batches]
+        assert sorted(calls) == prepared, method
+        for queries, values in zip(batches, scored):
+            request = DepthBatchRequest(reference=reference, queries=queries, method=method,
+                                        **settings)
+            assert values.tobytes() == depth_batch(request).values.tobytes(), method
 
 
 def test_depth_scorer_raises_on_nonconvergence():
