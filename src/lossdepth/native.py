@@ -2,7 +2,7 @@
 
 _dual.c, shipped beside this module, is compiled on the first dense
 no-intercept dual solve, never at import, with the interpreter's C compiler
-(sysconfig's CC, else cc) at -O2 -ffp-contract=off, into a per-user cache
+(sysconfig's CC, else cc) at -O3 -ffp-contract=off, into a per-user cache
 directory: $XDG_CACHE_HOME/lossdepth, else ~/.cache/lossdepth, made with
 mode 0700.  The library's name is a hash of the source, the compiler
 command, its flags and the machine, so each machine compiles once and an
@@ -10,13 +10,26 @@ edited source gets a new name; it is compiled under a temporary name and
 renamed into place, so concurrent processes never load a half-written file.
 ctypes releases the interpreter lock for the length of each call.
 
+-O3 is what lets the compiler vectorise the loop's scan; -O2 leaves it
+scalar.  The flags never name a CPU (no -march=native): the cache key holds
+only platform.machine(), and one cache may be shared by machines with
+different CPUs.  Instead, on x86-64 with glibc, _dual.c compiles its scan for
+AVX-512F, AVX2 and the baseline instruction set, and the dynamic loader picks
+the one this CPU runs; elsewhere, or where the compiler lacks target_clones,
+the scan is the plain loop.  Every clone gives the same bits: the arithmetic
+per element is the numpy loop's, never contracted or reassociated, and the
+argmax is an exact maximum over ordered bit patterns followed by the first
+index that has it, which no vector width or lane order can change.  The
+scan writes the violations into a scratch vector of n doubles that the
+caller passes in, so the C code allocates nothing and cannot fail.
+
 Any failure (no compiler, a compile error, an unwritable cache directory, a
 library that does not load) leaves this process on the numpy loop of
 solvers._greedy_ascent, which gives the same bits, and prints nothing.
 Removing the cache directory only costs the next process one compile.
 
 Nothing here deletes a library, so each edit of _dual.c, or a new compiler
-command, leaves the older one (about 15 KB) in the cache for good.  That is
+command, leaves the older one (about 24 KB) in the cache for good.  That is
 deliberate: checkouts of different revisions, such as the two sides of a
 benchmark comparison, share the cache, and a process of the other checkout
 may be about to load its library; deleting it could race that process onto
@@ -40,9 +53,9 @@ from pathlib import Path
 import numpy as np
 
 _SOURCE = Path(__file__).with_name("_dual.c")
-# -ffp-contract=off: a fused multiply-add would round delta * row and the
-# subtraction once instead of twice, and change bits
-_FLAGS = ("-O2", "-ffp-contract=off", "-fPIC", "-shared")
+# -O3 vectorises the scan; -ffp-contract=off: a fused multiply-add would
+# round delta * row and the subtraction once instead of twice, and change bits
+_FLAGS = ("-O3", "-ffp-contract=off", "-fPIC", "-shared")
 _COMPILE_TIMEOUT_S = 120
 _INT64_MAX = 2**63 - 1
 _VECTOR = np.ctypeslib.ndpointer(dtype=np.float64, ndim=1, flags="C_CONTIGUOUS")
@@ -89,7 +102,7 @@ def _library():
         function = ctypes.CDLL(str(target)).greedy_ascent
     except (OSError, subprocess.SubprocessError):
         return None
-    function.argtypes = [ctypes.c_int64, _MATRIX, *[_VECTOR] * 7, ctypes.c_int64, ctypes.c_double,
+    function.argtypes = [ctypes.c_int64, _MATRIX, *[_VECTOR] * 8, ctypes.c_int64, ctypes.c_double,
                          ctypes.POINTER(ctypes.c_double)]
     function.restype = ctypes.c_int64
     return function
@@ -97,18 +110,20 @@ def _library():
 
 def greedy_ascent(kernel: np.ndarray, diag: np.ndarray, lo: np.ndarray, hi: np.ndarray,
                   u: np.ndarray, scores: np.ndarray, floor: np.ndarray, ceiling: np.ndarray,
-                  budget: int, tolerance: float) -> tuple[int, float] | None:
+                  violations: np.ndarray, budget: int,
+                  tolerance: float) -> tuple[int, float] | None:
     """Run solvers._greedy_loop in C on the symmetric kernel matrix, with the
     same arguments and results: u, scores, floor and ceiling are updated in
-    place, and the number of updates and the residual are returned.  Returns
-    None, touching nothing, when the library is not available or the
-    arguments are not what it reads: a C-contiguous float64 (n, n) kernel,
-    float64 vectors of length n, the four it updates C-contiguous and
-    writable, and a budget that fits an int64."""
+    place, violations is overwritten as scratch, and the number of updates
+    and the residual are returned.  Returns None, touching nothing, when the
+    library is not available or the arguments are not what it reads: a
+    C-contiguous float64 (n, n) kernel with n >= 1, float64 vectors of length
+    n, the five it writes C-contiguous and writable, and a budget that fits
+    an int64."""
     size = u.size
-    vectors = (diag, lo, hi, u, scores, floor, ceiling)
+    vectors = (diag, lo, hi, u, scores, floor, ceiling, violations)
     if not (
-        kernel.dtype == np.float64 and kernel.shape == (size, size)
+        size > 0 and kernel.dtype == np.float64 and kernel.shape == (size, size)
         and kernel.flags.c_contiguous
         and all(vector.dtype == np.float64 and vector.shape == (size,) for vector in vectors)
         and all(vector.flags.c_contiguous and vector.flags.writeable for vector in vectors[3:])

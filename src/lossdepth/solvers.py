@@ -435,7 +435,8 @@ def _greedy_ascent(
     # cannot rise leaves the violation as the magnitude
     floor = np.where(u > lo, -np.inf, 0.0)
     ceiling = np.where(u < hi, np.inf, 0.0)
-    state = (diag, lo, hi, u, scores, floor, ceiling, cfg.max_iterations * u.size, cfg.tolerance)
+    state = (diag, lo, hi, u, scores, floor, ceiling, np.empty_like(u),
+             cfg.max_iterations * u.size, cfg.tolerance)
     outcome = None
     if isinstance(column, np.ndarray):
         from . import native  # local: its compiler tooling costs ~10 ms of start-up
@@ -448,13 +449,13 @@ def _greedy_ascent(
 
 def _greedy_loop(
     column, diag: np.ndarray, lo: np.ndarray, hi: np.ndarray, u: np.ndarray,
-    scores: np.ndarray, floor: np.ndarray, ceiling: np.ndarray, budget: int, tolerance: float,
+    scores: np.ndarray, floor: np.ndarray, ceiling: np.ndarray, violations: np.ndarray,
+    budget: int, tolerance: float,
 ) -> tuple[int, float]:
     """The numpy maximal-violation loop of _greedy_ascent, and the reference
     that _dual.c reproduces bit for bit: updates u, the gradient scores and
-    the violation clips floor and ceiling in place, and returns the number of
-    updates and the residual."""
-    violations = np.empty_like(u)
+    the violation clips floor and ceiling in place, overwrites the scratch
+    vector violations, and returns the number of updates and the residual."""
     for updates in range(budget + 1):
         np.maximum(scores, floor, out=violations)
         np.minimum(violations, ceiling, out=violations)

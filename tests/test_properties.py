@@ -398,7 +398,7 @@ def greedy_problems(draw):
     the query is sometimes a reference row, and the budget is sometimes one
     pass.  Every coordinate's first violation is 1, so the first update
     breaks an all-way tie."""
-    d, n = draw(st.integers(1, 3)), draw(st.integers(1, 15))
+    d, n = draw(st.integers(1, 3)), draw(st.integers(1, 40))
     half = st.integers(-3, 3).map(lambda v: v / 2.0)
     reference = draw(hnp.arrays(float, (n, d), elements=half))
     if draw(st.booleans()):

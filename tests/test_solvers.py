@@ -1,6 +1,7 @@
 """Newton and dual ascent engines against independent oracles."""
 import math
 import shutil
+import subprocess
 from types import SimpleNamespace
 
 import numpy as np
@@ -617,6 +618,111 @@ def test_the_compiled_loop_spreads_a_nan_as_the_numpy_loop_does():
     assert math.isnan(compiled[4]) and math.isnan(looped[4]) and np.isnan(looped[1]).all()
     for ours, theirs in zip(compiled[:2], looped[:2]):
         assert ours.tobytes() == theirs.tobytes()
+
+
+def test_the_compiled_source_builds_without_a_warning(tmp_path):
+    # a warning would otherwise only show as a silent fall back to numpy
+    command = native._compiler()
+    if shutil.which(command[0]) is None:
+        pytest.skip("no C compiler")
+    run = subprocess.run([*command, *native._FLAGS, "-Wall", "-Wextra", "-Werror",
+                          "-o", str(tmp_path / "dual.so"), str(native._SOURCE)],
+                         capture_output=True, text=True, timeout=native._COMPILE_TIMEOUT_S)
+    assert run.returncode == 0, run.stderr
+
+
+def _both_greedy_loops(kernel, diag, lo, hi, u, scores, floor, ceiling, budget, tolerance):
+    """native.greedy_ascent and solvers._greedy_loop from the same state,
+    which must end with the same bytes; returns the compiled end state:
+    u, scores, floor, ceiling, the updates and the residual."""
+    compiled = [vector.copy() for vector in (u, scores, floor, ceiling)]
+    looped = [vector.copy() for vector in (u, scores, floor, ceiling)]
+    compiled_outcome = native.greedy_ascent(kernel, diag, lo, hi, *compiled, np.empty_like(u),
+                                            budget, tolerance)
+    looped_outcome = solvers._greedy_loop(kernel.__getitem__, diag, lo, hi, *looped,
+                                          np.empty_like(u), budget, tolerance)
+    assert compiled_outcome is not None
+    for ours, theirs in zip(compiled, looped):
+        assert ours.tobytes() == theirs.tobytes()
+    assert compiled_outcome[0] == looped_outcome[0]
+    assert np.float64(compiled_outcome[1]).tobytes() == np.float64(looped_outcome[1]).tobytes()
+    return (*compiled, *compiled_outcome)
+
+
+def test_the_compiled_scan_has_the_numpy_loops_bits_at_every_vector_width():
+    # every vector body and tail: n + 1 = 1..40 and 1001 coordinates, run
+    # for up to 2000 updates toward a tight tolerance, and for one
+    if native._library() is None:
+        pytest.skip("no C compiler: the numpy loop is the only one")
+    rng = np.random.default_rng(29)
+    for size in [*range(1, 41), 1001]:
+        points = rng.standard_normal((size, 2))
+        kmat = gram(KernelSpec.gaussian(0.7), points)
+        labels = np.where(np.arange(size) < size - 1, 1.0, -1.0)
+        box = labels * rng.uniform(0.5, 5.0, size)
+        lo, hi = np.minimum(0.0, box), np.maximum(0.0, box)
+        u = np.zeros(size)
+        floor, ceiling = np.where(u > lo, -np.inf, 0.0), np.where(u < hi, np.inf, 0.0)
+        for budget in (2000, 1):
+            end = _both_greedy_loops(kmat, np.diagonal(kmat), lo, hi, u, labels, floor,
+                                     ceiling, budget, 1e-10)
+            assert 0 < end[4] <= budget
+    # no coordinate: the scan would have no index to return
+    assert native.greedy_ascent(np.empty((0, 0)), *[np.empty(0)] * 8, 1, 1e-10) is None
+
+
+def _interior_problem(size: int, rng):
+    """A size-coordinate dual with every coordinate free to move either way
+    and every violation below 0.5 in magnitude."""
+    kmat = gram(KernelSpec.gaussian(1.0), rng.standard_normal((size, 2)))
+    scores = rng.uniform(-0.5, 0.5, size)
+    return (kmat, np.diagonal(kmat), np.full(size, -1.0), np.ones(size), np.zeros(size),
+            scores, np.full(size, -np.inf), np.full(size, np.inf))
+
+
+def test_the_compiled_scan_takes_the_first_of_equal_violations():
+    # ties in different vector lanes, with either sign: the first index moves
+    if native._library() is None:
+        pytest.skip("no C compiler: the numpy loop is the only one")
+    rng = np.random.default_rng(30)
+    for first, second in ((0, 39), (3, 12), (7, 8), (13, 38), (1, 2), (5, 29)):
+        for sign in (1.0, -1.0):
+            kmat, diag, lo, hi, u, scores, floor, ceiling = _interior_problem(40, rng)
+            scores[first], scores[second] = 2.0, 2.0 * sign
+            end = _both_greedy_loops(kmat, diag, lo, hi, u, scores, floor, ceiling, 1, 1e-10)
+            assert np.flatnonzero(end[0]).tolist() == [first]
+
+
+def test_the_compiled_scan_takes_the_first_nan_before_or_after_the_largest_violation():
+    # the first NaN wins over any finite violation and over a later NaN of
+    # either sign, and the residual is NaN
+    if native._library() is None:
+        pytest.skip("no C compiler: the numpy loop is the only one")
+    rng = np.random.default_rng(31)
+    widest = np.array([0x7FFFFFFFFFFFFFFF]).view(np.float64)[0]  # the largest NaN bits
+    for nan, largest in ((2, 17), (17, 2), (9, 10), (38, 0), (0, 39)):
+        kmat, diag, lo, hi, u, scores, floor, ceiling = _interior_problem(40, rng)
+        scores[largest] = 0.9
+        scores[nan] = np.nan
+        later = scores[max(nan, largest) + 1:]  # a view
+        later[::2], later[1::2] = -np.nan, widest
+        end = _both_greedy_loops(kmat, diag, lo, hi, u, scores, floor, ceiling, 1, 1e-10)
+        assert np.flatnonzero(np.isnan(end[0])).tolist() == [nan]
+        assert end[4] == 1 and math.isnan(end[5])
+
+
+def test_the_compiled_scan_takes_index_0_when_every_violation_is_zero():
+    # a zero residual at the start stops at once; below a negative tolerance
+    # the one update goes to index 0, the first of the all-way tie
+    if native._library() is None:
+        pytest.skip("no C compiler: the numpy loop is the only one")
+    for size in (1, 9, 40):
+        kmat, diag, lo, hi, u, scores, _, _ = _interior_problem(size, np.random.default_rng(32))
+        pinned = np.zeros(size)  # floor and ceiling 0: every violation clips to 0
+        end = _both_greedy_loops(kmat, diag, lo, hi, u, scores, pinned, pinned, 5, 0.0)
+        assert end[4] == 0 and np.float64(end[5]).tobytes() == np.float64(0.0).tobytes()
+        end = _both_greedy_loops(kmat, diag, lo, hi, u, scores, pinned, pinned, 1, -1.0)
+        assert end[4] == 1 and np.flatnonzero(end[0]).tolist() == [0]
 
 
 def test_dual_solvers_refuse_a_kernel_diagonal_that_is_not_finite(monkeypatch):
