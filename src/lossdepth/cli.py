@@ -6,6 +6,11 @@ grid (plane heatmap with quantile thresholds), rankcorr (agreement with the
 true density on bimodal data).  Every command is a pure function of its
 input files, flags and seed.  --threads and LOSSDEPTH_THREADS are checked and
 otherwise ignored: they change neither the bytes nor the speed.
+
+grid, benchmark, rankcorr and convergence turn a method name into a fitted
+scorer through experiments.method_scorer, the package's one dispatch.
+benchmark refuses a depth solve or a one-class fit that stops before
+tolerance (exit 2); grid, rankcorr and convergence report what it gives.
 """
 from __future__ import annotations
 
@@ -16,32 +21,27 @@ import sys
 
 import numpy as np
 
-from .baselines import lof_scores, ocsvm_fit
 from .core import LossDepthError, Reporting, ValidationError
 from .depths import (
     METHOD_HALFSPACE,
-    METHOD_LOGISTIC,
     METHOD_SVM,
     DepthBatchRequest,
     HalfspaceConfig,
     depth_batch,
-    logistic_depth,
-    svm_depth,
 )
 from .experiments import (
+    METHOD_NAMES,
     benchmark_auc,
     contamination_grid,
     convergence_experiment,
-    depth_scorer,
     gen_contaminated,
+    method_scorer,
     rank_correlation_experiment,
     stratified_split,
 )
 from .io import ExperimentReport, ReportTable, read_csv, render_report, write_report
 from .kernels import KernelSpec, median_heuristic
 from .solvers import SolverConfig
-
-_METHOD_NAMES = {"halfspace": METHOD_HALFSPACE, "lr": METHOD_LOGISTIC, "svm": METHOD_SVM}
 
 EXIT_OK = 0
 EXIT_INVALID = 2
@@ -182,7 +182,7 @@ def _emit(report: ExperimentReport, args) -> None:
 def cmd_depth(args) -> int:
     reference = _read_features(args.reference, args)
     queries = _read_features(args.queries, args)
-    method = _METHOD_NAMES[args.method]
+    method = METHOD_NAMES[args.method]
     solver = _solver_from(args, default_tolerance=1e-8)
 
     kernel = None
@@ -238,6 +238,8 @@ def cmd_depth(args) -> int:
 
 
 def cmd_benchmark(args) -> int:
+    if not args.methods:
+        raise ValidationError("--methods needs at least one method")
     if (args.test is None) == (not args.split):
         raise ValidationError("provide either a test file or --split, not both")
     train_set = read_csv(args.train, has_header=args.has_header, label_column=_label_column(args))
@@ -301,12 +303,12 @@ def cmd_convergence(args) -> int:
     state = {"kernel": None}
 
     def depth_fn(sample, query):
-        if args.method == "lr":
-            return logistic_depth(query, sample, lam, solver=solver).value
-        if state["kernel"] is None:
+        if args.method == "svm" and state["kernel"] is None:
             # the reference sample comes first, and every later sample shares its kernel
             state["kernel"] = _resolve_kernel(args, sample)
-        return svm_depth(query, sample, lam, kernel=state["kernel"], solver=solver).value
+        score = method_scorer(args.method, sample, lam=lam, kernel=state["kernel"],
+                              solver=solver, require_convergence=False)
+        return score(query.reshape(1, -1))[0]
 
     result = convergence_experiment(
         depth_fn,
@@ -327,7 +329,7 @@ def cmd_convergence(args) -> int:
             "seed": args.seed,
             "method": args.method,
             "lambda": lam,
-            "kernel": _kernel_label(state["kernel"]) if args.method == "svm" else "",
+            "kernel": _kernel_label(state["kernel"]),
             "d": args.d,
             "n_grid": list(result.n_grid),
             "repeats": args.repeats,
@@ -343,9 +345,9 @@ def cmd_convergence(args) -> int:
 def cmd_grid(args) -> int:
     if (args.data is None) == (not args.contaminated):
         raise ValidationError("provide either a data file or --contaminated, not both")
-    if len(args.lof_k) > 1:
+    if len(args.lof_k) != 1:
         raise ValidationError(f"grid scores with one --lof-k, got {len(args.lof_k)}")
-    lof_k = args.lof_k[0] if args.lof_k else 10
+    lof_k = args.lof_k[0]
     if args.contaminated:
         sample = gen_contaminated(
             n=args.n,
@@ -359,24 +361,9 @@ def cmd_grid(args) -> int:
         data = _read_features(args.data, args)
     solver = _solver_from(args, default_tolerance=1e-6)
 
-    kernel = None
-    if args.method in ("svm", "ocsvm"):
-        kernel = _resolve_kernel(args, data)
-    if args.method in ("svm", "lr"):
-        score_fn = depth_scorer(
-            _METHOD_NAMES[args.method],
-            data,
-            lam=args.lam,
-            kernel=kernel,
-            solver=solver,
-            require_convergence=False,
-        )
-    elif args.method == "ocsvm":
-        model = ocsvm_fit(data, kernel, args.ocsvm_nu, solver)
-        score_fn = model.score
-    else:
-        score_fn = lambda pts: -lof_scores(data, pts, lof_k)
-
+    kernel = _resolve_kernel(args, data) if args.method in ("svm", "ocsvm") else None
+    score_fn = method_scorer(args.method, data, lam=args.lam, kernel=kernel, solver=solver,
+                             nu=args.ocsvm_nu, lof_k=lof_k, require_convergence=False)
     scan = contamination_grid(
         data, score_fn, resolution=args.resolution, quantiles=args.quantiles
     )
@@ -410,6 +397,8 @@ def cmd_grid(args) -> int:
 
 def cmd_rankcorr(args) -> int:
     solver = _solver_from(args, default_tolerance=1e-6)
+    if not args.methods:
+        raise ValidationError("--methods needs at least one method")
     for method in args.methods:
         if method not in ("lr", "svm"):
             raise ValidationError(f"rankcorr supports lr and svm, got {method!r}")
@@ -429,8 +418,8 @@ def cmd_rankcorr(args) -> int:
 
     def score_fn(method, sample):
         kernel = _resolve_kernel(args, sample) if method == "svm" else None
-        scorer = depth_scorer(_METHOD_NAMES[method], sample, lam=args.lam, kernel=kernel,
-                              solver=solver, require_convergence=False)
+        scorer = method_scorer(method, sample, lam=args.lam, kernel=kernel, solver=solver,
+                               require_convergence=False)
         return scorer(sample)
 
     table = ReportTable("rankcorr", ("method", "d", "run", "kendall", "spearman"), [
@@ -457,7 +446,7 @@ def build_parser() -> argparse.ArgumentParser:
     depth = commands.add_parser("depth", help="score query points against a reference sample")
     depth.add_argument("reference", help="reference sample csv")
     depth.add_argument("queries", help="query points csv")
-    depth.add_argument("--method", choices=tuple(_METHOD_NAMES), default="lr")
+    depth.add_argument("--method", choices=tuple(METHOD_NAMES), default="lr")
     depth.add_argument("--reporting", choices=("loss", "loss+reg"), default="loss")
     depth.add_argument("--normalize", action=argparse.BooleanOptionalAction, default=True,
                        help="divide by the zero-classifier loss (logistic only)")

@@ -3,6 +3,10 @@
 Everything here is deterministic given a master seed: child random streams
 are spawned per (experiment, grid index, repeat) so adding repeats or grid
 points never reshuffles the draws of the existing ones.
+
+method_scorer is the one map from a command-line method name (lr, svm,
+ocsvm, lof) to a fitted scorer, and the one place that decides whether a fit
+stopped before tolerance is an error; every driver scores through it.
 """
 from __future__ import annotations
 
@@ -10,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .baselines import lof_scores_per_k, ocsvm_fit
+from .baselines import lof_scores, lof_scores_per_k, ocsvm_fit
 from .core import (
     LossDepthError,
     NotConvergedError,
@@ -18,6 +22,7 @@ from .core import (
     as_data_matrix,
 )
 from .depths import (
+    METHOD_HALFSPACE,
     METHOD_LOGISTIC,
     METHOD_SVM,
     DepthBatchRequest,
@@ -32,6 +37,10 @@ _REFERENCE_STREAM = 0
 _SAMPLE_STREAM = 1
 _MIXTURE_STREAM = 2
 _SPLIT_STREAM = 3
+
+
+# the command-line names of the depth methods
+METHOD_NAMES = {"halfspace": METHOD_HALFSPACE, "lr": METHOD_LOGISTIC, "svm": METHOD_SVM}
 
 
 class DegenerateFitError(LossDepthError):
@@ -160,6 +169,35 @@ def depth_scorer(
         return outcome.values
 
     return score
+
+
+def method_scorer(method: str, reference, *, lam: float = 1.0, kernel: KernelSpec | None = None,
+                  solver: SolverConfig | None = None, nu: float = 0.15, lof_k: int = 10,
+                  require_convergence: bool = True):
+    """Fit the scorer a driver method name means to the reference rows.
+
+    Returns a callable mapping points to scores, larger meaning more central:
+    the depth_scorer of lr or svm, the one-class SVM margin of ocsvm, or the
+    negated local outlier factor of lof with lof_k neighbours.  svm and ocsvm
+    default to a Gaussian kernel at the median-heuristic bandwidth of the
+    reference.  With require_convergence a depth solve or a one-class fit
+    that stops before tolerance raises NotConvergedError.
+    """
+    if method in ("lr", "svm"):
+        return depth_scorer(METHOD_NAMES[method], reference, lam=lam, kernel=kernel,
+                            solver=solver, require_convergence=require_convergence)
+    ref = as_data_matrix(reference).values
+    if method == "lof":
+        return lambda points: -lof_scores(ref, points, lof_k)
+    if method != "ocsvm":
+        raise ValidationError(f"unknown method {method!r}")
+    if kernel is None:
+        kernel = KernelSpec.gaussian(median_heuristic(ref))
+    model = ocsvm_fit(ref, kernel, nu, solver)
+    if require_convergence and not model.converged:
+        raise NotConvergedError(f"the one-class SVM fit stopped before tolerance after "
+                                f"{model.iterations} pair updates; residual {model.residual:g}")
+    return model.score
 
 
 @dataclass(frozen=True, eq=False)
@@ -388,12 +426,14 @@ def benchmark_auc(
 ) -> list:
     """Inlier-versus-outlier AUC of each scoring method on a held-out set.
 
-    Depth methods use the training rows as the reference sample and the
-    depth itself as the score.  LOF gets one row per neighbourhood size plus
-    a best-of row; its factor orders outliers first, so its negation enters
-    the AUC.  The oracle method scores with the labels themselves and pins
-    the ceiling at 1.  A shared Gaussian kernel at the training median
-    heuristic is used wherever none is supplied.
+    lr, svm and ocsvm score through method_scorer, fitted to the training
+    rows, and a depth solve or one-class fit that stops before tolerance
+    raises NotConvergedError.  LOF gets one row per neighbourhood size plus
+    a best-of row, from one sort of the distances for every size; its factor
+    orders outliers first, so its negation enters the AUC.  The oracle method
+    scores with the labels themselves and pins the ceiling at 1.  A shared
+    Gaussian kernel at the training median heuristic is used wherever none
+    is supplied.
     """
     train_m = as_data_matrix(train)
     test_m = as_data_matrix(test)
@@ -408,16 +448,11 @@ def benchmark_auc(
 
     rows = []
     for method in methods:
-        if method == "lr":
-            score = depth_scorer(METHOD_LOGISTIC, train_m, lam=lam, solver=solver)
-            rows.append(BenchmarkRow("lr", f"lam={lam:g}",
-                                     auc_roc(score(test_m.values), inlier)))
-        elif method == "svm":
-            score = depth_scorer(
-                METHOD_SVM, train_m, lam=lam, kernel=shared_kernel, solver=solver
-            )
-            rows.append(BenchmarkRow("svm", f"lam={lam:g}",
-                                     auc_roc(score(test_m.values), inlier)))
+        if method in ("lr", "svm", "ocsvm"):
+            score = method_scorer(method, train_m, lam=lam, kernel=shared_kernel,
+                                  solver=solver, nu=nu)
+            parameter = f"nu={nu:g}" if method == "ocsvm" else f"lam={lam:g}"
+            rows.append(BenchmarkRow(method, parameter, auc_roc(score(test_m.values), inlier)))
         elif method == "lof":
             if not lof_k:
                 raise ValidationError("lof needs at least one neighbourhood size")
@@ -428,10 +463,6 @@ def benchmark_auc(
                 rows.append(BenchmarkRow("lof", f"k={k}", value))
                 best = value if best is None else max(best, value)
             rows.append(BenchmarkRow("lof", "best", best))
-        elif method == "ocsvm":
-            model = ocsvm_fit(train_m.values, shared_kernel, nu, solver)
-            rows.append(BenchmarkRow("ocsvm", f"nu={nu:g}",
-                                     auc_roc(model.score(test_m.values), inlier)))
         elif method == "oracle":
             rows.append(BenchmarkRow("oracle", "", auc_roc(inlier.astype(float), inlier)))
         else:

@@ -13,8 +13,10 @@ import numpy as np
 import pytest
 
 from lossdepth import baselines, cli, experiments, native
+from lossdepth.core import ValidationError
 from lossdepth.io import format_float
 from lossdepth.kernels import median_heuristic
+from lossdepth.solvers import SolverConfig
 
 SEED_DATA = np.random.default_rng(21)
 
@@ -514,6 +516,85 @@ def test_benchmark_split_needs_labels(tmp_path, capsys):
     code = cli.main(["benchmark", unlabeled, "--split"])
     assert code == cli.EXIT_INVALID
     assert "label column" in capsys.readouterr().err
+
+
+def test_two_file_benchmark_scores_as_benchmark_auc(tmp_path, capsys):
+    rng = np.random.default_rng(23)
+    train = np.vstack([rng.standard_normal((40, 2)), rng.standard_normal((8, 2)) + 4.0])
+    test = np.vstack([rng.standard_normal((15, 2)), rng.standard_normal((5, 2)) + 4.0])
+    train_labels = np.r_[np.zeros(40), np.ones(8)]
+    test_labels = np.r_[np.zeros(15), np.ones(5)]
+    train_path = _csv(tmp_path / "train.csv", np.column_stack([train, train_labels]))
+    test_path = _csv(tmp_path / "test.csv", np.column_stack([test, test_labels]))
+    methods = "lr,svm,lof,ocsvm,oracle"
+    code = cli.main(["benchmark", train_path, test_path, "--label-column", "2",
+                     "--methods", methods])
+    assert code == cli.EXIT_OK
+    rows = list(csv.reader(capsys.readouterr().out.splitlines()))
+    expected = experiments.benchmark_auc(
+        train, test, test_labels == 0, methods=methods.split(","),
+        solver=SolverConfig(max_iterations=10_000, tolerance=1e-6),
+    )
+    assert rows[0] == ["method", "parameter", "auc"]
+    assert [(m, p, float(auc)) for m, p, auc in rows[1:]] == [
+        (row.method, row.parameter, row.auc) for row in expected
+    ]
+
+    # with no label column named, the test file has none to score against
+    unlabeled = [_csv(tmp_path / f"{name}.csv", data) for name, data in
+                 (("train-u", train), ("test-u", test))]
+    assert cli.main(["benchmark", *unlabeled]) == cli.EXIT_INVALID
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: the test file needs a label column\n"
+
+
+def test_only_benchmark_refuses_an_unconverged_one_class_fit(labeled_file, capsys):
+    # benchmark requires every fit to converge, as it does for its depths;
+    # grid reports what a stopped fit gives, as it does for its depths
+    code = cli.main(["benchmark", labeled_file, "--split", "--label-column", "2",
+                     "--methods", "ocsvm", "--max-iterations", "1"])
+    assert code == cli.EXIT_INVALID
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert re.fullmatch(r"error: the one-class SVM fit stopped before tolerance[^\n]*\n",
+                        captured.err), captured.err
+    code = cli.main(["grid", "--contaminated", "--method", "ocsvm", "--n", "60",
+                     "--resolution", "4", "--max-iterations", "1"])
+    assert code == cli.EXIT_OK
+    assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["benchmark", "{labeled}", "--split", "--label-column", "2", "--methods", ""],
+     "--methods needs at least one method"),
+    (["rankcorr", "--methods", "", "--runs", "1"], "--methods needs at least one method"),
+    (["grid", "--contaminated", "--method", "lof", "--lof-k", ""],
+     "grid scores with one --lof-k, got 0"),
+], ids=["benchmark-methods", "rankcorr-methods", "grid-lof-k"])
+def test_an_empty_list_exits_two_with_one_line(argv, message, labeled_file, capsys):
+    # before, the first two printed a header-only table and grid scored with k = 10
+    argv = [arg.format(labeled=labeled_file) for arg in argv]
+    assert cli.main(argv) == cli.EXIT_INVALID
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
+def test_every_driver_method_choice_builds_a_scorer():
+    # the parser offers no method the one dispatch cannot fit
+    commands = next(a for a in cli.build_parser()._actions
+                    if isinstance(a, argparse._SubParsersAction))
+    rng = np.random.default_rng(24)
+    reference, points = rng.standard_normal((30, 2)), rng.standard_normal((4, 2))
+    for command in ("grid", "convergence"):
+        option = next(a for a in commands.choices[command]._actions
+                      if "--method" in a.option_strings)
+        for method in option.choices:
+            scores = experiments.method_scorer(method, reference)(points)
+            assert scores.shape == (4,) and np.all(np.isfinite(scores)), (command, method)
+    with pytest.raises(ValidationError, match="unknown method 'nope'"):
+        experiments.method_scorer("nope", reference)
 
 
 def test_grid_contaminated_layout(tmp_path):

@@ -4,6 +4,7 @@ import pytest
 from scipy import stats
 
 from lossdepth import depths
+from lossdepth.baselines import lof_scores, ocsvm_fit
 from lossdepth.core import NotConvergedError, ValidationError
 from lossdepth.depths import METHOD_LOGISTIC, METHOD_SVM, DepthBatchRequest, depth_batch
 from lossdepth.experiments import (
@@ -14,6 +15,7 @@ from lossdepth.experiments import (
     depth_scorer,
     gen_bigaussian,
     gen_contaminated,
+    method_scorer,
     mixture_density,
     rank_correlation_experiment,
     stratified_split,
@@ -163,6 +165,43 @@ def test_depth_scorer_raises_on_nonconvergence():
                            require_convergence=False)
     values = lenient(np.zeros((2, 2)))
     assert values.shape == (2,)
+
+
+def test_method_scorer_gives_the_bits_of_each_method():
+    # the one dispatch adds nothing to the scorer it binds: lr and svm score
+    # as depth_batch does, ocsvm as its fitted model, lof as the negated factor
+    rng = np.random.default_rng(17)
+    reference = rng.standard_normal((40, 2))
+    points = rng.standard_normal((7, 2))
+    kernel = KernelSpec.gaussian(median_heuristic(reference))
+
+    def depth_values(method, **settings):
+        request = DepthBatchRequest(reference=reference, queries=points, method=method,
+                                    **settings)
+        return depth_batch(request).values
+
+    cases = [
+        ("lr", {}, depth_values(METHOD_LOGISTIC)),
+        ("svm", {}, depth_values(METHOD_SVM, kernel=kernel)),  # closed form
+        ("svm", dict(lam=0.02), depth_values(METHOD_SVM, lam=0.02, kernel=kernel)),  # dual
+        ("ocsvm", dict(nu=0.3), ocsvm_fit(reference, kernel, 0.3).score(points)),
+        ("lof", dict(lof_k=7), -lof_scores(reference, points, 7)),
+    ]
+    for method, settings, expected in cases:
+        scores = method_scorer(method, reference, **settings)(points)
+        assert scores.tobytes() == expected.tobytes(), (method, settings)
+
+
+def test_method_scorer_refuses_an_unconverged_one_class_fit():
+    rng = np.random.default_rng(18)
+    reference = rng.standard_normal((40, 2))
+    starved = SolverConfig(max_iterations=1)
+    with pytest.raises(NotConvergedError, match="one-class SVM fit stopped"):
+        method_scorer("ocsvm", reference, solver=starved)
+    lenient = method_scorer("ocsvm", reference, solver=starved, require_convergence=False)
+    assert lenient(reference[:3]).shape == (3,)
+    with pytest.raises(ValidationError, match="unknown method"):
+        method_scorer("nope", reference)
 
 
 def test_convergence_experiment_fast_profile():
