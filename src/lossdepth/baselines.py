@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import ValidationError
-from .kernels import KernelSpec, gram
+from .kernels import KernelSpec, gram, pair_distances
 from .solvers import SolverConfig, _pairwise_smo
 
 _LRD_FLOOR = 1e-12  # keeps local reachability density finite on stacked duplicates
@@ -25,6 +25,13 @@ def _points_2d(points, name: str) -> np.ndarray:
     if not np.all(np.isfinite(arr)):
         raise ValidationError(f"{name} contains non-finite entries")
     return arr
+
+
+def _distances(left: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """Euclidean distances between the rows of left and right, as the square
+    roots of the squared ones, which are cdist's "euclidean" bits."""
+    squared = pair_distances(left, right)
+    return np.sqrt(squared, out=squared)
 
 
 def lof_scores(train, test, k: int) -> np.ndarray:
@@ -53,12 +60,10 @@ def lof_scores_per_k(train, test, ks) -> list:
     for k in ks:
         if not 1 <= k < n:
             raise ValidationError(f"lof needs 1 <= k < n_train, got k={k}, n_train={n}")
-    from scipy.spatial.distance import cdist  # local: scipy.spatial costs ~0.5 s to import
-
-    dists = cdist(train, train)
+    dists = _distances(train, train)
     np.fill_diagonal(dists, np.inf)  # a training point is not its own neighbour
     ranked = np.argsort(dists, axis=1, kind="stable")
-    test_dists = cdist(test, train)
+    test_dists = _distances(test, train)
     test_ranked = np.argsort(test_dists, axis=1, kind="stable")
     rows = np.arange(n)[:, None]
     test_rows = np.arange(test.shape[0])[:, None]

@@ -1,9 +1,12 @@
 """Positive-definite kernels and data-driven bandwidth heuristics.
 
-`scipy.spatial.distance` is imported inside the functions that compute a
-distance, not here: the `scipy.spatial` package import takes about 0.5 s,
-and the halfspace and logistic depths, which never build a kernel, would
-otherwise pay it on every CLI start-up.
+Every distance (pair_distances) is computed in the compiled library that
+lossdepth.native builds from _dual.c, with the bits of scipy's cdist and
+pdist.  Those stay the reference, and the fallback on a machine where the
+library cannot be had: only then is `scipy.spatial.distance` imported,
+inside the function, as its package import takes about 0.5 s.  Neither
+import happens here, so the halfspace and logistic depths, which never
+build a kernel, pay neither at CLI start-up.
 """
 from __future__ import annotations
 
@@ -112,21 +115,48 @@ def gram(spec: KernelSpec, left, right=None) -> np.ndarray:
         # product's rounding depends on its thread count
         with np.errstate(over="ignore", invalid="ignore"):
             return np.einsum("ik,jk->ij", a, b)
-    from scipy.spatial.distance import cdist  # local: scipy.spatial costs ~0.5 s to import
+    parameter = {GAUSSIAN: -spec.gamma, LAPLACIAN: spec.sigma, IMQ: spec.c ** 2}[spec.family]
+    out = pair_distances(a, b, spec.family, parameter)  # the exponent, or imq's base
+    if spec.family == IMQ:
+        return np.power(out, spec.beta, out=out)
+    return np.exp(out, out=out)
 
-    # in place on the distance matrix, so a block allocates no further temporaries
-    if spec.family == GAUSSIAN:
-        out = cdist(a, b, "sqeuclidean")
-        out *= -spec.gamma
-        return np.exp(out, out=out)
-    if spec.family == LAPLACIAN:
-        out = cdist(a, b, "cityblock")
-        out /= spec.sigma
-        np.negative(out, out=out)
-        return np.exp(out, out=out)
-    out = cdist(a, b, "sqeuclidean")  # imq
-    out += spec.c ** 2
-    return np.power(out, spec.beta, out=out)
+
+def pair_distances(left: np.ndarray, right: np.ndarray | None, step: str = "sqeuclidean",
+                   parameter: float = 0.0) -> np.ndarray:
+    """The squared euclidean distance s of each pair of a row of left and a
+    row of right, as the (m, n) matrix of cdist; with right None, of each
+    pair i < j of left's rows, packed as pdist packs them.  A kernel family
+    as step applies its scalar step instead, giving what gram hands to
+    np.exp or np.power: s * parameter for GAUSSIAN (parameter -gamma),
+    -(l1 / parameter) for LAPLACIAN with the l1 distance (parameter sigma),
+    and s + parameter for IMQ (parameter c^2).
+
+    Computed in the compiled library (native.kernel_arguments) when it is
+    available, else by scipy's cdist or pdist and the step in numpy; each
+    pair's sum runs over the coordinates in order in both, so they give the
+    same bits.  An overflow gives inf silently, in either.
+    """
+    from . import native  # local: its compiler tooling costs ~10 ms of start-up
+
+    out = native.kernel_arguments(left, right, step, parameter)
+    if out is not None:
+        return out
+    from scipy.spatial import distance  # local: scipy.spatial costs ~0.5 s to import
+
+    metric = "cityblock" if step == LAPLACIAN else "sqeuclidean"
+    out = distance.pdist(left, metric) if right is None else distance.cdist(left, right, metric)
+    # in place, so a block allocates nothing more; an overflow is the -inf
+    # or inf that the compiled pass gives, without a warning
+    with np.errstate(over="ignore"):
+        if step == GAUSSIAN:
+            out *= parameter
+        elif step == LAPLACIAN:
+            out /= parameter
+            np.negative(out, out=out)
+        elif step == IMQ:
+            out += parameter
+    return out
 
 
 # A larger input to median_heuristic is subsampled to this many rows, drawn
@@ -143,8 +173,6 @@ def median_heuristic(points) -> float:
     result does not depend on float averaging.  Samples _HEURISTIC_MAX_POINTS
     rows, seeded, when the input is larger.
     """
-    from scipy.spatial.distance import pdist  # local: scipy.spatial costs ~0.5 s to import
-
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     if pts.shape[0] < 2:
         raise ValidationError("bandwidth heuristics need at least two points")
@@ -152,7 +180,7 @@ def median_heuristic(points) -> float:
         rng = np.random.default_rng(_HEURISTIC_SEED)
         keep = rng.choice(pts.shape[0], size=_HEURISTIC_MAX_POINTS, replace=False)
         pts = pts[np.sort(keep)]
-    pairs = pdist(pts, "sqeuclidean")
+    pairs = pair_distances(pts, None)
     middle = (pairs.size - 1) // 2
     pairs.partition(middle)
     med = float(pairs[middle])

@@ -337,8 +337,9 @@ def svm_dual_solves(
     data alone.  Coordinates with K_kk = 0 contribute a fixed unit hinge loss
     whatever alpha does, so they are pinned at their box bound, where the
     (linear) dual term is largest.  With an intercept, pairwise updates keep
-    sum_k y_k alpha_k = 0 (_pairwise_smo), degenerate coordinates are frozen
-    at zero, and the offset is recovered from the margin conditions.
+    sum_k y_k alpha_k = 0 (_pairwise_smo), every coordinate is free, since
+    the offset moves even a degenerate coordinate's hinge loss, and the
+    offset is recovered from the margin conditions.
 
     The labels and the box are built once per batch, and so is the
     (n+1) x (n+1) kernel matrix of the reference and a query, when there are
@@ -383,9 +384,10 @@ def svm_dual_solves(
                 return gram(spec, points, points[k : k + 1])[:, 0]
 
         # only degenerate coordinates, whose kernel columns vanish, start
-        # nonzero, so K @ start is zero
-        degenerate = diag <= 1e-15
-        start = np.zeros(n + 1) if intercept else np.where(degenerate, signed_box, 0.0)
+        # nonzero, so K @ start is zero; under an intercept they stay free,
+        # since the offset moves their loss and their alpha is in the balance
+        degenerate = (diag <= 1e-15) & (not intercept)
+        start = np.where(degenerate, signed_box, 0.0)
         lo = np.where(degenerate, start, np.minimum(0.0, signed_box))
         hi = np.where(degenerate, start, np.maximum(0.0, signed_box))
         signed, fvals[i], offsets[i], iterations[i], residuals[i], converged[i] = solve(

@@ -56,8 +56,9 @@ NATIVE_TRIED = "import sys; print('lossdepth.native' in sys.modules)\n"
 
 def test_cli_import_leaves_scipy_stats_unloaded(tmp_path):
     # scipy.spatial and scipy.stats cost most of a second at start-up; only
-    # the kernels, LOF and the ranking metrics import them, on first use; and
-    # no import compiles, loads or caches the compiled dual loop
+    # the ranking metrics, and the kernels and LOF without the compiled
+    # library, import them, on first use; and no import compiles, loads or
+    # caches the compiled library
     code = (
         "import sys\n"
         "def scipy_loaded(): return any(m.split('.')[0] == 'scipy' for m in sys.modules)\n"
@@ -90,8 +91,8 @@ def test_halfspace_and_lr_depths_run_without_scipy(sample_files, tmp_path):
 
 
 def test_kernel_commands_match_in_a_fresh_interpreter(sample_files, tmp_path):
-    # the kernels and LOF import scipy on first use; a process that pays
-    # that import on the spot prints the bytes of one that already has it
+    # the kernels and LOF load the compiled library on first use; a process
+    # that loads it on the spot prints the bytes of one that already has it
     reference, queries = sample_files
     commands = {
         "svm.json": ["depth", reference, queries, "--method", "svm", "--format", "json",
@@ -166,27 +167,94 @@ def _write_reports(argv, folder):
 def test_reports_have_the_same_bytes_with_and_without_the_compiled_loop(
     sample_files, labeled_file, tmp_path, monkeypatch
 ):
-    # every command that runs a no-intercept dual below kappa/4, every kernel
+    # every command that runs a no-intercept dual below kappa/4, every kernel,
+    # and the compiled distance pass: the closed form at the default lambda
+    # for every kernel, lof, and the median heuristic's gamma
     if native._library() is None:
         pytest.skip("no C compiler: the numpy loop is the only one")
     reference, queries = sample_files
-    depth = ["depth", reference, queries, "--method", "svm", "--lambda", "0.05",
-             "--coefficients", "--format", "json"]
-    commands = [depth + kernel for kernel in (
-        [], ["--kernel", "laplacian", "--sigma", "1"], ["--kernel", "imq"], ["--kernel", "linear"]
-    )] + [
+    depth = ["depth", reference, queries, "--method", "svm", "--coefficients", "--format", "json"]
+    kernels = ([], ["--kernel", "laplacian", "--sigma", "1"], ["--kernel", "imq"],
+               ["--kernel", "linear"])
+    commands = [depth + lam + kernel for lam in ([], ["--lambda", "0.05"]) for kernel in kernels]
+    commands += [
         ["grid", "--contaminated", "--method", "svm", "--lambda", "0.05", "--n", "40",
          "--resolution", "5"],
+        ["grid", "--contaminated", "--method", "lof", "--n", "60", "--resolution", "8"],
         ["benchmark", labeled_file, "--split", "--label-column", "2", "--methods", "svm,ocsvm",
          "--lambda", "0.05"],
         ["rankcorr", "--methods", "svm", "--lambda", "0.05", "--runs", "2", "--n", "30"],
         ["convergence", "--method", "svm", "--lambda", "0.05", "--n-grid", "20,40",
          "--repeats", "2"],
     ]
-    compiled = [_write_reports(argv, tmp_path / f"compiled{i}") for i, argv in enumerate(commands)]
+    # tied and duplicate pairs, and a subsample of 2000 rows from 2600
+    points = np.round(np.random.default_rng(31).standard_normal((2600, 3)), 1)
+
+    def run(side):
+        folders = [tmp_path / f"{side}{i}" for i in range(len(commands))]
+        reports = [_write_reports(argv, folder) for argv, folder in zip(commands, folders)]
+        return reports, np.float64(median_heuristic(points)).tobytes()
+
+    compiled = run("compiled")
     monkeypatch.setattr(native, "_library", lambda: None)
-    looped = [_write_reports(argv, tmp_path / f"looped{i}") for i, argv in enumerate(commands)]
-    assert compiled == looped
+    assert compiled == run("looped")
+
+
+def test_a_kernel_depth_leaves_scipy_spatial_unloaded_with_the_compiled_library(
+    sample_files, tmp_path
+):
+    # the compiled pass computes every distance; scipy.spatial is the fallback
+    if native._library() is None:
+        pytest.skip("no C compiler: scipy computes the distances")
+    reference, queries = sample_files
+    code = (
+        "import sys\n"
+        "from lossdepth import cli, native\n"
+        f"code = cli.main(['depth', {reference!r}, {queries!r}, '--method', 'svm',\n"
+        f"                 '--output', {str(tmp_path / 'out.csv')!r}])\n"
+        "print(code, native._library() is not None, 'scipy.spatial' in sys.modules)\n"
+    )
+    assert _fresh_python(code).splitlines()[-1] == f"{cli.EXIT_OK} True False"
+
+
+# values whose kernel argument overflows to -inf in numpy's scaling step
+# (reference, query, options)
+OVERFLOWING_ARGUMENTS = {
+    "gaussian": ([[0.0]], [[1e154]], ["--gamma", "1e300"]),
+    "laplacian": ([[0.0]], [[1e300]], ["--kernel", "laplacian", "--sigma", "1e-300"]),
+}
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("compiled", [True, False], ids=["compiled", "scipy"])
+@pytest.mark.parametrize("case", sorted(OVERFLOWING_ARGUMENTS))
+def test_an_overflowing_kernel_argument_runs_without_a_warning(
+    case, compiled, tmp_path, capsys, monkeypatch
+):
+    # the kernel value is exp(-inf) = 0; before, the scipy path raised a raw
+    # numpy overflow warning on the way
+    if compiled and native._library() is None:
+        pytest.skip("no C compiler: the scipy path is the only one")
+    if not compiled:
+        monkeypatch.setattr(native, "_library", lambda: None)
+    reference, query, options = OVERFLOWING_ARGUMENTS[case]
+    argv = ["depth", _csv(tmp_path / "ref.csv", reference), _csv(tmp_path / "q.csv", query),
+            "--method", "svm", *options]
+    assert cli.main(argv) == cli.EXIT_OK
+    header, row = capsys.readouterr().out.splitlines()
+    assert (header, row) == ("query,depth,converged,iterations,residual", "0,0.75,true,0,0")
+
+
+def test_an_intercept_svm_moves_a_point_at_the_origin(tmp_path, capsys):
+    # with the linear kernel a point at the origin has a zero kernel diagonal;
+    # it was pinned at alpha = 0 and the depth printed 1.0034722, converged,
+    # above the zero function's loss of 1; the optimum is the box, 0.996528
+    reference = _csv(tmp_path / "ref.csv", [[0.0], [0.0], [1.0]])
+    queries = _csv(tmp_path / "q.csv", [[0.5]])
+    argv = ["depth", reference, queries, "--method", "svm", "--kernel", "linear", "--intercept"]
+    assert cli.main(argv) == cli.EXIT_OK
+    row = capsys.readouterr().out.splitlines()[1].split(",")
+    assert row[2] == "true" and float(row[1]) == pytest.approx(1.0 - 1.0 / 288.0, abs=1e-12)
 
 
 @pytest.mark.parametrize("case", ["no compiler", "unwritable cache"])

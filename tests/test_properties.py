@@ -22,10 +22,12 @@ JSON report reads back as the cells' values, or refuses a non-finite one.
 import csv
 import json
 import random
+import warnings
 from io import StringIO
 
 import numpy as np
 import pytest
+from scipy.spatial.distance import cdist, pdist
 from scipy.special import expit
 
 hypothesis = pytest.importorskip("hypothesis")
@@ -46,7 +48,7 @@ from lossdepth.depths import (  # noqa: E402
     logistic_depth,
     svm_depth,
 )
-from lossdepth.kernels import KernelSpec, gram  # noqa: E402
+from lossdepth.kernels import KernelSpec, gram, pair_distances  # noqa: E402
 from lossdepth.solvers import SolverConfig, svm_dual_solves, svm_duality_gap  # noqa: E402
 from test_depths import _results, _same_result, integer_halfspace_2d  # noqa: E402
 
@@ -445,6 +447,89 @@ def test_the_compiled_greedy_loop_has_the_bits_of_the_numpy_loop(problem):
     assert compiled[1].tobytes() == looped[1].tobytes()
     assert compiled[2:4] == looped[2:4] and compiled[5] == looped[5]
     assert np.float64(compiled[4]).tobytes() == np.float64(looped[4]).tobytes()
+
+
+# coordinates that tie exactly, and magnitudes whose differences or squares
+# overflow to inf
+SPECIAL_COORDINATES = np.array([0.0, 1.0, -1.0, 2.0, 1e200, -1e200, 1e160, -3e154, 1.7e308,
+                                -1.7e308])
+# each family's parameter as gram passes it: -gamma, sigma or c^2
+STEP_PARAMETERS = {
+    "sqeuclidean": st.just(0.0),
+    "gaussian": st.floats(1e-300, 1e300).map(lambda gamma: -gamma),
+    "laplacian": st.floats(1e-300, 1e300),
+    "imq": st.floats(1e-300, 1e300),
+}
+
+
+@st.composite
+def distance_problems(draw):
+    """(left, right or None, step, parameter): d = 1..40; 0-4 left rows and
+    0-49 right rows, around every multiple of the 16 pairs one compiled tile
+    sums; right may repeat left's rows; None asks for the packed triangle.
+    The coordinates are seeded normals over six decades, with a drawn share
+    of them replaced by SPECIAL_COORDINATES."""
+    d, rows = draw(st.integers(1, 40)), draw(st.integers(0, 4))
+    columns = None if draw(st.booleans()) else draw(st.integers(0, 49))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    share = draw(st.sampled_from((0.0, 0.1, 0.5, 1.0)))
+
+    def points(count):
+        values = rng.standard_normal((count, d)) * 10.0 ** rng.integers(-3, 4, (count, d))
+        special = rng.random((count, d)) < share
+        values[special] = rng.choice(SPECIAL_COORDINATES, special.sum())
+        return values
+
+    left = points(rows)
+    if columns is None:
+        right = None
+        if rows and draw(st.booleans()):
+            left = np.vstack([left, left[:1]])  # a duplicate pair in the triangle
+    else:
+        right = points(columns)
+        if rows and columns:
+            copies = draw(st.lists(st.integers(0, columns - 1), max_size=3))
+            right[copies] = left[0]  # duplicate rows: distance exactly 0
+    step = draw(st.sampled_from(sorted(STEP_PARAMETERS)))
+    return left, right, step, draw(STEP_PARAMETERS[step])
+
+
+def _scipy_arguments(left, right, step, parameter):
+    """scipy's cdist or pdist followed by the family's numpy step, as gram
+    computed the kernel argument before the compiled pass."""
+    metric = "cityblock" if step == "laplacian" else "sqeuclidean"
+    out = pdist(left, metric) if right is None else cdist(left, right, metric)
+    with np.errstate(over="ignore"):
+        if step == "gaussian":
+            out *= parameter
+        elif step == "laplacian":
+            out /= parameter
+            np.negative(out, out=out)
+        elif step == "imq":
+            out += parameter
+    return out
+
+
+@settings(max_examples=400, suppress_health_check=[HealthCheck.too_slow])
+@given(distance_problems())
+@example((np.ones((1, 1)), np.ones((1, 1)), "gaussian", -1.0))
+@example((np.ones((1, 1)), None, "sqeuclidean", 0.0))
+@example((np.empty((0, 3)), np.ones((5, 3)), "imq", 1.0))
+@example((np.ones((2, 3)), np.empty((0, 3)), "laplacian", 1.0))
+@example((np.empty((0, 3)), None, "sqeuclidean", 0.0))
+@example((np.array([[0.0]]), np.array([[1e154]]), "gaussian", -1e300))
+@example((np.array([[0.0]]), np.array([[1e300]]), "laplacian", 1e-300))
+def test_the_compiled_distance_pass_has_the_bits_of_scipy(problem):
+    # and so does pair_distances without the library, silently
+    if native._library() is None:
+        pytest.skip("no C compiler: scipy is the only distance pass")
+    left, right, step, parameter = problem
+    expected = _scipy_arguments(left, right, step, parameter).tobytes()
+    assert native.kernel_arguments(left, right, step, parameter).tobytes() == expected
+    with pytest.MonkeyPatch.context() as patch, warnings.catch_warnings():
+        patch.setattr(native, "_library", lambda: None)
+        warnings.simplefilter("error")
+        assert pair_distances(left, right, step, parameter).tobytes() == expected
 
 
 INTEGER = st.integers(-6, 6)

@@ -432,6 +432,51 @@ def test_svm_duality_gap_small_on_random_problems():
         assert -1e-12 <= gap <= 1e-6
 
 
+def _intercept_duality_gap(reference, query, lam, spec, coefficients):
+    """primal - 2 lam dual, and the balance sum_k y_k alpha_k, of an
+    intercept kernel depth from its reported coefficients: the n + 1 duals,
+    query last, then the offset.  For any alpha in the box with a zero
+    balance, and any offset, weak duality makes the gap nonnegative; it is
+    0 only at the optimum."""
+    alpha, offset = coefficients[:-1], coefficients[-1]
+    n = reference.shape[0]
+    labels = np.append(np.ones(n), -1.0)
+    box = np.append(np.full(n, 1.0 / (4.0 * n * lam)), 1.0 / (4.0 * lam))
+    assert np.all((0.0 <= alpha) & (alpha <= box))
+    signed = labels * alpha
+    fvals = gram(spec, np.vstack([reference, query])) @ signed
+    hinge = np.maximum(0.0, 1.0 - labels * (fvals + offset))
+    squared_norm = float(signed @ fvals)
+    primal = float(hinge[:n].mean()) / 2.0 + float(hinge[n]) / 2.0 + lam * squared_norm
+    dual = float(alpha.sum()) - 0.5 * squared_norm
+    return primal - 2.0 * lam * dual, float(signed.sum())
+
+
+def test_intercept_duals_close_the_gap_with_points_at_the_origin():
+    # a point at the origin has a zero linear-kernel diagonal; such points
+    # were pinned at alpha = 0 under an intercept, and the reported solution
+    # sat up to 0.95 above the optimum, marked converged
+    kernels = (KernelSpec.gaussian(0.5), KernelSpec.laplacian(1.0), KernelSpec.imq(1.0, -0.5),
+               KernelSpec.linear())
+    cases = [(np.array([[0.0], [0.0], [1.0]]), np.array([0.5]), 1.0)]  # gap 0.67 before
+    rng = np.random.default_rng(13)
+    for _ in range(12):
+        n, d = int(rng.integers(2, 9)), int(rng.integers(1, 3))
+        reference = rng.integers(-3, 4, (n, d)).astype(float)
+        reference[rng.integers(n)] = 0.0
+        query = rng.integers(-1, 2, d).astype(float)  # the origin now and then
+        cases.append((reference, query, float(rng.choice([0.05, 0.3, 1.0]))))
+    config = SolverConfig(tolerance=1e-11)
+    for reference, query, lam in cases:
+        for spec in kernels:
+            result = svm_depth(query, reference, lam, kernel=spec, intercept=True, solver=config)
+            gap, balance = _intercept_duality_gap(reference, query, lam, spec,
+                                                  result.coefficients)
+            assert result.converged and abs(balance) <= 1e-12
+            assert -1e-9 <= gap <= 1e-8, (spec.family, reference.tolist(), query, lam, gap)
+            assert result.value <= 1.0 + 1e-9  # the zero function's loss is 1
+
+
 def test_svm_complementary_slackness():
     rng = np.random.default_rng(14)
     reference = rng.standard_normal((25, 2))
