@@ -1,8 +1,9 @@
 /* The compiled half of lossdepth: the maximal-violation loop of
- * solvers._greedy_ascent, and the pass behind kernels.pair_distances that
+ * solvers._greedy_ascent, the pass behind kernels.pair_distances that
  * gives gram, median_heuristic and LOF the kernel argument or the squared
- * distance of every pair of rows.  native.py compiles this file on the
- * first kernel evaluation.
+ * distance of every pair of rows, and the three elementwise passes of the
+ * exact 2-d halfspace sweep.  native.py compiles this file on the first
+ * kernel evaluation or exact 2-d halfspace depth.
  *
  * Every operation is the numpy code's, in the same order, so each output
  * bit is the same: built at -O3 with -ffp-contract=off and never with
@@ -37,12 +38,19 @@
  * vector lane holds one pair and no sum crosses lanes, so the vector width
  * cannot change a bit.
  *
- * On x86-64 with glibc, the greedy scan and kernel_arguments are compiled
- * once per instruction set (AVX-512F, AVX2 and the baseline) and the loader
- * picks the one the CPU runs, so one cached library serves every CPU of an
- * architecture; elsewhere, or where the compiler has no target_clones,
- * they are the plain loops.  The arithmetic per element is the same in
- * every clone.
+ * halfspace_fold, halfspace_keys and halfspace_counts: the passes of
+ * depths._halfspace_sweep_2d around numpy's arctan2 and sort, which
+ * native.halfspace_counts runs between them, so every angle and key has
+ * the numpy sweep's bits.  The fold negates by flipping the sign bit, which
+ * is the numpy sweep's multiplication by -1.0; the keys are bit operations;
+ * the counts are integers.  So the counts are the numpy sweep's.
+ *
+ * On x86-64 with glibc, the greedy scan, kernel_arguments and the halfspace
+ * passes are compiled once per instruction set (AVX-512F, AVX2 and the
+ * baseline) and the loader picks the one the CPU runs, so one cached
+ * library serves every CPU of an architecture; elsewhere, or where the
+ * compiler has no target_clones, they are the plain loops.  The arithmetic
+ * per element is the same in every clone.
  */
 #include <math.h>
 #include <stddef.h>
@@ -216,4 +224,87 @@ PER_CPU void kernel_arguments(int64_t rows, int64_t columns, int64_t d, const do
         argument_rows(rows, columns, d, left, right_t, LAPLACIAN, parameter, triangle, out);
     else
         argument_rows(rows, columns, d, left, right_t, step, parameter, triangle, out);
+}
+
+/* Pass one of the exact 2-d halfspace sweep.  points is 2 x n, row-major:
+ * the reference x coordinates, then the y coordinates; queries is rows x 2.
+ * Row r of the rows x n outputs dx, dy and flags holds the differences
+ * between the reference points and query r, each folded into the upper
+ * half-plane by exact negation (a sign-bit flip) when dy < 0, or dy == 0
+ * and dx < 0, with flag 1 where it was folded, 2 where both differences
+ * are zero (a duplicate of the query, never folded) and 0 otherwise;
+ * duplicates[r] is the number of row r's duplicates. */
+PER_CPU void halfspace_fold(int64_t rows, int64_t n, const double *restrict points,
+                            const double *restrict queries, double *restrict dx,
+                            double *restrict dy, uint8_t *restrict flags,
+                            int64_t *restrict duplicates)
+{
+    for (int64_t r = 0; r < rows; r++) {
+        double qx = queries[2 * r], qy = queries[2 * r + 1];
+        double *restrict x_out = dx + r * n, *restrict y_out = dy + r * n;
+        uint8_t *restrict flag = flags + r * n;
+        int64_t count = 0;
+        for (int64_t i = 0; i < n; i++) {
+            double x = points[i] - qx, y = points[n + i] - qy;
+            int64_t folded = (y < 0.0) | ((y == 0.0) & (x < 0.0));
+            int64_t duplicate = (x == 0.0) & (y == 0.0);
+            uint64_t sign = (uint64_t)folded << 63;
+            uint64_t xb = (uint64_t)bits(x) ^ sign, yb = (uint64_t)bits(y) ^ sign;
+            memcpy(&x_out[i], &xb, sizeof xb);
+            memcpy(&y_out[i], &yb, sizeof yb);
+            flag[i] = (uint8_t)(folded | duplicate << 1);
+            count += duplicate;
+        }
+        duplicates[r] = count;
+    }
+}
+
+/* Pass two, on the size angles that np.arctan2 wrote over dx, read as their
+ * bits: each becomes its sort key in place, the angle's bits shifted left
+ * once with the folded flag below them, or 0 for a duplicate, whatever
+ * angle arctan2 gave it.  The shift drops the sign bit, so an angle of -0.0
+ * keys as +0.0, and the keys of the nonnegative angles order as the angles
+ * do. */
+PER_CPU void halfspace_keys(int64_t size, uint64_t *restrict keys,
+                            const uint8_t *restrict flags)
+{
+    for (int64_t i = 0; i < size; i++) {
+        uint64_t key = keys[i] << 1 | (flags[i] & 1u);
+        keys[i] = flags[i] & 2u ? 0 : key;
+    }
+}
+
+/* Pass three, on the rows x n keys, each row sorted: the smallest closed
+ * halfspace count of each row, written over its number of duplicates in
+ * counts; n >= 1.  As depths._halfspace_sweep_2d computes it: the running
+ * count c of the steps, +1 for a folded key and -1 for any other, its least
+ * and greatest values where a run of equal angles ends (the key bits above
+ * the flag change, or the row ends), and with F folded points and D
+ * duplicates the start n - F + D = (n - c_end) / 2 + D, the count is
+ * min(start + cmin, n + D - (start + cmax)).  The running counts go to
+ * scratch, n int64, in a serial loop; the least and greatest of them then
+ * come from a loop without a carried dependence but the extremes, which the
+ * compiler vectorises, and an exact integer extreme does not depend on the
+ * lane order. */
+PER_CPU void halfspace_counts(int64_t rows, int64_t n, const uint64_t *restrict keys,
+                              int64_t *restrict scratch, int64_t *restrict counts)
+{
+    for (int64_t r = 0; r < rows; r++) {
+        const uint64_t *restrict key = keys + r * n;
+        int64_t c = 0;
+        for (int64_t i = 0; i < n; i++) {
+            c += 2 * (int64_t)(key[i] & 1u) - 1;
+            scratch[i] = c;
+        }
+        int64_t cmin = c, cmax = c; /* the last run ends with the row */
+        for (int64_t i = 0; i + 1 < n; i++) {
+            int64_t run_end = (key[i + 1] ^ key[i]) > 1u;
+            int64_t low = run_end ? scratch[i] : n, high = run_end ? scratch[i] : -n;
+            cmin = low < cmin ? low : cmin;
+            cmax = high > cmax ? high : cmax;
+        }
+        int64_t start = (n - c) / 2 + counts[r];
+        int64_t left = start + cmin, right = n + counts[r] - (start + cmax);
+        counts[r] = left < right ? left : right;
+    }
 }

@@ -22,15 +22,17 @@ bind_batch keeps one binding for many sets of queries.  A scorer only reads
 the arrays its binder keeps.  The halfspace depth: the exact 1-d depth sorts
 the reference once and scores every query in one block, the exact 2-d depth
 sweeps half the circle of directions with one sort of n angle keys per
-query, in blocks of queries, and random directions are drawn once and score
-one query per block.  The logistic depth: one lockstep Newton solve per
-cache-sized block of queries, against the augmented reference and, in low
-dimension, its coordinate-pair products, both built once.  The kernel
-depth: without an intercept, with a bounded kernel of constant diagonal
-kappa and lam >= kappa/4, in closed form: one pass for the reference row
-means, before the first block and kept for the rest, then one gram call per
-block of queries; otherwise one block of dual solves, one per query, in
-request order (solvers.svm_dual_solves).
+query, in blocks of queries: compiled passes around numpy's arctan2 and sort
+(native.halfspace_counts), or without the library the numpy sweep
+_halfspace_sweep_2d, with the same counts.  Random directions are drawn once
+and score one query per block.  The logistic depth: one lockstep Newton
+solve per cache-sized block of queries, against the augmented reference
+and, in low dimension, its coordinate-pair products, both built once.  The
+kernel depth: without an intercept, with a bounded kernel of constant
+diagonal kappa and lam >= kappa/4, in closed form: one pass for the
+reference row means, before the first block and kept for the rest, then one
+gram call per block of queries; otherwise one block of dual solves, one per
+query, in request order (solvers.svm_dual_solves).
 """
 from __future__ import annotations
 
@@ -113,10 +115,14 @@ class BatchResult:
         )
 
 
-# Query-reference pairs per 2-d sweep block.  Measured per pair at n = 400,
-# 1000 and 4000 (2-CPU Xeon, one thread): 32-36 ns at 2^13, against 40-61 ns
-# at 2^11 and 2^12 and 51-58 ns at 2^14 and 2^15.
-HALFSPACE_BLOCK_PAIRS = 1 << 13
+# Query-reference pairs per 2-d sweep block.  With the compiled passes,
+# median ns per pair over 7 interleaved rounds at n = 400, 1000 and 4000
+# (2-CPU Xeon, one thread): 2^11 16-21, 2^12 14-16, 2^13 11-13, 2^14 9.8-11.6,
+# 2^15 9.2-10.9, 2^16 12.6-14.7.  2^15 is up to 6 % faster than 2^14, but its
+# 256 KiB angle arrays pass glibc's mmap threshold: a process that runs
+# halfspace alone then faults in about 260 fresh pages per plane-grid call
+# (560 at n = 4000), against 0-2 at 2^14.
+HALFSPACE_BLOCK_PAIRS = 1 << 14
 
 
 def _halfspace_sweep_2d(dx: np.ndarray, dy: np.ndarray) -> np.ndarray:
@@ -196,9 +202,11 @@ def _bind_halfspace(request: DepthBatchRequest):
     by the reference's dimension: in 1-d the reference is sorted here and all
     queries form one block, counted min(#{x <= z}, #{x >= z}) / n
     by binary search; in 2-d sweeps over blocks of about
-    HALFSPACE_BLOCK_PAIRS query-reference pairs, one sort per query row;
-    d >= 3 raises here, even with no queries.  A query's value never depends
-    on the others, so it has the same bits alone or in any batch.
+    HALFSPACE_BLOCK_PAIRS query-reference pairs, one sort per query row, in
+    the compiled library (native.halfspace_counts, which loads it on the
+    first block) or, without it, in _halfspace_sweep_2d, with the same
+    counts; d >= 3 raises here, even with no queries.  A query's value never
+    depends on the others, so it has the same bits alone or in any batch.
     """
     points, config = request.reference.values, request.halfspace
     n, d = points.shape
@@ -227,9 +235,16 @@ def _bind_halfspace(request: DepthBatchRequest):
         raise ValidationError(
             "halfspace depth in dimension >= 3 needs an explicit random-directions configuration"
         )
+    from . import native  # local: importing the package never imports it
+
+    columns = np.ascontiguousarray(points.T)
 
     def score(block):
-        counts = _halfspace_sweep_2d(points[:, 0] - block[:, 0:1], points[:, 1] - block[:, 1:2])
+        counts = native.halfspace_counts(columns, block)
+        if counts is None:
+            with np.errstate(over="ignore"):  # a difference past 1.8e308 is inf, as in C
+                dx, dy = points[:, 0] - block[:, 0:1], points[:, 1] - block[:, 1:2]
+            counts = _halfspace_sweep_2d(dx, dy)
         return _halfspace_columns(counts / n)
 
     return score, max(1, HALFSPACE_BLOCK_PAIRS // n)

@@ -1,42 +1,47 @@
 """The compiled library: the maximal-violation loop of the no-intercept
-kernel-SVM dual (greedy_ascent), and the pass that computes every kernel
+kernel-SVM dual (greedy_ascent), the pass that computes every kernel
 argument and pairwise distance (kernel_arguments, behind
-kernels.pair_distances).
+kernels.pair_distances), and the elementwise passes of the exact 2-d
+halfspace sweep (halfspace_counts, behind depths._bind_halfspace).
 
 _dual.c, shipped beside this module, is compiled on the first kernel
-evaluation, never at import, with the interpreter's C compiler
-(sysconfig's CC, else cc) at -O3 -ffp-contract=off, into a per-user cache
-directory: $XDG_CACHE_HOME/lossdepth, else ~/.cache/lossdepth, made with
-mode 0700.  The library's name is a hash of the source, the compiler
-command, its flags and the machine, so each machine compiles once and an
-edited source gets a new name; it is compiled under a temporary name and
-renamed into place, so concurrent processes never load a half-written file.
-ctypes releases the interpreter lock for the length of each call.  _library
-is the one switch for both functions.
+evaluation or exact 2-d halfspace depth, never at import, with the
+interpreter's C compiler (sysconfig's CC, else cc) at -O3
+-ffp-contract=off, into a per-user cache directory: $XDG_CACHE_HOME/lossdepth,
+else ~/.cache/lossdepth, made with mode 0700.  The library's name is a hash
+of the source, the compiler command, its flags and the machine, so each
+machine compiles once and an edited source gets a new name; it is compiled
+under a temporary name and renamed into place, so concurrent processes never
+load a half-written file.  subprocess is imported only to compile, so a
+process that loads the cached library does not pay for it.  ctypes releases
+the interpreter lock for the length of each call.  _library is the one
+switch for all three functions.
 
--O3 is what lets the compiler vectorise the loop's scan and the distance
-pass; -O2 leaves them scalar.  The flags never name a CPU (no
--march=native): the cache key holds only platform.machine(), and one cache
-may be shared by machines with different CPUs.  Instead, on x86-64 with
-glibc, _dual.c compiles both for AVX-512F, AVX2 and the baseline instruction
-set, and the dynamic loader picks the one this CPU runs; elsewhere, or where
-the compiler lacks target_clones, they are the plain loops.  Every clone
-gives the same bits: the arithmetic per element is the numpy loop's and
-scipy's, never contracted or reassociated; the argmax is an exact maximum
-over ordered bit patterns followed by the first index that has it; and each
-pair's distance is summed over the coordinates in order within one vector
-lane; no vector width or lane order can change any of them.  Both functions
-write only into arrays that the caller passes in, so the C code allocates
-nothing and cannot fail.
+-O3 is what lets the compiler vectorise the loop's scan, the distance pass
+and the sweep's fold and key passes; -O2 leaves them scalar.  The flags never
+name a CPU (no -march=native): the cache key holds only platform.machine(),
+and one cache may be shared by machines with different CPUs.  Instead, on
+x86-64 with glibc, _dual.c compiles them for AVX-512F, AVX2 and the baseline
+instruction set, and the dynamic loader picks the one this CPU runs;
+elsewhere, or where the compiler lacks target_clones, they are the plain
+loops.  Every clone gives the same bits: the arithmetic per element is the
+numpy loop's and scipy's, never contracted or reassociated; the argmax is an
+exact maximum over ordered bit patterns followed by the first index that has
+it; each pair's distance is summed over the coordinates in order within one
+vector lane; and the sweep's passes are exact negations, bit operations and
+integer counts, between which numpy's own arctan2 and sort run; no vector
+width or lane order can change any of them.  Every function writes only into
+arrays that its caller passes in, so the C code allocates nothing and cannot
+fail.
 
 Any failure (no compiler, a compile error, an unwritable cache directory, a
 library that does not load) leaves this process on the numpy loop of
-solvers._greedy_ascent and on scipy's cdist and pdist, which give the same
-bits, and prints nothing.  Removing the cache directory only costs the next
-process one compile.
+solvers._greedy_ascent, on scipy's cdist and pdist and on the numpy sweep
+depths._halfspace_sweep_2d, which give the same bits, and prints nothing.
+Removing the cache directory only costs the next process one compile.
 
 Nothing here deletes a library, so each edit of _dual.c, or a new compiler
-command, leaves the older one (about 28 KB) in the cache for good.  That is
+command, leaves the older one (about 45 KB) in the cache for good.  That is
 deliberate: checkouts of different revisions, such as the two sides of a
 benchmark comparison, share the cache, and a process of the other checkout
 may be about to load its library; deleting it could race that process onto
@@ -51,7 +56,6 @@ import hashlib
 import os
 import platform
 import shlex
-import subprocess
 import sys
 import sysconfig
 import tempfile
@@ -84,13 +88,18 @@ def _compiler() -> list[str]:
 
 
 def _compile(command: list[str], target: Path) -> None:
-    """Compile _dual.c to target through a temporary file in its directory."""
+    """Compile _dual.c to target through a temporary file in its directory;
+    any failure raises OSError."""
+    import subprocess  # local: a load from the cache never pays its import
+
     handle, temporary = tempfile.mkstemp(dir=target.parent, prefix=".dual-", suffix=".so")
     os.close(handle)
     try:
         subprocess.run([*command, "-o", temporary, str(_SOURCE)], check=True,
                        capture_output=True, timeout=_COMPILE_TIMEOUT_S)
         os.replace(temporary, target)
+    except subprocess.SubprocessError as error:
+        raise OSError(f"cannot compile {_SOURCE.name}") from error
     finally:
         with contextlib.suppress(FileNotFoundError):
             os.unlink(temporary)
@@ -98,9 +107,10 @@ def _compile(command: list[str], target: Path) -> None:
 
 @functools.cache
 def _library():
-    """The compiled library, with greedy_ascent and kernel_arguments typed,
-    or None when it cannot be had; tried once per process.  It is the one
-    switch for both: without it, each runs its numpy or scipy twin."""
+    """The compiled library, with greedy_ascent, kernel_arguments and the
+    three halfspace passes typed, or None when it cannot be had; tried once
+    per process.  It is the one switch for all of them: without it, each
+    runs its numpy or scipy twin."""
     command = [*_compiler(), *_FLAGS]
     try:
         key = hashlib.sha256(
@@ -112,7 +122,9 @@ def _library():
             _compile(command, target)
         library = ctypes.CDLL(str(target))
         ascent, arguments = library.greedy_ascent, library.kernel_arguments
-    except (OSError, AttributeError, subprocess.SubprocessError):
+        fold, keys = library.halfspace_fold, library.halfspace_keys
+        counts = library.halfspace_counts
+    except (OSError, AttributeError):
         return None
     ascent.argtypes = [ctypes.c_int64, _MATRIX, *[_VECTOR] * 8, ctypes.c_int64, ctypes.c_double,
                        ctypes.POINTER(ctypes.c_double)]
@@ -120,6 +132,11 @@ def _library():
     arguments.argtypes = [*[ctypes.c_int64] * 3, _MATRIX, _MATRIX, ctypes.c_int64,
                           ctypes.c_double, ctypes.c_int64, _OUTPUT]
     arguments.restype = None
+    # raw addresses: the wrapper makes every array these read and write
+    fold.argtypes = [*[ctypes.c_int64] * 2, *[ctypes.c_void_p] * 6]
+    keys.argtypes = [ctypes.c_int64, *[ctypes.c_void_p] * 2]
+    counts.argtypes = [*[ctypes.c_int64] * 2, *[ctypes.c_void_p] * 3]
+    fold.restype = keys.restype = counts.restype = None
     return library
 
 
@@ -180,3 +197,38 @@ def kernel_arguments(left: np.ndarray, right: np.ndarray | None, step: str,
     library.kernel_arguments(rows, columns, dim, left, right_t, _STEPS.index(step), parameter,
                              right is None, out)
     return out
+
+
+def halfspace_counts(columns: np.ndarray, block: np.ndarray) -> np.ndarray | None:
+    """The smallest closed-halfspace count of every row of block, a (rows, 2)
+    array of queries, against the reference whose x and y coordinates are
+    the rows of columns, a C-contiguous float64 (2, n) array with n >= 1:
+    depths._halfspace_sweep_2d's int64 counts, the same integers.  Three
+    passes in C fold the differences, form the sort keys from the angles
+    and count along each sorted row; between them numpy's arctan2 and sort
+    run as the numpy sweep runs them, so each key has the same bits.
+    Returns None when the library is not available or the arguments are not
+    what it reads."""
+    if not (
+        columns.dtype == np.float64 and columns.ndim == 2 and columns.shape[0] == 2
+        and columns.shape[1] > 0 and columns.flags.c_contiguous
+        and block.ndim == 2 and block.shape[1] == 2
+    ):
+        return None
+    library = _library()
+    if library is None:
+        return None
+    block = np.ascontiguousarray(block, dtype=np.float64)
+    rows, n = block.shape[0], columns.shape[1]
+    dx, dy = np.empty((rows, n)), np.empty((rows, n))
+    flags = np.empty((rows, n), dtype=np.uint8)
+    counts = np.empty(rows, dtype=np.int64)  # each row's duplicates, then its count
+    # an address costs a microsecond to read, and ndpointer's checks four
+    angles, marks, tallies = dx.ctypes.data, flags.ctypes.data, counts.ctypes.data
+    library.halfspace_fold(rows, n, columns.ctypes.data, block.ctypes.data, angles,
+                           dy.ctypes.data, marks, tallies)
+    np.arctan2(dy, dx, out=dx)
+    library.halfspace_keys(rows * n, angles, marks)
+    dx.view(np.uint64).sort(axis=1)
+    library.halfspace_counts(rows, n, angles, dy.ctypes.data, tallies)  # dy is free now
+    return counts

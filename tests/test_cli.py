@@ -49,8 +49,8 @@ def _fresh_python(code, **env):
     return _fresh_run(code, **env).stdout
 
 
-# prints whether this process has imported the compiled dual loop's loader,
-# which no import and no halfspace or lr run needs
+# prints whether this process has imported the compiled library's loader,
+# which no import and no lr run needs
 NATIVE_TRIED = "import sys; print('lossdepth.native' in sys.modules)\n"
 
 
@@ -71,23 +71,52 @@ def test_cli_import_leaves_scipy_stats_unloaded(tmp_path):
 
 
 def test_halfspace_and_lr_depths_run_without_scipy(sample_files, tmp_path):
-    # nor do they touch the compiled dual loop or its cache
+    # lr does not touch the compiled library or its cache either; the 2-d
+    # halfspace sweep loads the library, where it can be had
     reference, queries = sample_files
-    outputs = [str(tmp_path / f"{method}.csv") for method in ("halfspace", "lr")]
+    outputs = [str(tmp_path / f"{method}.csv") for method in ("lr", "halfspace")]
     code = (
         "import sys\n"
         "from lossdepth import cli\n"
-        f"codes = [cli.main(['depth', {reference!r}, {queries!r}, '--method', method,\n"
-        "                   '--output', out])\n"
-        f"         for method, out in zip(('halfspace', 'lr'), {outputs!r})]\n"
+        f"argv = ['depth', {reference!r}, {queries!r}, '--output']\n"
+        f"codes = [cli.main([*argv, {outputs[0]!r}, '--method', 'lr'])]\n"
+        + NATIVE_TRIED
+        + f"codes.append(cli.main([*argv, {outputs[1]!r}, '--method', 'halfspace']))\n"
+        "from lossdepth import native\n"
+        "print(native._library() is not None)\n"
         "print(codes, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
-    ) + NATIVE_TRIED
+    )
     cache = tmp_path / "cache"
-    # cli.main prints each output path first; the last lines are the verdict
-    verdict = _fresh_python(code, XDG_CACHE_HOME=str(cache)).splitlines()[-2:]
-    assert verdict == [f"{[cli.EXIT_OK] * 2} []", "False"]
+    # cli.main prints each output path; the verdict lines follow them
+    lines = _fresh_python(code, XDG_CACHE_HOME=str(cache)).splitlines()
+    compiled = native._library() is not None
+    assert [lines[1], *lines[3:]] == ["False", str(compiled), f"{[cli.EXIT_OK] * 2} []"]
     assert all(Path(out).read_text().startswith("query,depth,") for out in outputs)
-    assert not cache.exists()
+    assert bool(list(cache.rglob("dual-*.so"))) == compiled
+
+
+@pytest.mark.parametrize("form", ["csv", "json"])
+def test_a_halfspace_depth_has_the_same_bytes_without_the_compiled_sweep(
+    form, tmp_path, monkeypatch
+):
+    # ties, collinear points, repeats and queries on reference rows; the 1-d
+    # depth and random directions never call the library
+    if native._library() is None:
+        pytest.skip("no C compiler: the numpy sweep is the only one")
+    rng = np.random.default_rng(17)
+    planar = np.round(rng.standard_normal((30, 2)) * 2.0) / 2.0
+    commands = []
+    for d in (2, 1):
+        points = planar[:, :d]
+        reference = _csv(tmp_path / f"ref{d}.csv", points)
+        queries = _csv(tmp_path / f"q{d}.csv",
+                       np.vstack([points[:5], np.round(rng.standard_normal((20, d)))]))
+        depth = ["depth", reference, queries, "--method", "halfspace", "--format", form]
+        commands += [depth, depth + ["--directions", "50"]]
+    compiled = [_write_reports(argv, tmp_path / f"compiled{i}") for i, argv in enumerate(commands)]
+    monkeypatch.setattr(native, "_library", lambda: None)
+    assert [_write_reports(argv, tmp_path / f"looped{i}")
+            for i, argv in enumerate(commands)] == compiled
 
 
 def test_kernel_commands_match_in_a_fresh_interpreter(sample_files, tmp_path):
@@ -288,11 +317,12 @@ def test_a_second_process_loads_the_cached_loop_without_compiling(tmp_path):
     names = [path.name for path in folder.iterdir()]
     assert len(names) == 1 and re.fullmatch(r"dual-[0-9a-f]{16}\.so", names[0])  # no temporary
     second = (
+        "import sys\n"
         "from lossdepth import native\n"
         "def refuse(*args): raise AssertionError('compiled again')\n"
         "native._compile = refuse\n"
-    ) + first
-    assert _fresh_python(second, XDG_CACHE_HOME=str(cache)) == "True\n"
+    ) + first + "print('subprocess' in sys.modules)\n"  # only compiling imports it
+    assert _fresh_python(second, XDG_CACHE_HOME=str(cache)) == "True\nFalse\n"
 
 
 def test_benchmark_lof_rows_have_the_bytes_of_one_lof_call_per_k(

@@ -6,7 +6,9 @@ sits at its box bound, a tight solve of the same problem, or the same problem
 with its reference rows permuted or moved by a rotation and a translation.
 The exact 2-d halfspace depth is checked against an enumeration in integer
 arithmetic on collinear, antipodal and duplicated integer point sets, and
-under integer affine maps.  The logistic depth of a query has the same bits
+under integer affine maps; its compiled passes give the numpy sweep's counts
+on the same sets with signed zeros and coordinates near 1e+-300, in every
+block of a batch.  The logistic depth of a query has the same bits
 alone and in any batch, and its strong-convexity certificate bounds its
 error against a tight solve, also where the budget stops it early; seeded
 examples pin both Hessian paths, at the pair-product crossover D and one
@@ -569,6 +571,79 @@ def test_exact_2d_halfspace_matches_integer_enumeration(point_set):
     batch = depth_batch(request).values
     assert batch[0] == expected
     assert list(batch[1:]) == [integer_halfspace_2d(points, p) for p in points]
+
+
+# scales of the integer sets: exact, and coordinates near 1e+-300, where the
+# differences are rounded or overflow to inf
+SWEEP_SCALES = st.sampled_from((1.0, 1e300, 5e306, 1e-300, 5e-324))
+
+
+@st.composite
+def sweep_problems(draw):
+    """(points, queries), float (n, 2) and (m, 2): an integer point set times
+    a drawn scale, with some zeros written as -0.0, and as queries its own
+    query, some of its rows and some lattice points; m may be 0."""
+    points, z = draw(integer_point_sets())
+    scale = draw(SWEEP_SCALES)
+    rows = draw(st.lists(st.integers(0, points.shape[0] - 1), max_size=3))
+    lattice = np.array(draw(st.lists(INTEGER_PAIR, max_size=3)), dtype=float).reshape(-1, 2)
+    queries = np.vstack([z, points[rows], lattice])[: draw(st.integers(0, 7))] * scale
+    points = points * scale
+    for array in (points, queries):
+        signed = draw(hnp.arrays(bool, array.shape))
+        array[signed & (array == 0.0)] = -0.0
+    return points, queries
+
+
+def _numpy_sweep(points, queries):
+    """depths._halfspace_sweep_2d's counts of the queries against points."""
+    with np.errstate(over="ignore"):
+        return depths._halfspace_sweep_2d(points[:, 0] - queries[:, 0:1],
+                                          points[:, 1] - queries[:, 1:2])
+
+
+@settings(max_examples=400)
+@given(sweep_problems())
+@example((np.array([[1.0, -0.0]]), np.array([[-0.0, 0.0], [1.0, 0.0], [2.0, -0.0]])))
+@example((np.array([[-1.7e308, 1.7e308], [1.7e308, -0.0]]), np.array([[1.7e308, -1.7e308]])))
+@example((np.array([[0.0, 0.0]]), np.empty((0, 2))))
+def test_the_compiled_sweep_has_the_counts_of_the_numpy_sweep(problem):
+    if native._library() is None:
+        pytest.skip("no C compiler: the numpy sweep is the only one")
+    points, queries = problem
+    counts = native.halfspace_counts(np.ascontiguousarray(points.T), queries)
+    assert counts.dtype == np.int64
+    assert counts.tobytes() == _numpy_sweep(points, queries).tobytes()
+
+
+@settings(max_examples=100)
+@given(sweep_problems(), st.integers(1, 3))
+@example((np.array([[-1.7e308, 1.7e308], [1.7e308, -0.0]]), np.array([[1.7e308, -1.7e308]])), 1)
+def test_the_compiled_sweep_gives_every_block_the_bits_of_the_numpy_sweep(problem, size):
+    # size queries per block, so blocks end inside the batch; every block
+    # runs compiled, and a process without the library gets the same bits
+    if native._library() is None:
+        pytest.skip("no C compiler: the numpy sweep is the only one")
+    points, queries = problem
+    request = DepthBatchRequest(reference=points, queries=queries, method="halfspace")
+    compiled_counts, ran = native.halfspace_counts, []
+
+    def recorded(*args):
+        ran.append(compiled_counts(*args))
+        return ran[-1]
+
+    with pytest.MonkeyPatch.context() as patch:  # an overflow warning is an error here
+        patch.setattr(depths, "HALFSPACE_BLOCK_PAIRS", size * points.shape[0])
+        patch.setattr(native, "halfspace_counts", recorded)
+        compiled = depth_batch(request).values
+        patch.setattr(native, "_library", lambda: None)
+        looped = depth_batch(request).values
+    blocks = max(1, -(-queries.shape[0] // size))
+    assert len(ran) == 2 * blocks
+    assert all(counts is not None for counts in ran[:blocks])
+    assert all(counts is None for counts in ran[blocks:])
+    assert compiled.tobytes() == looped.tobytes()
+    assert compiled.tobytes() == (_numpy_sweep(points, queries) / points.shape[0]).tobytes()
 
 
 NONSINGULAR_MAPS = st.tuples(INTEGER, INTEGER, INTEGER, INTEGER).filter(
