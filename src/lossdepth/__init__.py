@@ -33,9 +33,9 @@ from .experiments import (
     benchmark_auc,
     contamination_grid,
     convergence_experiment,
-    depth_scorer,
     gen_bigaussian,
     gen_contaminated,
+    method_scorer,
     mixture_density,
     rank_correlation_experiment,
     stratified_split,
@@ -72,7 +72,6 @@ __all__ = [
     "contamination_grid",
     "convergence_experiment",
     "depth_batch",
-    "depth_scorer",
     "gen_bigaussian",
     "gen_contaminated",
     "gram",
@@ -82,6 +81,7 @@ __all__ = [
     "lof_scores",
     "logistic_depth",
     "median_heuristic",
+    "method_scorer",
     "mixture_density",
     "ocsvm_fit",
     "rank_correlation_experiment",

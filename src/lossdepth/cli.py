@@ -209,12 +209,10 @@ def cmd_depth(args) -> int:
     columns = (batch.values, batch.converged, batch.iterations, batch.residuals)
     tables = [ReportTable("depths", ("query", "depth", "converged", "iterations", "residual"),
                           zip(range(batch.values.size), *(c.tolist() for c in columns)))]
-    if args.coefficients:
-        # halfspace depths have no coefficients
-        values = np.empty((0, 0)) if batch.coefficients is None else batch.coefficients
-        m, p = values.shape
+    if args.coefficients:  # (m, 0) for the halfspace depth: a header alone
+        m, p = batch.coefficients.shape
         query, coefficient = np.repeat(np.arange(m), p), np.tile(np.arange(p), m)
-        rows = zip(query.tolist(), coefficient.tolist(), values.ravel().tolist())
+        rows = zip(query.tolist(), coefficient.tolist(), batch.coefficients.ravel().tolist())
         tables.append(ReportTable("coefficients", ("query", "coefficient", "value"), rows))
 
     report = ExperimentReport(

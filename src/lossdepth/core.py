@@ -113,7 +113,7 @@ class DepthResult:
     produced it.  coefficients are the classifier weights for the logistic
     depth (d + intercept reals, intercept last) or the dual coefficients for
     the kernel depth (n + 1 reals, query last; with an intercept an extra
-    trailing offset value).
+    trailing offset value), and empty for the halfspace depth.
     """
 
     value: float

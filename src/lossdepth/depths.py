@@ -9,7 +9,8 @@ loss of the best ridge-penalised separator between the reference sample and
 the query.
 
 DepthBatchRequest is the one way to ask for a depth, and BatchResult, one
-array per quantity with a row per query, the one answer.  halfspace_depth,
+array per quantity with a row per query, the one answer; the halfspace
+depth's coefficients are an (m, 0) array.  halfspace_depth,
 logistic_depth and svm_depth build a request of one row and return row 0 by
 BatchResult.result, the only place a DepthResult is built.
 
@@ -25,7 +26,8 @@ sweeps half the circle of directions with one sort of n angle keys per
 query, in blocks of queries: compiled passes around numpy's arctan2 and sort
 (native.halfspace_counts), or without the library the numpy sweep
 _halfspace_sweep_2d, with the same counts.  Random directions are drawn once
-and score one query per block.  The logistic depth: one lockstep Newton
+and score one query per block; an overflowing margin is an infinity, or NaN,
+counted without a warning.  The logistic depth: one lockstep Newton
 solve per cache-sized block of queries, against the augmented reference
 and, in low dimension, its coordinate-pair products, both built once.  The
 kernel depth: without an intercept, with a bounded kernel of constant
@@ -93,17 +95,18 @@ class BatchResult:
     """The per-query columns of a depth batch, row i for query i: values,
     iterations (int64; 0 for the halfspace depth and the closed form),
     residuals and converged (bool), each of shape (m,), and coefficients,
-    (m, k) or None for the halfspace depth: the logistic weights or the dual
-    coefficients, query last, with the offset after them under an intercept.
-    The closed form's coefficients are one read-only box vector with a zero
-    row stride.  result(i) is query i's DepthResult, with its row's bits.
+    (m, k): the logistic weights or the dual coefficients, query last, with
+    the offset after them under an intercept, and (m, 0) for the halfspace
+    depth.  The closed form's coefficients are one read-only box vector with
+    a zero row stride.  result(i) is query i's DepthResult, with its row's
+    bits.
     """
 
     values: np.ndarray
     iterations: np.ndarray
     residuals: np.ndarray
     converged: np.ndarray
-    coefficients: np.ndarray | None = None
+    coefficients: np.ndarray
 
     def result(self, i: int) -> DepthResult:
         return DepthResult(
@@ -111,7 +114,7 @@ class BatchResult:
             iterations=int(self.iterations[i]),
             residual=float(self.residuals[i]),
             converged=bool(self.converged[i]),
-            coefficients=None if self.coefficients is None else self.coefficients[i],
+            coefficients=self.coefficients[i],
         )
 
 
@@ -180,16 +183,21 @@ def _halfspace_sweep_2d(dx: np.ndarray, dy: np.ndarray) -> np.ndarray:
 def _side_counts(points: np.ndarray, queries: np.ndarray, directions: np.ndarray):
     """Per query row z and direction u, the counts of reference points x with
     <u, x - z> <= 0 and with <u, x - z> >= 0: those on each closed side of
-    the hyperplane, each of shape (queries, directions)."""
-    margins = (points - queries[:, None, :]) @ directions.T
+    the hyperplane, each of shape (queries, directions).  A difference or a
+    margin past 1.8e308 is an infinity, counted on its side, and a margin
+    that sums infinities of both signs is NaN, counted on neither side;
+    either is silent."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        margins = (points - queries[:, None, :]) @ directions.T
     return np.count_nonzero(margins <= 0.0, axis=1), np.count_nonzero(margins >= 0.0, axis=1)
 
 
 def _halfspace_columns(values: np.ndarray) -> BatchResult:
     """The columns of halfspace depths, each exact or an upper bound: 0
-    iterations, residual 0 and converged."""
+    iterations, residual 0, converged and no coefficients, an (m, 0) block."""
     m = values.size
-    return BatchResult(values, np.zeros(m, dtype=np.int64), np.zeros(m), np.ones(m, dtype=bool))
+    return BatchResult(values, np.zeros(m, dtype=np.int64), np.zeros(m), np.ones(m, dtype=bool),
+                       np.empty((m, 0)))
 
 
 def _bind_halfspace(request: DepthBatchRequest):
@@ -488,8 +496,8 @@ def _bind_svm(request: DepthBatchRequest):
     (svm_dual_solves), one row per query in request order.
     The value is the weighted hinge loss of the margins f + b, with the ridge
     term added as one dot per row, since an einsum over the rows rounds
-    differently.  Either way a query gets the same bits alone or in any
-    batch."""
+    differently, and a converged value is at most 1.  Either way a query gets
+    the same bits alone or in any batch."""
     spec, reference, lam = request.kernel, request.reference.values, request.lam
     intercept = bool(request.intercept)
     if _closed_form_applies(spec, lam, intercept):
@@ -507,6 +515,10 @@ def _bind_svm(request: DepthBatchRequest):
         if request.reporting is Reporting.LOSS_PLUS_REG:
             signed = alpha * np.append(np.ones(n), -1.0)  # y_k alpha_k: the query is labelled -1
             values += lam * np.array([s @ f for s, f in zip(signed, fvals)])
+        # the zero function's objective, 1, bounds a solved depth: a converged
+        # value above it is the rounding of margins near 0 (for example, every
+        # point equal, where 1 - f and 1 + f round up together)
+        np.minimum(values, 1.0, out=values, where=converged)
         coefficients = np.hstack([alpha, offsets[:, None]]) if intercept else alpha  # the offset last
         return BatchResult(values, iterations, residuals, converged, coefficients)
 
@@ -566,15 +578,16 @@ def _score_blocks(
     and the blocks' columns stacked: the only loop over query blocks.  Blocks
     of the closed form's box, one read-only row with a zero stride, stack to
     that box over every query, never copied.  No queries are one empty
-    block, whose columns have the method's shapes."""
+    block, whose columns have the method's shapes.  The halfspace depth's
+    (rows, 0) coefficients also have a zero row stride, and broadcast."""
     m = queries.shape[0]
     blocks = [score(queries[start : start + size]) for start in range(0, max(m, 1), size)]
     if len(blocks) == 1:
         return blocks[0]
     coefficients = blocks[0].coefficients
-    if coefficients is not None and coefficients.strides[0] == 0:
+    if coefficients.strides[0] == 0:
         coefficients = np.broadcast_to(coefficients[0], (m, coefficients.shape[1]))
-    elif coefficients is not None:
+    else:
         coefficients = np.concatenate([block.coefficients for block in blocks])
     columns = ("values", "iterations", "residuals", "converged")
     return BatchResult(

@@ -4,9 +4,11 @@ Everything here is deterministic given a master seed: child random streams
 are spawned per (experiment, grid index, repeat) so adding repeats or grid
 points never reshuffles the draws of the existing ones.
 
-method_scorer is the one map from a command-line method name (lr, svm,
-ocsvm, lof) to a fitted scorer, and the one place that decides whether a fit
-stopped before tolerance is an error; every driver scores through it.
+method_scorer is the package's one scorer factory: the one map from a method
+name (halfspace, lr, svm, ocsvm, lof) to a scorer fitted to a reference, the
+one place a missing kernel becomes the reference's median-heuristic
+Gaussian, and the one place that decides whether a fit stopped before
+tolerance is an error; every driver scores through it.
 """
 from __future__ import annotations
 
@@ -133,30 +135,38 @@ def gen_contaminated(n: int, center=(-1.0, -1.0), contamination_center=(2.0, 2.0
     return ContaminatedSample(points=points, contaminated=mask)
 
 
-def depth_scorer(
-    method: str,
-    reference,
-    *,
-    lam: float = 1.0,
-    kernel: KernelSpec | None = None,
-    solver: SolverConfig | None = None,
-    require_convergence: bool = True,
-):
-    """Bind a depth method to a fixed reference sample.
+def method_scorer(method: str, reference, *, lam: float = 1.0, kernel: KernelSpec | None = None,
+                  solver: SolverConfig | None = None, nu: float = 0.15, lof_k: int = 10,
+                  require_convergence: bool = True):
+    """Fit the scorer a method name means to the reference rows.
 
-    Returns a callable mapping query rows to depth values.  The method is
-    bound to the reference once here (depths.bind_batch), so every call
-    shares the reference-only work: the kernel for the hinge depth, which
-    defaults to a Gaussian at the median-heuristic bandwidth of the
-    reference, its row means in the closed form, and the logistic depth's
-    augmented reference and pair products.  Every other setting of the
-    request keeps its default.
+    Returns a callable mapping points to scores, larger meaning more central.
+    A depth method (a METHOD_NAMES key: halfspace, the exact depth, lr or
+    svm) is bound to the reference once here (depths.bind_batch), so every
+    call shares the reference-only work, and scores as depth_batch does with
+    every other request setting at its default.  ocsvm scores by the fitted
+    one-class SVM margin, and lof by the negated local outlier factor with
+    lof_k neighbours.  svm and ocsvm default to a Gaussian kernel at the
+    median-heuristic bandwidth of the reference.  With require_convergence a
+    depth solve or a one-class fit that stops before tolerance raises
+    NotConvergedError.
     """
     ref = as_data_matrix(reference)
-    if method == METHOD_SVM and kernel is None:
+    if method == "lof":
+        return lambda points: -lof_scores(ref.values, points, lof_k)
+    if method not in METHOD_NAMES and method != "ocsvm":
+        raise ValidationError(f"unknown method {method!r}")
+    if kernel is None and method in ("svm", "ocsvm"):
         kernel = KernelSpec.gaussian(median_heuristic(ref.values))
+    if method == "ocsvm":
+        model = ocsvm_fit(ref.values, kernel, nu, solver)
+        if require_convergence and not model.converged:
+            raise NotConvergedError(f"the one-class SVM fit stopped before tolerance after "
+                                    f"{model.iterations} pair updates; residual {model.residual:g}")
+        return model.score
     batch = bind_batch(DepthBatchRequest(reference=ref, queries=np.empty((0, ref.d)),
-                                         method=method, lam=lam, kernel=kernel, solver=solver))
+                                         method=METHOD_NAMES[method], lam=lam, kernel=kernel,
+                                         solver=solver))
 
     def score(points) -> np.ndarray:
         outcome = batch(points)
@@ -169,35 +179,6 @@ def depth_scorer(
         return outcome.values
 
     return score
-
-
-def method_scorer(method: str, reference, *, lam: float = 1.0, kernel: KernelSpec | None = None,
-                  solver: SolverConfig | None = None, nu: float = 0.15, lof_k: int = 10,
-                  require_convergence: bool = True):
-    """Fit the scorer a driver method name means to the reference rows.
-
-    Returns a callable mapping points to scores, larger meaning more central:
-    the depth_scorer of lr or svm, the one-class SVM margin of ocsvm, or the
-    negated local outlier factor of lof with lof_k neighbours.  svm and ocsvm
-    default to a Gaussian kernel at the median-heuristic bandwidth of the
-    reference.  With require_convergence a depth solve or a one-class fit
-    that stops before tolerance raises NotConvergedError.
-    """
-    if method in ("lr", "svm"):
-        return depth_scorer(METHOD_NAMES[method], reference, lam=lam, kernel=kernel,
-                            solver=solver, require_convergence=require_convergence)
-    ref = as_data_matrix(reference).values
-    if method == "lof":
-        return lambda points: -lof_scores(ref, points, lof_k)
-    if method != "ocsvm":
-        raise ValidationError(f"unknown method {method!r}")
-    if kernel is None:
-        kernel = KernelSpec.gaussian(median_heuristic(ref))
-    model = ocsvm_fit(ref, kernel, nu, solver)
-    if require_convergence and not model.converged:
-        raise NotConvergedError(f"the one-class SVM fit stopped before tolerance after "
-                                f"{model.iterations} pair updates; residual {model.residual:g}")
-    return model.score
 
 
 @dataclass(frozen=True, eq=False)

@@ -41,8 +41,9 @@ class KernelSpec:
     linear:    k(x, y) = <x, y>
 
     Every parameter a family reads must be finite, and so must imq's c^2 > 0
-    and c^(2 beta), its diagonal, as floats: otherwise gram's diagonal is not
-    the kernel's.
+    and its diagonal kappa = (c^2)^beta, as floats: otherwise gram's diagonal
+    is not the kernel's.  kappa is computed as gram computes k(x, x), by
+    np.power on c^2, so bound(), diagonal and gram's diagonal share its bits.
     """
 
     family: str
@@ -62,13 +63,13 @@ class KernelSpec:
             if not (0.0 < self.c < math.inf and -math.inf < self.beta < 0.0):
                 raise ValidationError("imq kernel needs a finite c > 0 and a finite beta < 0")
             try:  # a float ** that overflows raises OverflowError
-                usable = self.c ** 2 > 0.0 and self.c ** (2.0 * self.beta) < math.inf
+                usable = self.c ** 2 > 0.0 and self.bound() < math.inf
             except OverflowError:
                 usable = False
             if not usable:
                 raise ValidationError(
                     f"imq kernel values overflow at c={self.c!r}, beta={self.beta!r}: "
-                    "c**2 must not underflow to 0, and c**2 and c**(2*beta) must be finite"
+                    "c**2 must not underflow to 0, and c**2 and (c**2)**beta must be finite"
                 )
 
     @classmethod
@@ -92,7 +93,8 @@ class KernelSpec:
         if self.family in (GAUSSIAN, LAPLACIAN):
             return 1.0
         if self.family == IMQ:
-            return float(self.c ** (2.0 * self.beta))
+            with np.errstate(over="ignore"):  # an overflow is inf, which __post_init__ refuses
+                return float(np.power(self.c ** 2, self.beta))
         return None
 
     def diagonal(self, points: np.ndarray) -> np.ndarray:

@@ -15,7 +15,6 @@ import pytest
 from lossdepth import cli
 from lossdepth.core import LOG2, Reporting
 from lossdepth.depths import (
-    METHOD_SVM,
     halfspace_depth,
     halfspace_depth_as_loss,
     logistic_depth,
@@ -25,9 +24,9 @@ from lossdepth.experiments import (
     benchmark_auc,
     contamination_grid,
     convergence_experiment,
-    depth_scorer,
     gen_bigaussian,
     gen_contaminated,
+    method_scorer,
     rank_correlation_experiment,
     stratified_split,
 )
@@ -307,8 +306,8 @@ def test_criterion_06_depth_is_lipschitz_in_the_query():
 
 def test_criterion_07_bimodal_heatmap_puts_both_modes_on_top():
     reference = gen_bigaussian(100, seed=1)
-    scorer = depth_scorer(METHOD_SVM, reference, lam=1.0,
-                          kernel=KernelSpec.gaussian(0.1))
+    scorer = method_scorer("svm", reference, lam=1.0,
+                           kernel=KernelSpec.gaussian(0.1))
     modes = np.array([[-3.5, -3.5], [3.5, 3.5]])
     probes = np.vstack([modes, [[0.0, 0.0], [8.0, 8.0]]])
     values = scorer(probes)
@@ -335,8 +334,8 @@ def test_criterion_07_bimodal_heatmap_puts_both_modes_on_top():
 
 def test_criterion_08_contamination_separates_centers():
     sample = gen_contaminated(200, rate=0.1, seed=0)
-    scorer = depth_scorer(METHOD_SVM, sample.points, lam=1.0,
-                          kernel=KernelSpec.gaussian(1.0))
+    scorer = method_scorer("svm", sample.points, lam=1.0,
+                           kernel=KernelSpec.gaussian(1.0))
     data_scores = scorer(sample.points)
     thresholds = np.quantile(data_scores, (0.5, 0.6, 0.7, 0.8, 0.9))
     authentic, contaminant = scorer(np.array([[-1.0, -1.0], [2.0, 2.0]]))
@@ -354,9 +353,9 @@ def test_criterion_08_contamination_separates_centers():
 
 def test_criterion_09_depth_ranks_match_density_ranks():
     def score_fn(sample):
-        scorer = depth_scorer(METHOD_SVM, sample, lam=1.0,
-                              kernel=KernelSpec.gaussian(0.1),
-                              solver=SolverConfig(tolerance=1e-6))
+        scorer = method_scorer("svm", sample, lam=1.0,
+                               kernel=KernelSpec.gaussian(0.1),
+                               solver=SolverConfig(tolerance=1e-6))
         return scorer(sample)
 
     rows = rank_correlation_experiment(score_fn, d_grid=(2,), n=200, runs=10,
@@ -436,8 +435,8 @@ def test_criterion_11_image_class_depth_window():
     test_images, test_labels = _idx_pair(directory, "t10k")
     reference = read_idx(train_images, train_labels, keep_classes=(5,), limit=100)
     test = read_idx(test_images, test_labels)
-    scorer = depth_scorer(
-        METHOD_SVM, reference.features, lam=1.0,
+    scorer = method_scorer(
+        "svm", reference.features, lam=1.0,
         kernel=KernelSpec.gaussian(median_heuristic(reference.features)),
         solver=SolverConfig(tolerance=1e-6),
     )

@@ -274,6 +274,20 @@ def test_an_overflowing_kernel_argument_runs_without_a_warning(
     assert (header, row) == ("query,depth,converged,iterations,residual", "0,0.75,true,0,0")
 
 
+def test_random_direction_halfspace_on_overflowing_data_runs_without_a_warning(
+    tmp_path, capsys
+):
+    # a difference past 1.8e308 is an infinity, counted on its side; before,
+    # numpy warned of an overflow in subtract and in matmul
+    reference = _csv(tmp_path / "ref.csv", [[1e308, 0.0], [-1e308, 1.0], [0.0, 0.0]])
+    queries = _csv(tmp_path / "q.csv", [[-1e308, 0.0], [1e308, 1e308]])
+    argv = ["depth", reference, queries, "--method", "halfspace", "--directions", "5"]
+    assert cli.main(argv) == cli.EXIT_OK
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert captured.out.splitlines()[1:] == ["0,0,true,0,0", "1,0,true,0,0"]
+
+
 def test_an_intercept_svm_moves_a_point_at_the_origin(tmp_path, capsys):
     # with the linear kernel a point at the origin has a zero kernel diagonal;
     # it was pinned at alpha = 0 and the depth printed 1.0034722, converged,

@@ -595,7 +595,7 @@ def test_depth_batch_matches_single_calls():
     reference = rng.standard_normal((n, 2))
     kernel = KernelSpec.gaussian(0.8)
     paths = {  # name: (request settings, single call, coefficients per query)
-        "halfspace": (dict(method="halfspace"), lambda q: halfspace_depth(q, reference), None),
+        "halfspace": (dict(method="halfspace"), lambda q: halfspace_depth(q, reference), 0),
         "lr": (dict(method="logistic"), lambda q: logistic_depth(q, reference, 1.0), 3),
         "closed-form svm": (dict(method="svm", kernel=kernel),
                             lambda q: svm_depth(q, reference, 1.0, kernel=kernel), n + 1),
@@ -614,19 +614,17 @@ def test_depth_batch_matches_single_calls():
             for column, dtype in ((batch.values, np.float64), (batch.iterations, np.int64),
                                   (batch.residuals, np.float64), (batch.converged, np.bool_)):
                 assert column.shape == (m,) and column.dtype == dtype, (name, m)
-            if width is None:
-                assert batch.coefficients is None
-            else:
-                assert batch.coefficients.shape == (m, width), (name, m)
-                assert batch.coefficients.dtype == np.float64
-                if name == "closed-form svm":  # one read-only box row for every query
-                    assert batch.coefficients.strides[0] == 0
-                    assert not batch.coefficients.flags.writeable
+            assert batch.coefficients.shape == (m, width), (name, m)
+            assert batch.coefficients.dtype == np.float64
+            if name == "closed-form svm":  # one read-only box row for every query
+                assert batch.coefficients.strides[0] == 0
+                assert not batch.coefficients.flags.writeable
             for i, query in enumerate(queries):
                 alone = single(query)
                 if name == "halfspace":
                     assert type(alone) is float and batch.result(i).value == alone
-                    assert _same_result(batch.result(i), DepthResult(alone, 0, 0.0, True))
+                    expected = DepthResult(alone, 0, 0.0, True, np.empty(0))
+                    assert _same_result(batch.result(i), expected)
                 else:
                     assert _same_result(batch.result(i), alone), (name, m, i)
 

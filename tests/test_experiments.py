@@ -6,13 +6,19 @@ from scipy import stats
 from lossdepth import depths
 from lossdepth.baselines import lof_scores, ocsvm_fit
 from lossdepth.core import NotConvergedError, ValidationError
-from lossdepth.depths import METHOD_LOGISTIC, METHOD_SVM, DepthBatchRequest, depth_batch
+from lossdepth.depths import (
+    METHOD_HALFSPACE,
+    METHOD_LOGISTIC,
+    METHOD_SVM,
+    DepthBatchRequest,
+    depth_batch,
+)
 from lossdepth.experiments import (
+    METHOD_NAMES,
     DegenerateFitError,
     benchmark_auc,
     contamination_grid,
     convergence_experiment,
-    depth_scorer,
     gen_bigaussian,
     gen_contaminated,
     method_scorer,
@@ -98,24 +104,24 @@ def test_gen_contaminated_validation():
         gen_contaminated(10, center=(0.0,), contamination_center=(1.0, 1.0))
 
 
-def test_depth_scorer_matches_direct_batch():
+def test_method_scorer_matches_direct_batch():
     rng = np.random.default_rng(4)
     reference = rng.standard_normal((40, 2))
     queries = rng.standard_normal((6, 2))
-    scorer = depth_scorer(METHOD_LOGISTIC, reference)
+    scorer = method_scorer("lr", reference)
     from lossdepth.depths import logistic_depth
 
     direct = [logistic_depth(q, reference, 1.0).value for q in queries]
     assert np.allclose(scorer(queries), direct, atol=0.0)
 
 
-def test_depth_scorer_resolves_median_heuristic_once():
+def test_method_scorer_resolves_median_heuristic_once():
     rng = np.random.default_rng(15)
     reference = rng.standard_normal((30, 2))
     queries = rng.standard_normal((4, 2))
-    auto = depth_scorer(METHOD_SVM, reference)
-    explicit = depth_scorer(
-        METHOD_SVM, reference, kernel=KernelSpec.gaussian(median_heuristic(reference))
+    auto = method_scorer("svm", reference)
+    explicit = method_scorer(
+        "svm", reference, kernel=KernelSpec.gaussian(median_heuristic(reference))
     )
     assert np.array_equal(auto(queries), explicit(queries))
 
@@ -141,35 +147,36 @@ def test_a_bound_scorer_prepares_its_reference_once(monkeypatch):
     batches = [rng.standard_normal((5, 2)), rng.standard_normal((3, 2))]
     kernel = KernelSpec.gaussian(0.8)
     for method, settings, prepared in (
-        (METHOD_SVM, dict(kernel=kernel), ["_kernel_row_means"]),
-        (METHOD_LOGISTIC, {}, ["logistic_features", "logistic_pairs"]),
+        ("svm", dict(kernel=kernel), ["_kernel_row_means"]),
+        ("lr", {}, ["logistic_features", "logistic_pairs"]),
     ):
         calls.clear()
-        scorer = depth_scorer(method, reference, **settings)
+        scorer = method_scorer(method, reference, **settings)
         scored = [scorer(queries) for queries in batches]
         assert sorted(calls) == prepared, method
         for queries, values in zip(batches, scored):
-            request = DepthBatchRequest(reference=reference, queries=queries, method=method,
-                                        **settings)
+            request = DepthBatchRequest(reference=reference, queries=queries,
+                                        method=METHOD_NAMES[method], **settings)
             assert values.tobytes() == depth_batch(request).values.tobytes(), method
 
 
-def test_depth_scorer_raises_on_nonconvergence():
+def test_method_scorer_raises_on_nonconvergence():
     rng = np.random.default_rng(2)
     reference = rng.standard_normal((30, 2))
     starved = SolverConfig(max_iterations=1, tolerance=1e-14)
-    scorer = depth_scorer(METHOD_LOGISTIC, reference, solver=starved)
+    scorer = method_scorer("lr", reference, solver=starved)
     with pytest.raises(NotConvergedError):
         scorer(np.zeros((2, 2)))
-    lenient = depth_scorer(METHOD_LOGISTIC, reference, solver=starved,
-                           require_convergence=False)
+    lenient = method_scorer("lr", reference, solver=starved,
+                            require_convergence=False)
     values = lenient(np.zeros((2, 2)))
     assert values.shape == (2,)
 
 
 def test_method_scorer_gives_the_bits_of_each_method():
-    # the one dispatch adds nothing to the scorer it binds: lr and svm score
-    # as depth_batch does, ocsvm as its fitted model, lof as the negated factor
+    # the one dispatch adds nothing to the scorer it binds: halfspace, lr and
+    # svm score as depth_batch does, ocsvm as its fitted model, lof as the
+    # negated factor
     rng = np.random.default_rng(17)
     reference = rng.standard_normal((40, 2))
     points = rng.standard_normal((7, 2))
@@ -181,6 +188,7 @@ def test_method_scorer_gives_the_bits_of_each_method():
         return depth_batch(request).values
 
     cases = [
+        ("halfspace", {}, depth_values(METHOD_HALFSPACE)),
         ("lr", {}, depth_values(METHOD_LOGISTIC)),
         ("svm", {}, depth_values(METHOD_SVM, kernel=kernel)),  # closed form
         ("svm", dict(lam=0.02), depth_values(METHOD_SVM, lam=0.02, kernel=kernel)),  # dual
@@ -263,8 +271,8 @@ def test_convergence_experiment_refuses_a_grid_with_one_distinct_size():
 
 def test_rank_correlation_rows_and_determinism():
     def score_fn(sample):
-        scorer = depth_scorer(METHOD_LOGISTIC, sample,
-                              solver=SolverConfig(tolerance=1e-5))
+        scorer = method_scorer("lr", sample,
+                               solver=SolverConfig(tolerance=1e-5))
         return scorer(sample)
 
     rows = rank_correlation_experiment(score_fn, d_grid=(2,), n=60, runs=3,

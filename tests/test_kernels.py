@@ -59,8 +59,8 @@ def test_kernel_parameter_validation():
     lambda: KernelSpec.laplacian(math.inf),
     lambda: KernelSpec.imq(math.inf, -0.5),
     lambda: KernelSpec.imq(1.0, -math.inf),
-    # c**2 underflows to 0 (gram's diagonal is then inf, spec.diagonal's c**(2 beta)
-    # finite) or overflows, or c**(2 beta) overflows
+    # c**2 underflows to 0 (gram's diagonal is then inf) or overflows, or the
+    # diagonal (c**2)**beta overflows
     lambda: KernelSpec.imq(1e-200, -0.5),
     lambda: KernelSpec.imq(1e200, -0.5),
     lambda: KernelSpec.imq(1e-100, -2.0),

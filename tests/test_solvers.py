@@ -511,7 +511,7 @@ def test_svm_lazy_columns_agree_with_dense(monkeypatch):
     reference = rng.standard_normal((40, 2))
     queries = np.vstack([[0.2, -1.0], rng.standard_normal((2, 2)) * 1.5])
     kernels = (KernelSpec.gaussian(1.0), KernelSpec.laplacian(1.3), KernelSpec.imq(1.0, -0.5),
-               KernelSpec.linear())
+               KernelSpec.imq(2.5, -0.7), KernelSpec.linear())
     for spec in kernels:
         for intercept in (False, True):
             args = (spec, reference, queries, 0.02, intercept)
