@@ -108,7 +108,7 @@ class OneClassSvmModel:
 
 
 def _default_ocsvm_config() -> SolverConfig:
-    return SolverConfig(max_iterations=200_000, tolerance=1e-6)
+    return SolverConfig(tolerance=1e-6)
 
 
 def ocsvm_fit(train, kernel: KernelSpec, nu: float = 0.15,

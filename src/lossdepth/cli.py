@@ -11,6 +11,11 @@ grid, benchmark, rankcorr and convergence turn a method name into a fitted
 scorer through experiments.method_scorer, the package's one dispatch.
 benchmark refuses a depth solve or a one-class fit that stops before
 tolerance (exit 2); grid, rankcorr and convergence report what it gives.
+
+Each cmd_* handler returns its configuration, without the seed, and its
+tables, and writes nothing.  main assembles and writes every report: an
+ExperimentReport named after the subcommand, with the seed as its first
+configuration key, written under --output or printed to stdout.
 """
 from __future__ import annotations
 
@@ -170,16 +175,7 @@ def _kernel_label(spec: KernelSpec | None) -> str:
     return "linear"
 
 
-def _emit(report: ExperimentReport, args) -> None:
-    if args.output:
-        for path in write_report(report, args.output, args.format):
-            print(path)
-    else:
-        for _, text in render_report(report, args.format):
-            sys.stdout.write(text)
-
-
-def cmd_depth(args) -> int:
+def cmd_depth(args) -> tuple[dict, list]:
     reference = _read_features(args.reference, args)
     queries = _read_features(args.queries, args)
     method = METHOD_NAMES[args.method]
@@ -215,27 +211,20 @@ def cmd_depth(args) -> int:
         rows = zip(query.tolist(), coefficient.tolist(), batch.coefficients.ravel().tolist())
         tables.append(ReportTable("coefficients", ("query", "coefficient", "value"), rows))
 
-    report = ExperimentReport(
-        name="depth",
-        config={
-            "seed": args.seed,
-            "method": args.method,
-            "lambda": args.lam,
-            "kernel": _kernel_label(kernel),
-            "reporting": args.reporting,
-            "normalize": args.normalize,
-            "intercept": args.intercept,
-            "directions": args.directions,
-            "reference": str(args.reference),
-            "queries": str(args.queries),
-        },
-        tables=tables,
-    )
-    _emit(report, args)
-    return EXIT_OK
+    return {
+        "method": args.method,
+        "lambda": args.lam,
+        "kernel": _kernel_label(kernel),
+        "reporting": args.reporting,
+        "normalize": args.normalize,
+        "intercept": args.intercept,
+        "directions": args.directions,
+        "reference": str(args.reference),
+        "queries": str(args.queries),
+    }, tables
 
 
-def cmd_benchmark(args) -> int:
+def cmd_benchmark(args) -> tuple[dict, list]:
     if not args.methods:
         raise ValidationError("--methods needs at least one method")
     if (args.test is None) == (not args.split):
@@ -273,29 +262,21 @@ def cmd_benchmark(args) -> int:
         nu=args.ocsvm_nu,
         solver=solver,
     )
-    table = ReportTable("auc", ("method", "parameter", "auc"),
-                        [(row.method, row.parameter, row.auc) for row in rows])
-    report = ExperimentReport(
-        name="benchmark",
-        config={
-            "seed": args.seed,
-            "train": str(args.train),
-            "test": "" if args.test is None else str(args.test),
-            "split": bool(args.split),
-            "test_fraction": args.test_fraction,
-            "methods": list(args.methods),
-            "lambda": args.lam,
-            "kernel": _kernel_label(kernel),
-            "lof_k": list(args.lof_k),
-            "ocsvm_nu": args.ocsvm_nu,
-        },
-        tables=[table],
-    )
-    _emit(report, args)
-    return EXIT_OK
+    return {
+        "train": str(args.train),
+        "test": "" if args.test is None else str(args.test),
+        "split": bool(args.split),
+        "test_fraction": args.test_fraction,
+        "methods": list(args.methods),
+        "lambda": args.lam,
+        "kernel": _kernel_label(kernel),
+        "lof_k": list(args.lof_k),
+        "ocsvm_nu": args.ocsvm_nu,
+    }, [ReportTable("auc", ("method", "parameter", "auc"),
+                    [(row.method, row.parameter, row.auc) for row in rows])]
 
 
-def cmd_convergence(args) -> int:
+def cmd_convergence(args) -> tuple[dict, list]:
     solver = _solver_from(args, default_tolerance=1e-6)
     lam = args.lam
     state = {"kernel": None}
@@ -317,30 +298,24 @@ def cmd_convergence(args) -> int:
         n_reference=args.n_ref,
         query=np.asarray(args.query, dtype=float) if args.query is not None else None,
     )
-    errors = ReportTable("convergence", ("n", "mean_error"),
-                         zip(result.n_grid, result.mean_errors.tolist()))
-    summary = ReportTable("summary", ("slope", "reference_depth", "n_reference"),
-                          [(result.slope, result.reference_value, result.n_reference)])
-    report = ExperimentReport(
-        name="convergence",
-        config={
-            "seed": args.seed,
-            "method": args.method,
-            "lambda": lam,
-            "kernel": _kernel_label(state["kernel"]),
-            "d": args.d,
-            "n_grid": list(result.n_grid),
-            "repeats": args.repeats,
-            "query": [float(v) for v in result.query],
-            "tolerance": solver.tolerance,
-        },
-        tables=[errors, summary],
-    )
-    _emit(report, args)
-    return EXIT_OK
+    return {
+        "method": args.method,
+        "lambda": lam,
+        "kernel": _kernel_label(state["kernel"]),
+        "d": args.d,
+        "n_grid": list(result.n_grid),
+        "repeats": args.repeats,
+        "query": [float(v) for v in result.query],
+        "tolerance": solver.tolerance,
+    }, [
+        ReportTable("convergence", ("n", "mean_error"),
+                    zip(result.n_grid, result.mean_errors.tolist())),
+        ReportTable("summary", ("slope", "reference_depth", "n_reference"),
+                    [(result.slope, result.reference_value, result.n_reference)]),
+    ]
 
 
-def cmd_grid(args) -> int:
+def cmd_grid(args) -> tuple[dict, list]:
     if (args.data is None) == (not args.contaminated):
         raise ValidationError("provide either a data file or --contaminated, not both")
     if len(args.lof_k) != 1:
@@ -365,35 +340,29 @@ def cmd_grid(args) -> int:
     scan = contamination_grid(
         data, score_fn, resolution=args.resolution, quantiles=args.quantiles
     )
-    grid_table = ReportTable("grid", ("x", "y", "score"),
-                             np.column_stack([scan.points, scan.scores]).tolist())
-    threshold_table = ReportTable("thresholds", ("quantile", "threshold"),
-                                  zip(scan.quantiles, scan.thresholds.tolist()))
-    report = ExperimentReport(
-        name="grid",
-        config={
-            "seed": args.seed,
-            "method": args.method,
-            "lambda": args.lam,
-            "kernel": _kernel_label(kernel),
-            "resolution": args.resolution,
-            "quantiles": [float(q) for q in args.quantiles],
-            "data": "" if args.data is None else str(args.data),
-            "contaminated": bool(args.contaminated),
-            "n": args.n,
-            "rate": args.rate,
-            "center": [float(c) for c in args.center],
-            "contamination_center": [float(c) for c in args.contamination_center],
-            "lof_k": lof_k,
-            "ocsvm_nu": args.ocsvm_nu,
-        },
-        tables=[grid_table, threshold_table],
-    )
-    _emit(report, args)
-    return EXIT_OK
+    return {
+        "method": args.method,
+        "lambda": args.lam,
+        "kernel": _kernel_label(kernel),
+        "resolution": args.resolution,
+        "quantiles": [float(q) for q in args.quantiles],
+        "data": "" if args.data is None else str(args.data),
+        "contaminated": bool(args.contaminated),
+        "n": args.n,
+        "rate": args.rate,
+        "center": [float(c) for c in args.center],
+        "contamination_center": [float(c) for c in args.contamination_center],
+        "lof_k": lof_k,
+        "ocsvm_nu": args.ocsvm_nu,
+    }, [
+        ReportTable("grid", ("x", "y", "score"),
+                    np.column_stack([scan.points, scan.scores]).tolist()),
+        ReportTable("thresholds", ("quantile", "threshold"),
+                    zip(scan.quantiles, scan.thresholds.tolist())),
+    ]
 
 
-def cmd_rankcorr(args) -> int:
+def cmd_rankcorr(args) -> tuple[dict, list]:
     solver = _solver_from(args, default_tolerance=1e-6)
     if not args.methods:
         raise ValidationError("--methods needs at least one method")
@@ -401,7 +370,6 @@ def cmd_rankcorr(args) -> int:
         if method not in ("lr", "svm"):
             raise ValidationError(f"rankcorr supports lr and svm, got {method!r}")
     config = {
-        "seed": args.seed,
         "methods": list(args.methods),
         "lambda": args.lam,
         "d_grid": [int(d) for d in args.d_grid],
@@ -420,17 +388,14 @@ def cmd_rankcorr(args) -> int:
                                require_convergence=False)
         return scorer(sample)
 
-    table = ReportTable("rankcorr", ("method", "d", "run", "kendall", "spearman"), [
+    return config, [ReportTable("rankcorr", ("method", "d", "run", "kendall", "spearman"), [
         (method, row.d, row.run, row.kendall, row.spearman)
         for method in args.methods
         for row in rank_correlation_experiment(
             functools.partial(score_fn, method),
             d_grid=args.d_grid, n=args.n, runs=args.runs, master_seed=args.seed,
         )
-    ])
-    report = ExperimentReport(name="rankcorr", config=config, tables=[table])
-    _emit(report, args)
-    return EXIT_OK
+    ])]
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -579,7 +544,15 @@ def main(argv=None) -> int:
         _check_threads(args)
         if args.seed < 0:
             raise ValidationError("seed must be >= 0")
-        return args.handler(args)
+        config, tables = args.handler(args)
+        report = ExperimentReport(args.command, {"seed": args.seed, **config}, tables)
+        if args.output:
+            for path in write_report(report, args.output, args.format):
+                print(path)
+        else:
+            for _, text in render_report(report, args.format):
+                sys.stdout.write(text)
+        return EXIT_OK
     # OSError: a file that cannot be read or written; MemoryError: an array too large
     except (LossDepthError, OSError, MemoryError) as error:
         print(f"error: {error or 'out of memory'}", file=sys.stderr)

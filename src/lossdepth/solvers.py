@@ -58,11 +58,12 @@ class SolverConfig:
 
     For the logistic solver the tolerance bounds the gradient norm and
     max_iterations counts Newton steps.  For the no-intercept dual solver the
-    tolerance bounds the largest projected Karush-Kuhn-Tucker violation, and
-    max_iterations counts passes of n+1 single-coordinate updates; for the
-    pairwise solver it bounds the violating pair's gradient spread, and
-    max_iterations counts pair updates.  max_iterations is an integer, a
-    Python or numpy one.
+    tolerance bounds the largest projected Karush-Kuhn-Tucker violation; for
+    the pairwise solver it bounds the violating pair's gradient spread.  Both
+    duals count max_iterations in passes, one update per dual coordinate
+    each: the budget is max_iterations times the number of coordinates.  The
+    no-intercept solver reports passes, and the pairwise solver pair updates.
+    max_iterations is an integer, a Python or numpy one.
     """
 
     max_iterations: int = 10_000
@@ -493,7 +494,9 @@ def _pairwise_smo(
     the smallest gradient s = c - Ku to the one that can still go up with the
     largest, by the exact maximiser along the pair clipped to the box.  It
     stops, converged, once that spread is at or below tolerance or no
-    coordinate can move up or down.  Returns _greedy_ascent's six fields: u,
+    coordinate can move up or down.  The budget is max_iterations passes of
+    u.size pair updates, as _greedy_ascent counts its own, and the reported
+    iterations count pair updates.  Returns _greedy_ascent's six fields: u,
     the function values f = Ku, the offset b of the margin conditions
     c_k - f_k = b on free coordinates (see _pairwise_offset), the iterations,
     the residual and the convergence flag.
@@ -508,7 +511,8 @@ def _pairwise_smo(
         return u, fvals, offset, iterations, residual, converged
 
     residual = np.inf
-    for iteration in range(1, cfg.max_iterations + 1):
+    budget = cfg.max_iterations * u.size
+    for iteration in range(1, budget + 1):
         up_scores = np.where(u < hi, scores, -np.inf)
         down_scores = np.where(u > lo, scores, np.inf)
         i = int(up_scores.argmax())
@@ -525,7 +529,7 @@ def _pairwise_smo(
         u[i] += t
         u[j] -= t
         scores -= t * (col_i - col_j)
-    return finish(cfg.max_iterations, residual, False)
+    return finish(budget, residual, False)
 
 
 def _pairwise_offset(u: np.ndarray, lo: np.ndarray, hi: np.ndarray, targets: np.ndarray) -> float:

@@ -133,7 +133,17 @@ def test_ocsvm_custom_solver_config():
                                                                tolerance=1e-12))
     assert isinstance(model, OneClassSvmModel)
     assert not model.converged
-    assert model.iterations == 5
+    assert model.iterations == 5 * TRAIN.shape[0]  # five passes of pair updates
+
+
+def test_ocsvm_at_small_nu_converges_in_the_default_budget():
+    # at nu = 0.02 the fit needs about 6n pair updates, more than 10,000
+    # here, which the default budget of passes covers
+    train = np.random.default_rng(0).standard_normal((2000, 2))
+    model = ocsvm_fit(train, KernelSpec.gaussian(median_heuristic(train)), nu=0.02,
+                      config=SolverConfig(tolerance=1e-6))
+    assert model.converged
+    assert model.iterations > 10_000
 
 
 def test_ocsvm_nu_one_stops_at_the_only_feasible_point():

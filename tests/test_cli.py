@@ -838,7 +838,11 @@ def test_csv_and_json_reports_carry_the_same_cells(case, sample_files, labeled_f
     for fmt in ("csv", "json"):
         out = str(tmp_path / f"report.{fmt}")
         assert cli.main(argv + ["--format", fmt, "--output", out]) == cli.EXIT_OK
-    tables = json.loads((tmp_path / "report.json").read_text())["tables"]
+    report = json.loads((tmp_path / "report.json").read_text())
+    # main names every report after its subcommand and records the seed first
+    assert report["name"] == argv[0]
+    assert next(iter(report["config"])) == "seed"
+    tables = report["tables"]
     assert tables
     for i, table in enumerate(tables):
         path = tmp_path / ("report.csv" if i == 0 else f"report.{table['name']}.csv")

@@ -61,3 +61,31 @@ def test_the_benchmark_trace_hooks_still_resolve():
         "lossdepth.depths.gradient_descent",
         "lossdepth.depths.svm_dual_solve",
     ]
+
+
+CODE_LINES_FIXTURE = '''"""Module docstring,
+over two lines."""
+import os  # a trailing comment
+
+# a comment line
+
+
+class Thing:
+    """Class docstring."""
+
+    def method(self):
+        """Method
+        docstring."""
+        text = """a string
+that is code"""
+        return text, os
+'''
+
+
+def test_code_line_counter_skips_blanks_comments_and_docstrings():
+    path = Path(__file__).resolve().parents[1] / "tools" / "code_lines.py"
+    spec = importlib.util.spec_from_file_location("code_lines_under_test", path)
+    code_lines = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(code_lines)
+    # import, class, def, the two lines of the string literal and return
+    assert code_lines.code_lines(CODE_LINES_FIXTURE) == 6

@@ -570,6 +570,17 @@ def test_smo_with_intercept_keeps_equality_constraint():
     assert np.allclose(fvals, kmat @ (alpha * labels), atol=1e-9)
 
 
+
+def test_pairwise_budget_counts_passes_of_pair_updates():
+    # at lambda = 1 the intercept dual's optimum is the box, which the
+    # pairwise solver reaches in exactly n pair updates: one pass of n + 1
+    # covers it, and the reported iterations still count pair updates
+    reference = np.random.default_rng(1).standard_normal((60, 2))
+    result = svm_depth(np.zeros(2), reference, 1.0, kernel=KernelSpec.gaussian(1.0),
+                       intercept=True, solver=SolverConfig(max_iterations=1))
+    assert result.converged
+    assert result.iterations == 60
+
 def test_svm_offset_free_coordinate_median():
     # signed form u = y alpha: a free coordinate pins the offset at its target y - f
     u = np.array([0.1])
