@@ -107,10 +107,6 @@ class OneClassSvmModel:
         return gram(self.kernel, pts, self.train) @ self.alpha - self.rho
 
 
-def _default_ocsvm_config() -> SolverConfig:
-    return SolverConfig(tolerance=1e-6)
-
-
 def ocsvm_fit(train, kernel: KernelSpec, nu: float = 0.15,
               config: SolverConfig | None = None) -> OneClassSvmModel:
     """Fit the dual: minimise 0.5 a'Ka over the simplex scaled by the box
@@ -129,7 +125,7 @@ def ocsvm_fit(train, kernel: KernelSpec, nu: float = 0.15,
     n = train.shape[0]
     if not 0.0 < nu <= 1.0:
         raise ValidationError(f"nu must lie in (0, 1], got {nu}")
-    cfg = config if config is not None else _default_ocsvm_config()
+    cfg = config if config is not None else SolverConfig(tolerance=1e-6)
     box = 1.0 / (nu * n)
 
     kmat = gram(kernel, train)

@@ -70,6 +70,14 @@ def _str_list(text: str):
     return tuple(p.strip() for p in text.split(",") if p.strip())
 
 
+def _column(text: str):
+    """A column index when the text is an integer, else a column name."""
+    try:
+        return int(text)
+    except ValueError:
+        return text
+
+
 def _add_common(parser) -> None:
     parser.add_argument("--seed", type=int, default=0, help="master seed (default 0)")
     parser.add_argument(
@@ -87,6 +95,7 @@ def _add_csv_options(parser) -> None:
     parser.add_argument("--has-header", action="store_true", help="first row names the columns")
     parser.add_argument(
         "--label-column",
+        type=_column,
         default=None,
         help="0/1 label column to split off: a 0-based index, or a name with --has-header",
     )
@@ -105,11 +114,11 @@ def _add_kernel_options(parser) -> None:
     parser.add_argument("--imq-beta", type=float, default=-0.5)
 
 
-def _add_model_options(parser) -> None:
+def _add_model_options(parser, tolerance: float) -> None:
     parser.add_argument("--lambda", dest="lam", type=float, default=1.0,
                         help="ridge strength (default 1)")
-    parser.add_argument("--max-iterations", type=int, default=None)
-    parser.add_argument("--tolerance", type=float, default=None)
+    parser.add_argument("--max-iterations", type=int, default=SolverConfig.max_iterations)
+    parser.add_argument("--tolerance", type=float, default=tolerance)
 
 
 def _check_threads(args) -> None:
@@ -128,25 +137,8 @@ def _check_threads(args) -> None:
         raise ValidationError("threads must be >= 0")
 
 
-def _solver_from(args, default_tolerance: float) -> SolverConfig:
-    return SolverConfig(
-        max_iterations=args.max_iterations if args.max_iterations is not None else 10_000,
-        tolerance=args.tolerance if args.tolerance is not None else default_tolerance,
-    )
-
-
-def _label_column(args):
-    column = args.label_column
-    if column is None:
-        return None
-    try:
-        return int(column)
-    except ValueError:
-        return column
-
-
 def _read_features(path, args) -> np.ndarray:
-    dataset = read_csv(path, has_header=args.has_header, label_column=_label_column(args))
+    dataset = read_csv(path, has_header=args.has_header, label_column=args.label_column)
     return dataset.features
 
 
@@ -179,7 +171,7 @@ def cmd_depth(args) -> tuple[dict, list]:
     reference = _read_features(args.reference, args)
     queries = _read_features(args.queries, args)
     method = METHOD_NAMES[args.method]
-    solver = _solver_from(args, default_tolerance=1e-8)
+    solver = SolverConfig(args.max_iterations, args.tolerance)
 
     kernel = None
     if method == METHOD_SVM:
@@ -229,7 +221,7 @@ def cmd_benchmark(args) -> tuple[dict, list]:
         raise ValidationError("--methods needs at least one method")
     if (args.test is None) == (not args.split):
         raise ValidationError("provide either a test file or --split, not both")
-    train_set = read_csv(args.train, has_header=args.has_header, label_column=_label_column(args))
+    train_set = read_csv(args.train, has_header=args.has_header, label_column=args.label_column)
     if args.split:
         if train_set.labels is None:
             raise ValidationError("--split needs a label column on the input file")
@@ -240,7 +232,7 @@ def cmd_benchmark(args) -> tuple[dict, list]:
         test = train_set.features[test_idx]
         test_labels = train_set.labels[test_idx]
     else:
-        test_set = read_csv(args.test, has_header=args.has_header, label_column=_label_column(args))
+        test_set = read_csv(args.test, has_header=args.has_header, label_column=args.label_column)
         if test_set.labels is None:
             raise ValidationError("the test file needs a label column")
         train = train_set.features
@@ -250,7 +242,7 @@ def cmd_benchmark(args) -> tuple[dict, list]:
     kernel = None
     if any(m in ("svm", "ocsvm") for m in args.methods):
         kernel = _resolve_kernel(args, train)
-    solver = _solver_from(args, default_tolerance=1e-6)
+    solver = SolverConfig(args.max_iterations, args.tolerance)
     rows = benchmark_auc(
         train,
         test,
@@ -277,7 +269,7 @@ def cmd_benchmark(args) -> tuple[dict, list]:
 
 
 def cmd_convergence(args) -> tuple[dict, list]:
-    solver = _solver_from(args, default_tolerance=1e-6)
+    solver = SolverConfig(args.max_iterations, args.tolerance)
     lam = args.lam
     state = {"kernel": None}
 
@@ -332,7 +324,7 @@ def cmd_grid(args) -> tuple[dict, list]:
         data = sample.points
     else:
         data = _read_features(args.data, args)
-    solver = _solver_from(args, default_tolerance=1e-6)
+    solver = SolverConfig(args.max_iterations, args.tolerance)
 
     kernel = _resolve_kernel(args, data) if args.method in ("svm", "ocsvm") else None
     score_fn = method_scorer(args.method, data, lam=args.lam, kernel=kernel, solver=solver,
@@ -363,7 +355,7 @@ def cmd_grid(args) -> tuple[dict, list]:
 
 
 def cmd_rankcorr(args) -> tuple[dict, list]:
-    solver = _solver_from(args, default_tolerance=1e-6)
+    solver = SolverConfig(args.max_iterations, args.tolerance)
     if not args.methods:
         raise ValidationError("--methods needs at least one method")
     for method in args.methods:
@@ -376,14 +368,13 @@ def cmd_rankcorr(args) -> tuple[dict, list]:
         "n": args.n,
         "runs": args.runs,
     }
-    if "svm" in args.methods:  # the median heuristic sets gamma per sample
-        config["kernel"] = (
-            "gaussian(gamma=median-heuristic)" if args.kernel == "gaussian" and args.gamma is None
-            else _kernel_label(_resolve_kernel(args, None))
-        )
+    kernel = None  # the default: method_scorer's median heuristic, per sample
+    if "svm" in args.methods:
+        if args.kernel != "gaussian" or args.gamma is not None:
+            kernel = _resolve_kernel(args, None)
+        config["kernel"] = _kernel_label(kernel) or "gaussian(gamma=median-heuristic)"
 
     def score_fn(method, sample):
-        kernel = _resolve_kernel(args, sample) if method == "svm" else None
         scorer = method_scorer(method, sample, lam=args.lam, kernel=kernel, solver=solver,
                                require_convergence=False)
         return scorer(sample)
@@ -420,7 +411,7 @@ def build_parser() -> argparse.ArgumentParser:
                        "directions, in any dimension (default: the exact depth, d <= 2)")
     depth.add_argument("--coefficients", action="store_true",
                        help="emit a table of classifier coefficients per query")
-    _add_model_options(depth)
+    _add_model_options(depth, SolverConfig.tolerance)
     _add_kernel_options(depth)
     _add_csv_options(depth)
     _add_common(depth)
@@ -435,7 +426,7 @@ def build_parser() -> argparse.ArgumentParser:
     benchmark.add_argument("--methods", type=_str_list, default=("lr", "svm", "lof", "ocsvm"))
     benchmark.add_argument("--lof-k", type=_int_list, default=(5, 10, 15, 20, 30))
     benchmark.add_argument("--ocsvm-nu", type=float, default=0.15)
-    _add_model_options(benchmark)
+    _add_model_options(benchmark, 1e-6)
     _add_kernel_options(benchmark)
     _add_csv_options(benchmark)
     _add_common(benchmark)
@@ -450,7 +441,7 @@ def build_parser() -> argparse.ArgumentParser:
                              help="reference sample size (default 50 * max n)")
     convergence.add_argument("--query", type=_float_list, default=None,
                              help="query point (default: all ones)")
-    _add_model_options(convergence)
+    _add_model_options(convergence, 1e-6)
     _add_kernel_options(convergence)
     _add_common(convergence)
     convergence.set_defaults(handler=cmd_convergence)
@@ -468,7 +459,7 @@ def build_parser() -> argparse.ArgumentParser:
     grid.add_argument("--quantiles", type=_float_list, default=(0.5, 0.6, 0.7, 0.8, 0.9))
     grid.add_argument("--lof-k", type=_int_list, default=(10,))
     grid.add_argument("--ocsvm-nu", type=float, default=0.15)
-    _add_model_options(grid)
+    _add_model_options(grid, 1e-6)
     _add_kernel_options(grid)
     _add_csv_options(grid)
     _add_common(grid)
@@ -479,7 +470,7 @@ def build_parser() -> argparse.ArgumentParser:
     rankcorr.add_argument("--d-grid", type=_int_list, default=(2,))
     rankcorr.add_argument("--n", type=int, default=200)
     rankcorr.add_argument("--runs", type=int, default=10)
-    _add_model_options(rankcorr)
+    _add_model_options(rankcorr, 1e-6)
     _add_kernel_options(rankcorr)
     _add_common(rankcorr)
     rankcorr.set_defaults(handler=cmd_rankcorr)

@@ -59,7 +59,8 @@ class SolverConfig:
     For the logistic solver the tolerance bounds the gradient norm and
     max_iterations counts Newton steps.  For the no-intercept dual solver the
     tolerance bounds the largest projected Karush-Kuhn-Tucker violation; for
-    the pairwise solver it bounds the violating pair's gradient spread.  Both
+    the pairwise solver it bounds the maximal violating pair's gradient
+    spread, whose positive part the solver reports as its residual.  Both
     duals count max_iterations in passes, one update per dual coordinate
     each: the budget is max_iterations times the number of coordinates.  The
     no-intercept solver reports passes, and the pairwise solver pair updates.
@@ -494,7 +495,9 @@ def _pairwise_smo(
     the smallest gradient s = c - Ku to the one that can still go up with the
     largest, by the exact maximiser along the pair clipped to the box.  It
     stops, converged, once that spread is at or below tolerance or no
-    coordinate can move up or down.  The budget is max_iterations passes of
+    coordinate can move up or down.  The residual is the last pair's KKT
+    violation, the spread floored at 0: a negative spread, or no pair that
+    can move, leaves nothing to violate.  The budget is max_iterations passes of
     u.size pair updates, as _greedy_ascent counts its own, and the reported
     iterations count pair updates.  Returns _greedy_ascent's six fields: u,
     the function values f = Ku, the offset b of the margin conditions
@@ -517,9 +520,7 @@ def _pairwise_smo(
         down_scores = np.where(u > lo, scores, np.inf)
         i = int(up_scores.argmax())
         j = int(down_scores.argmin())
-        residual = float(up_scores[i] - down_scores[j])
-        if residual == -np.inf:  # no coordinate can move up, or none down
-            return finish(iteration - 1, 0.0, True)
+        residual = max(float(up_scores[i] - down_scores[j]), 0.0)  # -inf: no pair can move
         if residual <= cfg.tolerance:
             return finish(iteration - 1, residual, True)
         col_i, col_j = column(i), column(j)

@@ -366,6 +366,20 @@ def test_build_parser_defaults():
     assert args.handler is cli.cmd_depth
 
 
+def test_the_parser_holds_every_solver_default():
+    # each handler builds its SolverConfig from the parsed values alone
+    minimal = {"depth": ["r.csv", "q.csv"], "benchmark": ["t.csv"], "convergence": [],
+               "grid": [], "rankcorr": []}
+    parser = cli.build_parser()
+    for command, argv in minimal.items():
+        args = parser.parse_args([command, *argv])
+        assert args.max_iterations == SolverConfig().max_iterations, command
+        assert args.tolerance == (1e-8 if command == "depth" else 1e-6), command
+    for text, column in (("2", 2), ("lab", "lab")):
+        args = parser.parse_args(["depth", "r.csv", "q.csv", "--label-column", text])
+        assert args.label_column == column
+
+
 def test_depth_command_writes_report(sample_files, tmp_path, capsys):
     reference, queries = sample_files
     out = tmp_path / "out.csv"

@@ -1,8 +1,12 @@
 """The package's public names."""
 import importlib
 import importlib.util
+import json
+import os
 import pkgutil
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import lossdepth
@@ -89,3 +93,25 @@ def test_code_line_counter_skips_blanks_comments_and_docstrings():
     spec.loader.exec_module(code_lines)
     # import, class, def, the two lines of the string literal and return
     assert code_lines.code_lines(CODE_LINES_FIXTURE) == 6
+
+
+def test_the_report_byte_harness_runs_every_subcommand(tmp_path):
+    # tools/report_bytes.py records what each command writes, to compare two
+    # checkouts; each command exits 0 silently, or 2 with one error line and
+    # no report
+    root = Path(__file__).resolve().parents[1]
+    out = tmp_path / "bytes.json"
+    env = dict(os.environ, PYTHONPATH=str(Path(lossdepth.__file__).resolve().parents[1]))
+    subprocess.run([sys.executable, str(root / "tools" / "report_bytes.py"), str(out)],
+                   env=env, check=True, timeout=300)
+    record = json.loads(out.read_text(encoding="utf-8"))
+    commands = {next(word for word in line.split() if "=" not in word) for line in record}
+    assert commands == {"depth", "benchmark", "convergence", "grid", "rankcorr"}
+    for line, result in record.items():
+        assert result["exit"] in (0, 2), line
+        if result["exit"] == 2:
+            assert result["stderr"].startswith("error: "), line
+            assert result["stderr"].count("\n") == 1 and result["stderr"].endswith("\n"), line
+            assert result["stdout"] == "" and result["files"] == {}, line
+        else:
+            assert result["stderr"] == "", line

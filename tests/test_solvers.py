@@ -473,6 +473,7 @@ def test_intercept_duals_close_the_gap_with_points_at_the_origin():
             gap, balance = _intercept_duality_gap(reference, query, lam, spec,
                                                   result.coefficients)
             assert result.converged and abs(balance) <= 1e-12
+            assert 0.0 <= result.residual <= 1e-11
             assert -1e-9 <= gap <= 1e-8, (spec.family, reference.tolist(), query, lam, gap)
             assert result.value <= 1.0 + 1e-9  # the zero function's loss is 1
 
