@@ -485,11 +485,24 @@ def _shared_parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
-# the long options that take no value; every other long option takes one
-_FLAGS = frozenset({
-    "--help", "--has-header", "--coefficients", "--split",
-    "--contaminated", "--normalize", "--no-normalize", "--intercept", "--no-intercept",
-})
+def _long_flags(parser: argparse.ArgumentParser) -> frozenset:
+    """The long options that take no value (nargs == 0) on the parser or any
+    of its subcommands; every other long option takes one."""
+    flags = set()
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            flags.update(*map(_long_flags, action.choices.values()))
+        elif action.nargs == 0:
+            flags.update(option for option in action.option_strings if option.startswith("--"))
+    return frozenset(flags)
+
+
+def __getattr__(name: str):
+    # _FLAGS, the shared parser's flags, is derived when first read, so that
+    # importing this module builds no parser
+    if name == "_FLAGS":
+        return _long_flags(_shared_parser())
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def _is_number_list(text: str) -> bool:
@@ -499,14 +512,16 @@ def _is_number_list(text: str) -> bool:
         return False
 
 
-def _attach_negative_values(argv: list) -> list:
+def _attach_negative_values(argv: list, parser: argparse.ArgumentParser | None = None) -> list:
     """Join `--option -1e-1` into `--option=-1e-1`.
 
     argparse reads a token that starts with '-' as an option unless it looks
     like a plain negative number, so exponents, -inf and lists such as -1,2
     would be refused as values.  A token is joined only when it is a number or
-    a comma list of numbers and follows a long option that takes a value.
+    a comma list of numbers and follows a long option that takes a value: one
+    that is not among the flags of parser, by default the shared parser.
     """
+    flags = _long_flags(parser or _shared_parser())
     joined: list = []
     tokens = iter(argv)
     for token in tokens:
@@ -519,7 +534,7 @@ def _attach_negative_values(argv: list) -> list:
             token.startswith("-")
             and option.startswith("--")
             and "=" not in option
-            and option not in _FLAGS
+            and option not in flags
             and _is_number_list(token)
         ):
             joined[-1] = f"{option}={token}"

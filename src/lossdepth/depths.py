@@ -30,11 +30,13 @@ and score one query per block; an overflowing margin is an infinity, or NaN,
 counted without a warning.  The logistic depth: one lockstep Newton
 solve per cache-sized block of queries, against the augmented reference
 and, in low dimension, its coordinate-pair products, both built once.  The
-kernel depth: without an intercept, with a bounded kernel of constant
-diagonal kappa and lam >= kappa/4, in closed form: one pass for the
-reference row means, before the first block and kept for the rest, then one
-gram call per block of queries; otherwise one block of dual solves, one per
-query, in request order (solvers.svm_dual_solves).
+kernel depth: one scorer, which reads the value off the dual optimum
+(alpha, f, b) however a solve reached it.  Without an intercept, with a
+bounded kernel of constant diagonal kappa and lam >= kappa/4, the optimum
+is the box, and the box solve (_box_solves) returns it without iterating:
+one pass for the reference row means, before the first block and kept for
+the rest, then one gram call per block of queries; otherwise one block of
+dual solves, one per query, in request order (solvers.svm_dual_solves).
 """
 from __future__ import annotations
 
@@ -93,12 +95,12 @@ class HalfspaceConfig:
 @dataclass(frozen=True, eq=False)
 class BatchResult:
     """The per-query columns of a depth batch, row i for query i: values,
-    iterations (int64; 0 for the halfspace depth and the closed form),
+    iterations (int64; 0 for the halfspace depth and the box solve),
     residuals and converged (bool), each of shape (m,), and coefficients,
     (m, k): the logistic weights or the dual coefficients, query last, with
     the offset after them under an intercept, and (m, 0) for the halfspace
-    depth.  The closed form's coefficients are one read-only box vector with
-    a zero row stride.  result(i) is query i's DepthResult, with its row's
+    depth.  The box solve's coefficients are one read-only box vector with a
+    zero row stride.  result(i) is query i's DepthResult, with its row's
     bits.
     """
 
@@ -376,21 +378,6 @@ def _bind_logistic(request: DepthBatchRequest):
 KERNEL_BLOCK_ENTRIES = 1 << 18  # reference kernel values per block: 2 MiB of float64
 
 
-def _closed_form_applies(kernel: KernelSpec, lam: float, intercept: bool) -> bool:
-    """Whether every dual variable of the kernel depth sits at its box bound.
-
-    Every bounded family here (Gaussian, Laplacian, IMQ) is positive with
-    constant diagonal kappa.  At alpha = box the function values are then
-    f(x_i) = (r_i - k(x_i, q)) / (4 lam) <= kappa / (4 lam) and
-    f(q) = (m(q) - kappa) / (4 lam) >= -kappa / (4 lam), with r the row means
-    of the reference Gram and m(q) the mean of k(x_i, q); with no intercept
-    and lam >= kappa/4 no margin exceeds 1, which is the optimality condition
-    at the upper bound.
-    """
-    kappa = kernel.bound()
-    return not intercept and kappa is not None and lam >= kappa / 4.0
-
-
 def _kernel_row_means(spec: KernelSpec, reference: np.ndarray) -> np.ndarray:
     """Row means r = K 1/n of the reference Gram K, in one pass over K's upper
     triangle.
@@ -412,53 +399,39 @@ def _kernel_row_means(spec: KernelSpec, reference: np.ndarray) -> np.ndarray:
     return sums / n
 
 
-def _bind_closed_form(request: DepthBatchRequest):
-    """The request's closed-form kernel scorer, with every dual variable at
-    its box bound (see _closed_form_applies), and its block size.
+def _box_solves(spec: KernelSpec, reference: np.ndarray, row_means: Callable[[], np.ndarray],
+                block: np.ndarray, lam: float, tolerance: float):
+    """svm_dual_solves' six columns for the block's queries where the dual
+    optimum is the box itself: no intercept, and a bounded kernel with
+    constant diagonal kappa (Gaussian, Laplacian, IMQ; all positive) at
+    lam >= kappa/4.
 
-    The value is the weighted hinge loss of f(x_i) = (r_i - k(x_i, q))/(4 lam)
-    and f(q) = (m(q) - kappa)/(4 lam), which is
-    1 - (mean(K) + kappa)/(8 lam) + m(q)/(4 lam), an affine transform of the
-    kernel mean m(q).  The residual is the KKT violation measured at the box,
-    and the coefficients are alpha_i = 1/(4 n lam) and alpha_q = 1/(4 lam):
-    one box vector broadcast to every query, read-only, with a zero row
-    stride.
-
-    The reference row means r come from their own pass (_kernel_row_means),
-    made when the first block is scored and kept; then each block of about
-    KERNEL_BLOCK_ENTRIES query kernel values is one gram call against the
-    reference.  Each query's value depends on its own row only, so a query
-    gets the same bits alone or in any batch.  No queries, no Gram.
+    At alpha = box, alpha_i = 1/(4 n lam) and alpha_q = 1/(4 lam), the
+    function values are f(x_i) = (r_i - k(x_i, q)) / (4 lam) <= kappa/(4 lam)
+    and f(q) = (m(q) - kappa) / (4 lam) >= -kappa/(4 lam), with r the row
+    means of the reference Gram (row_means(), called before the block's
+    gram call and only when the block has a query) and m(q) the mean of
+    k(x_i, q).  Then no margin exceeds 1, the optimality condition at the
+    upper bound.  alpha is the box, read-only and broadcast with a zero row
+    stride; offsets and iterations are 0; the residual is the KKT violation
+    at the box, the greedy solver's projected violation there, and a query
+    converged when it is at most tolerance.  Each row depends on its own
+    query alone.
     """
-    spec, reference, lam = request.kernel, request.reference.values, request.lam
-    n = reference.shape[0]
-    kappa = spec.bound()
-    tolerance = (request.solver or SolverConfig()).tolerance
-    row_means = functools.cache(lambda: _kernel_row_means(spec, reference))
+    n, m = reference.shape[0], block.shape[0]
     scale = 4.0 * lam
     box = np.append(np.full(n, 1.0 / (scale * n)), 1.0 / scale)
-
-    def score(block):
-        m = block.shape[0]
-        # the reference pass precedes the first block's gram call, and an
-        # empty block makes neither
-        if m:
-            means, query_kernel = row_means(), gram(spec, block, reference)
-        else:
-            means, query_kernel = 0.0, np.empty((0, n))
-        fvals = (means - query_kernel) / scale
-        fquery = (query_kernel.mean(axis=1) - kappa) / scale
-        values = weighted_expectation(np.maximum(0.0, 1.0 - fvals), np.maximum(0.0, 1.0 + fquery))
-        if request.reporting is Reporting.LOSS_PLUS_REG:
-            # lam ||f||^2 = lam sum_k alpha_k y_k f(p_k) at alpha = box
-            values += 0.25 * (fvals.mean(axis=1) - fquery)
-        residuals = np.maximum(0.0, np.maximum(fvals.max(axis=1) - 1.0, -1.0 - fquery))
-        return BatchResult(
-            values, np.zeros(m, dtype=np.int64), residuals, residuals <= tolerance,
-            np.broadcast_to(box, (m, n + 1)),
-        )
-
-    return score, max(1, KERNEL_BLOCK_ENTRIES // n)
+    if m:
+        means, query_kernel = row_means(), gram(spec, block, reference)
+    else:
+        means, query_kernel = 0.0, np.empty((0, n))
+    fvals = np.empty((m, n + 1))
+    fvals[:, n] = (query_kernel.mean(axis=1) - spec.bound()) / scale
+    # in place in the block's own kernel values, so no (m, n) temporary is made
+    np.divide(np.subtract(means, query_kernel, out=query_kernel), scale, out=fvals[:, :n])
+    residuals = np.maximum(0.0, np.maximum(fvals[:, :n].max(axis=1) - 1.0, -1.0 - fvals[:, n]))
+    return (np.broadcast_to(box, (m, n + 1)), fvals, np.zeros(m), np.zeros(m, dtype=np.int64),
+            residuals, residuals <= tolerance)
 
 
 def svm_depth(
@@ -478,7 +451,7 @@ def svm_depth(
     loss of the zero function is exactly 1, so no normalisation is applied.
     Coefficients are the n+1 dual variables, query last, with a trailing
     offset when intercept is on.  Where the dual solution is the box itself
-    (_closed_form_applies) it is read off in closed form with 0 iterations.
+    (see _box_solves) it is read off without iterating, with 0 iterations.
     The query is a one-row depth_batch, by the same code and to the same bits
     as in any batch.
     """
@@ -491,24 +464,30 @@ def svm_depth(
 
 def _bind_svm(request: DepthBatchRequest):
     """The request's kernel scorer, without an intercept unless it asks for
-    one, and its block size: in closed form where _closed_form_applies, else
-    every query in one block, scored from the dual solves' columns
-    (svm_dual_solves), one row per query in request order.
-    The value is the weighted hinge loss of the margins f + b, with the ridge
-    term added as one dot per row, since an einsum over the rows rounds
-    differently, and a converged value is at most 1.  Either way a query gets
-    the same bits alone or in any batch."""
+    one, and its block size.  The scorer runs one solve per block, which
+    returns svm_dual_solves' columns, one row per query in request order:
+    without an intercept, with a bounded kernel of constant diagonal kappa
+    and lam >= kappa/4, the box solve (_box_solves), with the reference row
+    means computed on the first block and kept, in blocks of about
+    KERNEL_BLOCK_ENTRIES query kernel values; otherwise svm_dual_solves, with
+    every query in one block.  Either way the value is the weighted hinge
+    loss of the margins f + b, with the ridge term added as one dot per row,
+    since an einsum over the rows rounds differently, and a converged value
+    is at most 1.  A query gets the same bits alone or in any batch."""
     spec, reference, lam = request.kernel, request.reference.values, request.lam
     intercept = bool(request.intercept)
-    if _closed_form_applies(spec, lam, intercept):
-        return _bind_closed_form(request)
     n = reference.shape[0]
+    kappa = spec.bound()
+    boxed = not intercept and kappa is not None and lam >= kappa / 4.0
+    row_means = functools.cache(lambda: _kernel_row_means(spec, reference))  # once, on first use
+    tolerance = (request.solver or SolverConfig()).tolerance
 
     def score(block):
-        alpha, fvals, offsets, iterations, residuals, converged = svm_dual_solves(
-            spec, reference, block, lam, intercept, request.solver
+        alpha, fvals, offsets, iterations, residuals, converged = (
+            _box_solves(spec, reference, row_means, block, lam, tolerance) if boxed
+            else svm_dual_solves(spec, reference, block, lam, intercept, request.solver)
         )
-        margins = fvals + offsets[:, None]
+        margins = fvals + offsets[:, None] if intercept else fvals  # else b = 0 changes no value
         values = weighted_expectation(
             np.maximum(0.0, 1.0 - margins[:, :n]), np.maximum(0.0, 1.0 + margins[:, n])
         )
@@ -522,7 +501,7 @@ def _bind_svm(request: DepthBatchRequest):
         coefficients = np.hstack([alpha, offsets[:, None]]) if intercept else alpha  # the offset last
         return BatchResult(values, iterations, residuals, converged, coefficients)
 
-    return score, sys.maxsize
+    return score, max(1, KERNEL_BLOCK_ENTRIES // n) if boxed else sys.maxsize
 
 
 @dataclass(frozen=True, eq=False)
@@ -576,7 +555,7 @@ def _score_blocks(
 ) -> BatchResult:
     """The queries scored block by block, size rows at a time in query order,
     and the blocks' columns stacked: the only loop over query blocks.  Blocks
-    of the closed form's box, one read-only row with a zero stride, stack to
+    of the box solve's box, one read-only row with a zero stride, stack to
     that box over every query, never copied.  No queries are one empty
     block, whose columns have the method's shapes.  The halfspace depth's
     (rows, 0) coefficients also have a zero row stride, and broadcast."""

@@ -69,9 +69,6 @@ _SOURCE = Path(__file__).with_name("_dual.c")
 _FLAGS = ("-O3", "-ffp-contract=off", "-fPIC", "-shared")
 _COMPILE_TIMEOUT_S = 120
 _INT64_MAX = 2**63 - 1
-_VECTOR = np.ctypeslib.ndpointer(dtype=np.float64, ndim=1, flags="C_CONTIGUOUS")
-_MATRIX = np.ctypeslib.ndpointer(dtype=np.float64, ndim=2, flags="C_CONTIGUOUS")
-_OUTPUT = np.ctypeslib.ndpointer(dtype=np.float64, flags="C_CONTIGUOUS")
 # the scalar steps of kernel_arguments, each name at its index in _dual.c
 _STEPS = ("sqeuclidean", "gaussian", "laplacian", "imq")
 
@@ -126,13 +123,14 @@ def _library():
         counts = library.halfspace_counts
     except (OSError, AttributeError):
         return None
-    ascent.argtypes = [ctypes.c_int64, _MATRIX, *[_VECTOR] * 8, ctypes.c_int64, ctypes.c_double,
+    # raw addresses: each wrapper checks or makes every array a function reads
+    # and writes, and holds it in a local name for the length of the call
+    ascent.argtypes = [ctypes.c_int64, *[ctypes.c_void_p] * 9, ctypes.c_int64, ctypes.c_double,
                        ctypes.POINTER(ctypes.c_double)]
     ascent.restype = ctypes.c_int64
-    arguments.argtypes = [*[ctypes.c_int64] * 3, _MATRIX, _MATRIX, ctypes.c_int64,
-                          ctypes.c_double, ctypes.c_int64, _OUTPUT]
+    arguments.argtypes = [*[ctypes.c_int64] * 3, *[ctypes.c_void_p] * 2, ctypes.c_int64,
+                          ctypes.c_double, ctypes.c_int64, ctypes.c_void_p]
     arguments.restype = None
-    # raw addresses: the wrapper makes every array these read and write
     fold.argtypes = [*[ctypes.c_int64] * 2, *[ctypes.c_void_p] * 6]
     keys.argtypes = [ctypes.c_int64, *[ctypes.c_void_p] * 2]
     counts.argtypes = [*[ctypes.c_int64] * 2, *[ctypes.c_void_p] * 3]
@@ -166,9 +164,10 @@ def greedy_ascent(kernel: np.ndarray, diag: np.ndarray, lo: np.ndarray, hi: np.n
     if library is None:
         return None
     residual = ctypes.c_double()
+    read = [np.ascontiguousarray(vector) for vector in vectors[:3]]  # diag may be a strided view
     updates = library.greedy_ascent(
-        size, kernel, *(np.ascontiguousarray(vector) for vector in vectors[:3]), *vectors[3:],
-        budget, tolerance, ctypes.byref(residual),
+        size, *(array.ctypes.data for array in (kernel, *read, *vectors[3:])), budget, tolerance,
+        ctypes.byref(residual),
     )
     return int(updates), residual.value
 
@@ -194,8 +193,8 @@ def kernel_arguments(left: np.ndarray, right: np.ndarray | None, step: str,
     right_t = np.ascontiguousarray(other.T, dtype=np.float64)
     (rows, dim), columns = left.shape, right_t.shape[1]
     out = np.empty(rows * (rows - 1) // 2 if right is None else (rows, columns))
-    library.kernel_arguments(rows, columns, dim, left, right_t, _STEPS.index(step), parameter,
-                             right is None, out)
+    library.kernel_arguments(rows, columns, dim, left.ctypes.data, right_t.ctypes.data,
+                             _STEPS.index(step), parameter, right is None, out.ctypes.data)
     return out
 
 

@@ -968,6 +968,17 @@ def test_negative_values_are_not_attached_to_flags_or_after_a_double_dash():
         assert cli._attach_negative_values(argv) == argv
 
 
+def test_a_new_flag_never_takes_a_following_negative_number():
+    # the flags come from the parser, so an option added without a value is
+    # one at once, on any subcommand
+    parser = cli.build_parser()
+    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    argv = ["--that-flag", "-1"]
+    assert cli._attach_negative_values(argv, parser) == ["--that-flag=-1"]
+    commands.choices["grid"].add_argument("--that-flag", action="store_true")
+    assert cli._attach_negative_values(argv, parser) == argv
+
+
 def test_unknown_options_still_exit_two(sample_files):
     reference, queries = sample_files
     for extra in (["--bogus"], ["--bogus", "-1e-1"]):

@@ -493,6 +493,22 @@ def test_svm_closed_form_matches_the_dual_solver():
                     assert result.iterations == 0
                     assert result.residual == 0.0  # no margin exceeds 1 at the box
                     assert result.converged
+            # the box solve returns the dual solver's columns
+            tight = 1e-13
+            box_columns = depths._box_solves(
+                spec, reference, lambda: depths._kernel_row_means(spec, reference), queries,
+                lam, tight,
+            )
+            dual_columns = svm_dual_solves(spec, reference, queries, lam, False,
+                                           SolverConfig(tolerance=tight))
+            alpha, fvals, offsets, iterations, residuals, converged = box_columns
+            assert np.array_equal(alpha, np.broadcast_to(box, (4, 26)))
+            assert alpha.strides[0] == 0 and not alpha.flags.writeable
+            assert np.allclose(fvals, dual_columns[1], rtol=0.0, atol=1e-12)
+            assert np.array_equal(offsets, dual_columns[2]) and not offsets.any()
+            assert not iterations.any()
+            assert np.all(residuals <= tight) and np.all(dual_columns[4] <= tight)
+            assert np.array_equal(converged, dual_columns[5]) and converged.all()
 
 
 def test_svm_outside_the_closed_form_runs_the_dual_solver():

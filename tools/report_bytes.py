@@ -42,6 +42,8 @@ COMMANDS = [
                       " --tolerance 1e-5 --max-iterations 3")),
     f"{DEPTH} --method halfspace --directions 50",
     f"{DEPTH} --method lr --reporting loss+reg",
+    f"{DEPTH} --method svm --reporting loss+reg",  # lambda >= kappa/4: the box solve
+    f"{DEPTH} --method svm --lambda 0.05 --reporting loss+reg",  # the dual solves
     f"{DEPTH} --method svm --kernel imq --imq-c 0.5 --imq-beta -1e-1",
     f"{DEPTH} --method svm --kernel laplacian --sigma 1 --intercept",
     *(f"depth origin.csv half.csv --method svm --intercept {kernel}"
