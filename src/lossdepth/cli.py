@@ -6,6 +6,8 @@ grid (plane heatmap with quantile thresholds), rankcorr (agreement with the
 true density on bimodal data).  Every command is a pure function of its
 input files, flags and seed.  --threads and LOSSDEPTH_THREADS are checked and
 otherwise ignored: they change neither the bytes nor the speed.
+The parser, a _NumberParser, reads a number or a comma list of numbers as a
+value, never as an option, so `--imq-beta -1e-1` and `--center -1,2` parse.
 
 grid, benchmark, rankcorr and convergence turn a method name into a fitted
 scorer through experiments.method_scorer, the package's one dispatch.
@@ -29,7 +31,6 @@ import numpy as np
 from .core import LossDepthError, Reporting, ValidationError
 from .depths import (
     METHOD_HALFSPACE,
-    METHOD_SVM,
     DepthBatchRequest,
     HalfspaceConfig,
     depth_batch,
@@ -142,7 +143,12 @@ def _read_features(path, args) -> np.ndarray:
     return dataset.features
 
 
-def _resolve_kernel(args, points) -> KernelSpec:
+def _resolve_kernel(args, methods, points) -> KernelSpec | None:
+    """The kernel of the svm and ocsvm methods among methods, or None when none
+    of them is asked for.  It is None too for the default Gaussian without
+    points: method_scorer then takes the median heuristic of each sample."""
+    if not {"svm", "ocsvm"} & set(methods):
+        return None
     if args.kernel == "linear":
         return KernelSpec.linear()
     if args.kernel == "imq":
@@ -151,8 +157,9 @@ def _resolve_kernel(args, points) -> KernelSpec:
         if args.sigma is None:
             raise ValidationError("the laplacian kernel needs --sigma")
         return KernelSpec.laplacian(args.sigma)
-    gamma = args.gamma if args.gamma is not None else median_heuristic(points)
-    return KernelSpec.gaussian(gamma)
+    if args.gamma is not None:
+        return KernelSpec.gaussian(args.gamma)
+    return None if points is None else KernelSpec.gaussian(median_heuristic(points))
 
 
 def _kernel_label(spec: KernelSpec | None) -> str:
@@ -173,9 +180,7 @@ def cmd_depth(args) -> tuple[dict, list]:
     method = METHOD_NAMES[args.method]
     solver = SolverConfig(args.max_iterations, args.tolerance)
 
-    kernel = None
-    if method == METHOD_SVM:
-        kernel = _resolve_kernel(args, reference)
+    kernel = _resolve_kernel(args, (args.method,), reference)
     halfspace = None
     if method == METHOD_HALFSPACE and args.directions is not None:
         halfspace = HalfspaceConfig(args.directions, args.seed)
@@ -239,9 +244,7 @@ def cmd_benchmark(args) -> tuple[dict, list]:
         test = test_set.features
         test_labels = test_set.labels
 
-    kernel = None
-    if any(m in ("svm", "ocsvm") for m in args.methods):
-        kernel = _resolve_kernel(args, train)
+    kernel = _resolve_kernel(args, args.methods, train)
     solver = SolverConfig(args.max_iterations, args.tolerance)
     rows = benchmark_auc(
         train,
@@ -271,12 +274,12 @@ def cmd_benchmark(args) -> tuple[dict, list]:
 def cmd_convergence(args) -> tuple[dict, list]:
     solver = SolverConfig(args.max_iterations, args.tolerance)
     lam = args.lam
-    state = {"kernel": None}
+    state = {}
 
     def depth_fn(sample, query):
-        if args.method == "svm" and state["kernel"] is None:
+        if not state:
             # the reference sample comes first, and every later sample shares its kernel
-            state["kernel"] = _resolve_kernel(args, sample)
+            state["kernel"] = _resolve_kernel(args, (args.method,), sample)
         score = method_scorer(args.method, sample, lam=lam, kernel=state["kernel"],
                               solver=solver, require_convergence=False)
         return score(query.reshape(1, -1))[0]
@@ -293,7 +296,7 @@ def cmd_convergence(args) -> tuple[dict, list]:
     return {
         "method": args.method,
         "lambda": lam,
-        "kernel": _kernel_label(state["kernel"]),
+        "kernel": _kernel_label(state.get("kernel")),
         "d": args.d,
         "n_grid": list(result.n_grid),
         "repeats": args.repeats,
@@ -326,7 +329,7 @@ def cmd_grid(args) -> tuple[dict, list]:
         data = _read_features(args.data, args)
     solver = SolverConfig(args.max_iterations, args.tolerance)
 
-    kernel = _resolve_kernel(args, data) if args.method in ("svm", "ocsvm") else None
+    kernel = _resolve_kernel(args, (args.method,), data)
     score_fn = method_scorer(args.method, data, lam=args.lam, kernel=kernel, solver=solver,
                              nu=args.ocsvm_nu, lof_k=lof_k, require_convergence=False)
     scan = contamination_grid(
@@ -368,10 +371,8 @@ def cmd_rankcorr(args) -> tuple[dict, list]:
         "n": args.n,
         "runs": args.runs,
     }
-    kernel = None  # the default: method_scorer's median heuristic, per sample
+    kernel = _resolve_kernel(args, args.methods, None)
     if "svm" in args.methods:
-        if args.kernel != "gaussian" or args.gamma is not None:
-            kernel = _resolve_kernel(args, None)
         config["kernel"] = _kernel_label(kernel) or "gaussian(gamma=median-heuristic)"
 
     def score_fn(method, sample):
@@ -389,8 +390,30 @@ def cmd_rankcorr(args) -> tuple[dict, list]:
     ])]
 
 
+def _is_number_list(text: str) -> bool:
+    try:
+        return bool(_float_list(text))
+    except argparse.ArgumentTypeError:
+        return False
+
+
+class _NumberParser(argparse.ArgumentParser):
+    """An argument parser that reads a number, or a comma list of numbers, as
+    a value: `--imq-beta -1e-1`, `--center -1,2` and `--lambda -inf` parse
+    like `--imq-beta=-1e-1`.  argparse alone reads such a token as an option,
+    since only plain negative numbers look like values to it.  Where no
+    option takes the number it is a positional, as `-1` always was."""
+
+    def _parse_optional(self, arg_string):
+        # None is argparse's answer for "not an option"; the cheap prefix
+        # test keeps float() off every other token
+        if arg_string[:1] == "-" and arg_string[1:2] != "-" and _is_number_list(arg_string):
+            return None
+        return super()._parse_optional(arg_string)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _NumberParser(
         prog="lossdepth",
         description="Centrality scores from the minimal loss of a classifier "
         "separating one query point from a reference sample.",
@@ -485,67 +508,8 @@ def _shared_parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
-def _long_flags(parser: argparse.ArgumentParser) -> frozenset:
-    """The long options that take no value (nargs == 0) on the parser or any
-    of its subcommands; every other long option takes one."""
-    flags = set()
-    for action in parser._actions:
-        if isinstance(action, argparse._SubParsersAction):
-            flags.update(*map(_long_flags, action.choices.values()))
-        elif action.nargs == 0:
-            flags.update(option for option in action.option_strings if option.startswith("--"))
-    return frozenset(flags)
-
-
-def __getattr__(name: str):
-    # _FLAGS, the shared parser's flags, is derived when first read, so that
-    # importing this module builds no parser
-    if name == "_FLAGS":
-        return _long_flags(_shared_parser())
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
-def _is_number_list(text: str) -> bool:
-    try:
-        return bool(_float_list(text))
-    except argparse.ArgumentTypeError:
-        return False
-
-
-def _attach_negative_values(argv: list, parser: argparse.ArgumentParser | None = None) -> list:
-    """Join `--option -1e-1` into `--option=-1e-1`.
-
-    argparse reads a token that starts with '-' as an option unless it looks
-    like a plain negative number, so exponents, -inf and lists such as -1,2
-    would be refused as values.  A token is joined only when it is a number or
-    a comma list of numbers and follows a long option that takes a value: one
-    that is not among the flags of parser, by default the shared parser.
-    """
-    flags = _long_flags(parser or _shared_parser())
-    joined: list = []
-    tokens = iter(argv)
-    for token in tokens:
-        if token == "--":
-            joined.append(token)
-            joined.extend(tokens)
-            break
-        option = joined[-1] if joined else ""
-        if (
-            token.startswith("-")
-            and option.startswith("--")
-            and "=" not in option
-            and option not in flags
-            and _is_number_list(token)
-        ):
-            joined[-1] = f"{option}={token}"
-        else:
-            joined.append(token)
-    return joined
-
-
 def main(argv=None) -> int:
-    argv = sys.argv[1:] if argv is None else list(argv)
-    args = _shared_parser().parse_args(_attach_negative_values(argv))
+    args = _shared_parser().parse_args(argv)
     try:
         _check_threads(args)
         if args.seed < 0:

@@ -874,25 +874,32 @@ SCALES = st.floats(-300.0, 300.0).map(lambda e: repr(10.0 ** e))  # 1e-300 to 1e
 def depth_commands(draw):
     """(reference, queries, options) of a `depth` run: up to 12 reference
     rows in d = 1..4 of extreme cells, or one row repeated, every method and
-    kernel, lambda and the kernel parameters from 1e-300 to 1e300, and each
-    flag that changes what a depth solve does or reports."""
+    kernel, lambda and the kernel parameters from -1e300 to 1e300, and each
+    flag that changes what a depth solve does or reports.  Each value is
+    drawn after its option or joined to it by '='."""
     d = draw(st.integers(1, 4))
     reference = draw(hnp.arrays(float, (draw(st.integers(1, 12)), d), elements=EXTREME_CELLS))
     if draw(st.booleans()):
         reference[:] = reference[0]
     queries = draw(hnp.arrays(float, (draw(st.integers(1, 3)), d), elements=EXTREME_CELLS))
-    kernel = draw(st.sampled_from(["gaussian", "laplacian", "imq", "linear"]))
-    options = ["--method", draw(st.sampled_from(["halfspace", "lr", "svm"])),
-               "--lambda", draw(SCALES), "--kernel", kernel,
-               "--reporting", draw(st.sampled_from(["loss", "loss+reg"]))]
+    signed = st.tuples(st.sampled_from(["", "-"]), SCALES).map("".join)
+
+    def option(flag, values):
+        value = draw(values)
+        return draw(st.sampled_from([[flag, value], [f"{flag}={value}"]]))
+
+    options = [*option("--method", st.sampled_from(["halfspace", "lr", "svm"])),
+               *option("--lambda", signed),
+               *option("--kernel", st.sampled_from(["gaussian", "laplacian", "imq", "linear"])),
+               *option("--reporting", st.sampled_from(["loss", "loss+reg"]))]
     for flag, values in (
-        ("--gamma", SCALES), ("--sigma", SCALES), ("--imq-c", SCALES),
+        ("--gamma", signed), ("--sigma", signed), ("--imq-c", signed),
         ("--imq-beta", SCALES.map(lambda scale: "-" + scale)),
         ("--directions", st.integers(1, 8).map(str)),
         ("--max-iterations", st.integers(1, 100).map(str)),
     ):
         if draw(st.booleans()):
-            options += [flag, draw(values)]
+            options += option(flag, values)
     options += draw(st.sampled_from([[], ["--intercept"], ["--no-intercept"]]))
     options += draw(st.sampled_from([[], ["--coefficients"]]))
     return reference, queries, options

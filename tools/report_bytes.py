@@ -45,6 +45,7 @@ COMMANDS = [
     f"{DEPTH} --method svm --reporting loss+reg",  # lambda >= kappa/4: the box solve
     f"{DEPTH} --method svm --lambda 0.05 --reporting loss+reg",  # the dual solves
     f"{DEPTH} --method svm --kernel imq --imq-c 0.5 --imq-beta -1e-1",
+    f"{DEPTH} --method svm --kernel imq --imq-c 0.5 --imq-beta=-1e-1",
     f"{DEPTH} --method svm --kernel laplacian --sigma 1 --intercept",
     *(f"depth origin.csv half.csv --method svm --intercept {kernel}"
       for kernel in ("--kernel linear", "--gamma 1")),
@@ -54,6 +55,8 @@ COMMANDS = [
     *(f"grid ref.csv --method {method} --resolution 5" for method in ("svm", "lr", "ocsvm", "lof")),
     "grid ref.csv --method svm --lambda 0.05 --resolution 5",
     "grid --contaminated --n 40 --method lr --resolution 4",
+    "grid --contaminated --n 40 --method lr --resolution 4 --center -1,2"
+    " --contamination-center=-2,-1",
     "rankcorr --n 30 --runs 2",
     "rankcorr --n 30 --runs 2 --methods svm --kernel linear",
     "rankcorr --n 30 --runs 2 --methods svm --kernel laplacian --sigma 1",
@@ -61,11 +64,15 @@ COMMANDS = [
     "rankcorr --n 30 --runs 2 --methods lr,svm --gamma 0.5",
     *(f"convergence --method {method} --n-grid 10,20 --repeats 2 --n-ref 100"
       for method in ("lr", "svm")),
+    "convergence --n-grid 10,20 --repeats 2 --n-ref 100 --query -1,0",
+    "convergence --n-grid -1,2 --repeats 2 --n-ref 100",
     "benchmark labelled.csv --split --has-header --label-column label --lof-k 5",
     f"benchmark {LABELLED} --label-column 2 --methods lr,svm,lof --lof-k 5,10",
     f"{DEPTH} --tolerance inf",
     f"{DEPTH} --max-iterations 0",
     "depth missing.csv queries.csv",
+    "depth ref.csv -1e-1",  # a number where no option takes it is a positional
+    "grid --contaminated --n 40 --resolution 4 -1e-1",
     f"{DEPTH} --seed -1",
     f"{DEPTH} --threads -2",
     f"LOSSDEPTH_THREADS=x {DEPTH}",
