@@ -1,9 +1,10 @@
 /* The compiled half of lossdepth: the maximal-violation loop of
  * solvers._greedy_ascent, the pass behind kernels.pair_distances that
  * gives gram, median_heuristic and LOF the kernel argument or the squared
- * distance of every pair of rows, and the three elementwise passes of the
- * exact 2-d halfspace sweep.  native.py compiles this file on the first
- * kernel evaluation or exact 2-d halfspace depth.
+ * distance of every pair of rows, the selection pass of median_heuristic,
+ * and the three elementwise passes of the exact 2-d halfspace sweep.
+ * native.py compiles this file on the first kernel evaluation or exact 2-d
+ * halfspace depth.
  *
  * Every operation is the numpy code's, in the same order, so each output
  * bit is the same: built at -O3 with -ffp-contract=off and never with
@@ -38,6 +39,12 @@
  * vector lane holds one pair and no sum crosses lanes, so the vector width
  * cannot change a bit.
  *
+ * pair_selection: the same sums for the pairs i < j of one set of points,
+ * each compared with four bounds and counted, and the few inside the middle
+ * two kept, so that kernels.median_heuristic finds an order statistic of
+ * every pair without holding them all.  The counts are integers and the kept
+ * values are pdist's bits, so the statistic is exact.
+ *
  * halfspace_fold, halfspace_keys and halfspace_counts: the passes of
  * depths._halfspace_sweep_2d around numpy's arctan2 and sort, which
  * native.halfspace_counts runs between them, so every angle and key has
@@ -45,11 +52,11 @@
  * is the numpy sweep's multiplication by -1.0; the keys are bit operations;
  * the counts are integers.  So the counts are the numpy sweep's.
  *
- * On x86-64 with glibc, the greedy scan, kernel_arguments and the halfspace
- * passes are compiled once per instruction set (AVX-512F, AVX2 and the
- * baseline) and the loader picks the one the CPU runs, so one cached
- * library serves every CPU of an architecture; elsewhere, or where the
- * compiler has no target_clones, they are the plain loops.  The arithmetic
+ * On x86-64 with glibc, the greedy scan, kernel_arguments, pair_selection
+ * and the halfspace passes are compiled once per instruction set (AVX-512F,
+ * AVX2 and the baseline) and the loader picks the one the CPU runs, so one
+ * cached library serves every CPU of an architecture; elsewhere, or where
+ * the compiler has no target_clones, they are the plain loops.  The arithmetic
  * per element is the same in every clone.
  */
 #include <math.h>
@@ -224,6 +231,61 @@ PER_CPU void kernel_arguments(int64_t rows, int64_t columns, int64_t d, const do
         argument_rows(rows, columns, d, left, right_t, LAPLACIAN, parameter, triangle, out);
     else
         argument_rows(rows, columns, d, left, right_t, step, parameter, triangle, out);
+}
+
+/* The selection pass of kernels.median_heuristic over the rows (rows - 1) / 2
+ * pairs i < j of the points: the rows of left, which right_t holds again as
+ * its columns (d x rows).  Each row's squared distances are summed as
+ * kernel_arguments sums them, in pdist's order, into row, rows doubles of
+ * scratch.  bounds holds fence_lo <= lo <= hi <= fence_hi.  counts gets the
+ * number of distances below fence_lo, below lo, above hi and above
+ * fence_hi; out, capacity + rows doubles, gets the distances in [lo, hi] in
+ * order, at least the first capacity of them; past that they are counted.
+ *
+ * The counts come from a loop whose only carried values are integer sums,
+ * which the compiler vectorises.  A row with distances in [lo, hi] is then
+ * copied into out without a branch: each distance goes to the slot after
+ * the last one kept, and that slot moves on only for a distance in
+ * [lo, hi].  That test is one unsigned comparison of bit patterns: no
+ * squared distance is below +0, not even -0, and doubles from +0 up order
+ * as their bits, so v is in [base, hi], base = max(lo, +0), when
+ * bits(v) - bits(base) is at most bits(hi) - bits(base) as unsigned
+ * integers.  When hi is below base no row has a distance in [lo, hi], so
+ * none is copied.  Nothing here allocates or can fail. */
+PER_CPU void pair_selection(int64_t rows, int64_t d, const double *left, const double *right_t,
+                            const double *bounds, int64_t capacity, double *row, double *out,
+                            int64_t *counts)
+{
+    double fence_lo = bounds[0], lo = bounds[1], hi = bounds[2], fence_hi = bounds[3];
+    uint64_t base = (uint64_t)bits(lo > 0.0 ? lo : 0.0), span = (uint64_t)bits(hi) - base;
+    int64_t below_fence = 0, below = 0, above = 0, above_fence = 0, kept = 0;
+    for (int64_t i = 0; i + 1 < rows; i++) {
+        int64_t length = rows - i - 1;
+        argument_row(d, left + i * d, rows, right_t, i + 1, SQEUCLIDEAN, 0.0, row);
+        int64_t row_below = 0, row_above = 0;
+        for (int64_t j = 0; j < length; j++) {
+            double v = row[j];
+            below_fence += v < fence_lo;
+            row_below += v < lo;
+            row_above += v > hi;
+            above_fence += v > fence_hi;
+        }
+        below += row_below;
+        above += row_above;
+        int64_t inside = length - row_below - row_above;
+        if (inside > 0 && kept <= capacity) {
+            for (int64_t j = 0; j < length; j++) {
+                out[kept] = row[j];
+                kept += (uint64_t)bits(row[j]) - base <= span;
+            }
+        } else if (inside > 0) {
+            kept += inside;
+        }
+    }
+    counts[0] = below_fence;
+    counts[1] = below;
+    counts[2] = above;
+    counts[3] = above_fence;
 }
 
 /* Pass one of the exact 2-d halfspace sweep.  points is 2 x n, row-major:

@@ -385,14 +385,19 @@ def _kernel_row_means(spec: KernelSpec, reference: np.ndarray) -> np.ndarray:
     Reference rows [s, e) are evaluated against reference rows s: in one gram
     call.  Its row sums go to r[s:e] and its column sums past the diagonal
     block to r[e:].  A block holds about KERNEL_BLOCK_ENTRIES values, so the
-    blocks, and with them the bits of r, depend on n alone.
+    blocks, and with them the bits of r, depend on n alone.  Every block is
+    written in place into one scratch buffer that holds the largest of them,
+    so one block is live at a time and no step allocates one.
     """
     n = reference.shape[0]
     sums = np.zeros(n)
+    scratch = np.empty(min(max(KERNEL_BLOCK_ENTRIES, n), n * n))
     start = 0
     while start < n:
         stop = min(n, start + max(1, KERNEL_BLOCK_ENTRIES // (n - start)))
-        block = gram(spec, reference[start:stop], reference[start:])
+        shape = (stop - start, n - start)
+        block = gram(spec, reference[start:stop], reference[start:],
+                     out=scratch[: shape[0] * shape[1]].reshape(shape))
         sums[start:stop] += block.sum(axis=1)
         sums[stop:] += block[:, stop - start :].sum(axis=0)
         start = stop
@@ -481,6 +486,7 @@ def _bind_svm(request: DepthBatchRequest):
     boxed = not intercept and kappa is not None and lam >= kappa / 4.0
     row_means = functools.cache(lambda: _kernel_row_means(spec, reference))  # once, on first use
     tolerance = (request.solver or SolverConfig()).tolerance
+    labels = np.append(np.ones(n), -1.0)
 
     def score(block):
         alpha, fvals, offsets, iterations, residuals, converged = (
@@ -492,7 +498,8 @@ def _bind_svm(request: DepthBatchRequest):
             np.maximum(0.0, 1.0 - margins[:, :n]), np.maximum(0.0, 1.0 + margins[:, n])
         )
         if request.reporting is Reporting.LOSS_PLUS_REG:
-            signed = alpha * np.append(np.ones(n), -1.0)  # y_k alpha_k: the query is labelled -1
+            # y_k alpha_k, the query labelled -1; the box's one row is multiplied once
+            signed = np.broadcast_to(alpha[:1] * labels, alpha.shape) if boxed else alpha * labels
             values += lam * np.array([s @ f for s, f in zip(signed, fvals)])
         # the zero function's objective, 1, bounds a solved depth: a converged
         # value above it is the rounding of margins near 0 (for example, every

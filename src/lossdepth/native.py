@@ -1,8 +1,10 @@
 """The compiled library: the maximal-violation loop of the no-intercept
 kernel-SVM dual (greedy_ascent), the pass that computes every kernel
 argument and pairwise distance (kernel_arguments, behind
-kernels.pair_distances), and the elementwise passes of the exact 2-d
-halfspace sweep (halfspace_counts, behind depths._bind_halfspace).
+kernels.pair_distances), the pass that counts and keeps pair distances
+around an order statistic (pair_selection, behind kernels.median_heuristic),
+and the elementwise passes of the exact 2-d halfspace sweep
+(halfspace_counts, behind depths._bind_halfspace).
 
 _dual.c, shipped beside this module, is compiled on the first kernel
 evaluation or exact 2-d halfspace depth, never at import, with the
@@ -15,7 +17,7 @@ under a temporary name and renamed into place, so concurrent processes never
 load a half-written file.  subprocess is imported only to compile, so a
 process that loads the cached library does not pay for it.  ctypes releases
 the interpreter lock for the length of each call.  _library is the one
-switch for all three functions.
+switch for all of its functions.
 
 -O3 is what lets the compiler vectorise the loop's scan, the distance pass
 and the sweep's fold and key passes; -O2 leaves them scalar.  The flags never
@@ -28,16 +30,18 @@ loops.  Every clone gives the same bits: the arithmetic per element is the
 numpy loop's and scipy's, never contracted or reassociated; the argmax is an
 exact maximum over ordered bit patterns followed by the first index that has
 it; each pair's distance is summed over the coordinates in order within one
-vector lane; and the sweep's passes are exact negations, bit operations and
-integer counts, between which numpy's own arctan2 and sort run; no vector
-width or lane order can change any of them.  Every function writes only into
+vector lane; the selection pass's counts are integer sums; and the sweep's
+passes are exact negations, bit operations and integer counts, between
+which numpy's own arctan2 and sort run; no vector width or lane order can
+change any of them.  Every function writes only into
 arrays that its caller passes in, so the C code allocates nothing and cannot
 fail.
 
 Any failure (no compiler, a compile error, an unwritable cache directory, a
 library that does not load) leaves this process on the numpy loop of
-solvers._greedy_ascent, on scipy's cdist and pdist and on the numpy sweep
-depths._halfspace_sweep_2d, which give the same bits, and prints nothing.
+solvers._greedy_ascent, on scipy's cdist and pdist (blocked, for the
+selection pass) and on the numpy sweep depths._halfspace_sweep_2d, which
+give the same bits, and prints nothing.
 Removing the cache directory only costs the next process one compile.
 
 Nothing here deletes a library, so each edit of _dual.c, or a new compiler
@@ -104,10 +108,10 @@ def _compile(command: list[str], target: Path) -> None:
 
 @functools.cache
 def _library():
-    """The compiled library, with greedy_ascent, kernel_arguments and the
-    three halfspace passes typed, or None when it cannot be had; tried once
-    per process.  It is the one switch for all of them: without it, each
-    runs its numpy or scipy twin."""
+    """The compiled library, with greedy_ascent, kernel_arguments,
+    pair_selection and the three halfspace passes typed, or None when it
+    cannot be had; tried once per process.  It is the one switch for all of
+    them: without it, each runs its numpy or scipy twin."""
     command = [*_compiler(), *_FLAGS]
     try:
         key = hashlib.sha256(
@@ -119,6 +123,7 @@ def _library():
             _compile(command, target)
         library = ctypes.CDLL(str(target))
         ascent, arguments = library.greedy_ascent, library.kernel_arguments
+        selection = library.pair_selection
         fold, keys = library.halfspace_fold, library.halfspace_keys
         counts = library.halfspace_counts
     except (OSError, AttributeError):
@@ -131,6 +136,9 @@ def _library():
     arguments.argtypes = [*[ctypes.c_int64] * 3, *[ctypes.c_void_p] * 2, ctypes.c_int64,
                           ctypes.c_double, ctypes.c_int64, ctypes.c_void_p]
     arguments.restype = None
+    selection.argtypes = [*[ctypes.c_int64] * 2, *[ctypes.c_void_p] * 3, ctypes.c_int64,
+                          *[ctypes.c_void_p] * 3]
+    selection.restype = None
     fold.argtypes = [*[ctypes.c_int64] * 2, *[ctypes.c_void_p] * 6]
     keys.argtypes = [ctypes.c_int64, *[ctypes.c_void_p] * 2]
     counts.argtypes = [*[ctypes.c_int64] * 2, *[ctypes.c_void_p] * 3]
@@ -173,7 +181,7 @@ def greedy_ascent(kernel: np.ndarray, diag: np.ndarray, lo: np.ndarray, hi: np.n
 
 
 def kernel_arguments(left: np.ndarray, right: np.ndarray | None, step: str,
-                     parameter: float = 0.0) -> np.ndarray | None:
+                     parameter: float = 0.0, out: np.ndarray | None = None) -> np.ndarray | None:
     """For each pair of a row of left and a row of right, float64 (m, d) and
     (n, d) arrays, the value that kernels.gram hands to np.exp or np.power,
     with the bits of scipy's cdist followed by its numpy step: by step,
@@ -181,21 +189,53 @@ def kernel_arguments(left: np.ndarray, right: np.ndarray | None, step: str,
     ("gaussian", with parameter -gamma), -(l1 / parameter) ("laplacian",
     with parameter sigma) or s + parameter ("imq", with parameter c^2).
     Returns the (m, n) matrix; with right None, pdist's packed m (m - 1) / 2
-    pairs i < j of left's rows instead.  Returns None when the library is not
-    available or left and right are not 2-d with the same number of columns."""
+    pairs i < j of left's rows instead; written into out when it is given, a
+    C-contiguous writable float64 array of that shape.  Returns None when the
+    library is not available, left and right are not 2-d with the same
+    number of columns, or out is not such an array."""
     other = left if right is None else right
     if not (left.ndim == other.ndim == 2 and left.shape[1] == other.shape[1]):
+        return None
+    rows, columns = left.shape[0], other.shape[0]
+    shape = (rows * (rows - 1) // 2,) if right is None else (rows, columns)
+    if out is not None and not (out.dtype == np.float64 and out.shape == shape
+                                and out.flags.c_contiguous and out.flags.writeable):
         return None
     library = _library()
     if library is None:
         return None
     left = np.ascontiguousarray(left, dtype=np.float64)
     right_t = np.ascontiguousarray(other.T, dtype=np.float64)
-    (rows, dim), columns = left.shape, right_t.shape[1]
-    out = np.empty(rows * (rows - 1) // 2 if right is None else (rows, columns))
+    dim = left.shape[1]
+    if out is None:
+        out = np.empty(shape)
     library.kernel_arguments(rows, columns, dim, left.ctypes.data, right_t.ctypes.data,
                              _STEPS.index(step), parameter, right is None, out.ctypes.data)
     return out
+
+
+def pair_selection(points: np.ndarray, bounds: np.ndarray,
+                   capacity: int) -> tuple[np.ndarray, np.ndarray] | None:
+    """One pass over the squared euclidean distances of the pairs i < j of
+    the rows of points, a 2-d float64 array of finite values, with pdist's
+    bits, none of them held: the int64 counts of those below bounds[0],
+    below bounds[1], above bounds[2] and above bounds[3], four ascending
+    floats, and the first capacity distances in [bounds[1], bounds[2]], in
+    pdist's order.  Returns None when the library is not available."""
+    library = _library()
+    if library is None:
+        return None
+    points = np.ascontiguousarray(points, dtype=np.float64)
+    points_t = np.ascontiguousarray(points.T)
+    bounds = np.ascontiguousarray(bounds, dtype=np.float64)
+    rows, dim = points.shape
+    # out has a row's room past capacity: the pass copies a whole row before it counts
+    row, out, counts = np.empty(rows), np.empty(capacity + rows), np.empty(4, dtype=np.int64)
+    library.pair_selection(rows, dim, points.ctypes.data, points_t.ctypes.data,
+                           bounds.ctypes.data, capacity, row.ctypes.data, out.ctypes.data,
+                           counts.ctypes.data)
+    inside = rows * (rows - 1) // 2 - int(counts[1]) - int(counts[2])
+    return counts, out[:min(inside, capacity)]
 
 
 def halfspace_counts(columns: np.ndarray, block: np.ndarray) -> np.ndarray | None:

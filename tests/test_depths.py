@@ -1,10 +1,12 @@
 """Depth functions: halfspace (exact and sampled), logistic, kernel SVM, batch."""
 import math
+import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from lossdepth import depths, solvers
+from lossdepth import depths, native, solvers
 from lossdepth.core import LOG2, Reporting, ValidationError
 from lossdepth.depths import (
     DepthBatchRequest,
@@ -576,6 +578,65 @@ def test_kernel_means_match_the_gram_row_means(monkeypatch):
         assert np.allclose(row_means, gram(spec, reference).mean(axis=1), rtol=0.0, atol=1e-15)
 
 
+def _row_means_by_fresh_blocks(spec, reference):
+    """_kernel_row_means as it was written with a new gram array per block."""
+    n = reference.shape[0]
+    sums = np.zeros(n)
+    start = 0
+    while start < n:
+        stop = min(n, start + max(1, depths.KERNEL_BLOCK_ENTRIES // (n - start)))
+        block = gram(spec, reference[start:stop], reference[start:])
+        sums[start:stop] += block.sum(axis=1)
+        sums[stop:] += block[:, stop - start :].sum(axis=0)
+        start = stop
+    return sums / n
+
+
+def test_kernel_means_in_one_scratch_buffer_have_the_bits_of_fresh_blocks(monkeypatch):
+    # n = 1200 takes 218 rows in its first block and more in later ones;
+    # with the compiled distance pass and with cdist
+    rng = np.random.default_rng(38)
+    for spec in (KernelSpec.gaussian(0.7), KernelSpec.laplacian(1.3), KernelSpec.imq(0.5, -0.6)):
+        for n in (1, 7, 1200):
+            reference = rng.standard_normal((n, 3))
+            for compiled in (True, False):
+                with monkeypatch.context() as patch:
+                    if not compiled:
+                        patch.setattr(native, "_library", lambda: None)
+                    expected = _row_means_by_fresh_blocks(spec, reference).tobytes()
+                    assert depths._kernel_row_means(spec, reference).tobytes() == expected
+
+
+def test_kernel_means_hold_one_block_at_a_time():
+    # a block is KERNEL_BLOCK_ENTRIES values, 2 MiB; two of them take 4.07 MiB
+    spec, reference = KernelSpec.gaussian(0.5), np.random.default_rng(38).standard_normal((4000, 2))
+    depths._kernel_row_means(spec, reference)  # loads the library, outside the trace
+    tracemalloc.start()
+    try:
+        depths._kernel_row_means(spec, reference)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.5 * 2**20
+
+
+def test_the_box_solves_ridge_term_has_the_bits_of_a_full_alpha_product():
+    # loss+reg multiplies the box's one alpha row by the labels once; each
+    # query's dot with its function values keeps the bits of the (m, n + 1) product
+    rng = np.random.default_rng(36)
+    reference, queries = rng.standard_normal((50, 2)), rng.standard_normal((9, 2)) * 2.0
+    spec, lam = KernelSpec.gaussian(0.6), 1.5
+    request = DepthBatchRequest(reference=reference, queries=queries, method="svm", lam=lam,
+                                kernel=spec, reporting=Reporting.LOSS_PLUS_REG)
+    alpha, fvals, *_ = depths._box_solves(
+        spec, reference, lambda: depths._kernel_row_means(spec, reference), queries, lam, 1e-9
+    )
+    signed = np.array(alpha) * np.append(np.ones(50), -1.0)
+    loss = depth_batch(replace(request, reporting=Reporting.LOSS_ONLY)).values
+    expected = loss + lam * np.array([s @ f for s, f in zip(signed, fvals)])
+    assert depth_batch(request).values.tobytes() == np.minimum(expected, 1.0).tobytes()
+
+
 def test_depth_batch_request_validation():
     reference = np.zeros((3, 2))
     with pytest.raises(ValidationError):
@@ -773,9 +834,9 @@ def test_depth_batch_needs_directions_for_halfspace_depth_in_three_dimensions():
 def test_depth_batch_builds_the_reference_gram_once(monkeypatch):
     calls = []
 
-    def counting_gram(*args):
+    def counting_gram(*args, **kwargs):
         calls.append(args)
-        return gram(*args)
+        return gram(*args, **kwargs)
 
     monkeypatch.setattr(depths, "gram", counting_gram)
     rng = np.random.default_rng(4)
@@ -803,9 +864,9 @@ def test_depth_batch_builds_the_reference_gram_once(monkeypatch):
 def test_depth_batch_with_no_queries_builds_no_gram(monkeypatch):
     calls = []
 
-    def counting_gram(*args):
+    def counting_gram(*args, **kwargs):
         calls.append(args)
-        return gram(*args)
+        return gram(*args, **kwargs)
 
     # the closed form builds its kernel values in depths, the dual solves in solvers
     monkeypatch.setattr(depths, "gram", counting_gram)

@@ -1,10 +1,12 @@
 """Kernel evaluations, Gram matrices and bandwidth heuristics."""
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
-from scipy.spatial.distance import cdist
+from scipy.spatial.distance import cdist, pdist
 
+from lossdepth import kernels, native
 from lossdepth.core import ValidationError
 from lossdepth.kernels import (
     DegenerateBandwidthError,
@@ -174,11 +176,94 @@ def _sorted_pair_statistic(points, metric, index_of):
     return float(pairs[index_of(pairs.size)])
 
 
-def test_heuristics_equal_the_sorted_pair_formula_bit_for_bit():
+def _structured_references(rng):
+    """References above median_heuristic's selection bound, each with a
+    structure that could defeat a bracket taken from a strided sample of the
+    pairs, and the message it raises, if any."""
+    points = rng.standard_normal((1500, 2))
+    duplicates = np.repeat(rng.standard_normal((1, 3)), 1200, axis=0)
+    duplicates[:120] = rng.standard_normal((120, 3))  # 90 % of the rows are one row
+    overflowing, partly = rng.standard_normal((1300, 2)), rng.standard_normal((1300, 2))
+    overflowing[:700] *= 1e160  # 79 % of the pairs square to inf
+    partly[:300] *= 1e160  # 41 %
+    yield points[np.argsort(points[:, 0])], None  # rows sorted by one coordinate
+    yield np.cumsum(rng.standard_normal((1800, 2)), axis=0), None  # a random walk
+    # two far clusters with C(594, 2) + C(560, 2) pairs inside them, the
+    # lower median's rank plus one, or C(596, 2) + C(562, 2), its rank: the
+    # median is the last value below the gap, or the first above it
+    for near, far in ((594, 560), (596, 562)):
+        yield np.vstack([rng.standard_normal((near, 2)), rng.standard_normal((far, 2)) + 1e4]), None
+    yield duplicates, "is zero"
+    yield rng.integers(0, 4, (2000, 2)).astype(float), None  # an integer grid: heavy ties
+    yield overflowing, "overflows to inf"
+    yield partly, None
+    infinite = rng.standard_normal((1100, 2))
+    infinite[:2, 0] = math.inf  # the pair of these two rows is NaN: the one-array path
+    yield infinite, None
+
+
+def test_heuristics_equal_the_sorted_pair_formula_bit_for_bit(monkeypatch):
+    # with the compiled selection pass and, without the library, the blocked cdist one
     rng = np.random.default_rng(12)
+    cases = []
     for n, d in ((7, 1), (300, 2), (1999, 3), (2600, 2)):
         pts = np.round(rng.standard_normal((n, d)), 1)  # rounding makes tied distances
         pts[rng.integers(0, n, size=n // 5)] = pts[0]  # and duplicate rows
-        median = _sorted_pair_statistic(pts, "sqeuclidean", lambda size: (size - 1) // 2)
-        assert median_heuristic(pts) == 1.0 / median
+        cases.append((pts, None))
+    cases += _structured_references(rng)
+    for pts, refusal in cases:
+        with np.errstate(over="ignore"):
+            median = _sorted_pair_statistic(pts, "sqeuclidean", lambda size: (size - 1) // 2)
+        for compiled in (True, False):
+            with monkeypatch.context() as patch:
+                if not compiled:
+                    patch.setattr(native, "_library", lambda: None)
+                if refusal is None:
+                    assert median_heuristic(pts) == 1.0 / median
+                else:
+                    assert median in (0.0, math.inf)
+                    with pytest.raises(DegenerateBandwidthError, match=refusal):
+                        median_heuristic(pts)
 
+
+def test_a_missed_bracket_costs_one_more_pass_and_keeps_the_bits(monkeypatch):
+    # bounds that put the rank in each of the five classes, and capacities
+    # too small for [lo, hi]: the second pass keeps the rank's class
+    rng = np.random.default_rng(38)
+    passes = []
+
+    def counted(*args):
+        passes.append(args)
+        return select_pairs(*args)
+
+    select_pairs = kernels._select_pairs
+    monkeypatch.setattr(kernels, "_select_pairs", counted)
+    for pts in (rng.standard_normal((200, 2)), rng.integers(0, 3, (200, 2)).astype(float)):
+        pairs = np.sort(pdist(pts, "sqeuclidean"))
+        size = pairs.size
+        for rank in (0, 1, size // 5, (size - 1) // 2, size - 2, size - 1):
+            for at in (0, size // 4, size // 2, 3 * size // 4, size - 4):
+                bounds = pairs[[at, at + 1, at + 2, at + 3]]
+                for capacity in (0, 3, size):
+                    for compiled in (True, False):
+                        passes.clear()
+                        with monkeypatch.context() as patch:
+                            if not compiled:
+                                patch.setattr(native, "_library", lambda: None)
+                            value = kernels._select_rank(pts, size, rank, bounds, capacity)
+                        assert value == pairs[rank]
+                        assert len(passes) <= 2
+
+
+def test_the_median_heuristic_holds_no_array_of_every_pair():
+    # a 4,000-row reference is subsampled to 2,000 rows, 1,999,000 pairs: one
+    # array of them all takes 15.3 MiB
+    reference = np.random.default_rng(38).standard_normal((4000, 2))
+    median_heuristic(reference)  # loads the library, outside the trace
+    tracemalloc.start()
+    try:
+        median_heuristic(reference)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20

@@ -331,9 +331,9 @@ def test_a_starved_solve_stops_after_one_pass_inside_the_box(sample, kernel, lam
     problem = _problem(reference, query, lam, kernel)
     updates = []
 
-    def counting_gram(*args):
+    def counting_gram(*args, **kwargs):
         updates.append(args)  # with no dense matrix each update reads one column
-        return gram(*args)
+        return gram(*args, **kwargs)
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(solvers, "DENSE_GRAM_LIMIT", 0)

@@ -44,6 +44,8 @@ COMMANDS = [
     f"{DEPTH} --method lr --reporting loss+reg",
     f"{DEPTH} --method svm --reporting loss+reg",  # lambda >= kappa/4: the box solve
     f"{DEPTH} --method svm --lambda 0.05 --reporting loss+reg",  # the dual solves
+    # above 2^19 pairs, median_heuristic's selection pass; 2,500 rows, the row means' many blocks
+    *(f"depth big.csv queries.csv --method svm{options}" for options in ("", " --gamma 0.5")),
     f"{DEPTH} --method svm --kernel imq --imq-c 0.5 --imq-beta -1e-1",
     f"{DEPTH} --method svm --kernel imq --imq-c 0.5 --imq-beta=-1e-1",
     f"{DEPTH} --method svm --kernel laplacian --sigma 1 --intercept",
@@ -97,6 +99,7 @@ def write_inputs(directory: Path) -> None:
     save("labelled.csv", np.vstack([inliers, outliers]), header="x,y,label")
     save("origin.csv", [[0.0], [0.0], [1.0]])  # a pairwise solve that ends with no violation
     save("half.csv", [[0.5]])
+    save("big.csv", np.random.default_rng(1).standard_normal((2500, 2)))
 
 
 def variants(line: str):
