@@ -9,10 +9,15 @@ otherwise ignored: they change neither the bytes nor the speed.
 The parser, a _NumberParser, reads a number or a comma list of numbers as a
 value, never as an option, so `--imq-beta -1e-1` and `--center -1,2` parse.
 
-grid, benchmark, rankcorr and convergence turn a method name into a fitted
-scorer through experiments.method_scorer, the package's one dispatch.
-benchmark refuses a depth solve or a one-class fit that stops before
-tolerance (exit 2); grid, rankcorr and convergence report what it gives.
+The depths have one set of names, depths.METHODS (halfspace, lr, svm),
+which the package uses too.  depth and convergence take one of them, grid
+one of them, ocsvm or lof, and rankcorr and benchmark a comma list of any
+name experiments.method_scorer takes (benchmark adds oracle).  grid,
+benchmark, rankcorr and convergence turn a method name into a fitted scorer
+through method_scorer, the package's one dispatch and the one gate on the
+names of the list commands: an unknown one exits 2.  benchmark refuses a
+depth solve or a one-class fit that stops before tolerance (exit 2); grid,
+rankcorr and convergence report what it gives.
 
 Each cmd_* handler returns its configuration, without the seed, and its
 tables, and writes nothing.  main assembles and writes every report: an
@@ -29,14 +34,8 @@ import sys
 import numpy as np
 
 from .core import LossDepthError, Reporting, ValidationError
-from .depths import (
-    METHOD_HALFSPACE,
-    DepthBatchRequest,
-    HalfspaceConfig,
-    depth_batch,
-)
+from .depths import METHOD_HALFSPACE, METHODS, DepthBatchRequest, HalfspaceConfig, depth_batch
 from .experiments import (
-    METHOD_NAMES,
     benchmark_auc,
     contamination_grid,
     convergence_experiment,
@@ -177,18 +176,17 @@ def _kernel_label(spec: KernelSpec | None) -> str:
 def cmd_depth(args) -> tuple[dict, list]:
     reference = _read_features(args.reference, args)
     queries = _read_features(args.queries, args)
-    method = METHOD_NAMES[args.method]
     solver = SolverConfig(args.max_iterations, args.tolerance)
 
     kernel = _resolve_kernel(args, (args.method,), reference)
     halfspace = None
-    if method == METHOD_HALFSPACE and args.directions is not None:
+    if args.method == METHOD_HALFSPACE and args.directions is not None:
         halfspace = HalfspaceConfig(args.directions, args.seed)
 
     request = DepthBatchRequest(
         reference=reference,
         queries=queries,
-        method=method,
+        method=args.method,
         lam=args.lam,
         kernel=kernel,
         intercept=args.intercept,
@@ -361,9 +359,6 @@ def cmd_rankcorr(args) -> tuple[dict, list]:
     solver = SolverConfig(args.max_iterations, args.tolerance)
     if not args.methods:
         raise ValidationError("--methods needs at least one method")
-    for method in args.methods:
-        if method not in ("lr", "svm"):
-            raise ValidationError(f"rankcorr supports lr and svm, got {method!r}")
     config = {
         "methods": list(args.methods),
         "lambda": args.lam,
@@ -372,7 +367,7 @@ def cmd_rankcorr(args) -> tuple[dict, list]:
         "runs": args.runs,
     }
     kernel = _resolve_kernel(args, args.methods, None)
-    if "svm" in args.methods:
+    if {"svm", "ocsvm"} & set(args.methods):
         config["kernel"] = _kernel_label(kernel) or "gaussian(gamma=median-heuristic)"
 
     def score_fn(method, sample):
@@ -423,7 +418,7 @@ def build_parser() -> argparse.ArgumentParser:
     depth = commands.add_parser("depth", help="score query points against a reference sample")
     depth.add_argument("reference", help="reference sample csv")
     depth.add_argument("queries", help="query points csv")
-    depth.add_argument("--method", choices=tuple(METHOD_NAMES), default="lr")
+    depth.add_argument("--method", choices=METHODS, default="lr")
     depth.add_argument("--reporting", choices=("loss", "loss+reg"), default="loss")
     depth.add_argument("--normalize", action=argparse.BooleanOptionalAction, default=True,
                        help="divide by the zero-classifier loss (logistic only)")
@@ -456,7 +451,7 @@ def build_parser() -> argparse.ArgumentParser:
     benchmark.set_defaults(handler=cmd_benchmark)
 
     convergence = commands.add_parser("convergence", help="empirical rate of |D_n - D_ref|")
-    convergence.add_argument("--method", choices=("lr", "svm"), default="lr")
+    convergence.add_argument("--method", choices=METHODS, default="lr")
     convergence.add_argument("--d", type=int, default=2)
     convergence.add_argument("--n-grid", type=_int_list, default=(50, 100, 200, 400, 800, 1600))
     convergence.add_argument("--repeats", type=int, default=20)
@@ -477,7 +472,7 @@ def build_parser() -> argparse.ArgumentParser:
     grid.add_argument("--rate", type=float, default=0.1)
     grid.add_argument("--center", type=_float_list, default=(-1.0, -1.0))
     grid.add_argument("--contamination-center", type=_float_list, default=(2.0, 2.0))
-    grid.add_argument("--method", choices=("svm", "lr", "ocsvm", "lof"), default="svm")
+    grid.add_argument("--method", choices=(*METHODS, "ocsvm", "lof"), default="svm")
     grid.add_argument("--resolution", type=int, default=50)
     grid.add_argument("--quantiles", type=_float_list, default=(0.5, 0.6, 0.7, 0.8, 0.9))
     grid.add_argument("--lof-k", type=_int_list, default=(10,))

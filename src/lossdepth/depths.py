@@ -10,9 +10,11 @@ the query.
 
 DepthBatchRequest is the one way to ask for a depth, and BatchResult, one
 array per quantity with a row per query, the one answer; the halfspace
-depth's coefficients are an (m, 0) array.  halfspace_depth,
-logistic_depth and svm_depth build a request of one row and return row 0 by
-BatchResult.result, the only place a DepthResult is built.
+depth's coefficients are an (m, 0) array.  A request names its depth by one
+of METHODS, halfspace, lr or svm: the one set of names the package and the
+command line share.  halfspace_depth, logistic_depth and svm_depth build a
+request of one row and return row 0 by BatchResult.result, the only place a
+DepthResult is built.
 
 Each method has one binder, which does the work that depends on the
 reference and the settings alone, once, and returns a loop-free scorer of a
@@ -69,8 +71,10 @@ from .solvers import (
 )
 
 METHOD_HALFSPACE = "halfspace"
-METHOD_LOGISTIC = "logistic"
+METHOD_LOGISTIC = "lr"
 METHOD_SVM = "svm"
+# the depth names, the same in the package and on the command line
+METHODS = (METHOD_HALFSPACE, METHOD_LOGISTIC, METHOD_SVM)
 
 @dataclass(frozen=True)
 class HalfspaceConfig:
@@ -261,13 +265,12 @@ def _bind_halfspace(request: DepthBatchRequest):
 
 
 def _one_query(query, reference, method: str, **settings) -> DepthBatchRequest:
-    """The request of a single query: its coordinates flattened into one row.
-    An empty query leaves no row to score."""
+    """The request of a single query: its coordinates flattened into one row,
+    which must hold at least one."""
     row = np.asarray(query, dtype=float).reshape(1, -1)
-    request = DepthBatchRequest(reference=reference, queries=row, method=method, **settings)
-    if request.queries.shape[0] == 0:
+    if not row.size:
         raise ValidationError("query point must have at least one coordinate")
-    return request
+    return DepthBatchRequest(reference=reference, queries=row, method=method, **settings)
 
 
 def halfspace_depth(query, reference, config: HalfspaceConfig | None = None) -> float:
@@ -513,7 +516,10 @@ def _bind_svm(request: DepthBatchRequest):
 
 @dataclass(frozen=True, eq=False)
 class DepthBatchRequest:
-    """Shared settings for scoring many queries against one reference."""
+    """Shared settings for scoring many queries against one reference, by
+    one of METHODS.  Queries with no rows ([], a 1-d empty array or shape
+    (0, k)) are no queries; every row must hold the reference's d
+    coordinates."""
 
     reference: DataMatrix
     queries: np.ndarray
@@ -528,12 +534,13 @@ class DepthBatchRequest:
 
     def __post_init__(self):
         object.__setattr__(self, "reference", as_data_matrix(self.reference))
-        queries = np.atleast_2d(np.asarray(self.queries, dtype=float))
-        if queries.size == 0:
+        queries = np.asarray(self.queries, dtype=float)
+        if queries.shape[:1] == (0,):
             queries = queries.reshape(0, self.reference.d)
+        queries = np.atleast_2d(queries)
         if queries.ndim != 2:
             raise ValidationError(f"queries must form a 2-d array, got shape {queries.shape}")
-        if queries.shape[0] > 0 and queries.shape[1] != self.reference.d:
+        if queries.shape[1] != self.reference.d:
             raise ValidationError(
                 f"dimension mismatch: reference has d={self.reference.d}, "
                 f"queries have d={queries.shape[1]}"
@@ -541,7 +548,7 @@ class DepthBatchRequest:
         if not np.all(np.isfinite(queries)):
             raise ValidationError("queries contain non-finite entries")
         object.__setattr__(self, "queries", queries)
-        if self.method not in (METHOD_HALFSPACE, METHOD_LOGISTIC, METHOD_SVM):
+        if self.method not in METHODS:
             raise ValidationError(f"unknown depth method {self.method!r}")
         if self.method == METHOD_SVM and self.kernel is None:
             raise ValidationError("svm depth requires a kernel")

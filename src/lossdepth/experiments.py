@@ -5,10 +5,11 @@ are spawned per (experiment, grid index, repeat) so adding repeats or grid
 points never reshuffles the draws of the existing ones.
 
 method_scorer is the package's one scorer factory: the one map from a method
-name (halfspace, lr, svm, ocsvm, lof) to a scorer fitted to a reference, the
-one place a missing kernel becomes the reference's median-heuristic
-Gaussian, and the one place that decides whether a fit stopped before
-tolerance is an error; every driver scores through it.
+name (a depth of depths.METHODS, ocsvm or lof) to a scorer fitted to a
+reference, the one gate on those names, the one place a missing kernel
+becomes the reference's median-heuristic Gaussian, and the one place that
+decides whether a fit stopped before tolerance is an error; every driver
+scores through it.
 """
 from __future__ import annotations
 
@@ -23,13 +24,7 @@ from .core import (
     ValidationError,
     as_data_matrix,
 )
-from .depths import (
-    METHOD_HALFSPACE,
-    METHOD_LOGISTIC,
-    METHOD_SVM,
-    DepthBatchRequest,
-    bind_batch,
-)
+from .depths import METHOD_HALFSPACE, DepthBatchRequest, bind_batch
 from .kernels import KernelSpec, median_heuristic
 from .metrics import auc_roc, kendall_tau, spearman_rho
 from .solvers import SolverConfig
@@ -39,10 +34,6 @@ _REFERENCE_STREAM = 0
 _SAMPLE_STREAM = 1
 _MIXTURE_STREAM = 2
 _SPLIT_STREAM = 3
-
-
-# the command-line names of the depth methods
-METHOD_NAMES = {"halfspace": METHOD_HALFSPACE, "lr": METHOD_LOGISTIC, "svm": METHOD_SVM}
 
 
 class DegenerateFitError(LossDepthError):
@@ -141,21 +132,20 @@ def method_scorer(method: str, reference, *, lam: float = 1.0, kernel: KernelSpe
     """Fit the scorer a method name means to the reference rows.
 
     Returns a callable mapping points to scores, larger meaning more central.
-    A depth method (a METHOD_NAMES key: halfspace, the exact depth, lr or
-    svm) is bound to the reference once here (depths.bind_batch), so every
-    call shares the reference-only work, and scores as depth_batch does with
-    every other request setting at its default.  ocsvm scores by the fitted
-    one-class SVM margin, and lof by the negated local outlier factor with
-    lof_k neighbours.  svm and ocsvm default to a Gaussian kernel at the
-    median-heuristic bandwidth of the reference.  With require_convergence a
-    depth solve or a one-class fit that stops before tolerance raises
-    NotConvergedError.
+    ocsvm scores by the fitted one-class SVM margin, and lof by the negated
+    local outlier factor with lof_k neighbours.  Every other name goes to
+    the depth request as it is: a depth of depths.METHODS (halfspace, the
+    exact depth, lr or svm) is bound to the reference once here
+    (depths.bind_batch), so every call shares the reference-only work, and
+    scores as depth_batch does with every other request setting at its
+    default; any other name raises the request's ValidationError.  svm and
+    ocsvm default to a Gaussian kernel at the median-heuristic bandwidth of
+    the reference.  With require_convergence a depth solve or a one-class
+    fit that stops before tolerance raises NotConvergedError.
     """
     ref = as_data_matrix(reference)
     if method == "lof":
         return lambda points: -lof_scores(ref.values, points, lof_k)
-    if method not in METHOD_NAMES and method != "ocsvm":
-        raise ValidationError(f"unknown method {method!r}")
     if kernel is None and method in ("svm", "ocsvm"):
         kernel = KernelSpec.gaussian(median_heuristic(ref.values))
     if method == "ocsvm":
@@ -165,8 +155,7 @@ def method_scorer(method: str, reference, *, lam: float = 1.0, kernel: KernelSpe
                                     f"{model.iterations} pair updates; residual {model.residual:g}")
         return model.score
     batch = bind_batch(DepthBatchRequest(reference=ref, queries=np.empty((0, ref.d)),
-                                         method=METHOD_NAMES[method], lam=lam, kernel=kernel,
-                                         solver=solver))
+                                         method=method, lam=lam, kernel=kernel, solver=solver))
 
     def score(points) -> np.ndarray:
         outcome = batch(points)
@@ -407,14 +396,15 @@ def benchmark_auc(
 ) -> list:
     """Inlier-versus-outlier AUC of each scoring method on a held-out set.
 
-    lr, svm and ocsvm score through method_scorer, fitted to the training
-    rows, and a depth solve or one-class fit that stops before tolerance
-    raises NotConvergedError.  LOF gets one row per neighbourhood size plus
-    a best-of row, from one sort of the distances for every size; its factor
-    orders outliers first, so its negation enters the AUC.  The oracle method
-    scores with the labels themselves and pins the ceiling at 1.  A shared
-    Gaussian kernel at the training median heuristic is used wherever none
-    is supplied.
+    LOF gets one row per neighbourhood size plus a best-of row, from one
+    sort of the distances for every size; its factor orders outliers first,
+    so its negation enters the AUC.  The oracle method scores with the
+    labels themselves and pins the ceiling at 1.  Every other method scores
+    through method_scorer, fitted to the training rows, which raises on an
+    unknown name, takes the training median heuristic where svm or ocsvm has
+    no kernel, and refuses a depth solve or one-class fit that stops before
+    tolerance (NotConvergedError).  Such a row's parameter cell reads nu for
+    ocsvm, lam for lr and svm, and is empty for halfspace, which has no lam.
     """
     train_m = as_data_matrix(train)
     test_m = as_data_matrix(test)
@@ -423,18 +413,9 @@ def benchmark_auc(
         raise ValidationError(
             f"test labels disagree with test rows: {inlier.size} vs {test_m.n}"
         )
-    shared_kernel = kernel
-    if shared_kernel is None and any(m in ("svm", "ocsvm") for m in methods):
-        shared_kernel = KernelSpec.gaussian(median_heuristic(train_m.values))
-
     rows = []
     for method in methods:
-        if method in ("lr", "svm", "ocsvm"):
-            score = method_scorer(method, train_m, lam=lam, kernel=shared_kernel,
-                                  solver=solver, nu=nu)
-            parameter = f"nu={nu:g}" if method == "ocsvm" else f"lam={lam:g}"
-            rows.append(BenchmarkRow(method, parameter, auc_roc(score(test_m.values), inlier)))
-        elif method == "lof":
+        if method == "lof":
             if not lof_k:
                 raise ValidationError("lof needs at least one neighbourhood size")
             best = None
@@ -447,5 +428,7 @@ def benchmark_auc(
         elif method == "oracle":
             rows.append(BenchmarkRow("oracle", "", auc_roc(inlier.astype(float), inlier)))
         else:
-            raise ValidationError(f"unknown benchmark method {method!r}")
+            score = method_scorer(method, train_m, lam=lam, kernel=kernel, solver=solver, nu=nu)
+            parameter = {METHOD_HALFSPACE: "", "ocsvm": f"nu={nu:g}"}.get(method, f"lam={lam:g}")
+            rows.append(BenchmarkRow(method, parameter, auc_roc(score(test_m.values), inlier)))
     return rows

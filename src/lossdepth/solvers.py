@@ -41,7 +41,7 @@ from .core import ValidationError, weighted_expectation
 from .kernels import KernelSpec, gram
 
 _EPS = float(np.finfo(float).eps)
-_MAX_HALVINGS = 60  # bounds the line search: 2**-60 of a step is far below rounding
+_MAX_HALVINGS = 60  # bounds the line search: its last trial step, 2**-59, is far below rounding
 DENSE_GRAM_LIMIT = 3000  # largest reference n whose kernel matrix is held densely
 # Largest D whose Hessians are built from coordinate-pair products.  Per
 # block Hessian, at the block size depths._bind_logistic picks, one BLAS
@@ -221,7 +221,7 @@ def logistic_block_solve(
     8 eps |f|) is accepted: near the minimiser the objective is flat to
     machine precision while the gradient still exceeds a tight tolerance.
     A query stops, converged, once its gradient norm is at or below
-    tolerance, and unconverged after max_iterations steps or after 60
+    tolerance, and unconverged after max_iterations steps or after 59
     halvings without an acceptable step.  Every stopped query leaves the
     block at the top of the loop, a stalled one counted at the step that
     failed, with its state before that step.  The start is one row evaluated

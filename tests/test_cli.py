@@ -14,6 +14,7 @@ import pytest
 
 from lossdepth import baselines, cli, experiments, native
 from lossdepth.core import ValidationError
+from lossdepth.depths import METHODS
 from lossdepth.io import format_float
 from lossdepth.kernels import median_heuristic
 from lossdepth.solvers import SolverConfig
@@ -72,9 +73,12 @@ def test_cli_import_leaves_scipy_stats_unloaded(tmp_path):
 
 def test_halfspace_and_lr_depths_run_without_scipy(sample_files, tmp_path):
     # lr does not touch the compiled library or its cache either; the 2-d
-    # halfspace sweep loads the library, where it can be had
+    # halfspace sweep loads the library, where it can be had, and so do grid
+    # and convergence with the halfspace depth
     reference, queries = sample_files
-    outputs = [str(tmp_path / f"{method}.csv") for method in ("lr", "halfspace")]
+    outputs = [str(tmp_path / f"{name}.csv") for name in ("lr", "halfspace", "grid", "rate")]
+    drivers = [["grid", "--contaminated", "--method", "halfspace", "--resolution", "5"],
+               ["convergence", "--method", "halfspace", "--n-grid", "20,40", "--repeats", "2"]]
     code = (
         "import sys\n"
         "from lossdepth import cli\n"
@@ -82,6 +86,8 @@ def test_halfspace_and_lr_depths_run_without_scipy(sample_files, tmp_path):
         f"codes = [cli.main([*argv, {outputs[0]!r}, '--method', 'lr'])]\n"
         + NATIVE_TRIED
         + f"codes.append(cli.main([*argv, {outputs[1]!r}, '--method', 'halfspace']))\n"
+        f"for driver, out in zip({drivers!r}, {outputs[2:]!r}):\n"
+        "    codes.append(cli.main([*driver, '--output', out]))\n"
         "from lossdepth import native\n"
         "print(native._library() is not None)\n"
         "print(codes, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
@@ -90,8 +96,10 @@ def test_halfspace_and_lr_depths_run_without_scipy(sample_files, tmp_path):
     # cli.main prints each output path; the verdict lines follow them
     lines = _fresh_python(code, XDG_CACHE_HOME=str(cache)).splitlines()
     compiled = native._library() is not None
-    assert [lines[1], *lines[3:]] == ["False", str(compiled), f"{[cli.EXIT_OK] * 2} []"]
-    assert all(Path(out).read_text().startswith("query,depth,") for out in outputs)
+    assert [lines[1], *lines[-2:]] == ["False", str(compiled), f"{[cli.EXIT_OK] * 4} []"]
+    assert all(Path(out).read_text().startswith("query,depth,") for out in outputs[:2])
+    assert Path(outputs[2]).read_text().startswith("x,y,score\n")
+    assert Path(outputs[3]).read_text().startswith("n,mean_error\n")
     assert bool(list(cache.rglob("dual-*.so"))) == compiled
 
 
@@ -652,7 +660,7 @@ def test_two_file_benchmark_scores_as_benchmark_auc(tmp_path, capsys):
     test_labels = np.r_[np.zeros(15), np.ones(5)]
     train_path = _csv(tmp_path / "train.csv", np.column_stack([train, train_labels]))
     test_path = _csv(tmp_path / "test.csv", np.column_stack([test, test_labels]))
-    methods = "lr,svm,lof,ocsvm,oracle"
+    methods = "halfspace,lr,svm,lof,ocsvm,oracle"
     code = cli.main(["benchmark", train_path, test_path, "--label-column", "2",
                      "--methods", methods])
     assert code == cli.EXIT_OK
@@ -665,6 +673,9 @@ def test_two_file_benchmark_scores_as_benchmark_auc(tmp_path, capsys):
     assert [(m, p, float(auc)) for m, p, auc in rows[1:]] == [
         (row.method, row.parameter, row.auc) for row in expected
     ]
+    # the halfspace depth has no lambda, so its parameter cell is empty
+    assert [row[:2] for row in rows[1:3]] == [["halfspace", ""], ["lr", "lam=1"]]
+    assert 0.5 < float(rows[1][2]) <= 1.0
 
     # with no label column named, the test file has none to score against
     unlabeled = [_csv(tmp_path / f"{name}.csv", data) for name, data in
@@ -707,20 +718,48 @@ def test_an_empty_list_exits_two_with_one_line(argv, message, labeled_file, caps
     assert captured.err == f"error: {message}\n"
 
 
+# every name method_scorer takes: the depths, the one-class SVM and LOF
+SCORER_NAMES = (*METHODS, "ocsvm", "lof")
+
+
 def test_every_driver_method_choice_builds_a_scorer():
-    # the parser offers no method the one dispatch cannot fit
+    # the parser offers no method the one dispatch cannot fit, and the depth
+    # choices are the package's own names
     commands = next(a for a in cli.build_parser()._actions
                     if isinstance(a, argparse._SubParsersAction))
     rng = np.random.default_rng(24)
     reference, points = rng.standard_normal((30, 2)), rng.standard_normal((4, 2))
+    choices = {command: next(a for a in commands.choices[command]._actions
+                             if "--method" in a.option_strings).choices
+               for command in ("depth", "grid", "convergence")}
+    assert choices == {"depth": METHODS, "grid": SCORER_NAMES, "convergence": METHODS}
     for command in ("grid", "convergence"):
-        option = next(a for a in commands.choices[command]._actions
-                      if "--method" in a.option_strings)
-        for method in option.choices:
+        for method in choices[command]:
             scores = experiments.method_scorer(method, reference)(points)
             assert scores.shape == (4,) and np.all(np.isfinite(scores)), (command, method)
-    with pytest.raises(ValidationError, match="unknown method 'nope'"):
+    with pytest.raises(ValidationError, match="unknown depth method 'nope'"):
         experiments.method_scorer("nope", reference)
+
+
+def test_the_list_drivers_run_every_scorer_name(labeled_file, capsys):
+    # rankcorr and benchmark take every name method_scorer takes, and an
+    # unknown one exits 2 with the request's one line
+    for method in SCORER_NAMES:
+        for argv in (["rankcorr", "--methods", method, "--n", "30", "--runs", "1"],
+                     ["benchmark", labeled_file, "--split", "--label-column", "2",
+                      "--methods", method, "--lof-k", "5"]):
+            assert cli.main([*argv, "--format", "json"]) == cli.EXIT_OK, argv
+            report = json.loads(capsys.readouterr().out)
+            rows = report["tables"][0]["rows"]
+            assert rows and all(row[0] == method for row in rows), argv
+            assert np.all(np.isfinite([row[-1] for row in rows])), argv
+    for argv in (["rankcorr", "--methods", "lr,nope", "--n", "30", "--runs", "1"],
+                 ["benchmark", labeled_file, "--split", "--label-column", "2",
+                  "--methods", "lr,nope"]):
+        assert cli.main(argv) == cli.EXIT_INVALID
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: unknown depth method 'nope'\n"
 
 
 def test_grid_contaminated_layout(tmp_path):
@@ -869,9 +908,20 @@ def test_csv_and_json_reports_carry_the_same_cells(case, sample_files, labeled_f
 
 
 def test_rankcorr_rejects_unsupported_method(capsys):
-    code = cli.main(["rankcorr", "--methods", "halfspace", "--runs", "1"])
+    code = cli.main(["rankcorr", "--methods", "nope", "--runs", "1"])
     assert code == cli.EXIT_INVALID
-    assert "rankcorr supports lr and svm" in capsys.readouterr().err
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: unknown depth method 'nope'\n"
+
+
+def test_rankcorr_echoes_the_kernel_of_the_one_class_svm(capsys):
+    # the config names the kernel whenever svm or ocsvm is scored
+    argv = ["rankcorr", "--n", "30", "--runs", "1", "--kernel", "linear", "--format", "json"]
+    for methods, kernel in (("ocsvm", "linear"), ("lr,ocsvm", "linear"), ("lr", None)):
+        assert cli.main([*argv, "--methods", methods]) == cli.EXIT_OK
+        config = json.loads(capsys.readouterr().out)["config"]
+        assert config.get("kernel") == kernel, methods
 
 
 def test_convergence_small_run(tmp_path):

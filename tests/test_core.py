@@ -106,12 +106,12 @@ def test_as_helpers_pass_through():
 
 def test_depth_problem_rejects_dimension_mismatch():
     with pytest.raises(ValidationError, match="dimension mismatch"):
-        DepthBatchRequest(reference=[[1.0, 2.0]], queries=[[1.0, 2.0, 3.0]], method="logistic")
+        DepthBatchRequest(reference=[[1.0, 2.0]], queries=[[1.0, 2.0, 3.0]], method="lr")
 
 
 def test_depth_problem_rejects_zero_lambda():
     with pytest.raises(ValidationError, match="unbounded"):
-        DepthBatchRequest(reference=[[1.0]], queries=[[0.0]], method="logistic", lam=0.0)
+        DepthBatchRequest(reference=[[1.0]], queries=[[0.0]], method="lr", lam=0.0)
 
 
 def test_depth_problem_rejects_hinge_without_kernel():

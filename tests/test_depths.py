@@ -9,9 +9,11 @@ import pytest
 from lossdepth import depths, native, solvers
 from lossdepth.core import LOG2, Reporting, ValidationError
 from lossdepth.depths import (
+    METHODS,
     DepthBatchRequest,
     DepthResult,
     HalfspaceConfig,
+    bind_batch,
     depth_batch,
     halfspace_depth,
     halfspace_depth_as_loss,
@@ -640,7 +642,7 @@ def test_the_box_solves_ridge_term_has_the_bits_of_a_full_alpha_product():
 def test_depth_batch_request_validation():
     reference = np.zeros((3, 2))
     with pytest.raises(ValidationError):
-        DepthBatchRequest(reference=reference, queries=np.zeros((2, 3)), method="logistic")
+        DepthBatchRequest(reference=reference, queries=np.zeros((2, 3)), method="lr")
     with pytest.raises(ValidationError):
         DepthBatchRequest(reference=reference, queries=np.zeros((2, 2)), method="nope")
     with pytest.raises(ValidationError):
@@ -649,9 +651,27 @@ def test_depth_batch_request_validation():
 
 def test_depth_batch_empty_queries():
     request = DepthBatchRequest(reference=np.zeros((3, 2)),
-                                queries=np.empty((0, 2)), method="logistic")
+                                queries=np.empty((0, 2)), method="lr")
     outcome = depth_batch(request)
     assert outcome.values.shape == (0,)
+
+
+def test_only_queries_without_rows_are_no_queries():
+    # rows of width 0 are rows of the wrong width, not an empty batch: before,
+    # every empty array became (0, d), and three queries gave no depths
+    reference = [[0.0], [1.0], [2.0]]
+    for method in METHODS:
+        settings = dict(method=method, kernel=KernelSpec.gaussian(1.0))
+        for queries in (np.empty((3, 0)), np.empty((1, 0))):
+            with pytest.raises(ValidationError, match="dimension mismatch"):
+                DepthBatchRequest(reference=reference, queries=queries, **settings)
+        for queries in ([], np.empty(0), np.empty((0, 5))):
+            request = DepthBatchRequest(reference=reference, queries=queries, **settings)
+            assert request.queries.shape == (0, 1)
+            assert depth_batch(request).values.shape == (0,)
+    scorer = bind_batch(DepthBatchRequest(reference=reference, queries=[], method="lr"))
+    with pytest.raises(ValidationError, match="dimension mismatch"):
+        scorer(np.empty((4, 0)))
 
 
 def _results(batch) -> list:
@@ -673,7 +693,7 @@ def test_depth_batch_matches_single_calls():
     kernel = KernelSpec.gaussian(0.8)
     paths = {  # name: (request settings, single call, coefficients per query)
         "halfspace": (dict(method="halfspace"), lambda q: halfspace_depth(q, reference), 0),
-        "lr": (dict(method="logistic"), lambda q: logistic_depth(q, reference, 1.0), 3),
+        "lr": (dict(method="lr"), lambda q: logistic_depth(q, reference, 1.0), 3),
         "closed-form svm": (dict(method="svm", kernel=kernel),
                             lambda q: svm_depth(q, reference, 1.0, kernel=kernel), n + 1),
         "dual svm": (dict(method="svm", lam=0.01, kernel=kernel),
@@ -716,7 +736,7 @@ def test_single_query_entry_points_are_one_row_requests():
     kernel = KernelSpec.gaussian(0.8)
     single = {
         "halfspace": lambda q: halfspace_depth(q, reference),
-        "logistic": lambda q: logistic_depth(q, reference, 0.05),
+        "lr": lambda q: logistic_depth(q, reference, 0.05),
         "svm": lambda q: svm_depth(q, reference, 0.05, kernel=kernel),
         "as-loss": lambda q: halfspace_depth_as_loss(q, reference, [[1.0, 0.0], [0.3, -1.0]]),
     }
@@ -766,7 +786,7 @@ def test_logistic_batch_is_bit_identical_to_single_calls_across_block_edges(monk
             solver = SolverConfig(tolerance=1e-12)
             alone = [logistic_depth(q, reference, 0.05, intercept=intercept,
                                     reporting=reporting, solver=solver) for q in queries]
-            request = DepthBatchRequest(reference=reference, queries=queries, method="logistic",
+            request = DepthBatchRequest(reference=reference, queries=queries, method="lr",
                                         lam=0.05, intercept=intercept, reporting=reporting,
                                         solver=solver)
             batch = depth_batch(request)
@@ -783,7 +803,7 @@ def test_logistic_block_stops_each_query_on_its_own_budget():
     full = [logistic_depth(q, reference, 0.01) for q in queries]
     assert full[1].iterations > max(full[0].iterations, full[2].iterations)
     budget = SolverConfig(max_iterations=max(full[0].iterations, full[2].iterations))
-    request = DepthBatchRequest(reference=reference, queries=queries, method="logistic",
+    request = DepthBatchRequest(reference=reference, queries=queries, method="lr",
                                 lam=0.01, solver=budget)
     near, far, other = _results(depth_batch(request))
     assert near.converged and other.converged
@@ -804,7 +824,7 @@ def test_logistic_line_search_failure_ends_only_that_query(monkeypatch):
     assert logistic_depth(damped, reference, 5e-4).converged
     monkeypatch.setattr(solvers, "_MAX_HALVINGS", 1)
     request = DepthBatchRequest(reference=reference, queries=np.vstack([reference[0], damped]),
-                                method="logistic", lam=5e-4)
+                                method="lr", lam=5e-4)
     mate, stopped = _results(depth_batch(request))
     assert mate.converged
     assert not stopped.converged
@@ -813,7 +833,7 @@ def test_logistic_line_search_failure_ends_only_that_query(monkeypatch):
     assert _same_result(mate, logistic_depth(reference[0], reference, 5e-4))
     # a block whose every query stalls at once ends there, each as alone
     request = DepthBatchRequest(reference=reference, queries=np.vstack([damped, damped]),
-                                method="logistic", lam=5e-4)
+                                method="lr", lam=5e-4)
     for copy in _results(depth_batch(request)):
         assert not copy.converged and copy.iterations == 3
         assert _same_result(copy, stopped)

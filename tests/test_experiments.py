@@ -14,7 +14,6 @@ from lossdepth.depths import (
     depth_batch,
 )
 from lossdepth.experiments import (
-    METHOD_NAMES,
     DegenerateFitError,
     benchmark_auc,
     contamination_grid,
@@ -156,7 +155,7 @@ def test_a_bound_scorer_prepares_its_reference_once(monkeypatch):
         assert sorted(calls) == prepared, method
         for queries, values in zip(batches, scored):
             request = DepthBatchRequest(reference=reference, queries=queries,
-                                        method=METHOD_NAMES[method], **settings)
+                                        method=method, **settings)
             assert values.tobytes() == depth_batch(request).values.tobytes(), method
 
 
@@ -208,7 +207,7 @@ def test_method_scorer_refuses_an_unconverged_one_class_fit():
         method_scorer("ocsvm", reference, solver=starved)
     lenient = method_scorer("ocsvm", reference, solver=starved, require_convergence=False)
     assert lenient(reference[:3]).shape == (3,)
-    with pytest.raises(ValidationError, match="unknown method"):
+    with pytest.raises(ValidationError, match="unknown depth method"):
         method_scorer("nope", reference)
 
 

@@ -256,7 +256,7 @@ def test_a_logistic_result_has_the_same_bits_alone_and_in_any_batch(
     alone = [logistic_depth(q, reference, **settings_) for q in queries]
 
     def scored(rows):
-        request = DepthBatchRequest(reference=reference, queries=rows, method="logistic",
+        request = DepthBatchRequest(reference=reference, queries=rows, method="lr",
                                     **settings_)
         return _results(depth_batch(request))
 
@@ -303,7 +303,7 @@ def test_the_logistic_certificate_bounds_the_error_against_a_tight_solve(
 ):
     reference, queries = batch
     solver = SolverConfig(max_iterations=budget)
-    request = DepthBatchRequest(reference=reference, queries=queries, method="logistic", lam=lam,
+    request = DepthBatchRequest(reference=reference, queries=queries, method="lr", lam=lam,
                                 intercept=intercept, solver=solver)
     results = _results(depth_batch(request))
     for query, result in zip(queries, results):

@@ -54,7 +54,8 @@ COMMANDS = [
     f"depth {LABELLED} --label-column 2",
     f"depth {LABELLED} --label-column label --method svm",
     f"depth {LABELLED} --label-column missing",
-    *(f"grid ref.csv --method {method} --resolution 5" for method in ("svm", "lr", "ocsvm", "lof")),
+    *(f"grid ref.csv --method {method} --resolution 5"
+      for method in ("svm", "lr", "ocsvm", "lof", "halfspace")),
     "grid ref.csv --method svm --lambda 0.05 --resolution 5",
     "grid --contaminated --n 40 --method lr --resolution 4",
     "grid --contaminated --n 40 --method lr --resolution 4 --center -1,2"
@@ -64,12 +65,16 @@ COMMANDS = [
     "rankcorr --n 30 --runs 2 --methods svm --kernel laplacian --sigma 1",
     "rankcorr --n 30 --runs 2 --methods svm --kernel laplacian",
     "rankcorr --n 30 --runs 2 --methods lr,svm --gamma 0.5",
+    "rankcorr --n 30 --runs 2 --methods halfspace,lof,ocsvm",
+    "rankcorr --n 30 --runs 2 --methods nope",
     *(f"convergence --method {method} --n-grid 10,20 --repeats 2 --n-ref 100"
-      for method in ("lr", "svm")),
+      for method in ("lr", "svm", "halfspace")),
     "convergence --n-grid 10,20 --repeats 2 --n-ref 100 --query -1,0",
     "convergence --n-grid -1,2 --repeats 2 --n-ref 100",
     "benchmark labelled.csv --split --has-header --label-column label --lof-k 5",
     f"benchmark {LABELLED} --label-column 2 --methods lr,svm,lof --lof-k 5,10",
+    f"benchmark {LABELLED} --label-column 2 --methods halfspace,lr --lof-k 5",
+    f"benchmark {LABELLED} --label-column 2 --methods bogus",
     f"{DEPTH} --tolerance inf",
     f"{DEPTH} --max-iterations 0",
     "depth missing.csv queries.csv",
