@@ -19,6 +19,11 @@ names of the list commands: an unknown one exits 2.  benchmark refuses a
 depth solve or a one-class fit that stops before tolerance (exit 2); grid,
 rankcorr and convergence report what it gives.
 
+The flags become a scorer's settings in one place, _settings: lam, kernel
+and solver, keywords that depth passes to its DepthBatchRequest and the
+drivers to method_scorer or benchmark_auc unchanged.  The solver flags are
+checked before the kernel flags.
+
 Each cmd_* handler returns its configuration, without the seed, and its
 tables, and writes nothing.  main assembles and writes every report: an
 ExperimentReport named after the subcommand, with the seed as its first
@@ -36,6 +41,8 @@ import numpy as np
 from .core import LossDepthError, Reporting, ValidationError
 from .depths import METHOD_HALFSPACE, METHODS, DepthBatchRequest, HalfspaceConfig, depth_batch
 from .experiments import (
+    LOF_K,
+    OCSVM_NU,
     benchmark_auc,
     contamination_grid,
     convergence_experiment,
@@ -101,7 +108,11 @@ def _add_csv_options(parser) -> None:
     )
 
 
-def _add_kernel_options(parser) -> None:
+def _add_scorer_options(parser, tolerance: float) -> None:
+    parser.add_argument("--lambda", dest="lam", type=float, default=1.0,
+                        help="ridge strength (default 1)")
+    parser.add_argument("--max-iterations", type=int, default=SolverConfig.max_iterations)
+    parser.add_argument("--tolerance", type=float, default=tolerance)
     parser.add_argument(
         "--kernel", choices=("gaussian", "laplacian", "imq", "linear"), default="gaussian"
     )
@@ -112,13 +123,6 @@ def _add_kernel_options(parser) -> None:
     parser.add_argument("--sigma", type=float, default=None, help="laplacian scale")
     parser.add_argument("--imq-c", type=float, default=1.0)
     parser.add_argument("--imq-beta", type=float, default=-0.5)
-
-
-def _add_model_options(parser, tolerance: float) -> None:
-    parser.add_argument("--lambda", dest="lam", type=float, default=1.0,
-                        help="ridge strength (default 1)")
-    parser.add_argument("--max-iterations", type=int, default=SolverConfig.max_iterations)
-    parser.add_argument("--tolerance", type=float, default=tolerance)
 
 
 def _check_threads(args) -> None:
@@ -161,6 +165,14 @@ def _resolve_kernel(args, methods, points) -> KernelSpec | None:
     return None if points is None else KernelSpec.gaussian(median_heuristic(points))
 
 
+def _settings(args, methods, points) -> dict:
+    """The request settings the flags give, lam, kernel and solver, as
+    keywords of DepthBatchRequest and method_scorer: the solver flags are
+    checked first, then the kernel is resolved (_resolve_kernel)."""
+    solver = SolverConfig(args.max_iterations, args.tolerance)
+    return {"lam": args.lam, "kernel": _resolve_kernel(args, methods, points), "solver": solver}
+
+
 def _kernel_label(spec: KernelSpec | None) -> str:
     if spec is None:
         return ""
@@ -176,26 +188,14 @@ def _kernel_label(spec: KernelSpec | None) -> str:
 def cmd_depth(args) -> tuple[dict, list]:
     reference = _read_features(args.reference, args)
     queries = _read_features(args.queries, args)
-    solver = SolverConfig(args.max_iterations, args.tolerance)
-
-    kernel = _resolve_kernel(args, (args.method,), reference)
-    halfspace = None
-    if args.method == METHOD_HALFSPACE and args.directions is not None:
-        halfspace = HalfspaceConfig(args.directions, args.seed)
-
-    request = DepthBatchRequest(
-        reference=reference,
-        queries=queries,
-        method=args.method,
-        lam=args.lam,
-        kernel=kernel,
-        intercept=args.intercept,
-        reporting=Reporting(args.reporting),
-        normalize=args.normalize,
-        solver=solver,
-        halfspace=halfspace,
-    )
-    batch = depth_batch(request)
+    settings = _settings(args, (args.method,), reference)
+    halfspace = (HalfspaceConfig(args.directions, args.seed)  # lr and svm ignore --directions
+                 if args.method == METHOD_HALFSPACE and args.directions is not None else None)
+    batch = depth_batch(DepthBatchRequest(
+        reference, queries, args.method, intercept=args.intercept,
+        reporting=Reporting(args.reporting), normalize=args.normalize, halfspace=halfspace,
+        **settings,
+    ))
 
     columns = (batch.values, batch.converged, batch.iterations, batch.residuals)
     tables = [ReportTable("depths", ("query", "depth", "converged", "iterations", "residual"),
@@ -209,7 +209,7 @@ def cmd_depth(args) -> tuple[dict, list]:
     return {
         "method": args.method,
         "lambda": args.lam,
-        "kernel": _kernel_label(kernel),
+        "kernel": _kernel_label(settings["kernel"]),
         "reporting": args.reporting,
         "normalize": args.normalize,
         "intercept": args.intercept,
@@ -242,19 +242,9 @@ def cmd_benchmark(args) -> tuple[dict, list]:
         test = test_set.features
         test_labels = test_set.labels
 
-    kernel = _resolve_kernel(args, args.methods, train)
-    solver = SolverConfig(args.max_iterations, args.tolerance)
-    rows = benchmark_auc(
-        train,
-        test,
-        test_labels == 0,  # label 1 marks an outlier
-        methods=args.methods,
-        lam=args.lam,
-        kernel=kernel,
-        lof_k=args.lof_k,
-        nu=args.ocsvm_nu,
-        solver=solver,
-    )
+    settings = _settings(args, args.methods, train)
+    rows = benchmark_auc(train, test, test_labels == 0,  # label 1 marks an outlier
+                         methods=args.methods, lof_k=args.lof_k, nu=args.ocsvm_nu, **settings)
     return {
         "train": str(args.train),
         "test": "" if args.test is None else str(args.test),
@@ -262,7 +252,7 @@ def cmd_benchmark(args) -> tuple[dict, list]:
         "test_fraction": args.test_fraction,
         "methods": list(args.methods),
         "lambda": args.lam,
-        "kernel": _kernel_label(kernel),
+        "kernel": _kernel_label(settings["kernel"]),
         "lof_k": list(args.lof_k),
         "ocsvm_nu": args.ocsvm_nu,
     }, [ReportTable("auc", ("method", "parameter", "auc"),
@@ -270,16 +260,14 @@ def cmd_benchmark(args) -> tuple[dict, list]:
 
 
 def cmd_convergence(args) -> tuple[dict, list]:
-    solver = SolverConfig(args.max_iterations, args.tolerance)
-    lam = args.lam
-    state = {}
+    settings = _settings(args, (), None)  # the solver flags are checked before any sample
 
     def depth_fn(sample, query):
-        if not state:
-            # the reference sample comes first, and every later sample shares its kernel
-            state["kernel"] = _resolve_kernel(args, (args.method,), sample)
-        score = method_scorer(args.method, sample, lam=lam, kernel=state["kernel"],
-                              solver=solver, require_convergence=False)
+        if settings["kernel"] is None:
+            # the reference sample comes first, and every later sample shares its kernel;
+            # a method without a kernel resolves None again, at no cost
+            settings["kernel"] = _resolve_kernel(args, (args.method,), sample)
+        score = method_scorer(args.method, sample, require_convergence=False, **settings)
         return score(query.reshape(1, -1))[0]
 
     result = convergence_experiment(
@@ -293,13 +281,13 @@ def cmd_convergence(args) -> tuple[dict, list]:
     )
     return {
         "method": args.method,
-        "lambda": lam,
-        "kernel": _kernel_label(state.get("kernel")),
+        "lambda": args.lam,
+        "kernel": _kernel_label(settings["kernel"]),
         "d": args.d,
         "n_grid": list(result.n_grid),
         "repeats": args.repeats,
         "query": [float(v) for v in result.query],
-        "tolerance": solver.tolerance,
+        "tolerance": args.tolerance,
     }, [
         ReportTable("convergence", ("n", "mean_error"),
                     zip(result.n_grid, result.mean_errors.tolist())),
@@ -325,18 +313,16 @@ def cmd_grid(args) -> tuple[dict, list]:
         data = sample.points
     else:
         data = _read_features(args.data, args)
-    solver = SolverConfig(args.max_iterations, args.tolerance)
-
-    kernel = _resolve_kernel(args, (args.method,), data)
-    score_fn = method_scorer(args.method, data, lam=args.lam, kernel=kernel, solver=solver,
-                             nu=args.ocsvm_nu, lof_k=lof_k, require_convergence=False)
+    settings = _settings(args, (args.method,), data)
+    score_fn = method_scorer(args.method, data, nu=args.ocsvm_nu, lof_k=lof_k,
+                             require_convergence=False, **settings)
     scan = contamination_grid(
         data, score_fn, resolution=args.resolution, quantiles=args.quantiles
     )
     return {
         "method": args.method,
         "lambda": args.lam,
-        "kernel": _kernel_label(kernel),
+        "kernel": _kernel_label(settings["kernel"]),
         "resolution": args.resolution,
         "quantiles": [float(q) for q in args.quantiles],
         "data": "" if args.data is None else str(args.data),
@@ -356,7 +342,7 @@ def cmd_grid(args) -> tuple[dict, list]:
 
 
 def cmd_rankcorr(args) -> tuple[dict, list]:
-    solver = SolverConfig(args.max_iterations, args.tolerance)
+    settings = _settings(args, args.methods, None)  # the solver fault is reported first
     if not args.methods:
         raise ValidationError("--methods needs at least one method")
     config = {
@@ -366,14 +352,15 @@ def cmd_rankcorr(args) -> tuple[dict, list]:
         "n": args.n,
         "runs": args.runs,
     }
-    kernel = _resolve_kernel(args, args.methods, None)
     if {"svm", "ocsvm"} & set(args.methods):
-        config["kernel"] = _kernel_label(kernel) or "gaussian(gamma=median-heuristic)"
+        config["kernel"] = _kernel_label(settings["kernel"]) or "gaussian(gamma=median-heuristic)"
+    if "lof" in args.methods:
+        config["lof_k"] = LOF_K
+    if "ocsvm" in args.methods:
+        config["ocsvm_nu"] = OCSVM_NU
 
     def score_fn(method, sample):
-        scorer = method_scorer(method, sample, lam=args.lam, kernel=kernel, solver=solver,
-                               require_convergence=False)
-        return scorer(sample)
+        return method_scorer(method, sample, require_convergence=False, **settings)(sample)
 
     return config, [ReportTable("rankcorr", ("method", "d", "run", "kendall", "spearman"), [
         (method, row.d, row.run, row.kendall, row.spearman)
@@ -429,8 +416,7 @@ def build_parser() -> argparse.ArgumentParser:
                        "directions, in any dimension (default: the exact depth, d <= 2)")
     depth.add_argument("--coefficients", action="store_true",
                        help="emit a table of classifier coefficients per query")
-    _add_model_options(depth, SolverConfig.tolerance)
-    _add_kernel_options(depth)
+    _add_scorer_options(depth, SolverConfig.tolerance)
     _add_csv_options(depth)
     _add_common(depth)
     depth.set_defaults(handler=cmd_depth)
@@ -443,9 +429,8 @@ def build_parser() -> argparse.ArgumentParser:
     benchmark.add_argument("--test-fraction", type=float, default=0.2)
     benchmark.add_argument("--methods", type=_str_list, default=("lr", "svm", "lof", "ocsvm"))
     benchmark.add_argument("--lof-k", type=_int_list, default=(5, 10, 15, 20, 30))
-    benchmark.add_argument("--ocsvm-nu", type=float, default=0.15)
-    _add_model_options(benchmark, 1e-6)
-    _add_kernel_options(benchmark)
+    benchmark.add_argument("--ocsvm-nu", type=float, default=OCSVM_NU)
+    _add_scorer_options(benchmark, 1e-6)
     _add_csv_options(benchmark)
     _add_common(benchmark)
     benchmark.set_defaults(handler=cmd_benchmark)
@@ -459,8 +444,7 @@ def build_parser() -> argparse.ArgumentParser:
                              help="reference sample size (default 50 * max n)")
     convergence.add_argument("--query", type=_float_list, default=None,
                              help="query point (default: all ones)")
-    _add_model_options(convergence, 1e-6)
-    _add_kernel_options(convergence)
+    _add_scorer_options(convergence, 1e-6)
     _add_common(convergence)
     convergence.set_defaults(handler=cmd_convergence)
 
@@ -475,10 +459,9 @@ def build_parser() -> argparse.ArgumentParser:
     grid.add_argument("--method", choices=(*METHODS, "ocsvm", "lof"), default="svm")
     grid.add_argument("--resolution", type=int, default=50)
     grid.add_argument("--quantiles", type=_float_list, default=(0.5, 0.6, 0.7, 0.8, 0.9))
-    grid.add_argument("--lof-k", type=_int_list, default=(10,))
-    grid.add_argument("--ocsvm-nu", type=float, default=0.15)
-    _add_model_options(grid, 1e-6)
-    _add_kernel_options(grid)
+    grid.add_argument("--lof-k", type=_int_list, default=(LOF_K,))
+    grid.add_argument("--ocsvm-nu", type=float, default=OCSVM_NU)
+    _add_scorer_options(grid, 1e-6)
     _add_csv_options(grid)
     _add_common(grid)
     grid.set_defaults(handler=cmd_grid)
@@ -488,8 +471,7 @@ def build_parser() -> argparse.ArgumentParser:
     rankcorr.add_argument("--d-grid", type=_int_list, default=(2,))
     rankcorr.add_argument("--n", type=int, default=200)
     rankcorr.add_argument("--runs", type=int, default=10)
-    _add_model_options(rankcorr, 1e-6)
-    _add_kernel_options(rankcorr)
+    _add_scorer_options(rankcorr, 1e-6)
     _add_common(rankcorr)
     rankcorr.set_defaults(handler=cmd_rankcorr)
 

@@ -9,10 +9,14 @@ name (a depth of depths.METHODS, ocsvm or lof) to a scorer fitted to a
 reference, the one gate on those names, the one place a missing kernel
 becomes the reference's median-heuristic Gaussian, and the one place that
 decides whether a fit stopped before tolerance is an error; every driver
-scores through it.
+scores through it.  Its keywords, and benchmark_auc's, are the
+DepthBatchRequest fields, passed to the request unchanged, so a driver
+reaches every depth setting depth_batch has, the random-direction halfspace
+depth included.
 """
 from __future__ import annotations
 
+import inspect
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,13 +31,15 @@ from .core import (
 from .depths import METHOD_HALFSPACE, DepthBatchRequest, bind_batch
 from .kernels import KernelSpec, median_heuristic
 from .metrics import auc_roc, kendall_tau, spearman_rho
-from .solvers import SolverConfig
 
 # spawn-key tags; one tag per consumer keeps streams independent
 _REFERENCE_STREAM = 0
 _SAMPLE_STREAM = 1
 _MIXTURE_STREAM = 2
 _SPLIT_STREAM = 3
+
+OCSVM_NU = 0.15  # the one-class SVM's outlier fraction bound, unless one is given
+LOF_K = 10  # the local outlier factor's neighbourhood size, unless one is given
 
 
 class DegenerateFitError(LossDepthError):
@@ -126,36 +132,44 @@ def gen_contaminated(n: int, center=(-1.0, -1.0), contamination_center=(2.0, 2.0
     return ContaminatedSample(points=points, contaminated=mask)
 
 
-def method_scorer(method: str, reference, *, lam: float = 1.0, kernel: KernelSpec | None = None,
-                  solver: SolverConfig | None = None, nu: float = 0.15, lof_k: int = 10,
-                  require_convergence: bool = True):
+def _check_request(request: dict) -> None:
+    """Raise the TypeError a DepthBatchRequest call raises on a keyword that
+    is not one of its settings, for scorers that build no request."""
+    inspect.signature(DepthBatchRequest).bind_partial(None, None, None, **request)
+
+
+def method_scorer(method: str, reference, *, nu: float = OCSVM_NU, lof_k: int = LOF_K,
+                  require_convergence: bool = True, **request):
     """Fit the scorer a method name means to the reference rows.
 
     Returns a callable mapping points to scores, larger meaning more central.
-    ocsvm scores by the fitted one-class SVM margin, and lof by the negated
-    local outlier factor with lof_k neighbours.  Every other name goes to
-    the depth request as it is: a depth of depths.METHODS (halfspace, the
-    exact depth, lr or svm) is bound to the reference once here
-    (depths.bind_batch), so every call shares the reference-only work, and
-    scores as depth_batch does with every other request setting at its
-    default; any other name raises the request's ValidationError.  svm and
-    ocsvm default to a Gaussian kernel at the median-heuristic bandwidth of
-    the reference.  With require_convergence a depth solve or a one-class
+    Every keyword but nu, lof_k and require_convergence is a
+    DepthBatchRequest field other than reference, queries and method, and
+    any other keyword raises TypeError, whatever the method.  ocsvm scores
+    by the margin of the one-class SVM fitted with nu and the request's
+    kernel and solver, and lof by the negated local outlier factor with
+    lof_k neighbours.  Every other name goes to the depth request as it is,
+    with the keywords unchanged: a depth of depths.METHODS (halfspace, lr or
+    svm) is bound to the reference once here (depths.bind_batch), so every
+    call shares the reference-only work, and scores as depth_batch scores
+    that request; any other name raises the request's ValidationError.  svm
+    and ocsvm default to a Gaussian kernel at the median-heuristic bandwidth
+    of the reference.  With require_convergence a depth solve or a one-class
     fit that stops before tolerance raises NotConvergedError.
     """
+    _check_request(request)
     ref = as_data_matrix(reference)
     if method == "lof":
         return lambda points: -lof_scores(ref.values, points, lof_k)
-    if kernel is None and method in ("svm", "ocsvm"):
-        kernel = KernelSpec.gaussian(median_heuristic(ref.values))
+    if request.get("kernel") is None and method in ("svm", "ocsvm"):
+        request["kernel"] = KernelSpec.gaussian(median_heuristic(ref.values))
     if method == "ocsvm":
-        model = ocsvm_fit(ref.values, kernel, nu, solver)
+        model = ocsvm_fit(ref.values, request["kernel"], nu, request.get("solver"))
         if require_convergence and not model.converged:
             raise NotConvergedError(f"the one-class SVM fit stopped before tolerance after "
                                     f"{model.iterations} pair updates; residual {model.residual:g}")
         return model.score
-    batch = bind_batch(DepthBatchRequest(reference=ref, queries=np.empty((0, ref.d)),
-                                         method=method, lam=lam, kernel=kernel, solver=solver))
+    batch = bind_batch(DepthBatchRequest(ref, np.empty((0, ref.d)), method, **request))
 
     def score(points) -> np.ndarray:
         outcome = batch(points)
@@ -382,30 +396,23 @@ class BenchmarkRow:
     auc: float
 
 
-def benchmark_auc(
-    train,
-    test,
-    test_inlier,
-    methods=("lr", "svm", "lof", "ocsvm"),
-    *,
-    lam: float = 1.0,
-    kernel: KernelSpec | None = None,
-    lof_k=(5, 10, 15, 20, 30),
-    nu: float = 0.15,
-    solver: SolverConfig | None = None,
-) -> list:
+def benchmark_auc(train, test, test_inlier, methods=("lr", "svm", "lof", "ocsvm"), *,
+                  lam: float = 1.0, lof_k=(5, 10, 15, 20, 30), nu: float = OCSVM_NU,
+                  **request) -> list:
     """Inlier-versus-outlier AUC of each scoring method on a held-out set.
 
     LOF gets one row per neighbourhood size plus a best-of row, from one
     sort of the distances for every size; its factor orders outliers first,
     so its negation enters the AUC.  The oracle method scores with the
     labels themselves and pins the ceiling at 1.  Every other method scores
-    through method_scorer, fitted to the training rows, which raises on an
-    unknown name, takes the training median heuristic where svm or ocsvm has
-    no kernel, and refuses a depth solve or one-class fit that stops before
-    tolerance (NotConvergedError).  Such a row's parameter cell reads nu for
-    ocsvm, lam for lr and svm, and is empty for halfspace, which has no lam.
+    through method_scorer, fitted to the training rows with lam, nu and the
+    request keywords unchanged, which raises on an unknown name or keyword,
+    takes the training median heuristic where svm or ocsvm has no kernel,
+    and refuses a depth solve or one-class fit that stops before tolerance
+    (NotConvergedError).  Such a row's parameter cell reads nu for ocsvm,
+    lam for lr and svm, and is empty for halfspace, which has no lam.
     """
+    _check_request(request)
     train_m = as_data_matrix(train)
     test_m = as_data_matrix(test)
     inlier = np.asarray(test_inlier, dtype=bool).reshape(-1)
@@ -428,7 +435,7 @@ def benchmark_auc(
         elif method == "oracle":
             rows.append(BenchmarkRow("oracle", "", auc_roc(inlier.astype(float), inlier)))
         else:
-            score = method_scorer(method, train_m, lam=lam, kernel=kernel, solver=solver, nu=nu)
+            score = method_scorer(method, train_m, lam=lam, nu=nu, **request)
             parameter = {METHOD_HALFSPACE: "", "ocsvm": f"nu={nu:g}"}.get(method, f"lam={lam:g}")
             rows.append(BenchmarkRow(method, parameter, auc_roc(score(test_m.values), inlier)))
     return rows

@@ -924,6 +924,53 @@ def test_rankcorr_echoes_the_kernel_of_the_one_class_svm(capsys):
         assert config.get("kernel") == kernel, methods
 
 
+def test_rankcorr_echoes_the_baseline_settings(capsys):
+    # lof's neighbourhood size and ocsvm's nu are named when that method runs
+    argv = ["rankcorr", "--n", "30", "--runs", "1", "--format", "json"]
+    for methods, echoed in (("lof", {"lof_k": experiments.LOF_K}),
+                            ("ocsvm", {"ocsvm_nu": experiments.OCSVM_NU}),
+                            ("halfspace,lof,ocsvm", {"lof_k": 10, "ocsvm_nu": 0.15}),
+                            ("lr,svm", {})):
+        assert cli.main([*argv, "--methods", methods]) == cli.EXIT_OK
+        config = json.loads(capsys.readouterr().out)["config"]
+        assert {key: config[key] for key in ("lof_k", "ocsvm_nu") if key in config} == echoed
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["rankcorr", "--methods", "", "--max-iterations", "0"],
+     "solver needs max_iterations >= 1"),
+    (["convergence", "--repeats", "0", "--tolerance", "inf"],
+     "solver needs a finite positive tolerance"),
+], ids=["rankcorr", "convergence"])
+def test_the_solver_flags_are_checked_first(argv, message, capsys):
+    assert cli.main(argv) == cli.EXIT_INVALID
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("method", ["lr", "svm"])
+def test_depth_ignores_directions_for_the_loss_depths(method, sample_files, capsys):
+    # a halfspace config is built for the halfspace depth alone
+    reference, queries = sample_files
+    assert cli.main(["depth", reference, queries, "--method", method]) == cli.EXIT_OK
+    plain = capsys.readouterr().out
+    assert cli.main(["depth", reference, queries, "--method", method,
+                     "--directions", "0"]) == cli.EXIT_OK
+    assert capsys.readouterr().out == plain
+
+
+def test_convergence_takes_the_median_heuristic_of_the_reference_sample_once(monkeypatch):
+    calls = []
+
+    def counting(points):
+        calls.append(len(points))
+        return median_heuristic(points)
+
+    monkeypatch.setattr(cli, "median_heuristic", counting)
+    assert cli.main(["convergence", "--method", "svm", "--n-grid", "10,20", "--repeats", "2",
+                     "--n-ref", "100"]) == cli.EXIT_OK
+    assert calls == [100]
+
+
 def test_convergence_small_run(tmp_path):
     out = tmp_path / "conv.csv"
     code = cli.main(["convergence", "--method", "lr", "--n-grid", "30,60",

@@ -1,19 +1,24 @@
 """Experiment drivers: samplers, scorers, rate fits, splits, benchmarks."""
+import dataclasses
+
 import numpy as np
 import pytest
 from scipy import stats
 
 from lossdepth import depths
 from lossdepth.baselines import lof_scores, ocsvm_fit
-from lossdepth.core import NotConvergedError, ValidationError
+from lossdepth.core import NotConvergedError, Reporting, ValidationError
 from lossdepth.depths import (
     METHOD_HALFSPACE,
     METHOD_LOGISTIC,
     METHOD_SVM,
+    METHODS,
     DepthBatchRequest,
+    HalfspaceConfig,
     depth_batch,
 )
 from lossdepth.experiments import (
+    BenchmarkRow,
     DegenerateFitError,
     benchmark_auc,
     contamination_grid,
@@ -26,6 +31,7 @@ from lossdepth.experiments import (
     stratified_split,
 )
 from lossdepth.kernels import KernelSpec, median_heuristic
+from lossdepth.metrics import auc_roc
 from lossdepth.solvers import SolverConfig
 
 
@@ -209,6 +215,83 @@ def test_method_scorer_refuses_an_unconverged_one_class_fit():
     assert lenient(reference[:3]).shape == (3,)
     with pytest.raises(ValidationError, match="unknown depth method"):
         method_scorer("nope", reference)
+
+
+# a value away from the default for every DepthBatchRequest setting
+REQUEST_SETTINGS = {
+    "lam": 0.05,
+    "kernel": KernelSpec.laplacian(1.5),
+    "intercept": True,
+    "reporting": Reporting.LOSS_PLUS_REG,
+    "normalize": False,
+    "solver": SolverConfig(max_iterations=1, tolerance=1e-12),
+    "halfspace": HalfspaceConfig(40, 3),
+}
+
+
+def test_method_scorer_passes_every_request_field_through():
+    # each setting reaches the depth request unchanged, for every depth, and
+    # changes some depth's scores; a field added to the request fails here
+    # until it has a value above
+    defaults = {field.name: field.default for field in dataclasses.fields(DepthBatchRequest)
+                if field.name not in ("reference", "queries", "method")}
+    assert defaults.keys() == REQUEST_SETTINGS.keys()
+    rng = np.random.default_rng(32)
+    reference, points = rng.standard_normal((40, 2)), rng.standard_normal((6, 2))
+    for name, value in REQUEST_SETTINGS.items():
+        changed = False
+        for method in METHODS:
+            base = {"kernel": KernelSpec.gaussian(0.7)} if method == METHOD_SVM else {}
+            settings = {**base, name: value}
+            scores = method_scorer(method, reference, require_convergence=False,
+                                   **settings)(points)
+            request = DepthBatchRequest(reference, points, method, **settings)
+            assert scores.tobytes() == depth_batch(request).values.tobytes(), (name, method)
+            default = depth_batch(DepthBatchRequest(reference, points, method, **base))
+            changed |= scores.tobytes() != default.values.tobytes()
+        assert changed, name
+
+
+def test_a_keyword_that_is_no_request_field_raises_type_error():
+    # whatever the method, as the named parameters did, lof and ocsvm included
+    train, test, inlier = _toy_benchmark_data()
+    for method in (*METHODS, "ocsvm", "lof", "nope"):
+        with pytest.raises(TypeError, match="'bogus'"):
+            method_scorer(method, train, bogus=1)
+        with pytest.raises(TypeError, match="'queries'"):
+            method_scorer(method, train, queries=test)
+    for methods in (("lof",), ("oracle",), ("lr",)):
+        with pytest.raises(TypeError, match="'bogus'"):
+            benchmark_auc(train, test, inlier, methods=methods, bogus=1)
+
+
+def test_the_drivers_score_the_random_direction_halfspace_depth():
+    # at d = 10 only the random-direction bound is defined; benchmark_auc and
+    # rank_correlation_experiment reach it through method_scorer with
+    # depth_batch's bits
+    config = HalfspaceConfig(200, 0)
+    rng = np.random.default_rng(33)
+    train = rng.standard_normal((60, 10))
+    test = np.vstack([rng.standard_normal((20, 10)), rng.standard_normal((10, 10)) + 3.0])
+    inlier = np.r_[np.ones(20, dtype=bool), np.zeros(10, dtype=bool)]
+    request = DepthBatchRequest(train, test, METHOD_HALFSPACE, halfspace=config)
+    expected = BenchmarkRow(METHOD_HALFSPACE, "", auc_roc(depth_batch(request).values, inlier))
+    assert benchmark_auc(train, test, inlier, methods=(METHOD_HALFSPACE,),
+                         halfspace=config) == [expected]
+    with pytest.raises(ValidationError):  # the exact depth needs d <= 2
+        benchmark_auc(train, test, inlier, methods=(METHOD_HALFSPACE,))
+
+    def scored(sample):
+        return method_scorer(METHOD_HALFSPACE, sample, halfspace=config)(sample)
+
+    def direct(sample):
+        request = DepthBatchRequest(sample, sample, METHOD_HALFSPACE, halfspace=config)
+        return depth_batch(request).values
+
+    rows = rank_correlation_experiment(scored, d_grid=(10,), n=40, runs=2, master_seed=3)
+    assert rows == rank_correlation_experiment(direct, d_grid=(10,), n=40, runs=2,
+                                               master_seed=3)
+    assert all(row.kendall > 0.0 for row in rows)
 
 
 def test_convergence_experiment_fast_profile():

@@ -66,6 +66,8 @@ COMMANDS = [
     "rankcorr --n 30 --runs 2 --methods svm --kernel laplacian",
     "rankcorr --n 30 --runs 2 --methods lr,svm --gamma 0.5",
     "rankcorr --n 30 --runs 2 --methods halfspace,lof,ocsvm",
+    # the json config names lof's k and ocsvm's nu when that method runs
+    *(f"rankcorr --n 30 --runs 2 --methods {method}" for method in ("lof", "ocsvm")),
     "rankcorr --n 30 --runs 2 --methods nope",
     *(f"convergence --method {method} --n-grid 10,20 --repeats 2 --n-ref 100"
       for method in ("lr", "svm", "halfspace")),
@@ -75,6 +77,7 @@ COMMANDS = [
     f"benchmark {LABELLED} --label-column 2 --methods lr,svm,lof --lof-k 5,10",
     f"benchmark {LABELLED} --label-column 2 --methods halfspace,lr --lof-k 5",
     f"benchmark {LABELLED} --label-column 2 --methods bogus",
+    f"benchmark {LABELLED} --label-column 2 --methods ocsvm --ocsvm-nu 0.3",
     f"{DEPTH} --tolerance inf",
     f"{DEPTH} --max-iterations 0",
     "depth missing.csv queries.csv",
